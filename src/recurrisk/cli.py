@@ -23,11 +23,12 @@ from .boosting import BoostedModel
 from .cohort import (
     ColumnSchema,
     SyntheticSpec,
+    _parse_number,
     generate_synthetic,
     load_cohort,
     write_cohort,
 )
-from .errors import RecurriskError
+from .errors import RecurriskError, RowParseError
 from .explain import (
     MAX_EXACT_FEATURES,
     mean_abs_shapley,
@@ -173,11 +174,18 @@ def _cmd_evaluate(args) -> int:
             print(f"error: {args.scores} needs columns id,time,event,score",
                   file=sys.stderr)
             return 1
-        for row in reader:
+        for row_no, row in enumerate(reader, start=1):
+            if None in row or None in row.values():
+                raise RowParseError(row_no, "<row>",
+                                    f"expected {len(reader.fieldnames)} cells")
+            event = _parse_number(row["event"], row_no, "event")
+            if event not in (0.0, 1.0):
+                raise RowParseError(row_no, "event",
+                                    f"event must be 0 or 1, got {row['event'].strip()}")
             ids.append(row["id"])
-            times.append(float(row["time"]))
-            events.append(int(row["event"]))
-            scores.append(float(row["score"]))
+            times.append(_parse_number(row["time"], row_no, "time"))
+            events.append(int(event))
+            scores.append(_parse_number(row["score"], row_no, "score"))
     times = np.array(times)
     events = np.array(events)
     scores = np.array(scores)

@@ -27,13 +27,9 @@ def _event_table(times, events):
     if times.shape != events.shape:
         raise InvalidParameterError("times and events must have equal length")
 
-    order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    e_sorted = events[order]
-    event_times = np.unique(t_sorted[e_sorted == 1])
+    event_times, d_at = np.unique(times[events == 1], return_counts=True)
     # risk set at t: subjects with observed time >= t (censored-at-t included)
-    n_at = times.size - np.searchsorted(t_sorted, event_times, side="left")
-    d_at = np.array([int(np.sum((t_sorted == t) & (e_sorted == 1))) for t in event_times])
+    n_at = times.size - np.searchsorted(np.sort(times), event_times, side="left")
     return event_times, d_at, n_at
 
 

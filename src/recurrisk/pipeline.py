@@ -57,7 +57,7 @@ from .metrics import (
 )
 from .nonparametric import kaplan_meier, log_rank, median_survival_time
 from .radiomics import extract_all, load_region_mask, load_voxel_grid
-from .rsf import Forest, ForestParams, fit_rsf, forest_to_json, predict_risk_matrix
+from .rsf import Forest, ForestParams, fit_rsf, forest_to_json, predict_chf_at, predict_risk_matrix
 from .stepfun import StepFunction
 from .svgplot import PALETTE, Series, render_plot
 from .temporal import load_longitudinal, train_temporal, temporal_risk
@@ -266,9 +266,10 @@ def _predict_fold(fold_models: FoldModels, name: str, test: Cohort, horizons):
     X = test_sel.matrix()
     model = fold_models.models[name]
     if isinstance(model, Forest):
-        scores = predict_risk_matrix(model, X)
-        from .rsf import predict_survival
-        surv = np.array([[predict_survival(model, x)(h) for h in horizons] for x in X])
+        chf = predict_chf_at(model, X, [*horizons, model.max_event_time])
+        scores = chf[:, -1]
+        # contiguous, so exp takes the same ufunc loop as StepFunction.exp_neg
+        surv = np.exp(-np.ascontiguousarray(chf[:, :-1]))
     else:
         scores = np.asarray(model.predict_risk(X), dtype=float)
         base = fold_models.baselines[name]

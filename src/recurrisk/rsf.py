@@ -6,7 +6,17 @@ feature subsets from ``default_rng(seed + b)``, so the fitted forest is
 byte-identical across runs and independent of any parallel schedule.
 Split search is exhaustive over midpoints of consecutive distinct feature
 values; ties in the log-rank statistic break toward the lowest feature
-index, then the lowest threshold.
+index, then the lowest threshold. Each node takes its event times, death
+counts and risk-set sizes from the event table that also builds the
+Nelson-Aalen leaves (``nonparametric._event_table``), and builds its
+subject-by-event-time at-risk matrix once for all candidate features.
+
+Prediction routes a batch of rows down each tree at once: every split
+node partitions the row indices with one comparison, and every leaf
+evaluates its cumulative hazard once at the requested times for all rows
+that reach it. Trees are accumulated one after another and the sum is
+divided by the tree count, the same order of operations as averaging the
+per-tree step functions, so batch and per-row predictions agree exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 
 from .cohort import Cohort
 from .errors import InvalidParameterError, ShapeError, TrainingError
-from .nonparametric import nelson_aalen
+from .nonparametric import _event_table, nelson_aalen
 from .stepfun import StepFunction, average_step_functions
 
 
@@ -76,16 +86,6 @@ class Forest:
     params: ForestParams
 
 
-def _node_event_table(times, events):
-    """Distinct event times with total death counts and risk-set sizes."""
-    order = np.argsort(times, kind="stable")
-    t_s, e_s = times[order], events[order]
-    ets = np.unique(t_s[e_s == 1])
-    n_tot = times.size - np.searchsorted(t_s, ets, side="left")
-    d_tot = np.array([np.sum((t_s == t) & (e_s == 1)) for t in ets], dtype=float)
-    return ets, d_tot, n_tot.astype(float)
-
-
 def _best_split(X, times, events, feat_indices, min_node_events):
     """Exhaustive log-rank split search over the given features.
 
@@ -93,9 +93,10 @@ def _best_split(X, times, events, feat_indices, min_node_events):
     the hypergeometric variance, evaluated for every midpoint threshold via
     cumulative risk-set counts, all thresholds of one feature at once.
     """
-    ets, d_tot, n_tot = _node_event_table(times, events)
+    ets, d_tot, n_tot = _event_table(times, events)
     if ets.size == 0:
         return None
+    d_tot, n_tot = d_tot.astype(float), n_tot.astype(float)
     total_events = float(np.sum(events))
     with np.errstate(divide="ignore", invalid="ignore"):
         var_coef = np.where(n_tot > 1, d_tot * (n_tot - d_tot) / (n_tot - 1), 0.0)
@@ -103,27 +104,23 @@ def _best_split(X, times, events, feat_indices, min_node_events):
     v1 = var_coef / n_tot                  # V = v1 . n_A - v2 . n_A^2
     v2 = var_coef / n_tot ** 2
 
+    at_risk = (times[:, None] >= ets[None, :]).astype(float)
+
     best_stat, best = 0.0, None
     for j in sorted(int(f) for f in feat_indices):
         col = X[:, j]
         order = np.argsort(col, kind="stable")
         cs = col[order]
-        boundaries = np.nonzero(cs[:-1] < cs[1:])[0]
-        if boundaries.size == 0:
-            continue
-        t_f, e_f = times[order], events[order]
-        at_risk = (t_f[:, None] >= ets[None, :]).astype(float)
-        n_a = np.cumsum(at_risk, axis=0)
-        events_a = np.cumsum(e_f)
-        observed = events_a.astype(float)
+        k = np.nonzero(cs[:-1] < cs[1:])[0]
+        ev_left = np.cumsum(events[order])[k].astype(float)
+        ev_right = total_events - ev_left
+        valid = (ev_left >= min_node_events) & (ev_right >= min_node_events)
+        if not np.any(valid):
+            continue                       # skip the risk-set work: no legal split
+        n_a = np.cumsum(at_risk[order], axis=0)
         expected = n_a @ e_coef
         variance = n_a @ v1 - (n_a ** 2) @ v2
-
-        k = boundaries
-        ev_left = observed[k]
-        ev_right = total_events - ev_left
-        valid = (ev_left >= min_node_events) & (ev_right >= min_node_events) & \
-                (variance[k] > 1e-12)
+        valid &= variance[k] > 1e-12
         if not np.any(valid):
             continue
         kv = k[valid]
@@ -199,39 +196,39 @@ def predict_survival(forest: Forest, x) -> StepFunction:
     return predict_chf(forest, x).exp_neg()
 
 
-def risk_score(forest: Forest, x) -> float:
-    """Scalar risk: the ensemble CHF at the training cohort's last event time.
+def predict_chf_at(forest: Forest, X, times) -> np.ndarray:
+    """Ensemble cumulative hazard of every row of X at every time: (n, len(times)).
 
-    Evaluates each tree's terminal CHF at that single time point, which
-    equals predict_chf(forest, x)(max_event_time) without building the
-    union-knot average.
+    Equals predict_chf(forest, X[i])(times) exactly, without building the
+    union-knot average for each row.
     """
-    x = _check_x(forest, x)
-    t = forest.max_event_time
-    total = 0.0
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != len(forest.feature_names):
+        raise ShapeError(f"expected rows of {len(forest.feature_names)} features, "
+                         f"got shape {X.shape}")
+    times = np.asarray(times, dtype=float).ravel()
+    total = np.zeros((X.shape[0], times.size))
+    tree_chf = np.empty_like(total)
     for tree in forest.trees:
-        total += tree.chf_for(x)(t)
+        stack = [(tree.root, np.arange(X.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if idx.size == 0:
+                continue
+            if isinstance(node, TreeLeaf):
+                tree_chf[idx] = node.chf(times)
+            else:
+                go_left = X[idx, node.feature] <= node.threshold
+                stack.append((node.left, idx[go_left]))
+                stack.append((node.right, idx[~go_left]))
+        total += tree_chf
     return total / len(forest.trees)
 
 
 def predict_risk_matrix(forest: Forest, X) -> np.ndarray:
-    """risk_score for each row of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([risk_score(forest, row) for row in X])
-
-
-def oob_risk_scores(forest: Forest, cohort: Cohort) -> np.ndarray:
-    """Out-of-bag risk score per subject (NaN where never out of bag)."""
-    X = cohort.matrix()
-    n = X.shape[0]
-    totals = np.zeros(n)
-    counts = np.zeros(n, dtype=int)
-    for tree in forest.trees:
-        for i in tree.oob_indices:
-            totals[i] += tree.chf_for(X[i])(forest.max_event_time)
-            counts[i] += 1
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
+    """Scalar risk per row of X: the ensemble CHF at the training cohort's
+    last event time."""
+    return predict_chf_at(forest, X, [forest.max_event_time])[:, 0]
 
 
 # --- serialization ----------------------------------------------------------

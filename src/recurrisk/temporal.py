@@ -18,10 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boosting import cox_gradients, cox_negloglik
-from .cohort import SyntheticSpec, generate_synthetic
+from .cohort import SyntheticSpec, _parse_number, generate_synthetic
 from .errors import (
     InvalidParameterError,
     NumericInputError,
+    RowParseError,
     ShapeError,
     TrainingError,
 )
@@ -313,7 +314,7 @@ def write_longitudinal(sequences, path) -> None:
         for seq in sequences:
             for t, row in enumerate(seq.snapshots, start=1):
                 writer.writerow([seq.subject_id, t, repr(seq.time), seq.event,
-                                 *(repr(v) for v in row)])
+                                 *(repr(float(v)) for v in row)])
 
 
 def load_longitudinal(path) -> list[SnapshotSequence]:
@@ -326,16 +327,19 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ShapeError(f"{path}: longitudinal CSV needs columns {sorted(required)}")
         feature_cols = [c for c in reader.fieldnames if c not in required]
-        for row in reader:
+        for row_no, row in enumerate(reader, start=1):
+            if None in row or None in row.values():
+                raise RowParseError(row_no, "<row>",
+                                    f"expected {len(reader.fieldnames)} cells")
             sid = row["id"]
             if sid not in groups:
                 groups[sid] = []
                 order.append(sid)
             groups[sid].append((
-                int(row["snapshot_index"]),
-                float(row["time"]),
-                int(row["event"]),
-                [float(row[c]) for c in feature_cols],
+                _parse_int(row["snapshot_index"], row_no, "snapshot_index"),
+                _parse_number(row["time"], row_no, "time"),
+                _parse_int(row["event"], row_no, "event"),
+                [_parse_number(row[c], row_no, c) for c in feature_cols],
             ))
     sequences = []
     for sid in order:
@@ -343,3 +347,10 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
         snaps = np.array([r[3] for r in rows])
         sequences.append(SnapshotSequence(sid, snaps, rows[0][1], rows[0][2]))
     return sequences
+
+
+def _parse_int(cell: str, row_no: int, column: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise RowParseError(row_no, column, f"not an integer: {cell.strip()!r}") from None

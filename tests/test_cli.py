@@ -1,0 +1,54 @@
+import json
+
+import numpy as np
+import pytest
+
+from recurrisk.cli import main
+from recurrisk.cohort import SyntheticSpec, generate_synthetic
+from recurrisk.metrics import c_index
+
+
+@pytest.fixture
+def scores_csv(tmp_path):
+    cohort, true_scores = generate_synthetic(
+        SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
+    lines = ["id,time,event,score"] + [
+        f"{r.id},{r.time!r},{r.event},{float(s)!r}"
+        for r, s in zip(cohort.records, true_scores)]
+    path = tmp_path / "scores.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, cohort, true_scores
+
+
+def test_evaluate_writes_metrics(scores_csv, tmp_path):
+    path, cohort, true_scores = scores_csv
+    out = tmp_path / "metrics.json"
+    assert main(["evaluate", "--scores", str(path), "--out", str(out), "--quiet"]) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["n"] == 60
+    assert result["c_index"] == c_index(cohort.times(), cohort.events(),
+                                        np.asarray(true_scores)).c_index
+    assert set(result["auc"]) == {"12", "24"}
+
+
+@pytest.mark.parametrize("column, cell", [("time", "soon"), ("event", "yes"),
+                                          ("event", "2"), ("score", "high")])
+def test_evaluate_bad_cell_exits_1(scores_csv, capsys, column, cell):
+    path, _, _ = scores_csv
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    row = lines[3].split(",")
+    row[header.index(column)] = cell
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["evaluate", "--scores", str(path), "--quiet"]) == 1
+    assert f"row 3, column '{column}'" in capsys.readouterr().err
+
+
+def test_evaluate_short_row_exits_1(scores_csv, capsys):
+    path, _, _ = scores_csv
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["evaluate", "--scores", str(path), "--quiet"]) == 1
+    assert "row 2, column '<row>'" in capsys.readouterr().err

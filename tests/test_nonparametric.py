@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recurrisk.errors import EmptyCohortError, UndefinedMetricError
 from recurrisk.nonparametric import (
+    _event_table,
     greenwood_variance,
     kaplan_meier,
     log_rank,
@@ -129,3 +132,64 @@ def test_median_survival_time():
     assert median_survival_time(km) == 2.0
     km_high = kaplan_meier([1, 2, 3], [0, 0, 0])
     assert median_survival_time(km_high) is None
+
+
+# --- event-table oracle -------------------------------------------------------
+
+# a coarse time grid forces tied event times and censorings at event times
+TIME = st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0]) | st.floats(0.01, 50.0)
+
+
+def samples():
+    return st.integers(1, 25).flatmap(lambda n: st.tuples(
+        st.lists(TIME, min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+
+def brute_counts(times, events, member=None):
+    """Per distinct event time u: (u, d, n, d in member, n in member)."""
+    member = member or [True] * len(times)
+    rows = []
+    for u in sorted({t for t, e in zip(times, events) if e == 1}):
+        dies = [t == u and e == 1 for t, e in zip(times, events)]
+        risk = [t >= u for t in times]
+        rows.append((u, sum(dies), sum(risk),
+                     sum(x and m for x, m in zip(dies, member)),
+                     sum(x and m for x, m in zip(risk, member))))
+    return rows
+
+
+class TestEventTableOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(samples())
+    @example(([3.0], [1]))                                  # n = 1
+    @example(([3.0], [0]))
+    @example(([1.0, 2.0, 2.0, 2.0, 5.0], [0, 0, 1, 0, 0]))  # all censored but one
+    @example(([2.0, 2.0, 2.0, 1.0, 2.0], [1, 0, 1, 1, 0]))  # ties, censored at event
+    def test_matches_brute_force(self, sample):
+        times, events = sample
+        ets, d, n = _event_table(times, events)
+        rows = brute_counts(times, events)
+        assert ets.tolist() == [r[0] for r in rows]
+        assert d.tolist() == [r[1] for r in rows]
+        assert n.tolist() == [r[2] for r in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples(), samples())
+    @example(([2.0], [1]), ([2.0, 2.0], [0, 1]))
+    def test_log_rank_matches_brute_force(self, a, b):
+        times, events = a[0] + b[0], a[1] + b[1]
+        if sum(events) == 0:
+            return
+        observed = expected = variance = 0.0
+        for _, d, n, d_a, n_a in brute_counts(times, events,
+                                              [True] * len(a[0]) + [False] * len(b[0])):
+            observed += d_a
+            expected += d * n_a / n
+            if n > 1:
+                variance += d * (n_a / n) * (1 - n_a / n) * (n - d) / (n - 1)
+        chi_square = (observed - expected) ** 2 / variance if variance > 0 else 0.0
+        res = log_rank(a, b)
+        assert res.observed[0] == observed
+        assert res.expected[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert res.chi_square == pytest.approx(chi_square, rel=1e-9, abs=1e-12)

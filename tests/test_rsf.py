@@ -1,0 +1,129 @@
+import numpy as np
+import pytest
+
+from recurrisk.errors import ShapeError
+from recurrisk.nonparametric import log_rank
+from recurrisk.rsf import (
+    ForestParams,
+    TreeSplit,
+    fit_rsf,
+    forest_from_json,
+    forest_to_json,
+    predict_chf,
+    predict_chf_at,
+    predict_risk_matrix,
+    predict_survival,
+)
+
+from conftest import random_censored_cohort
+
+PARAMS = ForestParams(n_trees=12, min_node_events=3, max_depth=5, seed=11)
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    return random_censored_cohort(np.random.default_rng(5), 90, 3, tie_fraction=0.5)
+
+
+@pytest.fixture(scope="module")
+def forest(cohort):
+    return fit_rsf(cohort, PARAMS)
+
+
+def _query_times(forest, cohort):
+    """Times before the first knot, on knots, between knots and past the last."""
+    event_times = np.unique(cohort.times()[cohort.events() == 1])
+    return np.concatenate([
+        [1e-6, event_times[0] / 2],
+        event_times,
+        (event_times[:-1] + event_times[1:]) / 2,
+        [forest.max_event_time, 10 * forest.max_event_time],
+    ])
+
+
+def _rows(forest, cohort):
+    """Training rows, random rows, and rows sitting exactly on split thresholds."""
+    rng = np.random.default_rng(17)
+    on_threshold = []
+    stack = [tree.root for tree in forest.trees]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TreeSplit):
+            row = cohort.matrix()[len(on_threshold) % len(cohort)].copy()
+            row[node.feature] = node.threshold
+            on_threshold.append(row)
+            stack += [node.left, node.right]
+    return np.vstack([cohort.matrix(), 2.0 * rng.standard_normal((40, cohort.n_features)),
+                      *on_threshold])
+
+
+class TestBatchPrediction:
+    def test_chf_matches_per_row_reference(self, forest, cohort):
+        X, times = _rows(forest, cohort), _query_times(forest, cohort)
+        expected = np.array([predict_chf(forest, x)(times) for x in X])
+        assert np.array_equal(predict_chf_at(forest, X, times), expected)
+
+    def test_survival_matches_per_row_reference(self, forest, cohort):
+        X, times = _rows(forest, cohort), _query_times(forest, cohort)
+        expected = np.array([predict_survival(forest, x)(times) for x in X])
+        # drop a trailing column, as _predict_fold drops the risk-score column
+        chf = predict_chf_at(forest, X, np.append(times, 1.0))[:, :-1]
+        assert np.array_equal(np.exp(-np.ascontiguousarray(chf)), expected)
+
+    def test_risk_matrix_is_chf_at_last_event_time(self, forest, cohort):
+        X = _rows(forest, cohort)
+        expected = np.array([predict_chf(forest, x)(forest.max_event_time) for x in X])
+        assert np.array_equal(predict_risk_matrix(forest, X), expected)
+
+    def test_single_row_and_width_check(self, forest, cohort):
+        x = cohort.matrix()[0]
+        assert predict_risk_matrix(forest, x).shape == (1,)
+        with pytest.raises(ShapeError):
+            predict_chf_at(forest, np.zeros((2, cohort.n_features + 1)), [1.0])
+
+
+class TestDeterminism:
+    def test_same_params_same_forest(self, forest, cohort):
+        assert forest_to_json(fit_rsf(cohort, PARAMS)) == forest_to_json(forest)
+
+    def test_other_seed_other_forest(self, forest, cohort):
+        other = fit_rsf(cohort, ForestParams(n_trees=12, min_node_events=3,
+                                             max_depth=5, seed=12))
+        assert forest_to_json(other) != forest_to_json(forest)
+
+    def test_json_round_trip_predicts_identically(self, forest, cohort):
+        back = forest_from_json(forest_to_json(forest))
+        assert forest_to_json(back) == forest_to_json(forest)
+        X, times = _rows(forest, cohort), _query_times(forest, cohort)
+        assert np.array_equal(predict_chf_at(back, X, times),
+                              predict_chf_at(forest, X, times))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_root_split_maximizes_log_rank(cohort, seed):
+    """With every feature a candidate and one level, the root split is the
+    midpoint threshold with the largest log-rank chi-square among those
+    leaving min_node_events events on each side of the bootstrap sample."""
+    m = 4
+    forest = fit_rsf(cohort, ForestParams(n_trees=1, mtry=cohort.n_features,
+                                          min_node_events=m, max_depth=1, seed=seed))
+    tree = forest.trees[0]
+    boot = tree.bootstrap_indices
+    X, t, e = cohort.matrix()[boot], cohort.times()[boot], cohort.events()[boot]
+
+    def chi_square(j, thr):
+        left = X[:, j] <= thr
+        return log_rank((t[left], e[left]), (t[~left], e[~left])).chi_square
+
+    best = 0.0
+    for j in range(X.shape[1]):
+        values = np.unique(X[:, j])
+        for thr in (values[:-1] + values[1:]) / 2:
+            left = X[:, j] <= thr
+            if e[left].sum() >= m and e[~left].sum() >= m:
+                best = max(best, chi_square(j, thr))
+
+    root = tree.root
+    assert isinstance(root, TreeSplit)
+    assert best > 0
+    assert chi_square(root.feature, root.threshold) == pytest.approx(best, rel=1e-9)
