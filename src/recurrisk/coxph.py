@@ -150,19 +150,11 @@ def breslow_baseline(times, events, scores) -> StepFunction:
     t_s, e_s, w_s = times[order], events[order], w[order]
     s0 = np.cumsum(w_s[::-1])[::-1]
 
-    knots, increments = [], []
-    i = 0
-    n = times.size
-    while i < n:
-        j = i
-        while j < n and t_s[j] == t_s[i]:
-            j += 1
-        d_k = int(np.sum(e_s[i:j]))
-        if d_k > 0:
-            knots.append(t_s[i])
-            increments.append(d_k / (s0[i] * np.exp(shift)))
-        i = j
-    return StepFunction(np.array(knots), np.cumsum(increments), 0.0)
+    heads = np.flatnonzero(np.r_[True, t_s[1:] != t_s[:-1]])  # tied-block heads
+    d = np.add.reduceat(e_s, heads)
+    heads, d = heads[d > 0], d[d > 0]
+    increments = d / (s0[heads] * np.exp(shift))
+    return StepFunction(t_s[heads], np.cumsum(increments), 0.0)
 
 
 _INFO_COLLAPSE = 1e-8  # information-collapse ratio; see fit_cox
@@ -172,10 +164,15 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
             tol: float = 1e-9, ridge: float = 0.0) -> CoxModel:
     """Newton-Raphson fit from beta = 0 with step halving.
 
-    Convergence is max |delta beta| < tol. The covariance is the inverse of
-    the penalized information I(beta) = -Hessian + ridge * I at the last
-    iterate, and the Breslow baseline CHF is computed at the fitted
-    coefficients.
+    A step is halved (at most 30 times) while it lowers the penalized
+    log-likelihood by more than 1e-12 * max(1, |loglik|). The slack scales
+    with the magnitude because at n in the thousands |loglik| is ~1e4 and
+    its rounding error exceeds an absolute 1e-12: near the optimum a tiny
+    ascent step then looks like a loss and would be halved until the
+    iteration cap. Convergence is max |delta beta| < tol. The covariance is
+    the inverse of the penalized information I(beta) = -Hessian + ridge * I
+    at the last iterate, and the Breslow baseline CHF is computed at the
+    fitted coefficients.
 
     Raises NonconvergenceError (with the last iterate attached) when
     |beta| exceeds 50, when the curvature vanishes along the fit path (a
@@ -226,13 +223,14 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
         scale = 1.0
         new_beta = beta + step
         new_value, new_grad, new_hess = _penalized(new_beta, cohort, ties, ridge)
+        slack = 1e-12 * max(1.0, abs(value))
         halvings = 0
-        while new_value < value - 1e-12 and halvings < 30:
+        while new_value < value - slack and halvings < 30:
             scale *= 0.5
             halvings += 1
             new_beta = beta + scale * step
             new_value, new_grad, new_hess = _penalized(new_beta, cohort, ties, ridge)
-        if new_value < value - 1e-12:
+        if new_value < value - slack:
             break                      # no usable step in this direction
 
         beta, value, grad, hess = new_beta, new_value, new_grad, new_hess
@@ -290,19 +288,22 @@ def univariate_screen(cohort: Cohort, alpha: float = 0.05,
     Hazard ratios are reported per original feature unit: when the cohort
     carries normalization statistics, coefficients are rescaled by the
     stored stddev before exponentiation (the p-value is scale-invariant).
-    Features whose fit fails to converge come back flagged and sort last.
+    Features whose fit raises or returns converged=False come back flagged
+    with NaN statistics and sort last.
     """
     rows = []
     for name in cohort.feature_names:
         sub = cohort.subset_features([name])
         try:
             model = fit_cox(sub, ties=ties)
-            beta = float(model.coefficients[0])
-            se = float(np.sqrt(model.covariance[0, 0]))
         except (NonconvergenceError, ConditioningError):
+            model = None
+        if model is None or not model.converged:
             rows.append(ScreenRow(name, float("nan"), float("nan"), float("nan"),
                                   float("nan"), converged=False))
             continue
+        beta = float(model.coefficients[0])
+        se = float(np.sqrt(model.covariance[0, 0]))
         if cohort.normalization is not None and name in cohort.normalization:
             sd = cohort.normalization[name][1]
             beta_unit, se_unit = beta / sd, se / sd

@@ -114,14 +114,13 @@ def c_index(times, events, scores) -> ConcordanceResult:
     return ConcordanceResult(concordant, discordant, tied)
 
 
-def auc_t(times, events, scores, t, censor_survival: StepFunction | None = None) -> float:
+def auc_t(times, events, scores, t) -> float:
     """Incident/dynamic AUC at an observed event time t.
 
     Cases are subjects with an event exactly at t; controls are subjects
     still event-free after t. Every control at a fixed t carries the same
-    IPCW weight 1/G(t), so the weights cancel inside AUC(t); the censoring
-    curve argument is retained because summary integrals weight across
-    times. Raises UndefinedMetricError when there is no case or no control.
+    IPCW weight 1/G(t), so the weights cancel inside AUC(t). Raises
+    UndefinedMetricError when there is no case or no control.
     """
     times, events, scores = _check_inputs(times, events, scores)
     case = (times == t) & (events == 1)
@@ -135,27 +134,50 @@ def auc_t(times, events, scores, t, censor_survival: StepFunction | None = None)
     return float(wins / (n_case * n_control))
 
 
-def auc_summary(times, events, scores, horizon,
-                censor_survival: StepFunction | None = None):
+_AUC_CHUNK = 1 << 18  # case x control comparisons held at once by auc_summary
+
+
+def auc_summary(times, events, scores, horizon):
     """Event-count-weighted mean of AUC(t) over event times in (0, horizon].
 
     Returns (summary, evaluated, skipped) where `evaluated` is a list of
     (t, auc, n_events) and `skipped` lists event times with no controls.
+    Each AUC(t) is auc_t's wins / (n_case * n_control), with the integer
+    counts of lower- and equal-scored controls taken per case over chunks
+    of cases and then summed per event time.
     """
     times, events, scores = _check_inputs(times, events, scores)
-    if censor_survival is None:
-        censor_survival = kaplan_meier(times, 1 - events)
-    event_times = np.unique(times[events == 1])
-    event_times = event_times[event_times <= horizon]
+    if np.any(times <= 0):
+        raise InvalidParameterError("all times must be positive")
+    order = np.argsort(times, kind="stable")
+    t_s, s_s = times[order], scores[order]
+    cases = np.flatnonzero((events[order] == 1) & (t_s <= horizon))
+    if cases.size == 0:
+        raise UndefinedMetricError(f"no evaluable event time at or before {horizon}")
+    # the controls of case k (later times) sit at sorted positions >= first[k]
+    first = np.searchsorted(t_s, t_s[cases], side="right")
+    lower = np.empty(cases.size, dtype=np.int64)
+    equal = np.empty(cases.size, dtype=np.int64)
+    n = times.size
+    step = max(1, _AUC_CHUNK // n)
+    for c in range(0, cases.size, step):
+        chunk, lo = cases[c:c + step], first[c]   # cases ascend in time, so first does too
+        ctrl = t_s[None, lo:] > t_s[chunk, None]
+        s_case = s_s[chunk, None]
+        lower[c:c + step] = np.sum(ctrl & (s_s[None, lo:] < s_case), axis=1)
+        equal[c:c + step] = np.sum(ctrl & (s_s[None, lo:] == s_case), axis=1)
+
+    heads = np.flatnonzero(np.r_[True, t_s[cases[1:]] != t_s[cases[:-1]]])
+    n_case = np.diff(np.r_[heads, cases.size])
+    n_control = n - first[heads]
+    wins = np.add.reduceat(lower, heads) + 0.5 * np.add.reduceat(equal, heads)
     evaluated, skipped = [], []
-    for t in event_times:
-        d_t = int(np.sum((times == t) & (events == 1)))
-        try:
-            auc = auc_t(times, events, scores, t, censor_survival)
-        except UndefinedMetricError:
-            skipped.append(float(t))
-            continue
-        evaluated.append((float(t), auc, d_t))
+    for k, t in enumerate(t_s[cases[heads]].tolist()):
+        if n_control[k] == 0:
+            skipped.append(t)
+        else:
+            evaluated.append((t, float(wins[k] / (n_case[k] * n_control[k])),
+                              int(n_case[k])))
     if not evaluated:
         raise UndefinedMetricError(f"no evaluable event time at or before {horizon}")
     weights = np.array([d for _, _, d in evaluated], dtype=float)

@@ -83,22 +83,22 @@ def log_rank(group_a, group_b) -> LogRankResult:
 
     times = np.concatenate([times_a, times_b]).astype(float)
     events = np.concatenate([events_a, events_b]).astype(int)
-    in_a = np.concatenate([np.ones(times_a.size, bool), np.zeros(times_b.size, bool)])
+    t_a, e_a = times[:times_a.size], events[:times_a.size]
 
-    event_times = np.unique(times[events == 1])
-    observed_a = expected_a = variance = 0.0
-    observed_total = 0.0
-    for t in event_times:
-        at_risk = times >= t
-        n_t = int(np.sum(at_risk))
-        n_a = int(np.sum(at_risk & in_a))
-        d_t = int(np.sum((times == t) & (events == 1)))
-        d_a = int(np.sum((times == t) & (events == 1) & in_a))
-        observed_a += d_a
-        observed_total += d_t
-        expected_a += d_t * n_a / n_t
-        if n_t > 1:
-            variance += d_t * (n_a / n_t) * (1 - n_a / n_t) * (n_t - d_t) / (n_t - 1)
+    event_times, d = np.unique(times[events == 1], return_counts=True)
+    n = times.size - np.searchsorted(np.sort(times), event_times, side="left")
+    n_a = t_a.size - np.searchsorted(np.sort(t_a), event_times, side="left")
+    deaths_a = np.sort(t_a[e_a == 1])
+    d_a = (np.searchsorted(deaths_a, event_times, side="right")
+           - np.searchsorted(deaths_a, event_times, side="left"))
+    observed_a = float(np.sum(d_a))
+    observed_total = float(np.sum(d))
+    # cumsum adds left to right in event-time order, as a scalar loop would
+    expected_a = float(np.cumsum(d * n_a / n)[-1])
+    m = n > 1
+    q = n_a[m] / n[m]
+    variance = float(np.cumsum(
+        np.r_[0.0, d[m] * q * (1 - q) * (n[m] - d[m]) / (n[m] - 1)])[-1])
 
     if variance <= 0.0:
         # groups are indistinguishable at every event time

@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from recurrisk import coxph
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, zscore_normalize
 from recurrisk.coxph import (
     breslow_baseline,
@@ -17,6 +22,7 @@ from recurrisk.errors import (
     NumericInputError,
     TrainingError,
 )
+from recurrisk.stepfun import StepFunction
 
 from conftest import make_cohort, random_censored_cohort
 
@@ -201,6 +207,28 @@ class TestFitCox:
         assert err.value.last_iterate is not None
         assert np.max(np.abs(err.value.last_iterate)) > 50
 
+    def test_rounding_noise_in_loglik_does_not_stall(self, monkeypatch):
+        # At n in the thousands |loglik| is ~1e4 and its rounding error exceeds
+        # an absolute 1e-12. Here each evaluation reads a few ulps below the
+        # one before, so near the optimum every candidate step looks like a
+        # loss; the step-halving test must not take that for a real one.
+        cohort, _ = generate_synthetic(
+            SyntheticSpec(n=3000, true_coefficients=(0.8, -0.5), seed=11))
+        reference = fit_cox(cohort)
+        calls = []
+
+        def drifting(beta, cohort, ties="efron"):
+            value, grad, hess = partial_loglik(beta, cohort, ties)
+            calls.append(beta)
+            return value - 4 * len(calls) * np.spacing(abs(value)), grad, hess
+
+        monkeypatch.setattr(coxph, "partial_loglik", drifting)
+        model = fit_cox(cohort)
+        assert model.converged
+        assert model.iterations <= 10
+        assert len(calls) <= 1.5 * model.iterations + 1
+        assert np.max(np.abs(model.coefficients - reference.coefficients)) < 1e-9
+
     def test_zero_events_rejected(self, rng):
         cohort = make_cohort([1.0, 2.0], [0, 0], [[0.1], [0.2]])
         with pytest.raises(TrainingError):
@@ -242,7 +270,56 @@ class TestFitCox:
         assert np.all((surv.values > 0) & (surv.values <= 1))
 
 
+def breslow_loop(times, events, scores) -> StepFunction:
+    """Per-tied-block loop reference for breslow_baseline, same arithmetic."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    scores = np.asarray(scores, dtype=float)
+    shift = float(np.max(scores))
+    w = np.exp(np.maximum(scores - shift, -700.0))
+
+    order = np.argsort(times, kind="stable")
+    t_s, e_s, w_s = times[order], events[order], w[order]
+    s0 = np.cumsum(w_s[::-1])[::-1]
+
+    knots, increments = [], []
+    i = 0
+    n = times.size
+    while i < n:
+        j = i
+        while j < n and t_s[j] == t_s[i]:
+            j += 1
+        d_k = int(np.sum(e_s[i:j]))
+        if d_k > 0:
+            knots.append(t_s[i])
+            increments.append(d_k / (s0[i] * np.exp(shift)))
+        i = j
+    return StepFunction(np.array(knots), np.cumsum(increments), 0.0)
+
+
+# coarse grids force tied times, censorings at event times and tied scores
+TIME = st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0]) | st.floats(0.01, 50.0)
+SCORE = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-30.0, 30.0)
+
+
+def breslow_samples():
+    return st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.lists(TIME, min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(SCORE, min_size=n, max_size=n)))
+
+
 class TestBreslowBaseline:
+    @settings(max_examples=300, deadline=None)
+    @given(breslow_samples())
+    @example(([3.0], [0], [1.0]))                                    # no event
+    @example(([2.0, 2.0, 2.0, 1.0, 2.0], [1, 0, 1, 1, 0], [0.5, -1.0, 2.0, 0.0, 0.0]))
+    @example(([1.0, 1.0, 4.0, 4.0], [1, 1, 1, 1], [700.0, -700.0, 0.0, 1.0]))
+    def test_matches_loop_oracle(self, sample):
+        base, ref = breslow_baseline(*sample), breslow_loop(*sample)
+        assert base.knots.tolist() == ref.knots.tolist()
+        assert base.values.tolist() == ref.values.tolist()
+
     def test_zero_scores_equals_nelson_aalen(self, rng):
         from recurrisk.nonparametric import nelson_aalen
         times = rng.exponential(5, 40) + 0.1
@@ -294,6 +371,25 @@ class TestUnivariateScreen:
             rows = univariate_screen(cohort)
             hits += rows[0].p_value < 0.05
         assert abs(hits / n_trials - 0.05) <= 0.03
+
+    def test_nonconverged_fit_is_flagged_and_dropped(self, small_linear_cohort,
+                                                     monkeypatch):
+        cohort, _ = small_linear_cohort
+
+        def x1_hits_the_cap(sub, **kwargs):
+            model = fit_cox(sub, **kwargs)
+            if sub.feature_names == ("x1",):
+                return dataclasses.replace(model, converged=False)
+            return model
+
+        monkeypatch.setattr(coxph, "fit_cox", x1_hits_the_cap)
+        rows = univariate_screen(cohort)
+        assert [r.feature for r in rows] == ["x0", "x1"]
+        assert rows[0].converged and rows[0].p_value < 0.001
+        assert not rows[1].converged
+        assert np.isnan([rows[1].hazard_ratio, rows[1].ci_low, rows[1].ci_high,
+                         rows[1].p_value]).all()
+        assert retained_features(rows) == ["x0"]
 
     def test_retained_features_helper(self, linear_cohort):
         cohort, _ = linear_cohort

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recurrisk.errors import InvalidParameterError, UndefinedMetricError
 from recurrisk.metrics import (
@@ -101,6 +103,76 @@ class TestAucT:
         assert value == 1.0
         assert [(t, d) for t, _, d in evaluated] == [(1.0, 2), (2.0, 1)]
         assert skipped == []
+
+
+    def test_nonpositive_time_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            auc_summary([0.0, 1.0, 2.0], [1, 1, 0], [3.0, 2.0, 1.0], 2.0)
+
+
+def auc_summary_loop(times, events, scores, horizon):
+    """Per-event-time loop reference for auc_summary: one auc_t per time."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    scores = np.asarray(scores, dtype=float)
+    event_times = np.unique(times[events == 1])
+    event_times = event_times[event_times <= horizon]
+    evaluated, skipped = [], []
+    for t in event_times:
+        d_t = int(np.sum((times == t) & (events == 1)))
+        try:
+            auc = auc_t(times, events, scores, t)
+        except UndefinedMetricError:
+            skipped.append(float(t))
+            continue
+        evaluated.append((float(t), auc, d_t))
+    if not evaluated:
+        raise UndefinedMetricError(f"no evaluable event time at or before {horizon}")
+    weights = np.array([d for _, _, d in evaluated], dtype=float)
+    values = np.array([a for _, a, _ in evaluated])
+    return float(np.sum(weights * values) / np.sum(weights)), evaluated, skipped
+
+
+# coarse grids force tied times, censorings at event times and tied scores
+TIME = st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0]) | st.floats(0.01, 50.0)
+SCORE = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
+HORIZON = st.sampled_from([1.0, 2.5, 4.0, 100.0]) | st.floats(0.01, 60.0)
+
+
+def auc_samples():
+    return st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(TIME, min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(SCORE, min_size=n, max_size=n),
+        HORIZON))
+
+
+def outcome(fn, sample):
+    try:
+        return fn(*sample)
+    except UndefinedMetricError:
+        return "undefined"
+
+
+class TestAucSummaryOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(auc_samples())
+    @example(([2.0, 2.0, 2.0, 1.0, 2.0], [1, 0, 1, 1, 0], [0.5, 0.5, 2.0, 0.0, 1.0], 4.0))
+    @example(([1.0, 2.0, 2.0], [1, 1, 1], [1.0, 0.0, 3.0], 4.0))   # last time: no control
+    @example(([1.0, 1.0], [1, 1], [1.0, 2.0], 4.0))               # no time evaluable
+    @example(([3.0, 4.0], [1, 0], [1.0, 2.0], 2.0))               # no event by horizon
+    def test_matches_loop_oracle(self, sample):
+        assert outcome(auc_summary, sample) == outcome(auc_summary_loop, sample)
+
+    def test_matches_loop_oracle_across_chunks(self, rng, monkeypatch):
+        # several chunks of cases, the last one partial
+        monkeypatch.setattr("recurrisk.metrics._AUC_CHUNK", 1000)
+        times = np.round(rng.exponential(5, 300), 1) + 0.1
+        events = rng.integers(0, 2, 300)
+        scores = np.round(rng.standard_normal(300), 1)
+        for horizon in (2.0, 8.0, 100.0):
+            sample = (times, events, scores, horizon)
+            assert auc_summary(*sample) == auc_summary_loop(*sample)
 
 
 class TestBrier:

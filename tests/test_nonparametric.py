@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from recurrisk.errors import EmptyCohortError, UndefinedMetricError
 from recurrisk.nonparametric import (
+    LogRankResult,
     _event_table,
     greenwood_variance,
     kaplan_meier,
@@ -193,3 +195,36 @@ class TestEventTableOracle:
         assert res.observed[0] == observed
         assert res.expected[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
         assert res.chi_square == pytest.approx(chi_square, rel=1e-9, abs=1e-12)
+        assert res == log_rank_loop(a, b)
+
+
+def log_rank_loop(group_a, group_b) -> LogRankResult:
+    """Per-event-time loop reference for log_rank, same arithmetic and order."""
+    times_a, events_a = (np.asarray(v) for v in group_a)
+    times_b, events_b = (np.asarray(v) for v in group_b)
+    times = np.concatenate([times_a, times_b]).astype(float)
+    events = np.concatenate([events_a, events_b]).astype(int)
+    in_a = np.concatenate([np.ones(times_a.size, bool), np.zeros(times_b.size, bool)])
+
+    event_times = np.unique(times[events == 1])
+    observed_a = expected_a = variance = 0.0
+    observed_total = 0.0
+    for t in event_times:
+        at_risk = times >= t
+        n_t = int(np.sum(at_risk))
+        n_a = int(np.sum(at_risk & in_a))
+        d_t = int(np.sum((times == t) & (events == 1)))
+        d_a = int(np.sum((times == t) & (events == 1) & in_a))
+        observed_a += d_a
+        observed_total += d_t
+        expected_a += d_t * n_a / n_t
+        if n_t > 1:
+            variance += d_t * (n_a / n_t) * (1 - n_a / n_t) * (n_t - d_t) / (n_t - 1)
+
+    chi_square = (observed_a - expected_a) ** 2 / variance if variance > 0.0 else 0.0
+    return LogRankResult(
+        chi_square=float(chi_square),
+        p_value=float(stats.chi2.sf(chi_square, df=1)),
+        observed=(float(observed_a), float(observed_total - observed_a)),
+        expected=(float(expected_a), float(observed_total - expected_a)),
+    )
