@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .cohort import (
     Cohort,
     ColumnSchema,
-    SurvivalRecord,
     SyntheticSpec,
     apply_normalization,
     generate_synthetic,
@@ -33,7 +32,6 @@ __all__ = [
     "ColumnSchema",
     "LogRankResult",
     "StepFunction",
-    "SurvivalRecord",
     "SyntheticSpec",
     "__version__",
     "apply_normalization",

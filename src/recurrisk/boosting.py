@@ -319,15 +319,6 @@ class BoostedModel:
             out += self.learning_rate * learner.predict(X)
         return out
 
-    def componentwise_slopes(self) -> np.ndarray:
-        """Cumulative per-feature slope (componentwise mode only)."""
-        if self.mode != "componentwise":
-            raise InvalidParameterError("slopes are defined for componentwise mode")
-        slopes = np.zeros(len(self.feature_names))
-        for s in self.base_learners:
-            slopes[s.feature] += self.learning_rate * s.slope
-        return slopes
-
     def to_json(self) -> str:
         doc = {
             "model": "boosted_cox",
@@ -360,11 +351,6 @@ class BoostedModel:
         )
 
 
-def predict_risk(model: BoostedModel, x) -> float:
-    """Risk score of a single feature vector."""
-    return float(model.predict_risk(np.atleast_2d(x))[0])
-
-
 def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     """Gradient/Newton boosting on the Cox partial likelihood.
 
@@ -373,15 +359,14 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     the new learner is halved (folded into its values) until the trace is
     nonincreasing, and the round is abandoned once halving stops helping.
     """
-    times, events = cohort.times(), cohort.events()
+    times, events, ids = cohort.times, cohort.events, cohort.ids
     if int(np.sum(events)) < 1:
         raise TrainingError("cannot boost with zero events")
 
     # canonical subject order: fitted model independent of input permutation
-    order = sorted(range(len(cohort)),
-                   key=lambda i: (times[i], events[i], cohort.records[i].id))
+    order = sorted(range(len(cohort)), key=lambda i: (times[i], events[i], ids[i]))
     canon = cohort.subset_rows(order)
-    X, t, e = canon.matrix(), canon.times(), canon.events()
+    X, t, e = canon.matrix(), canon.times, canon.events
     n = X.shape[0]
     rng = np.random.default_rng(params.seed)
 

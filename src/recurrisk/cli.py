@@ -141,9 +141,9 @@ def _cmd_simulate(args) -> int:
         with open(args.scores_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "true_score"])
-            for rec, s in zip(cohort.records, true_scores):
-                writer.writerow([rec.id, repr(float(s))])
-    events = int(cohort.events().sum())
+            for rid, s in zip(cohort.ids, true_scores):
+                writer.writerow([rid, repr(float(s))])
+    events = int(cohort.events.sum())
     _say(args, f"wrote {len(cohort)} subjects ({events} events) to {args.out}")
     return 0
 

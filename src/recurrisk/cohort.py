@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,77 +29,83 @@ from .errors import (
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: identifier, observed time (months), event flag, features."""
-
-    id: str
-    time: float
-    event: int
-    features: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.time > 0:
-            raise InvalidParameterError(f"time must be positive, got {self.time}")
-        if self.event not in (0, 1):
-            raise InvalidParameterError(f"event must be 0 or 1, got {self.event}")
-        object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "event", int(self.event))
-        object.__setattr__(self, "features", tuple(float(v) for v in self.features))
-
-
 class ConstantFeatureWarning(UserWarning):
     """Emitted when a zero-variance column is dropped during normalization."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    """An ordered collection of subjects sharing one feature-name list.
+    """Subjects as plain columns sharing one feature-name list.
 
-    Immutable after construction and safe to share across threads.
+    `ids`, `times` (months) and `events` (0/1) hold one entry per subject;
+    `X` is the C-ordered n x d feature matrix, columns in `feature_names`
+    order. The constructor validates them once and stores read-only copies,
+    so a cohort is immutable and safe to share across threads.
     `normalization` maps feature name -> (mean, stddev) once z-scoring has
     been fit; it travels with the cohort so held-out data can be transformed
     with training statistics.
     """
 
     feature_names: tuple[str, ...]
-    records: tuple[SurvivalRecord, ...]
+    ids: np.ndarray
+    times: np.ndarray
+    events: np.ndarray
+    X: np.ndarray
     normalization: dict[str, tuple[float, float]] | None = None
 
     def __post_init__(self):
         if len(set(self.feature_names)) != len(self.feature_names):
             raise SchemaError("feature names must be unique")
-        if not self.records:
+        ids = _read_only(self.ids, object)
+        times = _read_only(self.times, float)
+        events = _read_only(self.events, float)
+        # C order: X[:, cols] is F-ordered, and X @ beta takes another BLAS
+        # path on it, which moves Cox scores in the last bits
+        X = _read_only(self.X, float)
+        n = ids.size
+        if n == 0:
             raise EmptyCohortError("a cohort needs at least one record")
-        d = len(self.feature_names)
-        for rec in self.records:
-            if len(rec.features) != d:
-                raise SchemaError(
-                    f"record {rec.id!r} has {len(rec.features)} features, expected {d}")
+        if (ids.shape, times.shape, events.shape, X.shape) != \
+                ((n,), (n,), (n,), (n, len(self.feature_names))):
+            raise SchemaError(f"shapes disagree: ids {ids.shape}, times {times.shape}, "
+                              f"events {events.shape}, X {X.shape} for "
+                              f"{len(self.feature_names)} features")
+        if not np.all(times > 0):
+            raise InvalidParameterError("times must be positive")
+        if not np.all((events == 0) | (events == 1)):
+            raise InvalidParameterError("events must be 0 or 1")
+        if len(set(ids)) != n:
+            dup = next(i for i, count in Counter(ids).items() if count > 1)
+            raise SchemaError(f"duplicate subject id {dup!r}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "events", _read_only(events, int))
+        object.__setattr__(self, "X", X)
+
+    def __eq__(self, other):
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        return (self.feature_names == other.feature_names
+                and self.normalization == other.normalization
+                and all(np.array_equal(a, b) for a, b in (
+                    (self.ids, other.ids), (self.times, other.times),
+                    (self.events, other.events), (self.X, other.X))))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.times.size
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
-
-    def times(self) -> np.ndarray:
-        return np.array([r.time for r in self.records], dtype=float)
-
-    def events(self) -> np.ndarray:
-        return np.array([r.event for r in self.records], dtype=int)
-
     def matrix(self) -> np.ndarray:
-        """Feature matrix, one row per record, columns in feature_names order."""
-        return np.array([r.features for r in self.records], dtype=float)
+        """The read-only feature matrix `X`."""
+        return self.X
 
     def subset_rows(self, indices) -> "Cohort":
-        recs = tuple(self.records[i] for i in indices)
-        return Cohort(self.feature_names, recs, self.normalization)
+        idx = np.asarray(indices, dtype=np.intp)
+        return Cohort(self.feature_names, self.ids[idx], self.times[idx],
+                      self.events[idx], self.X[idx], self.normalization)
 
     def subset_features(self, names) -> "Cohort":
         names = tuple(names)
@@ -106,13 +113,17 @@ class Cohort:
         if missing:
             raise SchemaError(f"unknown features: {missing}")
         cols = [self.feature_names.index(n) for n in names]
-        recs = tuple(
-            SurvivalRecord(r.id, r.time, r.event, tuple(r.features[c] for c in cols))
-            for r in self.records)
         norm = None
         if self.normalization is not None:
             norm = {n: self.normalization[n] for n in names if n in self.normalization}
-        return Cohort(names, recs, norm)
+        return Cohort(names, self.ids, self.times, self.events, self.X[:, cols], norm)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """A C-ordered copy of `values` that refuses writes."""
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -134,8 +145,8 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
 
     Row order is preserved; feature order follows the schema (or file order).
     Raises SchemaError for missing columns, RowParseError for bad cells
-    (non-numeric feature, time <= 0, event not in {0,1}, missing value) and
-    EmptyCohortError for a file without data rows.
+    (non-numeric feature, time <= 0, event not in {0,1}, missing value, a
+    repeated subject id) and EmptyCohortError for a file without data rows.
     """
     schema = schema or ColumnSchema()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -170,7 +181,7 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
         id_idx = col_index[schema.id_column] if schema.id_column is not None else None
         f_idx = [col_index[n] for n in feature_names]
 
-        records = []
+        row_of_id, times, events, rows = {}, [], [], []
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -185,14 +196,19 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
             if event_raw not in (0.0, 1.0):
                 raise RowParseError(row_no, schema.event_column,
                                     f"event must be 0 or 1, got {row[e_idx].strip()}")
-            feats = tuple(_parse_number(row[i], row_no, name)
-                          for i, name in zip(f_idx, feature_names))
+            rows.append([_parse_number(row[i], row_no, name)
+                         for i, name in zip(f_idx, feature_names)])
             rid = row[id_idx].strip() if id_idx is not None else f"row{row_no}"
-            records.append(SurvivalRecord(rid, time, int(event_raw), feats))
+            if rid in row_of_id:
+                raise RowParseError(row_no, schema.id_column,
+                                    f"duplicate id {rid!r} (first on row {row_of_id[rid]})")
+            row_of_id[rid] = row_no
+            times.append(time)
+            events.append(int(event_raw))
 
-    if not records:
+    if not row_of_id:
         raise EmptyCohortError(f"{path}: no data rows")
-    return Cohort(feature_names, tuple(records))
+    return Cohort(feature_names, list(row_of_id), times, events, rows)
 
 
 def _parse_number(cell: str, row_no: int, column: str) -> float:
@@ -214,9 +230,9 @@ def write_cohort(cohort: Cohort, path, id_column: str = "id",
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([id_column, time_column, event_column, *cohort.feature_names])
-        for rec in cohort.records:
-            writer.writerow([rec.id, repr(rec.time), rec.event,
-                             *(repr(v) for v in rec.features)])
+        for rid, time, event, feats in zip(cohort.ids, cohort.times.tolist(),
+                                           cohort.events.tolist(), cohort.X.tolist()):
+            writer.writerow([rid, repr(time), event, *map(repr, feats)])
 
 
 def zscore_normalize(cohort: Cohort) -> Cohort:
@@ -226,28 +242,19 @@ def zscore_normalize(cohort: Cohort) -> Cohort:
     (mean, stddev) pairs are stored on the returned cohort. Raises
     NoInformativeFeaturesError when every column is constant.
     """
-    X = cohort.matrix()
-    keep, stats = [], {}
+    stats = {}
     for j, name in enumerate(cohort.feature_names):
-        col = X[:, j]
+        col = cohort.X[:, j]
         if np.all(col == col[0]):
             warnings.warn(f"dropping constant feature {name!r}", ConstantFeatureWarning,
                           stacklevel=2)
             continue
         mean = float(np.mean(col))
         std = float(np.std(col, ddof=1))
-        keep.append(j)
         stats[name] = (mean, std)
-    if not keep:
+    if not stats:
         raise NoInformativeFeaturesError("all feature columns are constant")
-
-    names = tuple(cohort.feature_names[j] for j in keep)
-    records = []
-    for rec in cohort.records:
-        feats = tuple((rec.features[j] - stats[cohort.feature_names[j]][0])
-                      / stats[cohort.feature_names[j]][1] for j in keep)
-        records.append(SurvivalRecord(rec.id, rec.time, rec.event, feats))
-    return Cohort(names, tuple(records), stats)
+    return apply_normalization(cohort, stats)
 
 
 def apply_normalization(cohort: Cohort, stats: dict[str, tuple[float, float]]) -> Cohort:
@@ -260,12 +267,10 @@ def apply_normalization(cohort: Cohort, stats: dict[str, tuple[float, float]]) -
     if not names:
         raise NoInformativeFeaturesError("no overlap between cohort and normalization stats")
     cols = [cohort.feature_names.index(n) for n in names]
-    records = []
-    for rec in cohort.records:
-        feats = tuple((rec.features[c] - stats[n][0]) / stats[n][1]
-                      for c, n in zip(cols, names))
-        records.append(SurvivalRecord(rec.id, rec.time, rec.event, feats))
-    return Cohort(names, tuple(records), dict(stats))
+    mean = np.array([stats[n][0] for n in names])
+    std = np.array([stats[n][1] for n in names])
+    return Cohort(names, cohort.ids, cohort.times, cohort.events,
+                  (cohort.X[:, cols] - mean) / std, dict(stats))
 
 
 @dataclass(frozen=True)
@@ -349,12 +354,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Cohort, np.ndarray]:
         events = (event_time <= censor_time).astype(int)
         observed = np.minimum(event_time, censor_time)
 
-    records = tuple(
-        SurvivalRecord(f"s{i + 1:05d}", float(observed[i]), int(events[i]),
-                       tuple(float(v) for v in X[i]))
-        for i in range(spec.n))
+    ids = [f"s{i + 1:05d}" for i in range(spec.n)]
     names = tuple(f"x{j}" for j in range(d))
-    return Cohort(names, records), eta
+    return Cohort(names, ids, observed, events, X), eta
 
 
 def _calibrate_censoring(event_time: np.ndarray, censor_unit: np.ndarray,

@@ -61,7 +61,7 @@ def _prepare(beta, cohort: Cohort):
             f"beta has length {beta.size}, cohort has {X.shape[1]} features")
     if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(X)):
         raise NumericInputError("beta and features must be finite")
-    return beta, X, cohort.times(), cohort.events()
+    return beta, X, cohort.times, cohort.events
 
 
 def partial_loglik(beta, cohort: Cohort, ties: str = "efron"):
@@ -186,7 +186,7 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
     6.6e-16 on a separable one. Hitting max_iter or finding no ascent step
     returns the last iterate with converged=False.
     """
-    times, events = cohort.times(), cohort.events()
+    times, events = cohort.times, cohort.events
     n_events = int(np.sum(events))
     if n_events < 1:
         raise TrainingError("cannot fit with zero events")

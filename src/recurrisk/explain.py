@@ -158,7 +158,7 @@ def permutation_importance(model, cohort: Cohort, repeats: int = 10,
     if repeats < 1:
         raise InvalidParameterError("repeats must be >= 1")
     predict = _as_predictor(model)
-    times, events = cohort.times(), cohort.events()
+    times, events = cohort.times, cohort.events
     X = cohort.matrix()
 
     if metric is None:

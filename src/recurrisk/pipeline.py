@@ -63,8 +63,46 @@ from .svgplot import PALETTE, Series, render_plot
 from .temporal import load_longitudinal, train_temporal, temporal_risk
 
 SCHEMA_VERSION = "1"
-MODEL_ORDER = ("xgboost", "rsf", "coxboost", "gbm", "cox")
 DCA_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
+
+
+def _fit_cox(cohort: Cohort, params: dict, seed: int, fold: int):
+    model = fit_cox(cohort, **params)
+    return model, model.predict_risk
+
+
+def _fit_rsf(cohort: Cohort, params: dict, seed: int, fold: int):
+    params = {"n_trees": 100, "min_node_events": 5, "max_depth": 6, **params,
+              "seed": seed + 7919 * (fold + 1)}
+    forest = fit_rsf(cohort, ForestParams(**params))
+    return forest, lambda X: predict_risk_matrix(forest, X)
+
+
+def _booster(mode: str):
+    defaults = {"rounds": 150, "learning_rate": 0.1}
+    if mode != "componentwise":
+        defaults.update(tree_depth=3, min_leaf=5)
+
+    def fit(cohort: Cohort, params: dict, seed: int, fold: int):
+        model = fit_boosted(cohort, BoostParams(
+            **{**defaults, **params, "mode": mode, "seed": seed + fold}))
+        return model, model.predict_risk
+    return fit
+
+
+# Learner name -> fit(cohort, params, seed, fold) -> (model, risk), where
+# params is the learner's `model_params` entry, fold is -1 for the
+# whole-cohort refit and risk(X) scores rows with the fitted model. The
+# entries look fit_cox, fit_rsf, fit_boosted and predict_risk_matrix up at
+# call time, so rebinding those module names takes effect.
+LEARNERS = {
+    "xgboost": _booster("xgboost"),
+    "rsf": _fit_rsf,
+    "coxboost": _booster("componentwise"),
+    "gbm": _booster("gbm"),
+    "cox": _fit_cox,
+}
+MODEL_ORDER = tuple(LEARNERS)
 
 
 @dataclass(frozen=True)
@@ -182,28 +220,6 @@ class FoldModels:
     errors: dict                       # name -> message for failed models
 
 
-def _boost_params(config: PipelineConfig, mode: str, fold: int) -> BoostParams:
-    params = dict(config.model_params.get(
-        {"componentwise": "coxboost", "gbm": "gbm", "xgboost": "xgboost"}[mode], {}))
-    params.setdefault("rounds", 150)
-    params.setdefault("learning_rate", 0.1)
-    if mode != "componentwise":
-        params.setdefault("tree_depth", 3)
-        params.setdefault("min_leaf", 5)
-    params["mode"] = mode
-    params["seed"] = config.seed + fold
-    return BoostParams(**params)
-
-
-def _forest_params(config: PipelineConfig, fold: int) -> ForestParams:
-    params = dict(config.model_params.get("rsf", {}))
-    params.setdefault("n_trees", 100)
-    params.setdefault("min_node_events", 5)
-    params.setdefault("max_depth", 6)
-    params["seed"] = config.seed + 7919 * (fold + 1)
-    return ForestParams(**params)
-
-
 def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldModels:
     """Normalize, screen, VIF-filter and train every enabled learner on one
     training fold. Depends only on the training rows."""
@@ -226,25 +242,15 @@ def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldMod
         selected = tuple(retained)
 
     train_sel = train_norm.subset_features(selected)
-    times, events = train_sel.times(), train_sel.events()
-    X = train_sel.matrix()
 
     models, baselines, errors = {}, {}, {}
     for name in config.enabled_models:
         try:
-            if name == "cox":
-                cox_params = dict(config.model_params.get("cox", {}))
-                model = fit_cox(train_sel, **cox_params)
-                scores = model.predict_risk(X)
-            elif name == "rsf":
-                model = fit_rsf(train_sel, _forest_params(config, fold))
-                scores = predict_risk_matrix(model, X)
-            else:
-                mode = {"coxboost": "componentwise", "gbm": "gbm", "xgboost": "xgboost"}[name]
-                model = fit_boosted(train_sel, _boost_params(config, mode, fold))
-                scores = model.predict_risk(X)
+            model, risk = LEARNERS[name](train_sel, config.model_params.get(name, {}),
+                                         config.seed, fold)
             models[name] = model
-            baselines[name] = breslow_baseline(times, events, scores)
+            baselines[name] = breslow_baseline(train_sel.times, train_sel.events,
+                                               risk(train_sel.X))
         except RecurriskError as exc:
             models[name] = None
             errors[name] = str(exc)
@@ -263,7 +269,7 @@ def _predict_fold(fold_models: FoldModels, name: str, test: Cohort, horizons):
     """(risk scores, survival probs per horizon) on held-out rows."""
     test_sel = apply_normalization(test, fold_models.normalization) \
         .subset_features(fold_models.selected)
-    X = test_sel.matrix()
+    X = test_sel.X
     model = fold_models.models[name]
     if isinstance(model, Forest):
         chf = predict_chf_at(model, X, [*horizons, model.max_event_time])
@@ -338,7 +344,7 @@ def run_pipeline(config: PipelineConfig):
         cohort = _attach_radiomics(cohort, config)
 
     n = len(cohort)
-    times, events = cohort.times(), cohort.events()
+    times, events = cohort.times, cohort.events
     folds = assign_folds(events, config.cv_folds, config.seed)
 
     oof_scores = {name: np.full(n, np.nan) for name in config.enabled_models}
@@ -408,16 +414,14 @@ def run_pipeline(config: PipelineConfig):
 
 def _attach_radiomics(cohort: Cohort, config: PipelineConfig) -> Cohort:
     """Extract features for every subject's grid/mask pair and append them."""
-    from .cohort import SurvivalRecord
-
     grid_dir = Path(config.voxel_grid_dir)
     feature_rows = []
     names = None
-    for rec in cohort.records:
-        grid_path = grid_dir / f"{rec.id}_grid.txt"
-        mask_path = grid_dir / f"{rec.id}_mask.txt"
+    for rid in cohort.ids:
+        grid_path = grid_dir / f"{rid}_grid.txt"
+        mask_path = grid_dir / f"{rid}_mask.txt"
         if not grid_path.exists() or not mask_path.exists():
-            raise PipelineError("radiomics", f"missing grid/mask for subject {rec.id!r}")
+            raise PipelineError("radiomics", f"missing grid/mask for subject {rid!r}")
         grid = load_voxel_grid(grid_path)
         mask = load_region_mask(mask_path)
         feats = extract_all(grid, mask, config.radiomics_levels)
@@ -426,10 +430,8 @@ def _attach_radiomics(cohort: Cohort, config: PipelineConfig) -> Cohort:
         feature_rows.append([feats[k] for k in names])
 
     new_names = cohort.feature_names + tuple(f"radiomics_{k}" for k in names)
-    records = tuple(
-        SurvivalRecord(r.id, r.time, r.event, r.features + tuple(row))
-        for r, row in zip(cohort.records, feature_rows))
-    return Cohort(new_names, records)
+    X = np.hstack([cohort.X, np.array(feature_rows, dtype=float)])
+    return Cohort(new_names, cohort.ids, cohort.times, cohort.events, X)
 
 
 def _evaluate_model(times, events, scores, surv, horizons):
@@ -481,10 +483,9 @@ def _choose_model(model_reports) -> str | None:
 
 
 def _stratify_and_compare(cohort: Cohort, scores):
-    times, events = cohort.times(), cohort.events()
-    high_ids, low_ids, cutoff = stratify_by_median(scores, cohort.ids())
-    high_set = set(high_ids)
-    is_high = np.array([rid in high_set for rid in cohort.ids()])
+    times, events = cohort.times, cohort.events
+    _, _, cutoff = stratify_by_median(scores, cohort.ids)
+    is_high = scores > cutoff
 
     km_high = kaplan_meier(times[is_high], events[is_high])
     km_low = kaplan_meier(times[~is_high], events[~is_high])
@@ -532,18 +533,22 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
         else:
             selected = tuple(retained)
         selected_cohort = full_norm.subset_features(selected)
-        model = _refit_for_importance(selected_cohort, config, chosen)
-        if model is not None:
+        try:
+            _, risk = LEARNERS[chosen](selected_cohort, config.model_params.get(chosen, {}),
+                                       config.seed, -1)
+        except RecurriskError:
+            risk = None
+        if risk is not None:
             if len(selected) <= MAX_EXACT_FEATURES:
                 background = median_background(selected_cohort)
-                rows = mean_abs_shapley(model, selected_cohort.matrix(), background,
+                rows = mean_abs_shapley(risk, selected_cohort.X, background,
                                         selected_cohort.feature_names)
                 importance_section = {
                     "method": "mean_abs_shapley",
                     "rows": [{"feature": n, "value": v} for n, v in rows],
                 }
             else:
-                report = permutation_importance(model, selected_cohort,
+                report = permutation_importance(risk, selected_cohort,
                                                 repeats=10, seed=config.seed)
                 importance_section = {
                     "method": "permutation_importance",
@@ -562,24 +567,11 @@ def _nan_to_none(v: float):
     return None if v is None or (isinstance(v, float) and np.isnan(v)) else float(v)
 
 
-def _refit_for_importance(cohort: Cohort, config: PipelineConfig, chosen: str):
-    try:
-        if chosen == "cox":
-            return fit_cox(cohort, **dict(config.model_params.get("cox", {})))
-        if chosen == "rsf":
-            forest = fit_rsf(cohort, _forest_params(config, fold=-1))
-            return lambda X: predict_risk_matrix(forest, X)
-        mode = {"coxboost": "componentwise", "gbm": "gbm", "xgboost": "xgboost"}[chosen]
-        return fit_boosted(cohort, _boost_params(config, mode, fold=-1))
-    except RecurriskError:
-        return None
-
-
 def _temporal_lane(cohort: Cohort, folds, config: PipelineConfig):
     """Out-of-fold evaluation of the temporal attention learner."""
     sequences = load_longitudinal(config.longitudinal_csv)
     by_id = {s.subject_id: s for s in sequences}
-    missing = [rid for rid in cohort.ids() if rid not in by_id]
+    missing = [rid for rid in cohort.ids if rid not in by_id]
     if missing:
         raise PipelineError("temporal",
                             f"longitudinal data missing for {len(missing)} subjects "
@@ -590,8 +582,8 @@ def _temporal_lane(cohort: Cohort, folds, config: PipelineConfig):
     lr = float(params.get("learning_rate", 0.02))
     epochs = int(params.get("epochs", 60))
 
-    times, events = cohort.times(), cohort.events()
-    ids = cohort.ids()
+    times, events = cohort.times, cohort.events
+    ids = cohort.ids
     n = len(cohort)
     oof = np.full(n, np.nan)
     try:
@@ -639,9 +631,10 @@ def _write_artifacts(report: dict, cohort: Cohort, oof_scores, config: PipelineC
         fh.write(report_json_bytes(report))
 
     _write_csv(out / "oof_scores.csv", ["id", "time", "event", *oof_scores.keys()],
-               [[rid, repr(rec.time), rec.event,
-                 *(repr(float(oof_scores[m][i])) for m in oof_scores)]
-                for i, (rid, rec) in enumerate(zip(cohort.ids(), cohort.records))])
+               [[rid, repr(time), event, *map(repr, scores)]
+                for rid, time, event, *scores in zip(
+                    cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
+                    *(s.tolist() for s in oof_scores.values()))])
 
     strat = report["stratification"]
     _write_csv(out / "km_high.csv", ["time", "survival"],

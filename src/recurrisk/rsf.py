@@ -136,7 +136,7 @@ def _best_split(X, times, events, feat_indices, min_node_events):
 def fit_rsf(cohort: Cohort, params: ForestParams) -> Forest:
     """Grow the forest; see the module docstring for the split rule."""
     X = cohort.matrix()
-    times, events = cohort.times(), cohort.events()
+    times, events = cohort.times, cohort.events
     n, d = X.shape
     if int(np.sum(events)) < 1:
         raise TrainingError("cannot grow a survival forest on an all-censored cohort")

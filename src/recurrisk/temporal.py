@@ -295,12 +295,12 @@ def generate_longitudinal(spec: SyntheticSpec, max_snapshots: int = 4,
     d = cohort.n_features
     direction = np.ones(d) / np.sqrt(d)
     sequences = []
-    for rec, eta_i in zip(cohort.records, eta):
+    for rid, time, event, base, eta_i in zip(cohort.ids, cohort.times.tolist(),
+                                             cohort.events.tolist(), cohort.X, eta):
         t_count = int(rng.integers(1, max_snapshots + 1))
-        base = np.asarray(rec.features)
         snaps = np.vstack([base + k * drift * eta_i * direction
                            for k in range(t_count)])
-        sequences.append(SnapshotSequence(rec.id, snaps, rec.time, rec.event))
+        sequences.append(SnapshotSequence(rid, snaps, time, event))
     return sequences
 
 

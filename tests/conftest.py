@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from recurrisk.cohort import Cohort, SurvivalRecord, SyntheticSpec, generate_synthetic
+from recurrisk.cohort import Cohort, SyntheticSpec, generate_synthetic
 
 
 def make_cohort(times, events, X, names=None, ids=None):
@@ -11,10 +11,7 @@ def make_cohort(times, events, X, names=None, ids=None):
         X = X.T
     names = tuple(names) if names else tuple(f"x{j}" for j in range(X.shape[1]))
     ids = list(ids) if ids else [f"s{i}" for i in range(len(times))]
-    records = tuple(
-        SurvivalRecord(ids[i], float(times[i]), int(events[i]), tuple(X[i]))
-        for i in range(len(times)))
-    return Cohort(names, records)
+    return Cohort(names, ids, times, events, X)
 
 
 def random_censored_cohort(rng, n, d, tie_fraction=0.0):

@@ -13,8 +13,9 @@ def scores_csv(tmp_path):
     cohort, true_scores = generate_synthetic(
         SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     lines = ["id,time,event,score"] + [
-        f"{r.id},{r.time!r},{r.event},{float(s)!r}"
-        for r, s in zip(cohort.records, true_scores)]
+        f"{rid},{t!r},{e},{float(s)!r}"
+        for rid, t, e, s in zip(cohort.ids, cohort.times.tolist(),
+                                cohort.events.tolist(), true_scores)]
     path = tmp_path / "scores.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path, cohort, true_scores
@@ -26,7 +27,7 @@ def test_evaluate_writes_metrics(scores_csv, tmp_path):
     assert main(["evaluate", "--scores", str(path), "--out", str(out), "--quiet"]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["n"] == 60
-    assert result["c_index"] == c_index(cohort.times(), cohort.events(),
+    assert result["c_index"] == c_index(cohort.times, cohort.events,
                                         np.asarray(true_scores)).c_index
     assert set(result["auc"]) == {"12", "24"}
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from recurrisk.cohort import (
     Cohort,
     ColumnSchema,
     ConstantFeatureWarning,
-    SurvivalRecord,
     SyntheticSpec,
     apply_normalization,
     generate_synthetic,
@@ -25,6 +27,8 @@ from recurrisk.metrics import c_index
 
 from conftest import make_cohort
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 class TestLoadCohort:
     def test_single_row_file(self, tmp_path):
@@ -32,8 +36,8 @@ class TestLoadCohort:
         path.write_text("id,t,e,x\np1,12.0,1,0.5\n")
         cohort = load_cohort(path, ColumnSchema(time_column="t", event_column="e"))
         assert len(cohort) == 1
-        rec = cohort.records[0]
-        assert (rec.id, rec.time, rec.event, rec.features) == ("p1", 12.0, 1, (0.5,))
+        assert (list(cohort.ids), cohort.times.tolist(), cohort.events.tolist(),
+                cohort.X.tolist()) == (["p1"], [12.0], [1], [[0.5]])
 
     def test_bad_event_value_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -81,9 +85,26 @@ class TestLoadCohort:
         with pytest.raises(EmptyCohortError):
             load_cohort(path)
 
+    def test_duplicate_id_names_row_and_id_column(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("pid,time,event,x\np1,3.0,1,0.5\np2,4.0,0,0.1\np1,5.0,1,0.2\n")
+        with pytest.raises(RowParseError) as err:
+            load_cohort(path, ColumnSchema(id_column="pid"))
+        assert err.value.row == 3
+        assert err.value.column == "pid"
+
     def test_demo_cohort_has_186_records(self):
         cohort = load_cohort("data/demo_cohort.csv")
         assert len(cohort) == 186
+
+    def test_demo_generator_reproduces_committed_file(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "make_demo_data", REPO / "tools" / "make_demo_data.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        path = tmp_path / "demo_cohort.csv"
+        write_cohort(tool.demo_cohort(), path)
+        assert path.read_bytes() == (REPO / "data" / "demo_cohort.csv").read_bytes()
 
     def test_round_trip(self, tmp_path, rng):
         cohort = make_cohort(rng.exponential(5, 20) + 0.1, rng.integers(0, 2, 20),
@@ -92,30 +113,65 @@ class TestLoadCohort:
         write_cohort(cohort, path)
         back = load_cohort(path)
         assert back.feature_names == cohort.feature_names
-        assert back.ids() == cohort.ids()
-        assert np.array_equal(back.times(), cohort.times())
-        assert np.array_equal(back.events(), cohort.events())
+        assert np.array_equal(back.ids, cohort.ids)
+        assert np.array_equal(back.times, cohort.times)
+        assert np.array_equal(back.events, cohort.events)
         assert np.array_equal(back.matrix(), cohort.matrix())
 
 
 class TestRecordInvariants:
+    """The checks the array constructor makes on every cohort."""
+
     def test_time_must_be_positive(self):
-        with pytest.raises(InvalidParameterError):
-            SurvivalRecord("a", -1.0, 1, (0.0,))
+        for time in (-1.0, 0.0, np.nan):
+            with pytest.raises(InvalidParameterError):
+                Cohort(("x0",), ["a", "b"], [1.0, time], [1, 0], [[0.0], [1.0]])
 
     def test_event_must_be_binary(self):
-        with pytest.raises(InvalidParameterError):
-            SurvivalRecord("a", 1.0, 2, (0.0,))
+        for event in (2, -1, 0.5, np.nan):
+            with pytest.raises(InvalidParameterError):
+                Cohort(("x0",), ["a", "b"], [1.0, 2.0], [1, event], [[0.0], [1.0]])
 
     def test_feature_count_must_match(self):
-        rec = SurvivalRecord("a", 1.0, 1, (0.0, 1.0))
         with pytest.raises(SchemaError):
-            Cohort(("x0",), (rec,))
+            Cohort(("x0",), ["a"], [1.0], [1], [[0.0, 1.0]])
 
     def test_duplicate_feature_names_rejected(self):
-        rec = SurvivalRecord("a", 1.0, 1, (0.0, 1.0))
         with pytest.raises(SchemaError):
-            Cohort(("x0", "x0"), (rec,))
+            Cohort(("x0", "x0"), ["a"], [1.0], [1], [[0.0, 1.0]])
+
+    def test_row_count_must_match(self):
+        with pytest.raises(SchemaError):
+            Cohort(("x0",), ["a", "b"], [1.0, 2.0], [1, 0], [[0.0], [1.0], [2.0]])
+        with pytest.raises(SchemaError):
+            Cohort(("x0",), ["a", "b"], [1.0], [1, 0], [[0.0], [1.0]])
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(SchemaError, match="'a'"):
+            Cohort(("x0",), ["a", "b", "a"], [1.0, 2.0, 3.0], [1, 0, 1],
+                   [[0.0], [1.0], [2.0]])
+
+    def test_empty_cohort_rejected(self):
+        with pytest.raises(EmptyCohortError):
+            Cohort(("x0",), [], [], [], np.empty((0, 1)))
+
+    def test_arrays_are_read_only_copies(self):
+        X = np.array([[0.0], [1.0]])
+        cohort = Cohort(("x0",), ["a", "b"], [1.0, 2.0], [1, 0], X)
+        X[0, 0] = 5.0
+        assert cohort.matrix()[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            cohort.matrix()[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            cohort.times[0] = 5.0
+
+    def test_derived_matrices_are_c_contiguous(self, rng):
+        # X[:, cols] is F-ordered; X @ beta on F-ordered storage takes another
+        # BLAS path and moves Cox scores in the last bits of oof_scores.csv
+        cohort = make_cohort(rng.exponential(3, 30) + 0.1, rng.integers(0, 2, 30),
+                             rng.standard_normal((30, 4)))
+        assert cohort.subset_features(["x2", "x0"]).matrix().flags.c_contiguous
+        assert zscore_normalize(cohort).matrix().flags.c_contiguous
 
 
 class TestZscore:
@@ -175,7 +231,7 @@ class TestSyntheticGenerator:
         assert np.all(eta == 0.0)
         # score everything by an independent random draw: chance level
         scores = np.random.default_rng(0).standard_normal(len(cohort))
-        c = c_index(cohort.times(), cohort.events(), scores).c_index
+        c = c_index(cohort.times, cohort.events, scores).c_index
         assert abs(c - 0.5) < 0.05
 
     def test_same_seed_identical(self):
@@ -184,10 +240,13 @@ class TestSyntheticGenerator:
         b, eb = generate_synthetic(spec)
         assert a == b
         assert np.array_equal(ea, eb)
+        other, _ = generate_synthetic(SyntheticSpec(n=200, true_coefficients=(0.5, -0.5),
+                                                    seed=100))
+        assert a != other
 
     def test_true_scores_concordance_frozen(self, linear_cohort):
         cohort, eta = linear_cohort
-        c = c_index(cohort.times(), cohort.events(), eta).c_index
+        c = c_index(cohort.times, cohort.events, eta).c_index
         assert c >= 0.70
         assert abs(c - 0.7894413799806412) < 1e-12  # frozen regression value
 
@@ -196,7 +255,7 @@ class TestSyntheticGenerator:
             spec = SyntheticSpec(n=1000, true_coefficients=(1.0,), seed=13,
                                  censoring_rate_target=target)
             cohort, _ = generate_synthetic(spec)
-            realized = 1.0 - cohort.events().mean()
+            realized = 1.0 - cohort.events.mean()
             assert abs(realized - target) <= 0.05
 
     def test_event_fraction_monotone_in_target(self):
@@ -205,14 +264,14 @@ class TestSyntheticGenerator:
             spec = SyntheticSpec(n=1000, true_coefficients=(1.0,), seed=13,
                                  censoring_rate_target=target)
             cohort, _ = generate_synthetic(spec)
-            fractions.append(cohort.events().mean())
+            fractions.append(cohort.events.mean())
         assert fractions[0] > fractions[1] > fractions[2]
 
     def test_zero_target_means_no_censoring(self):
         spec = SyntheticSpec(n=100, true_coefficients=(1.0,), seed=3,
                              censoring_rate_target=0.0)
         cohort, _ = generate_synthetic(spec)
-        assert cohort.events().sum() == 100
+        assert cohort.events.sum() == 100
 
     def test_unreachable_target_raises(self):
         # n=5 quantizes achievable fractions to multiples of 0.2

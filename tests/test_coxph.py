@@ -48,7 +48,7 @@ def finite_difference_check(cohort, beta, ties, h=1e-5):
 class TestPartialLoglik:
     def test_zero_beta_value_is_log_risk_set_sizes(self, rng):
         cohort = random_censored_cohort(rng, 25, 2)
-        times, events = cohort.times(), cohort.events()
+        times, events = cohort.times, cohort.events
         value, _, _ = partial_loglik(np.zeros(2), cohort, "breslow")
         expected = -sum(np.log(np.sum(times >= times[i]))
                         for i in range(25) if events[i] == 1)
@@ -79,7 +79,7 @@ class TestPartialLoglik:
 
     def test_constant_feature_shift_leaves_value_unchanged(self, rng):
         cohort = random_censored_cohort(rng, 25, 2)
-        shifted = make_cohort(cohort.times(), cohort.events(),
+        shifted = make_cohort(cohort.times, cohort.events,
                               cohort.matrix() + np.array([3.7, 0.0]))
         for _ in range(5):
             beta = rng.standard_normal(2)
@@ -143,7 +143,7 @@ class TestFitCox:
         c = 3.5
         X2 = cohort.matrix().copy()
         X2[:, 0] *= c
-        scaled = make_cohort(cohort.times(), cohort.events(), X2)
+        scaled = make_cohort(cohort.times, cohort.events, X2)
         model2 = fit_cox(scaled)
         assert abs(model2.coefficients[0] - model.coefficients[0] / c) < 1e-6
         assert abs(model2.coefficients[1] - model.coefficients[1]) < 1e-6
@@ -201,7 +201,7 @@ class TestFitCox:
         cohort, _ = small_linear_cohort
         X = cohort.matrix().copy()
         X[:, 0] /= 100.0
-        tiny = make_cohort(cohort.times(), cohort.events(), X)
+        tiny = make_cohort(cohort.times, cohort.events, X)
         with pytest.raises(NonconvergenceError) as err:
             fit_cox(tiny)
         assert err.value.last_iterate is not None
@@ -354,7 +354,7 @@ class TestUnivariateScreen:
         # normalization-aware rescaling
         spec = SyntheticSpec(n=500, true_coefficients=(0.8,), seed=17)
         cohort, _ = generate_synthetic(spec)
-        wide = make_cohort(cohort.times(), cohort.events(), cohort.matrix() * 2.0)
+        wide = make_cohort(cohort.times, cohort.events, cohort.matrix() * 2.0)
         rows_a = univariate_screen(zscore_normalize(cohort))
         rows_b = univariate_screen(zscore_normalize(wide))
         # beta per unit halves when the unit doubles: HR_b = sqrt(HR_a)

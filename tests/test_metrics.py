@@ -225,7 +225,7 @@ class TestCalibration:
         t = 12.0
         true_risk = 1.0 - np.exp(-((t / spec.weibull_scale) ** spec.weibull_shape)
                                  * np.exp(eta))
-        table = calibration_table(true_risk, cohort.times(), cohort.events(), t)
+        table = calibration_table(true_risk, cohort.times, cohort.events, t)
         worst = max(abs(b.mean_predicted - b.observed_risk) for b in table)
         assert worst < 0.1
 

@@ -32,7 +32,7 @@ def forest(cohort):
 
 def _query_times(forest, cohort):
     """Times before the first knot, on knots, between knots and past the last."""
-    event_times = np.unique(cohort.times()[cohort.events() == 1])
+    event_times = np.unique(cohort.times[cohort.events == 1])
     return np.concatenate([
         [1e-6, event_times[0] / 2],
         event_times,
@@ -109,7 +109,7 @@ def test_root_split_maximizes_log_rank(cohort, seed):
                                           min_node_events=m, max_depth=1, seed=seed))
     tree = forest.trees[0]
     boot = tree.bootstrap_indices
-    X, t, e = cohort.matrix()[boot], cohort.times()[boot], cohort.events()[boot]
+    X, t, e = cohort.matrix()[boot], cohort.times[boot], cohort.events[boot]
 
     def chi_square(j, thr):
         left = X[:, j] <= thr
