@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .cohort import Cohort
 from .errors import (
@@ -278,7 +278,7 @@ class ScreenRow:
     converged: bool = True
 
 
-_Z975 = float(stats.norm.ppf(0.975))
+_Z975 = float(special.ndtri(0.975))
 
 
 def univariate_screen(cohort: Cohort, alpha: float = 0.05,
@@ -309,7 +309,7 @@ def univariate_screen(cohort: Cohort, alpha: float = 0.05,
             beta_unit, se_unit = beta / sd, se / sd
         else:
             beta_unit, se_unit = beta, se
-        p = 2.0 * float(stats.norm.sf(abs(beta) / se)) if se > 0 else 0.0
+        p = 2.0 * float(special.ndtr(-abs(beta) / se)) if se > 0 else 0.0
         rows.append(ScreenRow(
             feature=name,
             hazard_ratio=float(np.exp(beta_unit)),

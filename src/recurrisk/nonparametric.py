@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EmptyCohortError, InvalidParameterError, UndefinedMetricError
 from .stepfun import StepFunction
@@ -105,7 +105,7 @@ def log_rank(group_a, group_b) -> LogRankResult:
         chi_square = 0.0
     else:
         chi_square = (observed_a - expected_a) ** 2 / variance
-    p_value = float(stats.chi2.sf(chi_square, df=1))
+    p_value = float(special.chdtrc(1, chi_square))
     return LogRankResult(
         chi_square=float(chi_square),
         p_value=p_value,

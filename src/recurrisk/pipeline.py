@@ -216,7 +216,7 @@ class FoldModels:
     selected: tuple[str, ...]
     vif_removed: tuple[str, ...]
     models: dict                       # name -> fitted model or None (failed)
-    baselines: dict                    # name -> Breslow StepFunction on train scores
+    baselines: dict                    # name -> Breslow StepFunction on train scores (not rsf)
     errors: dict                       # name -> message for failed models
 
 
@@ -249,8 +249,9 @@ def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldMod
             model, risk = LEARNERS[name](train_sel, config.model_params.get(name, {}),
                                          config.seed, fold)
             models[name] = model
-            baselines[name] = breslow_baseline(train_sel.times, train_sel.events,
-                                               risk(train_sel.X))
+            if not isinstance(model, Forest):  # a forest's S(h) comes from its own CHF
+                baselines[name] = breslow_baseline(train_sel.times, train_sel.events,
+                                                   risk(train_sel.X))
         except RecurriskError as exc:
             models[name] = None
             errors[name] = str(exc)

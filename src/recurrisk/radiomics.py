@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     EmptyRegionError,
@@ -215,34 +214,41 @@ def _shift_slices(dims, offset):
 
 
 def _run_length_matrix(binned, occ, levels, offsets):
-    nx, ny, nz = occ.shape
-    runs: dict[int, np.ndarray] = {}
-    max_len = 1
-    counts: list[tuple[int, int]] = []
+    """Direction-merged GLRLM by array run lengths, one pass per offset.
+
+    same[v]: v and v+off are both masked with equal levels. A run head is a
+    masked voxel whose predecessor v-off is not `same`; the run lengths
+    solve len[v] = 1 + same[v]·len[v+off], iterated to its fixpoint (one
+    sweep per voxel of the longest run), and are counted at the heads.
+    """
+    dims = occ.shape
+    unit = occ.astype(int)
+    head_levels, head_lengths = [np.zeros(0, int)], [np.zeros(0, int)]  # no offsets: no runs
     for off in offsets:
-        ox, oy, oz = off
-        starts = np.argwhere(occ)
-        for x, y, z in starts:
-            px, py, pz = x - ox, y - oy, z - oz
-            level = binned[x, y, z]
-            inside_prev = 0 <= px < nx and 0 <= py < ny and 0 <= pz < nz
-            if inside_prev and occ[px, py, pz] and binned[px, py, pz] == level:
-                continue  # not the head of a run in this direction
-            length = 1
-            cx, cy, cz = x + ox, y + oy, z + oz
-            while 0 <= cx < nx and 0 <= cy < ny and 0 <= cz < nz \
-                    and occ[cx, cy, cz] and binned[cx, cy, cz] == level:
-                length += 1
-                cx, cy, cz = cx + ox, cy + oy, cz + oz
-            counts.append((level, length))
-            max_len = max(max_len, length)
-    glrlm = np.zeros((levels, max_len))
-    for level, length in counts:
-        glrlm[level, length - 1] += 1
-    return glrlm
+        src = _shift_slices(dims, off)                      # v with v+off inside
+        dst = _shift_slices(dims, tuple(-o for o in off))   # v+off
+        same = occ[src] & occ[dst] & (binned[src] == binned[dst])
+        head = occ.copy()
+        head[dst] &= ~same
+        length = unit
+        while True:
+            longer = unit.copy()
+            longer[src] += same * length[dst]
+            if np.array_equal(longer, length):
+                break
+            length = longer
+        head_levels.append(binned[head])
+        head_lengths.append(length[head])
+    run_levels = np.concatenate(head_levels)
+    run_lengths = np.concatenate(head_lengths)
+    max_len = int(run_lengths.max(initial=1))
+    cells = np.bincount(run_levels * max_len + run_lengths - 1, minlength=levels * max_len)
+    return cells.reshape(levels, max_len).astype(float)
 
 
 def _size_zone_matrix(binned, occ, levels):
+    from scipy import ndimage  # deferred: a module-level import slows every CLI start
+
     structure = np.ones((3, 3, 3), dtype=int)  # 26-connectivity
     zones: list[tuple[int, int]] = []
     max_size = 1

@@ -7,6 +7,16 @@ scores by full-batch gradient descent with analytically backpropagated
 gradients (no autograd), so every parameter gradient is finite-difference
 checkable. Subjects are re-sorted into a canonical order at the start of
 training, making the result exactly invariant to input permutations.
+
+The whole cohort runs as one batch. Sequences are packed once into an
+(n, T_max, d) tensor: snapshot features zero-padded to width d and to
+T_max rows, plus the positional encoding, with an (n, T_max) validity mask
+and each subject's last valid row. The score reads only the last
+contextual row, so only that row's query attends: its logits over the
+keys are set to -inf on padded rows before the softmax, which gives them
+weight 0, and z = a V. The backward pass therefore needs dq for the last
+row only and dk, dv for the valid rows, all as einsum/matmul contractions
+over the batch. Scoring one subject is a batch of one.
 """
 
 from __future__ import annotations
@@ -107,112 +117,98 @@ def sinusoidal_pe(T: int, d: int) -> np.ndarray:
     return pe
 
 
-def embed_sequence(seq: SnapshotSequence, d: int,
-                   use_positional_encoding: bool = True) -> np.ndarray:
-    """Zero-pad snapshot features to width d and add the positional encoding."""
-    snaps = seq.snapshots
-    T, p = snaps.shape
-    if p > d:
-        raise ShapeError(f"snapshot width {p} exceeds encoder dimension {d}")
-    X = np.zeros((T, d))
-    X[:, :p] = snaps
+def _pack(sequences, d: int, use_positional_encoding: bool):
+    """The batch one forward pass reads, in the given subject order.
+
+    Returns the (n, T_max, d) embeddings (snapshot features zero-padded to
+    width d and to T_max rows, plus the positional encoding), the
+    (n, T_max) validity mask and each subject's last valid row index.
+    Padded rows never reach a score or a gradient: attention gives them
+    weight 0.
+    """
+    lengths = np.array([s.snapshots.shape[0] for s in sequences])
+    t_max = int(lengths.max())
+    valid = np.arange(t_max)[None, :] < lengths[:, None]
+    emb = np.zeros((len(sequences), t_max, d))
+    for i, seq in enumerate(sequences):
+        T, p = seq.snapshots.shape
+        if p > d:
+            raise ShapeError(f"snapshot width {p} exceeds encoder dimension {d}")
+        emb[i, :T, :p] = seq.snapshots
     if use_positional_encoding:
-        X = X + sinusoidal_pe(T, d)
-    return X
-
-
-def attention_weights(inputs: np.ndarray, model: TemporalModel) -> np.ndarray:
-    """Row-stochastic attention matrix A = softmax(Q K' / sqrt(d))."""
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if not np.all(np.isfinite(X)):
+        emb += sinusoidal_pe(t_max, d)
+    if not np.all(np.isfinite(emb)):
         raise NumericInputError("attention inputs must be finite")
-    if X.shape[1] != model.pe_dim:
-        raise ShapeError(f"expected width {model.pe_dim}, got {X.shape[1]}")
-    q = X @ model.w_query
-    k = X @ model.w_key
-    logits = q @ k.T / np.sqrt(model.pe_dim)
+    return emb, valid, lengths - 1
+
+
+def _forward(batch, model: TemporalModel):
+    """Scores of every subject, plus the cache the backward pass reads.
+
+    The score reads only the last contextual row, so only the last query
+    row attends: a = softmax(q_last K' / sqrt(d)) over the valid keys.
+    """
+    emb, valid, last = batch
+    inv_sqrt_d = 1.0 / np.sqrt(model.pe_dim)
+    x_last = emb[np.arange(last.size), last]
+    q = x_last @ model.w_query                      # (n, d)
+    k = emb @ model.w_key                           # (n, T_max, d)
+    v = emb @ model.w_value
+    logits = np.where(valid, np.einsum("nd,ntd->nt", q, k) * inv_sqrt_d, -np.inf)
     logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=1, keepdims=True)
+    a = np.exp(logits)                              # 0 on padded rows
+    a /= a.sum(axis=1, keepdims=True)
+    z = np.einsum("nt,ntd->nd", a, v)
+    act = np.tanh(z @ model.w_hidden + model.b_hidden)
+    scores = act @ model.w_out + model.b_out
+    return scores, (emb, x_last, q, k, v, a, z, act)
 
 
-def self_attention(inputs: np.ndarray, model: TemporalModel) -> np.ndarray:
-    """Contextual embeddings Z = A (X W_v)."""
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    return attention_weights(X, model) @ (X @ model.w_value)
+def _backward(model: TemporalModel, cache, dscores) -> dict:
+    """Parameter gradients of a loss whose gradient in the scores is dscores."""
+    emb, x_last, q, k, v, a, z, act = cache
+    inv_sqrt_d = 1.0 / np.sqrt(model.pe_dim)
+    du = dscores[:, None] * model.w_out * (1.0 - act ** 2)
+    dz = du @ model.w_hidden.T
+    da = np.einsum("nd,ntd->nt", dz, v)
+    ds = a * (da - np.sum(da * a, axis=1, keepdims=True))
+    dq = np.einsum("nt,ntd->nd", ds, k) * inv_sqrt_d
+    return {
+        "w_query": x_last.T @ dq,
+        "w_key": np.einsum("nt,ntd->nd", ds, emb).T @ q * inv_sqrt_d,
+        "w_value": np.einsum("nt,ntd->nd", a, emb).T @ dz,
+        "w_hidden": z.T @ du,
+        "b_hidden": du.sum(axis=0),
+        "w_out": dscores @ act,
+        "b_out": float(dscores.sum()),
+    }
 
 
 def temporal_risk(seq: SnapshotSequence, model: TemporalModel,
                   use_positional_encoding: bool = True) -> float:
     """Risk score: MLP applied to the last contextual embedding."""
-    X = embed_sequence(seq, model.pe_dim, use_positional_encoding)
-    z_last = self_attention(X, model)[-1]
-    hidden = np.tanh(z_last @ model.w_hidden + model.b_hidden)
-    return float(hidden @ model.w_out + model.b_out)
+    scores, _ = _forward(_pack([seq], model.pe_dim, use_positional_encoding), model)
+    return float(scores[0])
 
 
-def _forward_backward(sequences, model: TemporalModel, use_pe: bool):
-    """Loss and parameter gradients of the Cox loss over all sequences."""
-    times = np.array([s.time for s in sequences])
-    events = np.array([s.event for s in sequences])
-    d = model.pe_dim
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-
-    caches = []
-    scores = np.empty(len(sequences))
-    for i, seq in enumerate(sequences):
-        X = embed_sequence(seq, d, use_pe)
-        q, k, v = X @ model.w_query, X @ model.w_key, X @ model.w_value
-        logits = q @ k.T * inv_sqrt_d
-        logits -= logits.max(axis=1, keepdims=True)
-        a_mat = np.exp(logits)
-        a_mat /= a_mat.sum(axis=1, keepdims=True)
-        z = (a_mat @ v)[-1]
-        u = z @ model.w_hidden + model.b_hidden
-        act = np.tanh(u)
-        scores[i] = act @ model.w_out + model.b_out
-        caches.append((X, q, k, v, a_mat, z, act))
-
-    loss = cox_negloglik(times, events, scores)
+def _loss_and_gradients(batch, times, events, model: TemporalModel):
+    """Cox loss and parameter gradients over one packed batch."""
+    scores, cache = _forward(batch, model)
     dscores, _ = cox_gradients(scores, times, events)
+    return cox_negloglik(times, events, scores), _backward(model, cache, dscores)
 
-    grads = {
-        "w_query": np.zeros_like(model.w_query),
-        "w_key": np.zeros_like(model.w_key),
-        "w_value": np.zeros_like(model.w_value),
-        "w_hidden": np.zeros_like(model.w_hidden),
-        "b_hidden": np.zeros_like(model.b_hidden),
-        "w_out": np.zeros_like(model.w_out),
-        "b_out": 0.0,
-    }
-    for df, (X, q, k, v, a_mat, z, act) in zip(dscores, caches):
-        grads["b_out"] += df
-        grads["w_out"] += df * act
-        du = df * model.w_out * (1.0 - act ** 2)
-        grads["w_hidden"] += np.outer(z, du)
-        grads["b_hidden"] += du
-        dz = model.w_hidden @ du
 
-        T = X.shape[0]
-        dZ = np.zeros((T, model.pe_dim))
-        dZ[-1] = dz
-        dA = dZ @ v.T
-        dV = a_mat.T @ dZ
-        dS = a_mat * (dA - np.sum(dA * a_mat, axis=1, keepdims=True))
-        dQ = dS @ k * inv_sqrt_d
-        dK = dS.T @ q * inv_sqrt_d
-        grads["w_query"] += X.T @ dQ
-        grads["w_key"] += X.T @ dK
-        grads["w_value"] += X.T @ dV
-    return loss, grads, scores
+def _outcomes(sequences):
+    return (np.array([s.time for s in sequences]),
+            np.array([s.event for s in sequences]))
 
 
 def temporal_loss_and_gradients(sequences, model: TemporalModel,
                                 use_positional_encoding: bool = True):
     """(loss, gradient dict) of the Cox loss; the finite-difference hook."""
     seqs = _canonical_order(sequences)
-    loss, grads, _ = _forward_backward(seqs, model, use_positional_encoding)
-    return loss, grads
+    batch = _pack(seqs, model.pe_dim, use_positional_encoding)
+    return _loss_and_gradients(batch, *_outcomes(seqs), model)
 
 
 def _canonical_order(sequences):
@@ -254,10 +250,12 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
         raise TrainingError("need at least one event")
 
     model = initial_model(pe_dim, hidden, seed)
+    batch = _pack(seqs, pe_dim, use_positional_encoding)
+    times, events = _outcomes(seqs)
     trace = []
     consecutive_rises = 0
     for _ in range(epochs):
-        loss, grads, _ = _forward_backward(seqs, model, use_positional_encoding)
+        loss, grads = _loss_and_gradients(batch, times, events, model)
         trace.append(loss)
         if len(trace) >= 2 and trace[-1] > trace[-2]:
             consecutive_rises += 1
@@ -276,7 +274,7 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
             w_out=model.w_out - learning_rate * grads["w_out"],
             b_out=model.b_out - learning_rate * grads["b_out"],
         )
-    final_loss, _, _ = _forward_backward(seqs, model, use_positional_encoding)
+    final_loss, _ = _loss_and_gradients(batch, times, events, model)
     trace.append(final_loss)
     return replace(model, training_loss_trace=tuple(trace))
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recurrisk
 from recurrisk.cli import main
 from recurrisk.cohort import SyntheticSpec, generate_synthetic
 from recurrisk.metrics import c_index
@@ -53,3 +58,16 @@ def test_evaluate_short_row_exits_1(scores_csv, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["evaluate", "--scores", str(path), "--quiet"]) == 1
     assert "row 2, column '<row>'" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.stats alone costs about a second of every start; the p-values
+    # come from scipy.special, and radiomics loads scipy.ndimage on first use
+    src = str(Path(recurrisk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, recurrisk.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.ndimage') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
