@@ -5,22 +5,24 @@ Three modes share one training loop:
 * ``componentwise`` - per round, a one-feature least-squares stump fit to
   the negative gradient; the feature with the smallest squared residual
   wins (CoxBoost-style componentwise linear boosting).
-* ``gbm`` - a depth-limited regression tree fit to the negative gradient
-  with mean leaf values (first-order gradient boosting).
 * ``xgboost`` - Newton boosting: trees grown by the second-order gain
   formula with leaf weights -sum(g) / (sum(h) + lambda).
+* ``gbm`` - first-order gradient boosting: the same Newton tree with
+  h = 1 and lambda = 0. The gain is then half the least-squares reduction
+  in squared error and the leaf weight is the mean negative gradient, so
+  this is the regression tree fit to the negative gradient.
 
 The per-subject first and second derivatives of the loss come from
 ``cox_gradients`` and use a diagonal Hessian approximation, standard for
 survival boosting. Subjects are re-sorted into a canonical order at the
 start of training, which makes the fitted model exactly invariant to input
-permutations.
+permutations. Tree growth, routing and serialization come from ``tree.py``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
+from . import tree
 
 _MODES = ("componentwise", "gbm", "xgboost")
 
@@ -136,48 +139,22 @@ class Stump:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    feature: int = -1            # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
+class Tree:
+    """Regression tree with a float on every leaf."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    root: object
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
-        stack = [(self, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                out[idx] = node.value
-                continue
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
+        for value, idx in tree.route(self.root, X):
+            out[idx] = value
         return out
 
-    def scaled(self, factor: float) -> "TreeNode":
-        if self.is_leaf:
-            return TreeNode(value=self.value * factor)
-        return TreeNode(self.feature, self.threshold,
-                        self.left.scaled(factor), self.right.scaled(factor))
+    def scaled(self, factor: float) -> "Tree":
+        return Tree(tree.map_leaves(self.root, lambda value: value * factor))
 
     def to_dict(self):
-        if self.is_leaf:
-            return {"kind": "leaf", "value": self.value}
-        return {"kind": "split", "feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-
-def _tree_from_dict(doc) -> TreeNode:
-    if doc["kind"] == "leaf":
-        return TreeNode(value=float(doc["value"]))
-    return TreeNode(int(doc["feature"]), float(doc["threshold"]),
-                    _tree_from_dict(doc["left"]), _tree_from_dict(doc["right"]))
+        return tree.to_dict(self.root, lambda value: {"value": value})
 
 
 def _fit_stump(X, residual):
@@ -202,72 +179,18 @@ def _fit_stump(X, residual):
     return best[1]
 
 
-def _fit_tree_gbm(X, residual, depth, min_leaf):
-    """Least-squares regression tree on the residual; mean leaf values."""
-    idx = np.arange(X.shape[0])
-
-    def build(node_idx, remaining_depth):
-        y = residual[node_idx]
-        if remaining_depth == 0 or node_idx.size < 2 * min_leaf:
-            return TreeNode(value=float(np.mean(y)))
-        split = _best_split_sse(X, node_idx, y, min_leaf)
-        if split is None:
-            return TreeNode(value=float(np.mean(y)))
-        j, thr = split
-        go_left = X[node_idx, j] <= thr
-        return TreeNode(j, thr,
-                        build(node_idx[go_left], remaining_depth - 1),
-                        build(node_idx[~go_left], remaining_depth - 1))
-
-    return build(idx, depth)
-
-
-def _best_split_sse(X, node_idx, y, min_leaf):
-    total = float(np.sum(y))
-    n = node_idx.size
-    base = float(np.sum(y ** 2)) - total ** 2 / n
-    best = None
-    for j in range(X.shape[1]):
-        col = X[node_idx, j]
-        order = np.argsort(col, kind="stable")
-        cs, ys = col[order], y[order]
-        prefix = np.cumsum(ys)
-        counts = np.arange(1, n + 1)
-        valid = np.nonzero(cs[:-1] < cs[1:])[0]
-        valid = valid[(counts[valid] >= min_leaf) & (n - counts[valid] >= min_leaf)]
-        if valid.size == 0:
-            continue
-        left_sum = prefix[valid]
-        nl = counts[valid]
-        gain = left_sum ** 2 / nl + (total - left_sum) ** 2 / (n - nl) - total ** 2 / n
-        k = int(np.argmax(gain))
-        if gain[k] > 1e-12 and (best is None or gain[k] > best[0] + 1e-15):
-            best = (float(gain[k]), j, float((cs[valid[k]] + cs[valid[k] + 1]) / 2.0))
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _fit_tree_newton(X, g, h, depth, min_leaf, lam):
+def _fit_tree(X, g, h, depth, min_leaf, lam) -> Tree:
     """Second-order tree: gain-based splits and leaf weight -G/(H + lambda)."""
-    idx = np.arange(X.shape[0])
 
-    def leaf_value(node_idx):
-        return float(-np.sum(g[node_idx]) / (np.sum(h[node_idx]) + lam))
+    def find_split(idx, level):
+        if level == depth or idx.size < 2 * min_leaf:
+            return None
+        return _best_split_gain(X, idx, g, h, min_leaf, lam)
 
-    def build(node_idx, remaining_depth):
-        if remaining_depth == 0 or node_idx.size < 2 * min_leaf:
-            return TreeNode(value=leaf_value(node_idx))
-        split = _best_split_gain(X, node_idx, g, h, min_leaf, lam)
-        if split is None:
-            return TreeNode(value=leaf_value(node_idx))
-        j, thr = split
-        go_left = X[node_idx, j] <= thr
-        return TreeNode(j, thr,
-                        build(node_idx[go_left], remaining_depth - 1),
-                        build(node_idx[~go_left], remaining_depth - 1))
+    def make_leaf(idx):
+        return float(-np.sum(g[idx]) / (np.sum(h[idx]) + lam))
 
-    return build(idx, depth)
+    return Tree(tree.grow(X, np.arange(X.shape[0]), 0, find_split, make_leaf))
 
 
 def _best_split_gain(X, node_idx, g, h, min_leaf, lam):
@@ -340,7 +263,8 @@ class BoostedModel:
                 learners.append(Stump(int(entry["feature"]), float(entry["slope"]),
                                       float(entry["intercept"])))
             else:
-                learners.append(_tree_from_dict(entry))
+                root = tree.from_dict(entry, lambda leaf: float(leaf["value"]))
+                learners.append(Tree(root))
         return BoostedModel(
             mode=doc["mode"],
             learning_rate=float(doc["learning_rate"]),
@@ -369,6 +293,7 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     X, t, e = canon.matrix(), canon.times, canon.events
     n = X.shape[0]
     rng = np.random.default_rng(params.seed)
+    lam = params.l2_lambda if params.mode == "xgboost" else 0.0
 
     f = np.zeros(n)
     learners: list = []
@@ -377,6 +302,8 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
 
     for rnd in range(params.rounds):
         g, h = cox_gradients(f, t, e)
+        if params.mode == "gbm":
+            h = np.ones(n)
         if params.row_subsample < 1.0:
             m = max(1, int(round(params.row_subsample * n)))
             chosen = np.sort(rng.choice(n, size=m, replace=False))
@@ -386,11 +313,8 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
 
         if params.mode == "componentwise":
             learner = _fit_stump(Xr, -gr)
-        elif params.mode == "gbm":
-            learner = _fit_tree_gbm(Xr, -gr, params.tree_depth, params.min_leaf)
         else:
-            learner = _fit_tree_newton(Xr, gr, hr, params.tree_depth,
-                                       params.min_leaf, params.l2_lambda)
+            learner = _fit_tree(Xr, gr, hr, params.tree_depth, params.min_leaf, lam)
         if learner is None:
             early_stop = rnd
             break

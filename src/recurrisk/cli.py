@@ -28,7 +28,7 @@ from .cohort import (
     load_cohort,
     write_cohort,
 )
-from .errors import RecurriskError, RowParseError
+from .errors import InvalidParameterError, RecurriskError, RowParseError
 from .explain import (
     MAX_EXACT_FEATURES,
     mean_abs_shapley,
@@ -166,6 +166,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    try:
+        horizons = [float(h) for h in args.horizons.split(",")]
+    except ValueError:
+        raise InvalidParameterError(f"--horizons must be comma-separated numbers, "
+                                    f"got {args.horizons!r}") from None
     ids, times, events, scores = [], [], [], []
     with open(args.scores, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -191,7 +196,7 @@ def _cmd_evaluate(args) -> int:
     scores = np.array(scores)
 
     result = {"n": len(ids), "c_index": c_index(times, events, scores).c_index, "auc": {}}
-    for h in (float(h) for h in args.horizons.split(",")):
+    for h in horizons:
         try:
             value, _, _ = auc_summary(times, events, scores, h)
         except RecurriskError:

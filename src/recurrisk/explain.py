@@ -11,7 +11,6 @@ features with the background vector, so it is capped at d <= 14.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -99,30 +98,6 @@ def exact_shapley(model, x, background, feature_names=None) -> AttributionVector
         baseline=float(values[0]),
         explained=float(values[-1]),
     )
-
-
-def shapley_permutation_oracle(model, x, background) -> np.ndarray:
-    """Average marginal contribution over all d! orderings (d <= 6).
-
-    The independent reference for exact_shapley; enumerates orderings
-    directly instead of weighting subsets.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    d = x.size
-    if d > 6:
-        raise InvalidParameterError("permutation oracle is capped at d <= 6")
-    predict = _as_predictor(model)
-    values, _ = _coalition_values(predict, x, background)
-    totals = np.zeros(d)
-    count = 0
-    for ordering in permutations(range(d)):
-        mask = 0
-        for j in ordering:
-            new_mask = mask | (1 << j)
-            totals[j] += values[new_mask] - values[mask]
-            mask = new_mask
-        count += 1
-    return totals / count
 
 
 def median_background(cohort: Cohort) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -105,6 +106,19 @@ LEARNERS = {
 MODEL_ORDER = tuple(LEARNERS)
 
 
+# Learner name -> the keys its `model_params` entry may hold
+LEARNER_PARAMS = {name: frozenset(inspect.signature(target).parameters) - {"cohort"}
+                  for name, target in (("xgboost", BoostParams), ("rsf", ForestParams),
+                                       ("coxboost", BoostParams), ("gbm", BoostParams),
+                                       ("cox", fit_cox))}
+
+
+def _json_list(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     cohort_csv: str
@@ -135,35 +149,47 @@ class PipelineConfig:
         if unknown:
             raise InvalidParameterError(f"unknown models: {sorted(unknown)}")
         object.__setattr__(self, "enabled_models", tuple(self.enabled_models))
+        for name, params in self.model_params.items():
+            if name not in LEARNER_PARAMS:
+                raise InvalidParameterError(f"model_params names an unknown model {name!r}")
+            unknown = sorted(set(params) - LEARNER_PARAMS[name])
+            if unknown:
+                raise InvalidParameterError(f"model_params for {name}: unknown key(s) {unknown}")
 
     @staticmethod
     def from_json_file(path) -> "PipelineConfig":
+        """Read a config; an unreadable or malformed file, a missing
+        `cohort_csv` or a field of the wrong kind raises InvalidParameterError."""
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
         base = path.parent
 
         def resolve(p):
             return None if p is None else str((base / p) if not Path(p).is_absolute() else Path(p))
 
-        return PipelineConfig(
-            cohort_csv=resolve(doc["cohort_csv"]),
-            out_dir=resolve(doc.get("out_dir", "out")),
-            longitudinal_csv=resolve(doc.get("longitudinal_csv")),
-            voxel_grid_dir=resolve(doc.get("voxel_grid_dir")),
-            id_column=doc.get("id_column", "id"),
-            time_column=doc.get("time_column", "time"),
-            event_column=doc.get("event_column", "event"),
-            alpha=float(doc.get("alpha", 0.05)),
-            vif_threshold=float(doc.get("vif_threshold", 5.0)),
-            cv_folds=int(doc.get("cv_folds", 5)),
-            horizons=tuple(doc.get("horizons", (12.0, 24.0))),
-            seed=int(doc.get("seed", 0)),
-            enabled_models=tuple(doc.get("enabled_models", MODEL_ORDER)),
-            model_params=dict(doc.get("model_params", {})),
-            radiomics_levels=int(doc.get("radiomics_levels", 32)),
-            temporal_params=dict(doc.get("temporal_params", {})),
-        )
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            return PipelineConfig(
+                cohort_csv=resolve(doc["cohort_csv"]),
+                out_dir=resolve(doc.get("out_dir", "out")),
+                longitudinal_csv=resolve(doc.get("longitudinal_csv")),
+                voxel_grid_dir=resolve(doc.get("voxel_grid_dir")),
+                id_column=doc.get("id_column", "id"),
+                time_column=doc.get("time_column", "time"),
+                event_column=doc.get("event_column", "event"),
+                alpha=float(doc.get("alpha", 0.05)),
+                vif_threshold=float(doc.get("vif_threshold", 5.0)),
+                cv_folds=int(doc.get("cv_folds", 5)),
+                horizons=_json_list(doc.get("horizons", (12.0, 24.0))),
+                seed=int(doc.get("seed", 0)),
+                enabled_models=_json_list(doc.get("enabled_models", MODEL_ORDER)),
+                model_params=dict(doc.get("model_params", {})),
+                radiomics_levels=int(doc.get("radiomics_levels", 32)),
+                temporal_params=dict(doc.get("temporal_params", {})),
+            )
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise InvalidParameterError(f"config {path}: {reason}") from None
 
     def canonical_json(self) -> str:
         # out_dir is where artifacts land, not analysis content; leaving it

@@ -11,12 +11,12 @@ counts and risk-set sizes from the event table that also builds the
 Nelson-Aalen leaves (``nonparametric._event_table``), and builds its
 subject-by-event-time at-risk matrix once for all candidate features.
 
-Prediction routes a batch of rows down each tree at once: every split
-node partitions the row indices with one comparison, and every leaf
-evaluates its cumulative hazard once at the requested times for all rows
-that reach it. Trees are accumulated one after another and the sum is
-divided by the tree count, the same order of operations as averaging the
-per-tree step functions, so batch and per-row predictions agree exactly.
+Growth order and batch routing come from ``tree.py``: every leaf reached
+by a batch of rows evaluates its cumulative hazard once at the requested
+times for all of them. Trees are accumulated one after another and the
+sum is divided by the tree count, the same order of operations as
+averaging the per-tree step functions, so batch and per-row predictions
+agree exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .cohort import Cohort
 from .errors import InvalidParameterError, ShapeError, TrainingError
 from .nonparametric import _event_table, nelson_aalen
 from .stepfun import StepFunction, average_step_functions
+from .tree import TreeSplit, from_dict, grow, route, to_dict
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,6 @@ class ForestParams:
 
 
 @dataclass(frozen=True)
-class TreeSplit:
-    feature: int
-    threshold: float
-    left: "TreeSplit | TreeLeaf"
-    right: "TreeSplit | TreeLeaf"
-
-
-@dataclass(frozen=True)
 class TreeLeaf:
     chf: StepFunction
     count: int
@@ -70,12 +63,6 @@ class SurvivalTree:
     root: TreeSplit | TreeLeaf
     bootstrap_indices: np.ndarray
     oob_indices: np.ndarray
-
-    def chf_for(self, x: np.ndarray) -> StepFunction:
-        node = self.root
-        while isinstance(node, TreeSplit):
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.chf
 
 
 @dataclass(frozen=True)
@@ -143,31 +130,25 @@ def fit_rsf(cohort: Cohort, params: ForestParams) -> Forest:
     mtry = params.mtry if params.mtry is not None else int(np.ceil(np.sqrt(d)))
     mtry = min(mtry, d)
 
+    def make_leaf(idx):
+        return TreeLeaf(chf=nelson_aalen(times[idx], events[idx]), count=idx.size)
+
     trees = []
     for b in range(params.n_trees):
         rng = np.random.default_rng(params.seed + b)
         boot = rng.integers(0, n, size=n)
         oob = np.setdiff1d(np.arange(n), boot)
 
-        def grow(idx, depth):
-            t_node, e_node = times[idx], events[idx]
-            can_split = (params.max_depth is None or depth < params.max_depth) and \
-                int(np.sum(e_node)) >= 2 * params.min_node_events
-            split = None
-            if can_split:
-                feats = rng.choice(d, size=mtry, replace=False)
-                split = _best_split(X[idx], t_node, e_node, feats,
-                                    params.min_node_events)
-            if split is None:
-                return TreeLeaf(chf=nelson_aalen(t_node, e_node), count=idx.size)
-            j, thr = split
-            go_left = X[idx, j] <= thr
-            return TreeSplit(j, thr,
-                             grow(idx[go_left], depth + 1),
-                             grow(idx[~go_left], depth + 1))
+        def find_split(idx, depth):
+            if (params.max_depth is not None and depth >= params.max_depth) or \
+                    int(np.sum(events[idx])) < 2 * params.min_node_events:
+                return None
+            feats = rng.choice(d, size=mtry, replace=False)
+            return _best_split(X[idx], times[idx], events[idx], feats,
+                               params.min_node_events)
 
-        trees.append(SurvivalTree(root=grow(boot, 0), bootstrap_indices=boot,
-                                  oob_indices=oob))
+        trees.append(SurvivalTree(root=grow(X, boot, 0, find_split, make_leaf),
+                                  bootstrap_indices=boot, oob_indices=oob))
 
     event_times = times[events == 1]
     return Forest(
@@ -178,17 +159,13 @@ def fit_rsf(cohort: Cohort, params: ForestParams) -> Forest:
     )
 
 
-def _check_x(forest: Forest, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != len(forest.feature_names):
-        raise ShapeError(f"expected {len(forest.feature_names)} features, got {x.size}")
-    return x
-
-
 def predict_chf(forest: Forest, x) -> StepFunction:
     """Ensemble cumulative hazard: mean of terminal CHFs over all trees."""
-    x = _check_x(forest, x)
-    return average_step_functions([tree.chf_for(x) for tree in forest.trees])
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    if x.shape[1] != len(forest.feature_names):
+        raise ShapeError(f"expected {len(forest.feature_names)} features, got {x.shape[1]}")
+    return average_step_functions([leaf.chf for tree in forest.trees
+                                   for leaf, _ in route(tree.root, x)])
 
 
 def predict_survival(forest: Forest, x) -> StepFunction:
@@ -210,17 +187,8 @@ def predict_chf_at(forest: Forest, X, times) -> np.ndarray:
     total = np.zeros((X.shape[0], times.size))
     tree_chf = np.empty_like(total)
     for tree in forest.trees:
-        stack = [(tree.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if isinstance(node, TreeLeaf):
-                tree_chf[idx] = node.chf(times)
-            else:
-                go_left = X[idx, node.feature] <= node.threshold
-                stack.append((node.left, idx[go_left]))
-                stack.append((node.right, idx[~go_left]))
+        for leaf, idx in route(tree.root, X):
+            tree_chf[idx] = leaf.chf(times)
         total += tree_chf
     return total / len(forest.trees)
 
@@ -234,22 +202,15 @@ def predict_risk_matrix(forest: Forest, X) -> np.ndarray:
 # --- serialization ----------------------------------------------------------
 
 
-def _node_to_dict(node):
-    if isinstance(node, TreeLeaf):
-        return {"kind": "leaf", "count": node.count,
-                "knots": node.chf.knots.tolist(),
-                "values": node.chf.values.tolist()}
-    return {"kind": "split", "feature": node.feature, "threshold": node.threshold,
-            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
+def _leaf_to_dict(leaf: TreeLeaf) -> dict:
+    return {"count": leaf.count, "knots": leaf.chf.knots.tolist(),
+            "values": leaf.chf.values.tolist()}
 
 
-def _node_from_dict(doc):
-    if doc["kind"] == "leaf":
-        return TreeLeaf(chf=StepFunction(np.array(doc["knots"], dtype=float),
-                                         np.array(doc["values"], dtype=float), 0.0),
-                        count=int(doc["count"]))
-    return TreeSplit(int(doc["feature"]), float(doc["threshold"]),
-                     _node_from_dict(doc["left"]), _node_from_dict(doc["right"]))
+def _leaf_from_dict(doc) -> TreeLeaf:
+    return TreeLeaf(chf=StepFunction(np.array(doc["knots"], dtype=float),
+                                     np.array(doc["values"], dtype=float), 0.0),
+                    count=int(doc["count"]))
 
 
 def forest_to_json(forest: Forest) -> str:
@@ -265,7 +226,7 @@ def forest_to_json(forest: Forest) -> str:
             "seed": forest.params.seed,
         },
         "trees": [{
-            "root": _node_to_dict(t.root),
+            "root": to_dict(t.root, _leaf_to_dict),
             "bootstrap_indices": t.bootstrap_indices.tolist(),
             "oob_indices": t.oob_indices.tolist(),
         } for t in forest.trees],
@@ -277,7 +238,7 @@ def forest_from_json(text: str) -> Forest:
     doc = json.loads(text)
     p = doc["params"]
     trees = tuple(
-        SurvivalTree(root=_node_from_dict(t["root"]),
+        SurvivalTree(root=from_dict(t["root"], _leaf_from_dict),
                      bootstrap_indices=np.array(t["bootstrap_indices"], dtype=int),
                      oob_indices=np.array(t["oob_indices"], dtype=int))
         for t in doc["trees"])

@@ -1,6 +1,7 @@
-"""The benchmark tracer wraps package functions by name and walks forest
-nodes through `.root`/`.left`/`.right`; a refactor that breaks either would
-break every traced benchmark run, so the default test run checks both."""
+"""The benchmark tracer wraps package functions and methods by name and
+walks forest nodes through `.root`/`.left`/`.right`; a refactor that breaks
+either would break every traced benchmark run, so the default test run
+checks both, for the forest and for each boosting mode."""
 
 import importlib.util
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recurrisk import pipeline, rsf
+from recurrisk import boosting, pipeline, rsf
+from recurrisk.boosting import BoostedModel, BoostParams
 from recurrisk.rsf import Forest, ForestParams, SurvivalTree, TreeLeaf, TreeSplit
 from recurrisk.stepfun import StepFunction
 
@@ -54,3 +56,26 @@ def test_forest_nodes_counts_two_trees(tracer_module):
                          oob_indices=np.arange(0))
     forest = Forest(("a", "b"), (deep, stump), 1.0, ForestParams(n_trees=2))
     assert tracer_module.forest_nodes(forest) == 5 + 1
+
+
+@pytest.mark.parametrize("mode", ["componentwise", "gbm", "xgboost"])
+def test_tracer_follows_each_boosting_mode(tracer_module, mode):
+    before = (boosting.fit_boosted, pipeline.fit_boosted,
+              BoostedModel.__dict__["predict_risk"])
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert pipeline.fit_boosted is not before[1]
+        assert BoostedModel.__dict__["predict_risk"] is not before[2]
+        cohort = random_censored_cohort(np.random.default_rng(3), 40, 2)
+        model = pipeline.fit_boosted(cohort, BoostParams(rounds=8, mode=mode))
+        model.predict_risk(cohort.X)
+    finally:
+        tracer.uninstall()
+    assert (boosting.fit_boosted, pipeline.fit_boosted,
+            BoostedModel.__dict__["predict_risk"]) == before
+    metrics = tracer.layer_metrics()
+    assert metrics[f"boosting.fit_s.{mode}"] > 0
+    assert metrics["boosting.rounds"] == len(model.base_learners) > 0
+    assert metrics["boosting.negloglik_evals"] > 0
+    assert metrics["boosting.predict_s"] > 0

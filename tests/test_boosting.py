@@ -1,0 +1,168 @@
+import numpy as np
+import pytest
+
+from recurrisk.boosting import (
+    BoostedModel,
+    BoostParams,
+    _fit_tree,
+    cox_gradients,
+    cox_negloglik,
+    fit_boosted,
+)
+
+from conftest import make_cohort, random_censored_cohort
+
+MODES = ("componentwise", "gbm", "xgboost")
+
+
+def _params(mode, **overrides):
+    return BoostParams(**{"rounds": 25, "learning_rate": 0.2, "tree_depth": 3,
+                          "min_leaf": 4, "mode": mode, "seed": 3, **overrides})
+
+
+# --- the former least-squares tree of the gbm mode, kept as its oracle -------
+
+
+def fit_tree_sse(X, residual, depth, min_leaf):
+    """Least-squares regression tree on the residual; mean leaf values.
+
+    Nodes are ("leaf", value) or (feature, threshold, left, right).
+    """
+
+    def build(node_idx, remaining_depth):
+        y = residual[node_idx]
+        if remaining_depth == 0 or node_idx.size < 2 * min_leaf:
+            return ("leaf", float(np.mean(y)))
+        split = best_split_sse(X, node_idx, y, min_leaf)
+        if split is None:
+            return ("leaf", float(np.mean(y)))
+        j, thr = split
+        go_left = X[node_idx, j] <= thr
+        return (j, thr, build(node_idx[go_left], remaining_depth - 1),
+                build(node_idx[~go_left], remaining_depth - 1))
+
+    return build(np.arange(X.shape[0]), depth)
+
+
+def best_split_sse(X, node_idx, y, min_leaf):
+    total = float(np.sum(y))
+    n = node_idx.size
+    best = None
+    for j in range(X.shape[1]):
+        col = X[node_idx, j]
+        order = np.argsort(col, kind="stable")
+        cs, ys = col[order], y[order]
+        prefix = np.cumsum(ys)
+        counts = np.arange(1, n + 1)
+        valid = np.nonzero(cs[:-1] < cs[1:])[0]
+        valid = valid[(counts[valid] >= min_leaf) & (n - counts[valid] >= min_leaf)]
+        if valid.size == 0:
+            continue
+        left_sum = prefix[valid]
+        nl = counts[valid]
+        gain = left_sum ** 2 / nl + (total - left_sum) ** 2 / (n - nl) - total ** 2 / n
+        k = int(np.argmax(gain))
+        if gain[k] > 1e-12 and (best is None or gain[k] > best[0] + 1e-15):
+            best = (float(gain[k]), j, float((cs[valid[k]] + cs[valid[k] + 1]) / 2.0))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def predict_sse_tree(node, x):
+    while node[0] != "leaf":
+        j, thr, left, right = node
+        node = left if x[j] <= thr else right
+    return node[1]
+
+
+def test_gbm_tree_is_the_least_squares_tree():
+    # the Newton tree with h = 1 and lambda = 0 halves every gain, so two
+    # candidate splits can only swap when they give the same training
+    # partition; the training-row predictions must agree exactly
+    for case in range(60):
+        rng = np.random.default_rng(case)
+        n, d = int(rng.integers(8, 80)), int(rng.integers(1, 5))
+        X = rng.standard_normal((n, d))
+        if case % 2:
+            X = np.round(X, 1)          # tied feature values
+        g = rng.standard_normal(n)
+        depth, min_leaf = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        oracle = fit_tree_sse(X, -g, depth, min_leaf)
+        tree = _fit_tree(X, g, np.ones(n), depth, min_leaf, 0.0)
+        expected = np.array([predict_sse_tree(oracle, x) for x in X])
+        assert np.array_equal(tree.predict(X), expected), f"case {case}"
+
+
+# --- loss derivatives ----------------------------------------------------------
+
+
+def test_gradients_match_finite_differences_with_ties():
+    rng = np.random.default_rng(4)
+    n = 30
+    times = rng.integers(1, 8, n).astype(float)       # many tied times
+    events = rng.integers(0, 2, n)
+    events[0] = 1
+    f = 0.5 * rng.standard_normal(n)
+    g, h = cox_gradients(f, times, events)
+    eps = 1e-4
+    base = cox_negloglik(times, events, f)
+    for i in range(n):
+        step = np.zeros(n)
+        step[i] = eps
+        up = cox_negloglik(times, events, f + step)
+        down = cox_negloglik(times, events, f - step)
+        assert g[i] == pytest.approx((up - down) / (2 * eps), rel=1e-6, abs=1e-8)
+        assert h[i] == pytest.approx((up - 2 * base + down) / eps ** 2, rel=1e-4, abs=1e-5)
+
+
+# --- the fitted model ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    return random_censored_cohort(np.random.default_rng(8), 70, 3, tie_fraction=0.5)
+
+
+def test_gbm_mode_fits_the_least_squares_tree_to_the_gradient(cohort):
+    order = sorted(range(len(cohort)),
+                   key=lambda i: (cohort.times[i], cohort.events[i], cohort.ids[i]))
+    X, t, e = cohort.X[order], cohort.times[order], cohort.events[order]
+    g, _ = cox_gradients(np.zeros(len(t)), t, e)
+    model = fit_boosted(cohort, _params("gbm", rounds=1, learning_rate=0.1))
+    oracle = fit_tree_sse(X, -g, 3, 4)
+    assert np.array_equal(model.base_learners[0].predict(X),
+                          np.array([predict_sse_tree(oracle, x) for x in X]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("subsample", [1.0, 0.7])
+def test_fit_is_invariant_to_row_order(cohort, mode, subsample):
+    perm = np.random.default_rng(1).permutation(len(cohort))
+    shuffled = make_cohort(cohort.times[perm], cohort.events[perm], cohort.X[perm],
+                           cohort.feature_names, list(cohort.ids[perm]))
+    params = _params(mode, row_subsample=subsample)
+    assert fit_boosted(shuffled, params).to_json() == fit_boosted(cohort, params).to_json()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_json_round_trip_predicts_identically(cohort, mode):
+    model = fit_boosted(cohort, _params(mode))
+    back = BoostedModel.from_json(model.to_json())
+    assert back.to_json() == model.to_json()
+    X = np.vstack([cohort.X, 3.0 * np.random.default_rng(2).standard_normal((20, 3))])
+    assert np.array_equal(back.predict_risk(X), model.predict_risk(X))
+
+
+@pytest.mark.parametrize("mode", ["gbm", "xgboost"])
+def test_scaled_tree_predicts_scaled_values(cohort, mode):
+    learner = fit_boosted(cohort, _params(mode)).base_learners[0]
+    X = np.vstack([cohort.X, np.random.default_rng(5).standard_normal((20, 3))])
+    assert np.array_equal(learner.scaled(0.375).predict(X), 0.375 * learner.predict(X))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_training_loss_never_rises(cohort, mode):
+    trace = np.array(fit_boosted(cohort, _params(mode)).training_loss_trace)
+    assert trace.size > 1
+    assert np.all(np.diff(trace) <= 1e-9)

@@ -9,7 +9,7 @@ import pytest
 
 import recurrisk
 from recurrisk.cli import main
-from recurrisk.cohort import SyntheticSpec, generate_synthetic
+from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.metrics import c_index
 
 
@@ -71,3 +71,40 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
+               "enabled_models": ["xgboost", "cox"]}
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"round": 5}}}),
+     "model_params for xgboost: unknown key(s) ['round']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"tie": "breslow"}}}),
+     "model_params for cox: unknown key(s) ['tie']"),
+    ('{"cohort_csv": "cohort.csv",', "Expecting property name"),
+    (json.dumps({"out_dir": "out"}), "missing field 'cohort_csv'"),
+    (json.dumps({**BASE_CONFIG, "alpha": "five percent"}), "to float: 'five percent'"),
+    (json.dumps({**BASE_CONFIG, "enabled_models": "cox"}), "expected a list, got 'cox'"),
+    (None, "No such file"),
+], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
+        "non-numeric-alpha", "models-as-string", "missing-file"])
+def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
+    cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(config), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_bad_horizon_exits_1(scores_csv, capsys):
+    path, _, _ = scores_csv
+    assert main(["evaluate", "--scores", str(path), "--horizons", "12,x", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--horizons" in err
+    assert "Traceback" not in err

@@ -1,0 +1,77 @@
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from recurrisk.errors import InvalidParameterError
+from recurrisk.explain import _as_predictor, _coalition_values, exact_shapley
+
+
+def shapley_permutation_oracle(model, x, background) -> np.ndarray:
+    """Average marginal contribution over all d! orderings (d <= 6).
+
+    Enumerates orderings directly instead of weighting subsets.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    d = x.size
+    assert d <= 6, "the permutation oracle enumerates d! orderings"
+    values, _ = _coalition_values(_as_predictor(model), x, background)
+    totals = np.zeros(d)
+    count = 0
+    for ordering in permutations(range(d)):
+        mask = 0
+        for j in ordering:
+            new_mask = mask | (1 << j)
+            totals[j] += values[new_mask] - values[mask]
+            mask = new_mask
+        count += 1
+    return totals / count
+
+
+def nonlinear(X):
+    """Interactions, a threshold and a saturating term."""
+    X = np.atleast_2d(X)
+    out = np.tanh(X[:, 0]) + 0.3 * X[:, 0] ** 2
+    for j in range(1, X.shape[1]):
+        out = out + X[:, j - 1] * X[:, j] + (X[:, j] > 0.2) * (j + 1)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_exact_matches_permutation_oracle(d):
+    rng = np.random.default_rng(d)
+    x, background = rng.standard_normal(d), rng.standard_normal(d)
+    phi = exact_shapley(nonlinear, x, background).values
+    np.testing.assert_allclose(phi, shapley_permutation_oracle(nonlinear, x, background),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6, 9])
+def test_attributions_sum_to_the_explained_difference(d):
+    rng = np.random.default_rng(10 + d)
+    x, background = rng.standard_normal(d), rng.standard_normal(d)
+    result = exact_shapley(nonlinear, x, background)
+    assert result.explained == nonlinear(x[None, :])[0]
+    assert result.baseline == nonlinear(background[None, :])[0]
+    assert np.sum(result.values) == pytest.approx(result.explained - result.baseline,
+                                                  rel=1e-12, abs=1e-12)
+
+
+def test_linear_model_attributions_are_weighted_differences():
+    rng = np.random.default_rng(3)
+    beta = rng.standard_normal(7)
+    x, background = rng.standard_normal(7), rng.standard_normal(7)
+
+    class Linear:
+        def predict_risk(self, X):
+            return np.atleast_2d(X) @ beta
+
+    phi = exact_shapley(Linear(), x, background).values
+    np.testing.assert_allclose(phi, beta * (x - background), rtol=1e-12, atol=1e-13)
+
+
+def test_more_than_fourteen_features_is_rejected():
+    calls = []
+    with pytest.raises(InvalidParameterError):
+        exact_shapley(lambda X: calls.append(X) or X[:, 0], np.zeros(15), np.zeros(15))
+    assert not calls

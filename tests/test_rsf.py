@@ -3,6 +3,7 @@ import pytest
 
 from recurrisk.errors import ShapeError
 from recurrisk.nonparametric import log_rank
+from recurrisk.stepfun import average_step_functions
 from recurrisk.rsf import (
     ForestParams,
     TreeSplit,
@@ -57,7 +58,21 @@ def _rows(forest, cohort):
                       *on_threshold])
 
 
+def chf_for(root, x):
+    """Per-row walk down one tree to its leaf CHF; the routing oracle."""
+    node = root
+    while isinstance(node, TreeSplit):
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.chf
+
+
 class TestBatchPrediction:
+    def test_routing_matches_per_row_walk(self, forest, cohort):
+        X, times = _rows(forest, cohort), _query_times(forest, cohort)
+        expected = np.array([average_step_functions(
+            [chf_for(tree.root, x) for tree in forest.trees])(times) for x in X])
+        assert np.array_equal(predict_chf_at(forest, X, times), expected)
+
     def test_chf_matches_per_row_reference(self, forest, cohort):
         X, times = _rows(forest, cohort), _query_times(forest, cohort)
         expected = np.array([predict_chf(forest, x)(times) for x in X])
