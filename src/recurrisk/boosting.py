@@ -16,7 +16,8 @@ The per-subject first and second derivatives of the loss come from
 ``cox_gradients`` and use a diagonal Hessian approximation, standard for
 survival boosting. Subjects are re-sorted into a canonical order at the
 start of training, which makes the fitted model exactly invariant to input
-permutations. Tree growth, routing and serialization come from ``tree.py``.
+permutations, and their risk sets are built once per fit. Tree growth,
+routing and serialization come from ``tree.py``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
+from .nonparametric import RiskSets
 from . import tree
 
 _MODES = ("componentwise", "gbm", "xgboost")
@@ -64,56 +66,40 @@ class BoostParams:
             raise InvalidParameterError("l2_lambda must be >= 0")
 
 
-def cox_negloglik(times, events, scores) -> float:
+def cox_negloglik(risk: RiskSets, scores) -> float:
     """Negative Cox partial log-likelihood of per-subject scores (Breslow ties)."""
-    times = np.asarray(times, float)
-    events = np.asarray(events, int)
     scores = np.asarray(scores, float)
     shift = float(np.max(scores))
     w = np.exp(np.maximum(scores - shift, -700.0))
-    order = np.argsort(times, kind="stable")
-    t_s, e_s, w_s, f_s = times[order], events[order], w[order], scores[order]
-    s0 = np.cumsum(w_s[::-1])[::-1]
-    first = np.searchsorted(t_s, t_s, side="left")  # first index of each tied block
-    ev = e_s == 1
-    return float(np.sum(np.log(s0[first[ev]]) + shift - f_s[ev]))
+    s0 = risk.suffix_sum(w[risk.order])
+    return float(np.sum(np.log(s0[risk.event_heads]) + shift
+                        - scores[risk.order][risk.event_pos]))
 
 
-def cox_gradients(scores, times, events):
+def cox_gradients(risk: RiskSets, scores):
     """Per-subject gradient g and diagonal Hessian h of the negative partial
     log-likelihood with respect to the scores.
 
     g_i = -delta_i + exp(f_i) * sum over events k with t_k <= t_i of 1/Phi_k,
     h_i = exp(f_i) * A_i - exp(2 f_i) * B_i with B the sum of 1/Phi_k^2;
-    computed in O(n log n) via sorted cumulative sums.
+    computed in O(n) from the risk sets via cumulative sums.
     """
     scores = np.asarray(scores, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
     if not np.all(np.isfinite(scores)):
         raise NumericInputError("scores must be finite")
 
     shift = float(np.max(scores))
-    w = np.exp(np.maximum(scores - shift, -700.0))
-    order = np.argsort(times, kind="stable")
-    t_s, e_s, w_s = times[order], events[order], w[order]
-    s0 = np.cumsum(w_s[::-1])[::-1]
-
-    # per distinct event time: risk-set sum Phi and event multiplicity
-    first = np.searchsorted(t_s, t_s, side="left")
-    ev_idx = np.nonzero(e_s == 1)[0]
-    phi = s0[first[ev_idx]]                      # one term per event subject
+    w = np.exp(np.maximum(scores - shift, -700.0))[risk.order]
+    phi = risk.suffix_sum(w)[risk.event_heads]    # one term per event
     inv1 = np.cumsum(1.0 / phi)
     inv2 = np.cumsum(1.0 / phi ** 2)
-    event_times = t_s[ev_idx]
 
-    # number of event terms with t_k <= t_i
-    k = np.searchsorted(event_times, times, side="right")
+    k = risk.events_through                       # event terms with t_k <= t_i
     a = np.where(k > 0, inv1[np.maximum(k - 1, 0)], 0.0)
     b = np.where(k > 0, inv2[np.maximum(k - 1, 0)], 0.0)
-    g = -events + w * a
-    h = w * a - w ** 2 * b
-    return g, np.maximum(h, 0.0)
+    g = -risk.events + w * a
+    h = np.maximum(w * a - w ** 2 * b, 0.0)
+    return risk.unsort(g), risk.unsort(h)
 
 
 # --- base learners ----------------------------------------------------------
@@ -297,11 +283,12 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
 
     f = np.zeros(n)
     learners: list = []
-    trace = [cox_negloglik(t, e, f)]
+    risk = RiskSets(t, e)
+    trace = [cox_negloglik(risk, f)]
     early_stop = None
 
     for rnd in range(params.rounds):
-        g, h = cox_gradients(f, t, e)
+        g, h = cox_gradients(risk, f)
         if params.mode == "gbm":
             h = np.ones(n)
         if params.row_subsample < 1.0:
@@ -324,7 +311,7 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
         for _ in range(31):
             cand = learner.scaled(scale) if scale != 1.0 else learner
             f_new = f + params.learning_rate * cand.predict(X)
-            loss = cox_negloglik(t, e, f_new)
+            loss = cox_negloglik(risk, f_new)
             if loss <= trace[-1] + 1e-9:
                 learners.append(cand)
                 f = f_new

@@ -25,6 +25,7 @@ from .errors import (
     NumericInputError,
     TrainingError,
 )
+from .nonparametric import RiskSets
 from .stepfun import StepFunction
 
 
@@ -74,29 +75,20 @@ def partial_loglik(beta, cohort: Cohort, ties: str = "efron"):
     if ties not in ("breslow", "efron"):
         raise InvalidParameterError(f"unknown tie method {ties!r}")
     beta, X, times, events = _prepare(beta, cohort)
-    return _partial_loglik_arrays(beta, X, times, events, ties)
+    return _partial_loglik_arrays(beta, X, RiskSets(times, events), ties)
 
 
-def _partial_loglik_arrays(beta, X, times, events, ties):
+def _partial_loglik_arrays(beta, X, risk: RiskSets, ties):
     n, d = X.shape
     eta = X @ beta
     shift = float(np.max(eta))
     w = np.exp(np.maximum(eta - shift, -700.0))
 
-    order = np.argsort(times, kind="stable")
-    t_s, e_s, x_s, w_s, eta_s = times[order], events[order], X[order], w[order], eta[order]
-
+    x_s, w_s, eta_s = X[risk.order], w[risk.order], eta[risk.order]
     wx = w_s[:, None] * x_s
     wxx = np.einsum("ni,nj->nij", wx, x_s)
-    # suffix sums over the risk set {t_j >= t}
-    s0 = np.cumsum(w_s[::-1])[::-1]
-    s1 = np.cumsum(wx[::-1], axis=0)[::-1]
-    s2 = np.cumsum(wxx[::-1], axis=0)[::-1]
-
-    first = np.searchsorted(t_s, t_s, side="left")   # head of each tied block
-    ev = np.nonzero(e_s == 1)[0]
-    blocks, block_of_ev, deaths_per_block = np.unique(
-        first[ev], return_inverse=True, return_counts=True)
+    s0, s1, s2 = (risk.suffix_sum(v) for v in (w_s, wx, wxx))
+    ev = risk.event_pos
 
     value = float(np.sum(eta_s[ev]))
     grad = x_s[ev].sum(axis=0)
@@ -106,12 +98,11 @@ def _partial_loglik_arrays(beta, X, times, events, ties):
         simple_ev = ev                     # every event uses the full risk set
         tied_blocks = np.empty(0, dtype=int)
     else:
-        singleton = deaths_per_block[block_of_ev] == 1
-        simple_ev = ev[singleton]
-        tied_blocks = blocks[deaths_per_block > 1]
+        simple_ev = ev[risk.deaths_at[risk.event_heads] == 1]
+        tied_blocks = risk.blocks[risk.deaths > 1]
 
     if simple_ev.size:
-        idx = first[simple_ev]
+        idx = risk.heads[simple_ev]
         den = s0[idx]
         means = s1[idx] / den[:, None]
         value -= float(np.sum(np.log(den) + shift))
@@ -119,7 +110,7 @@ def _partial_loglik_arrays(beta, X, times, events, ties):
         hess -= np.tensordot(1.0 / den, s2[idx], axes=1) - means.T @ means
 
     for i in tied_blocks:                  # Efron correction per tied block
-        dead = ev[(ev >= i) & (t_s[ev] == t_s[i])]
+        dead = ev[risk.event_heads == i]
         d_k = dead.size
         phi0, phi1, phi2 = s0[i], s1[i], s2[i]
         psi0 = float(np.sum(w_s[dead]))
@@ -140,21 +131,13 @@ def breslow_baseline(times, events, scores) -> StepFunction:
 
     H0(t) = sum over event times t_k <= t of d_k / sum_{j in R_k} exp(f_j).
     """
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
+    risk = RiskSets(times, events)
     scores = np.asarray(scores, dtype=float)
     shift = float(np.max(scores))
     w = np.exp(np.maximum(scores - shift, -700.0))
-
-    order = np.argsort(times, kind="stable")
-    t_s, e_s, w_s = times[order], events[order], w[order]
-    s0 = np.cumsum(w_s[::-1])[::-1]
-
-    heads = np.flatnonzero(np.r_[True, t_s[1:] != t_s[:-1]])  # tied-block heads
-    d = np.add.reduceat(e_s, heads)
-    heads, d = heads[d > 0], d[d > 0]
-    increments = d / (s0[heads] * np.exp(shift))
-    return StepFunction(t_s[heads], np.cumsum(increments), 0.0)
+    s0 = risk.suffix_sum(w[risk.order])
+    increments = risk.deaths / (s0[risk.blocks] * np.exp(shift))
+    return StepFunction(risk.times[risk.blocks], np.cumsum(increments), 0.0)
 
 
 _INFO_COLLAPSE = 1e-8  # information-collapse ratio; see fit_cox

@@ -3,9 +3,8 @@ calibration tables and decision-curve net benefit.
 
 The concordance index is Harrell's: a pair (i, j) is comparable iff
 t_i < t_j and subject i had the event; it is concordant when the
-higher-risk subject fails first, and score ties earn half credit. Two
-implementations are provided - an O(n^2) reference and an O(n log n)
-rank-count variant - and they agree exactly (integer pair counts).
+higher-risk subject fails first, and score ties earn half credit. The
+pairs are counted in O(n log n) with a Fenwick tree over score ranks.
 """
 
 from __future__ import annotations
@@ -38,20 +37,6 @@ def _check_inputs(times, events, scores):
     if not (times.shape == events.shape == scores.shape) or times.ndim != 1:
         raise InvalidParameterError("times, events and scores must be equal-length 1-d arrays")
     return times, events, scores
-
-
-def c_index_brute(times, events, scores) -> ConcordanceResult:
-    """O(n^2) reference implementation; the oracle for the fast variant."""
-    times, events, scores = _check_inputs(times, events, scores)
-    comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1)
-    higher = scores[:, None] > scores[None, :]
-    lower = scores[:, None] < scores[None, :]
-    concordant = int(np.sum(comparable & higher))
-    discordant = int(np.sum(comparable & lower))
-    tied = int(np.sum(comparable)) - concordant - discordant
-    if concordant + discordant + tied == 0:
-        raise UndefinedMetricError("no comparable pairs")
-    return ConcordanceResult(concordant, discordant, tied)
 
 
 class _Fenwick:

@@ -1,6 +1,7 @@
-"""Kaplan-Meier and Nelson-Aalen estimators and the two-sample log-rank test.
+"""Risk sets, Kaplan-Meier and Nelson-Aalen estimators and the log-rank test.
 
-Tie convention: events at t precede censorings at t, so subjects censored
+Tie convention, kept by ``RiskSets``, which every risk-set sum in the
+package reads: events at t precede censorings at t, so subjects censored
 at t are still part of the risk set at t and leave it strictly afterwards.
 All functions are pure and thread-safe.
 """
@@ -16,6 +17,44 @@ from .errors import EmptyCohortError, InvalidParameterError, UndefinedMetricErro
 from .stepfun import StepFunction
 
 
+class RiskSets:
+    """Risk sets {j : t_j >= t} of one sample, built once from (times, events).
+
+    Subjects are taken in stable time order, and a block of tied times
+    shares the risk set that starts at its first sorted position, its head.
+    Arrays and positions are in sorted order; ``unsort`` maps per-subject
+    values back to input order.
+    """
+
+    def __init__(self, times, events):
+        times = np.asarray(times, dtype=float)
+        self.order = np.argsort(times, kind="stable")
+        self.times = times[self.order]
+        self.events = np.asarray(events, dtype=int)[self.order]
+        # first sorted position of each subject's tied block
+        self.heads = np.searchsorted(self.times, self.times, side="left")
+        self.event_pos = np.flatnonzero(self.events == 1)
+        self.event_heads = self.heads[self.event_pos]
+        # deaths in the tied block headed at each sorted position, 0 elsewhere
+        self.deaths_at = np.bincount(self.event_heads, minlength=self.times.size)
+        self.blocks = np.flatnonzero(self.deaths_at)   # heads of blocks holding events
+        self.deaths = self.deaths_at[self.blocks]
+        self.at_risk = self.times.size - self.blocks
+        # number of events at or before each subject's time
+        self.events_through = np.cumsum(self.deaths_at)[self.heads]
+
+    @staticmethod
+    def suffix_sum(sorted_values):
+        """Sums over {j : position >= p} for every sorted position p."""
+        return np.cumsum(sorted_values[::-1], axis=0)[::-1]
+
+    def unsort(self, sorted_values):
+        """Per-subject values from sorted order back to input order."""
+        out = np.empty_like(sorted_values)
+        out[self.order] = sorted_values
+        return out
+
+
 def _event_table(times, events):
     """Distinct event times with event counts d and risk-set sizes n."""
     times = np.asarray(times, dtype=float)
@@ -26,11 +65,8 @@ def _event_table(times, events):
         raise InvalidParameterError("all times must be positive")
     if times.shape != events.shape:
         raise InvalidParameterError("times and events must have equal length")
-
-    event_times, d_at = np.unique(times[events == 1], return_counts=True)
-    # risk set at t: subjects with observed time >= t (censored-at-t included)
-    n_at = times.size - np.searchsorted(np.sort(times), event_times, side="left")
-    return event_times, d_at, n_at
+    risk = RiskSets(times, events)
+    return risk.times[risk.blocks], risk.deaths, risk.at_risk
 
 
 def kaplan_meier(times, events) -> StepFunction:
@@ -81,16 +117,11 @@ def log_rank(group_a, group_b) -> LogRankResult:
     if int(np.sum(events_a)) + int(np.sum(events_b)) == 0:
         raise UndefinedMetricError("log-rank is undefined with zero events")
 
-    times = np.concatenate([times_a, times_b]).astype(float)
-    events = np.concatenate([events_a, events_b]).astype(int)
-    t_a, e_a = times[:times_a.size], events[:times_a.size]
-
-    event_times, d = np.unique(times[events == 1], return_counts=True)
-    n = times.size - np.searchsorted(np.sort(times), event_times, side="left")
-    n_a = t_a.size - np.searchsorted(np.sort(t_a), event_times, side="left")
-    deaths_a = np.sort(t_a[e_a == 1])
-    d_a = (np.searchsorted(deaths_a, event_times, side="right")
-           - np.searchsorted(deaths_a, event_times, side="left"))
+    risk = RiskSets(np.concatenate([times_a, times_b]), np.concatenate([events_a, events_b]))
+    d, n = risk.deaths, risk.at_risk
+    in_a = risk.order < times_a.size
+    n_a = risk.suffix_sum(in_a)[risk.blocks]
+    d_a = np.bincount(risk.event_heads[in_a[risk.event_pos]], minlength=in_a.size)[risk.blocks]
     observed_a = float(np.sum(d_a))
     observed_total = float(np.sum(d))
     # cumsum adds left to right in event-time order, as a scalar loop would

@@ -19,6 +19,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,26 +92,52 @@ def _booster(mode: str):
     return fit
 
 
-# Learner name -> fit(cohort, params, seed, fold) -> (model, risk), where
-# params is the learner's `model_params` entry, fold is -1 for the
-# whole-cohort refit and risk(X) scores rows with the fitted model. The
-# entries look fit_cox, fit_rsf, fit_boosted and predict_risk_matrix up at
-# call time, so rebinding those module names takes effect.
+def _accepted(target, *set_by_pipeline) -> dict:
+    """Parameter name -> default for the keys a `model_params` entry may set."""
+    return {name: p.default for name, p in inspect.signature(target).parameters.items()
+            if name not in ("cohort", *set_by_pipeline)}
+
+
+class Learner(NamedTuple):
+    """fit(cohort, params, seed, fold) -> (model, risk), where params is the
+    learner's `model_params` entry, fold is -1 for the whole-cohort refit and
+    risk(X) scores rows with the fitted model; `params` maps each key the
+    entry may hold to the default whose type its value must have."""
+
+    fit: Callable
+    params: dict
+
+
+# The fit functions look fit_cox, fit_rsf, fit_boosted and predict_risk_matrix
+# up at call time, so rebinding those module names takes effect. The mode
+# and the seed are set by the pipeline, so a config may not set them.
+_BOOST_PARAMS = _accepted(BoostParams, "mode", "seed")
 LEARNERS = {
-    "xgboost": _booster("xgboost"),
-    "rsf": _fit_rsf,
-    "coxboost": _booster("componentwise"),
-    "gbm": _booster("gbm"),
-    "cox": _fit_cox,
+    "xgboost": Learner(_booster("xgboost"), _BOOST_PARAMS),
+    "rsf": Learner(_fit_rsf, _accepted(ForestParams, "seed")),
+    "coxboost": Learner(_booster("componentwise"), _BOOST_PARAMS),
+    "gbm": Learner(_booster("gbm"), _BOOST_PARAMS),
+    "cox": Learner(_fit_cox, _accepted(fit_cox)),
 }
 MODEL_ORDER = tuple(LEARNERS)
 
+# `temporal_params` key -> the value used when the config leaves it out
+TEMPORAL_PARAMS = {"pe_dim": 8, "hidden": 8, "learning_rate": 0.02, "epochs": 60}
 
-# Learner name -> the keys its `model_params` entry may hold
-LEARNER_PARAMS = {name: frozenset(inspect.signature(target).parameters) - {"cohort"}
-                  for name, target in (("xgboost", BoostParams), ("rsf", ForestParams),
-                                       ("coxboost", BoostParams), ("gbm", BoostParams),
-                                       ("cox", fit_cox))}
+
+def _check_params(where: str, params: dict, defaults: dict) -> None:
+    """Reject unknown keys and values not of their default's type. An int
+    may stand for a float or fill a None default; a bool is never a number."""
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise InvalidParameterError(f"{where}: unknown key(s) {unknown}")
+    for key, value in params.items():
+        default = defaults[key]
+        allowed = {type(None): (int, type(None)), float: (int, float)}.get(
+            type(default), type(default))
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise InvalidParameterError(
+                f"{where}: {key}={value!r} does not match the type of its default {default!r}")
 
 
 def _json_list(value) -> tuple:
@@ -150,11 +177,10 @@ class PipelineConfig:
             raise InvalidParameterError(f"unknown models: {sorted(unknown)}")
         object.__setattr__(self, "enabled_models", tuple(self.enabled_models))
         for name, params in self.model_params.items():
-            if name not in LEARNER_PARAMS:
+            if name not in LEARNERS:
                 raise InvalidParameterError(f"model_params names an unknown model {name!r}")
-            unknown = sorted(set(params) - LEARNER_PARAMS[name])
-            if unknown:
-                raise InvalidParameterError(f"model_params for {name}: unknown key(s) {unknown}")
+            _check_params(f"model_params for {name}", params, LEARNERS[name].params)
+        _check_params("temporal_params", self.temporal_params, TEMPORAL_PARAMS)
 
     @staticmethod
     def from_json_file(path) -> "PipelineConfig":
@@ -246,34 +272,36 @@ class FoldModels:
     errors: dict                       # name -> message for failed models
 
 
+def _select_features(cohort: Cohort, config: PipelineConfig):
+    """Normalize, screen and VIF-filter (the filter runs on two or more
+    retained features). Returns the normalized cohort, the screen rows, the
+    selected names in cohort column order and the names the filter removed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstantFeatureWarning)
+        norm = zscore_normalize(cohort)
+    screen_rows = univariate_screen(norm, alpha=config.alpha)
+    retained = set(retained_features(screen_rows, config.alpha))
+    retained = [n for n in norm.feature_names if n in retained]
+    if len(retained) < 2:
+        return norm, screen_rows, tuple(retained), ()
+    vif = vif_filter(norm, retained, threshold=config.vif_threshold)
+    return norm, screen_rows, vif.kept, tuple(name for name, _ in vif.removed)
+
+
 def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldModels:
     """Normalize, screen, VIF-filter and train every enabled learner on one
     training fold. Depends only on the training rows."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConstantFeatureWarning)
-        train_norm = zscore_normalize(train)
-
-    screen_rows = univariate_screen(train_norm, alpha=config.alpha)
-    retained = retained_features(screen_rows, config.alpha)
-    if not retained:
+    train_norm, _, selected, vif_removed = _select_features(train, config)
+    if not selected:
         raise PipelineError("screening", "zero features survived the p-value screen")
-    retained = [n for n in train_norm.feature_names if n in set(retained)]
-
-    vif_removed: tuple[str, ...] = ()
-    if len(retained) >= 2:
-        vif = vif_filter(train_norm, retained, threshold=config.vif_threshold)
-        selected = vif.kept
-        vif_removed = tuple(name for name, _ in vif.removed)
-    else:
-        selected = tuple(retained)
 
     train_sel = train_norm.subset_features(selected)
 
     models, baselines, errors = {}, {}, {}
     for name in config.enabled_models:
         try:
-            model, risk = LEARNERS[name](train_sel, config.model_params.get(name, {}),
-                                         config.seed, fold)
+            model, risk = LEARNERS[name].fit(train_sel, config.model_params.get(name, {}),
+                                             config.seed, fold)
             models[name] = model
             if not isinstance(model, Forest):  # a forest's S(h) comes from its own CHF
                 baselines[name] = breslow_baseline(train_sel.times, train_sel.events,
@@ -538,13 +566,7 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
     These tables are descriptive (fit on all rows); model metrics above come
     exclusively from out-of-fold predictions.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConstantFeatureWarning)
-        full_norm = zscore_normalize(cohort)
-    screen_rows = univariate_screen(full_norm, alpha=config.alpha)
-    retained = retained_features(screen_rows, config.alpha)
-    retained = [n for n in full_norm.feature_names if n in set(retained)]
-
+    full_norm, screen_rows, selected, _ = _select_features(cohort, config)
     screen_section = [
         {"feature": r.feature, "hazard_ratio": _nan_to_none(r.hazard_ratio),
          "ci_low": _nan_to_none(r.ci_low), "ci_high": _nan_to_none(r.ci_high),
@@ -553,16 +575,11 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
         for r in screen_rows]
 
     importance_section = {"method": None, "rows": []}
-    if retained:
-        if len(retained) >= 2:
-            vif = vif_filter(full_norm, retained, threshold=config.vif_threshold)
-            selected = vif.kept
-        else:
-            selected = tuple(retained)
+    if selected:
         selected_cohort = full_norm.subset_features(selected)
         try:
-            _, risk = LEARNERS[chosen](selected_cohort, config.model_params.get(chosen, {}),
-                                       config.seed, -1)
+            _, risk = LEARNERS[chosen].fit(selected_cohort,
+                                           config.model_params.get(chosen, {}), config.seed, -1)
         except RecurriskError:
             risk = None
         if risk is not None:
@@ -603,11 +620,7 @@ def _temporal_lane(cohort: Cohort, folds, config: PipelineConfig):
         raise PipelineError("temporal",
                             f"longitudinal data missing for {len(missing)} subjects "
                             f"(first: {missing[0]!r})")
-    params = dict(config.temporal_params)
-    pe_dim = int(params.get("pe_dim", 8))
-    hidden = int(params.get("hidden", 8))
-    lr = float(params.get("learning_rate", 0.02))
-    epochs = int(params.get("epochs", 60))
+    params = {**TEMPORAL_PARAMS, **config.temporal_params}
 
     times, events = cohort.times, cohort.events
     ids = cohort.ids
@@ -618,9 +631,7 @@ def _temporal_lane(cohort: Cohort, folds, config: PipelineConfig):
             test_idx = np.nonzero(folds == f)[0]
             train_idx = np.nonzero(folds != f)[0]
             train_seqs = [by_id[ids[i]] for i in train_idx]
-            model = train_temporal(train_seqs, pe_dim=pe_dim, hidden=hidden,
-                                   learning_rate=lr, epochs=epochs,
-                                   seed=config.seed + f)
+            model = train_temporal(train_seqs, **params, seed=config.seed + f)
             for i in test_idx:
                 oof[i] = temporal_risk(by_id[ids[i]], model)
     except RecurriskError as exc:

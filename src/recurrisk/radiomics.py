@@ -337,21 +337,3 @@ def load_region_mask(path) -> RegionMask:
         lines = fh.read().strip().splitlines()
     dims, _, flat = _read_header(lines, path)
     return RegionMask(dims, flat)
-
-
-def write_voxel_grid(grid: VoxelGrid, path) -> None:
-    nx, ny, nz = grid.dims
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dims {nx} {ny} {nz}\n")
-        fh.write("spacing {} {} {}\n".format(*(repr(float(s)) for s in grid.spacing)))
-        flat = grid.intensities.reshape(-1, order="F")
-        fh.write(" ".join(repr(float(v)) for v in flat) + "\n")
-
-
-def write_region_mask(mask: RegionMask, spacing, path) -> None:
-    nx, ny, nz = mask.dims
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dims {nx} {ny} {nz}\n")
-        fh.write("spacing {} {} {}\n".format(*(repr(float(s)) for s in spacing)))
-        flat = mask.occupancy.reshape(-1, order="F").astype(int)
-        fh.write(" ".join(str(v) for v in flat) + "\n")

@@ -7,9 +7,10 @@ byte-identical across runs and independent of any parallel schedule.
 Split search is exhaustive over midpoints of consecutive distinct feature
 values; ties in the log-rank statistic break toward the lowest feature
 index, then the lowest threshold. Each node takes its event times, death
-counts and risk-set sizes from the event table that also builds the
-Nelson-Aalen leaves (``nonparametric._event_table``), and builds its
-subject-by-event-time at-risk matrix once for all candidate features.
+counts and risk-set sizes from the risk-set kernel that also builds the
+Nelson-Aalen leaves (``nonparametric.RiskSets``, read through
+``_event_table``), and builds its subject-by-event-time at-risk matrix once
+for all candidate features.
 
 Growth order and batch routing come from ``tree.py``: every leaf reached
 by a batch of rows evaluates its cumulative hazard once at the requested
@@ -30,7 +31,7 @@ from .cohort import Cohort
 from .errors import InvalidParameterError, ShapeError, TrainingError
 from .nonparametric import _event_table, nelson_aalen
 from .stepfun import StepFunction, average_step_functions
-from .tree import TreeSplit, from_dict, grow, route, to_dict
+from .tree import TreeSplit, grow, route, to_dict
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,6 @@ def _leaf_to_dict(leaf: TreeLeaf) -> dict:
             "values": leaf.chf.values.tolist()}
 
 
-def _leaf_from_dict(doc) -> TreeLeaf:
-    return TreeLeaf(chf=StepFunction(np.array(doc["knots"], dtype=float),
-                                     np.array(doc["values"], dtype=float), 0.0),
-                    count=int(doc["count"]))
-
-
 def forest_to_json(forest: Forest) -> str:
     doc = {
         "model": "random_survival_forest",
@@ -232,21 +227,3 @@ def forest_to_json(forest: Forest) -> str:
         } for t in forest.trees],
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def forest_from_json(text: str) -> Forest:
-    doc = json.loads(text)
-    p = doc["params"]
-    trees = tuple(
-        SurvivalTree(root=from_dict(t["root"], _leaf_from_dict),
-                     bootstrap_indices=np.array(t["bootstrap_indices"], dtype=int),
-                     oob_indices=np.array(t["oob_indices"], dtype=int))
-        for t in doc["trees"])
-    return Forest(
-        feature_names=tuple(doc["feature_names"]),
-        trees=trees,
-        max_event_time=float(doc["max_event_time"]),
-        params=ForestParams(n_trees=int(p["n_trees"]), mtry=p["mtry"],
-                            min_node_events=int(p["min_node_events"]),
-                            max_depth=p["max_depth"], seed=int(p["seed"])),
-    )

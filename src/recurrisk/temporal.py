@@ -36,6 +36,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
+from .nonparametric import RiskSets
 
 
 @dataclass(frozen=True)
@@ -191,16 +192,16 @@ def temporal_risk(seq: SnapshotSequence, model: TemporalModel,
     return float(scores[0])
 
 
-def _loss_and_gradients(batch, times, events, model: TemporalModel):
+def _loss_and_gradients(batch, risk: RiskSets, model: TemporalModel):
     """Cox loss and parameter gradients over one packed batch."""
     scores, cache = _forward(batch, model)
-    dscores, _ = cox_gradients(scores, times, events)
-    return cox_negloglik(times, events, scores), _backward(model, cache, dscores)
+    dscores, _ = cox_gradients(risk, scores)
+    return cox_negloglik(risk, scores), _backward(model, cache, dscores)
 
 
-def _outcomes(sequences):
-    return (np.array([s.time for s in sequences]),
-            np.array([s.event for s in sequences]))
+def _risk_sets(sequences) -> RiskSets:
+    return RiskSets(np.array([s.time for s in sequences]),
+                    np.array([s.event for s in sequences]))
 
 
 def temporal_loss_and_gradients(sequences, model: TemporalModel,
@@ -208,7 +209,7 @@ def temporal_loss_and_gradients(sequences, model: TemporalModel,
     """(loss, gradient dict) of the Cox loss; the finite-difference hook."""
     seqs = _canonical_order(sequences)
     batch = _pack(seqs, model.pe_dim, use_positional_encoding)
-    return _loss_and_gradients(batch, *_outcomes(seqs), model)
+    return _loss_and_gradients(batch, _risk_sets(seqs), model)
 
 
 def _canonical_order(sequences):
@@ -251,11 +252,11 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
 
     model = initial_model(pe_dim, hidden, seed)
     batch = _pack(seqs, pe_dim, use_positional_encoding)
-    times, events = _outcomes(seqs)
+    risk = _risk_sets(seqs)
     trace = []
     consecutive_rises = 0
     for _ in range(epochs):
-        loss, grads = _loss_and_gradients(batch, times, events, model)
+        loss, grads = _loss_and_gradients(batch, risk, model)
         trace.append(loss)
         if len(trace) >= 2 and trace[-1] > trace[-2]:
             consecutive_rises += 1
@@ -274,7 +275,7 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
             w_out=model.w_out - learning_rate * grads["w_out"],
             b_out=model.b_out - learning_rate * grads["b_out"],
         )
-    final_loss, _ = _loss_and_gradients(batch, times, events, model)
+    final_loss, _ = _loss_and_gradients(batch, risk, model)
     trace.append(final_loss)
     return replace(model, training_loss_trace=tuple(trace))
 

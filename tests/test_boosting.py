@@ -9,6 +9,7 @@ from recurrisk.boosting import (
     cox_negloglik,
     fit_boosted,
 )
+from recurrisk.nonparametric import RiskSets
 
 from conftest import make_cohort, random_censored_cohort
 
@@ -104,16 +105,74 @@ def test_gradients_match_finite_differences_with_ties():
     events = rng.integers(0, 2, n)
     events[0] = 1
     f = 0.5 * rng.standard_normal(n)
-    g, h = cox_gradients(f, times, events)
+    risk = RiskSets(times, events)
+    g, h = cox_gradients(risk, f)
     eps = 1e-4
-    base = cox_negloglik(times, events, f)
+    base = cox_negloglik(risk, f)
     for i in range(n):
         step = np.zeros(n)
         step[i] = eps
-        up = cox_negloglik(times, events, f + step)
-        down = cox_negloglik(times, events, f - step)
+        up = cox_negloglik(risk, f + step)
+        down = cox_negloglik(risk, f - step)
         assert g[i] == pytest.approx((up - down) / (2 * eps), rel=1e-6, abs=1e-8)
         assert h[i] == pytest.approx((up - 2 * base + down) / eps ** 2, rel=1e-4, abs=1e-5)
+
+
+# the former per-call loss and derivatives, which sorted on every call, kept
+# as the oracles of the risk-set versions
+
+
+def negloglik_per_call(times, events, scores):
+    times = np.asarray(times, float)
+    events = np.asarray(events, int)
+    scores = np.asarray(scores, float)
+    shift = float(np.max(scores))
+    w = np.exp(np.maximum(scores - shift, -700.0))
+    order = np.argsort(times, kind="stable")
+    t_s, e_s, w_s, f_s = times[order], events[order], w[order], scores[order]
+    s0 = np.cumsum(w_s[::-1])[::-1]
+    first = np.searchsorted(t_s, t_s, side="left")
+    ev = e_s == 1
+    return float(np.sum(np.log(s0[first[ev]]) + shift - f_s[ev]))
+
+
+def gradients_per_call(scores, times, events):
+    scores = np.asarray(scores, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    shift = float(np.max(scores))
+    w = np.exp(np.maximum(scores - shift, -700.0))
+    order = np.argsort(times, kind="stable")
+    t_s, e_s, w_s = times[order], events[order], w[order]
+    s0 = np.cumsum(w_s[::-1])[::-1]
+    first = np.searchsorted(t_s, t_s, side="left")
+    ev_idx = np.nonzero(e_s == 1)[0]
+    phi = s0[first[ev_idx]]
+    inv1 = np.cumsum(1.0 / phi)
+    inv2 = np.cumsum(1.0 / phi ** 2)
+    k = np.searchsorted(t_s[ev_idx], times, side="right")
+    a = np.where(k > 0, inv1[np.maximum(k - 1, 0)], 0.0)
+    b = np.where(k > 0, inv2[np.maximum(k - 1, 0)], 0.0)
+    g = -events + w * a
+    h = w * a - w ** 2 * b
+    return g, np.maximum(h, 0.0)
+
+
+def test_risk_set_loss_and_derivatives_equal_the_per_call_versions():
+    for case in range(80):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(1, 60))
+        times = rng.choice([1.0, 2.0, 2.5, 4.0, 7.0], n) if case % 2 else \
+            rng.exponential(5.0, n) + 0.1           # heavy ties or none, unsorted
+        events = rng.integers(0, 2, n)
+        events[times >= np.quantile(times, 0.7)] = 0  # all-censored tail
+        events[int(rng.integers(n))] = 1
+        scores = rng.normal(0.0, 1.0 + case % 4, n)
+        risk = RiskSets(times, events)
+        assert cox_negloglik(risk, scores) == negloglik_per_call(times, events, scores)
+        g, h = cox_gradients(risk, scores)
+        g_ref, h_ref = gradients_per_call(scores, times, events)
+        assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref), f"case {case}"
 
 
 # --- the fitted model ----------------------------------------------------------
@@ -128,7 +187,7 @@ def test_gbm_mode_fits_the_least_squares_tree_to_the_gradient(cohort):
     order = sorted(range(len(cohort)),
                    key=lambda i: (cohort.times[i], cohort.events[i], cohort.ids[i]))
     X, t, e = cohort.X[order], cohort.times[order], cohort.events[order]
-    g, _ = cox_gradients(np.zeros(len(t)), t, e)
+    g, _ = cox_gradients(RiskSets(t, e), np.zeros(len(t)))
     model = fit_boosted(cohort, _params("gbm", rounds=1, learning_rate=0.1))
     oracle = fit_tree_sse(X, -g, 3, 4)
     assert np.array_equal(model.base_learners[0].predict(X),

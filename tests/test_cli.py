@@ -11,6 +11,7 @@ import recurrisk
 from recurrisk.cli import main
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.metrics import c_index
+from recurrisk.pipeline import PipelineConfig
 
 
 @pytest.fixture
@@ -87,8 +88,24 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
     (json.dumps({**BASE_CONFIG, "alpha": "five percent"}), "to float: 'five percent'"),
     (json.dumps({**BASE_CONFIG, "enabled_models": "cox"}), "expected a list, got 'cox'"),
     (None, "No such file"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"gbm": {"mode": "xgboost"}}}),
+     "model_params for gbm: unknown key(s) ['mode']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"rsf": {"seed": 3}}}),
+     "model_params for rsf: unknown key(s) ['seed']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"rounds": "5"}}}),
+     "model_params for xgboost: rounds='5' does not match the type of its default 100"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"rsf": {"n_trees": 2.5}}}),
+     "model_params for rsf: n_trees=2.5 does not match"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"max_iter": True}}}),
+     "model_params for cox: max_iter=True does not match"),
+    (json.dumps({**BASE_CONFIG, "temporal_params": {"epoch": 5}}),
+     "temporal_params: unknown key(s) ['epoch']"),
+    (json.dumps({**BASE_CONFIG, "temporal_params": {"hidden": "x"}}),
+     "temporal_params: hidden='x' does not match"),
 ], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
-        "non-numeric-alpha", "models-as-string", "missing-file"])
+        "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
+        "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
+        "unknown-temporal-key", "string-hidden"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")
@@ -100,6 +117,15 @@ def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_types_follow_the_defaults():
+    # an int may stand for a float and fill a None default; null keeps None
+    config = PipelineConfig(cohort_csv="cohort.csv", model_params={
+        "xgboost": {"learning_rate": 1, "l2_lambda": 0},
+        "rsf": {"mtry": 2, "max_depth": None}, "cox": {"ridge": 0, "ties": "breslow"}},
+        temporal_params={"learning_rate": 1, "epochs": 3})
+    assert config.model_params["rsf"]["mtry"] == 2
 
 
 def test_evaluate_bad_horizon_exits_1(scores_csv, capsys):

@@ -5,17 +5,32 @@ from hypothesis import strategies as st
 
 from recurrisk.errors import InvalidParameterError, UndefinedMetricError
 from recurrisk.metrics import (
+    ConcordanceResult,
+    _check_inputs,
     auc_summary,
     auc_t,
     brier,
     c_index,
-    c_index_brute,
     calibration_table,
     dca_inputs,
     net_benefit,
 )
 from recurrisk.nonparametric import kaplan_meier
 from recurrisk.cohort import SyntheticSpec, generate_synthetic
+
+
+def c_index_brute(times, events, scores) -> ConcordanceResult:
+    """O(n^2) reference implementation; the oracle for the fast variant."""
+    times, events, scores = _check_inputs(times, events, scores)
+    comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1)
+    higher = scores[:, None] > scores[None, :]
+    lower = scores[:, None] < scores[None, :]
+    concordant = int(np.sum(comparable & higher))
+    discordant = int(np.sum(comparable & lower))
+    tied = int(np.sum(comparable)) - concordant - discordant
+    if concordant + discordant + tied == 0:
+        raise UndefinedMetricError("no comparable pairs")
+    return ConcordanceResult(concordant, discordant, tied)
 
 
 class TestCIndex:

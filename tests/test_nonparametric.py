@@ -198,6 +198,29 @@ class TestEventTableOracle:
         assert res == log_rank_loop(a, b)
 
 
+def event_table_per_call(times, events):
+    """The former _event_table body, sorting on its own; oracle of the kernel."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    event_times, d_at = np.unique(times[events == 1], return_counts=True)
+    n_at = times.size - np.searchsorted(np.sort(times), event_times, side="left")
+    return event_times, d_at, n_at
+
+
+def test_event_table_equals_the_per_call_version():
+    for case in range(80):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(1, 60))
+        times = rng.choice([1.0, 2.0, 2.5, 4.0, 7.0], n) if case % 2 else \
+            rng.exponential(5.0, n) + 0.1           # heavy ties or none, unsorted
+        events = rng.integers(0, 2, n)
+        events[times >= np.quantile(times, 0.7)] = 0  # all-censored tail
+        if case % 5 == 0:
+            events[:] = 0
+        for got, ref in zip(_event_table(times, events), event_table_per_call(times, events)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), f"case {case}"
+
+
 def log_rank_loop(group_a, group_b) -> LogRankResult:
     """Per-event-time loop reference for log_rank, same arithmetic and order."""
     times_a, events_a = (np.asarray(v) for v in group_a)

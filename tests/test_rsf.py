@@ -1,14 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
 from recurrisk.errors import ShapeError
 from recurrisk.nonparametric import log_rank
-from recurrisk.stepfun import average_step_functions
+from recurrisk.stepfun import StepFunction, average_step_functions
+from recurrisk.tree import from_dict
 from recurrisk.rsf import (
+    Forest,
     ForestParams,
+    SurvivalTree,
+    TreeLeaf,
     TreeSplit,
     fit_rsf,
-    forest_from_json,
     forest_to_json,
     predict_chf,
     predict_chf_at,
@@ -17,6 +22,32 @@ from recurrisk.rsf import (
 )
 
 from conftest import random_censored_cohort
+
+
+def forest_from_json(text: str) -> Forest:
+    """Decoder of forest_to_json; only the round-trip test reads forests back."""
+    doc = json.loads(text)
+    p = doc["params"]
+
+    def leaf_from_dict(leaf):
+        return TreeLeaf(chf=StepFunction(np.array(leaf["knots"], dtype=float),
+                                         np.array(leaf["values"], dtype=float), 0.0),
+                        count=int(leaf["count"]))
+
+    trees = tuple(
+        SurvivalTree(root=from_dict(t["root"], leaf_from_dict),
+                     bootstrap_indices=np.array(t["bootstrap_indices"], dtype=int),
+                     oob_indices=np.array(t["oob_indices"], dtype=int))
+        for t in doc["trees"])
+    return Forest(
+        feature_names=tuple(doc["feature_names"]),
+        trees=trees,
+        max_event_time=float(doc["max_event_time"]),
+        params=ForestParams(n_trees=int(p["n_trees"]), mtry=p["mtry"],
+                            min_node_events=int(p["min_node_events"]),
+                            max_depth=p["max_depth"], seed=int(p["seed"])),
+    )
+
 
 PARAMS = ForestParams(n_trees=12, min_node_events=3, max_depth=5, seed=11)
 

@@ -6,6 +6,7 @@ import pytest
 from recurrisk.boosting import cox_gradients, cox_negloglik
 from recurrisk.cohort import SyntheticSpec
 from recurrisk.errors import NumericInputError, RowParseError, ShapeError
+from recurrisk.nonparametric import RiskSets
 from recurrisk.temporal import (
     SnapshotSequence,
     generate_longitudinal,
@@ -105,8 +106,9 @@ def loss_and_gradients_loop(sequences, model, use_pe=True):
         scores[i] = act @ model.w_out + model.b_out
         caches.append((X, q, k, v, a_mat, z, act))
 
-    loss = cox_negloglik(times, events, scores)
-    dscores, _ = cox_gradients(scores, times, events)
+    risk = RiskSets(times, events)
+    loss = cox_negloglik(risk, scores)
+    dscores, _ = cox_gradients(risk, scores)
 
     grads = {name: np.zeros_like(getattr(model, name)) for name in BLOCKS[:-1]}
     grads["b_out"] = 0.0
