@@ -18,6 +18,11 @@ survival boosting. Subjects are re-sorted into a canonical order at the
 start of training, which makes the fitted model exactly invariant to input
 permutations, and their risk sets are built once per fit. Tree growth,
 routing and serialization come from ``tree.py``.
+
+The trees use XGBoost's presorted exact greedy search (Chen & Guestrin,
+KDD 2016): each tree argsorts every column once, a node reads its rows in
+each column's order by filtering that presort with a membership mask, and
+one 2-D cumulative sum scores every threshold of every feature at once.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ class BoostParams:
             raise InvalidParameterError("learning_rate must be in (0, 1]")
         if self.tree_depth < 1:
             raise InvalidParameterError("tree_depth must be >= 1")
+        if self.min_leaf < 1:
+            raise InvalidParameterError("min_leaf must be >= 1")
         if self.mode not in _MODES:
             raise InvalidParameterError(f"mode must be one of {_MODES}")
         if not 0.0 < self.row_subsample <= 1.0:
@@ -91,12 +98,12 @@ def cox_gradients(risk: RiskSets, scores):
     shift = float(np.max(scores))
     w = np.exp(np.maximum(scores - shift, -700.0))[risk.order]
     phi = risk.suffix_sum(w)[risk.event_heads]    # one term per event
-    inv1 = np.cumsum(1.0 / phi)
-    inv2 = np.cumsum(1.0 / phi ** 2)
+    # sums over the first k event terms, k = 0..E; with no event all are 0
+    inv1 = np.concatenate(([0.0], np.cumsum(1.0 / phi)))
+    inv2 = np.concatenate(([0.0], np.cumsum(1.0 / phi ** 2)))
 
     k = risk.events_through                       # event terms with t_k <= t_i
-    a = np.where(k > 0, inv1[np.maximum(k - 1, 0)], 0.0)
-    b = np.where(k > 0, inv2[np.maximum(k - 1, 0)], 0.0)
+    a, b = inv1[k], inv2[k]
     g = -risk.events + w * a
     h = np.maximum(w * a - w ** 2 * b, 0.0)
     return risk.unsort(g), risk.unsort(h)
@@ -167,11 +174,18 @@ def _fit_stump(X, residual):
 
 def _fit_tree(X, g, h, depth, min_leaf, lam) -> Tree:
     """Second-order tree: gain-based splits and leaf weight -G/(H + lambda)."""
+    presorted = np.argsort(X, axis=0, kind="stable").T     # (d, n)
+    in_node = np.zeros(X.shape[0], dtype=bool)
 
     def find_split(idx, level):
         if level == depth or idx.size < 2 * min_leaf:
             return None
-        return _best_split_gain(X, idx, g, h, min_leaf, lam)
+        # idx is ascending, so the filtered presort is each column's stable
+        # argsort within the node
+        in_node[:] = False
+        in_node[idx] = True
+        order = presorted[in_node[presorted]].reshape(X.shape[1], idx.size)
+        return _best_split_gain(X, idx, order, g, h, min_leaf, lam)
 
     def make_leaf(idx):
         return float(-np.sum(g[idx]) / (np.sum(h[idx]) + lam))
@@ -179,28 +193,26 @@ def _fit_tree(X, g, h, depth, min_leaf, lam) -> Tree:
     return Tree(tree.grow(X, np.arange(X.shape[0]), 0, find_split, make_leaf))
 
 
-def _best_split_gain(X, node_idx, g, h, min_leaf, lam):
+def _best_split_gain(X, node_idx, order, g, h, min_leaf, lam):
+    """Best (feature, threshold) for the rows node_idx, or None; row j of
+    order (d, m) holds them sorted by feature j. All features are scored in
+    one pass; the highest gain wins, ties to the lowest feature."""
+    d, m = order.shape
     gt = float(np.sum(g[node_idx]))
     ht = float(np.sum(h[node_idx]))
-    n = node_idx.size
+    cs = X[order, np.arange(d)[:, None]]
+    # position k splits off the first k + 1 rows; both sides keep min_leaf
+    lo, hi = min_leaf - 1, m - min_leaf
+    gl = np.cumsum(g[order], axis=1)[:, lo:hi]
+    hl = np.cumsum(h[order], axis=1)[:, lo:hi]
+    gain = 0.5 * (gl ** 2 / (hl + lam) + (gt - gl) ** 2 / (ht - hl + lam)
+                  - gt ** 2 / (ht + lam))
+    gain = np.where(cs[:, lo:hi] < cs[:, lo + 1:hi + 1], gain, -np.inf)
+    ks = np.argmax(gain, axis=1)
     best = None
-    for j in range(X.shape[1]):
-        col = X[node_idx, j]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        gp = np.cumsum(g[node_idx][order])
-        hp = np.cumsum(h[node_idx][order])
-        counts = np.arange(1, n + 1)
-        valid = np.nonzero(cs[:-1] < cs[1:])[0]
-        valid = valid[(counts[valid] >= min_leaf) & (n - counts[valid] >= min_leaf)]
-        if valid.size == 0:
-            continue
-        gl, hl = gp[valid], hp[valid]
-        gain = 0.5 * (gl ** 2 / (hl + lam) + (gt - gl) ** 2 / (ht - hl + lam)
-                      - gt ** 2 / (ht + lam))
-        k = int(np.argmax(gain))
-        if gain[k] > 1e-12 and (best is None or gain[k] > best[0] + 1e-15):
-            best = (float(gain[k]), j, float((cs[valid[k]] + cs[valid[k] + 1]) / 2.0))
+    for j, k in enumerate(ks):
+        if gain[j, k] > 1e-12 and (best is None or gain[j, k] > best[0] + 1e-15):
+            best = (gain[j, k], j, float((cs[j, lo + k] + cs[j, lo + k + 1]) / 2.0))
     if best is None:
         return None
     return best[1], best[2]

@@ -102,10 +102,12 @@ class Learner(NamedTuple):
     """fit(cohort, params, seed, fold) -> (model, risk), where params is the
     learner's `model_params` entry, fold is -1 for the whole-cohort refit and
     risk(X) scores rows with the fitted model; `params` maps each key the
-    entry may hold to the default whose type its value must have."""
+    entry may hold to the default whose type its value must have, and
+    check(**entry) raises InvalidParameterError on a value out of range."""
 
     fit: Callable
     params: dict
+    check: Callable = lambda **entry: None
 
 
 # The fit functions look fit_cox, fit_rsf, fit_boosted and predict_risk_matrix
@@ -113,10 +115,10 @@ class Learner(NamedTuple):
 # and the seed are set by the pipeline, so a config may not set them.
 _BOOST_PARAMS = _accepted(BoostParams, "mode", "seed")
 LEARNERS = {
-    "xgboost": Learner(_booster("xgboost"), _BOOST_PARAMS),
-    "rsf": Learner(_fit_rsf, _accepted(ForestParams, "seed")),
-    "coxboost": Learner(_booster("componentwise"), _BOOST_PARAMS),
-    "gbm": Learner(_booster("gbm"), _BOOST_PARAMS),
+    "xgboost": Learner(_booster("xgboost"), _BOOST_PARAMS, BoostParams),
+    "rsf": Learner(_fit_rsf, _accepted(ForestParams, "seed"), ForestParams),
+    "coxboost": Learner(_booster("componentwise"), _BOOST_PARAMS, BoostParams),
+    "gbm": Learner(_booster("gbm"), _BOOST_PARAMS, BoostParams),
     "cox": Learner(_fit_cox, _accepted(fit_cox)),
 }
 MODEL_ORDER = tuple(LEARNERS)
@@ -180,6 +182,10 @@ class PipelineConfig:
             if name not in LEARNERS:
                 raise InvalidParameterError(f"model_params names an unknown model {name!r}")
             _check_params(f"model_params for {name}", params, LEARNERS[name].params)
+            try:
+                LEARNERS[name].check(**params)
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(f"model_params for {name}: {exc}") from None
         _check_params("temporal_params", self.temporal_params, TEMPORAL_PARAMS)
 
     @staticmethod

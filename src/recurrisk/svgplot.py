@@ -8,6 +8,7 @@ byte-identical files that diff cleanly in CI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from html import escape
 
 WIDTH, HEIGHT = 640.0, 480.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 40.0, 55.0
@@ -69,7 +70,7 @@ def render_plot(series_list: list[Series], title: str, xlabel: str, ylabel: str,
         f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
         f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
     ]
 
     # axes box and ticks
@@ -93,10 +94,12 @@ def render_plot(series_list: list[Series], title: str, xlabel: str, ylabel: str,
                      f'text-anchor="end" font-family="sans-serif" font-size="11">'
                      f'{_tick_label(fy)}</text>')
     parts.append(f'<text x="{_fmt(MARGIN_L + PLOT_W / 2)}" y="{_fmt(HEIGHT - 12)}" '
-                 f'text-anchor="middle" font-family="sans-serif" font-size="13">{xlabel}</text>')
+                 f'text-anchor="middle" font-family="sans-serif" font-size="13">'
+                 f'{escape(xlabel)}</text>')
     parts.append(f'<text x="16" y="{_fmt(MARGIN_T + PLOT_H / 2)}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 16 {_fmt(MARGIN_T + PLOT_H / 2)})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {_fmt(MARGIN_T + PLOT_H / 2)})">'
+                 f'{escape(ylabel)}</text>')
 
     for s in series_list:
         points = []
@@ -111,7 +114,7 @@ def render_plot(series_list: list[Series], title: str, xlabel: str, ylabel: str,
                         for i, (px, py) in enumerate(points))
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         parts.append(f'<path d="{path}" fill="none" stroke="{s.color}" '
-                     f'stroke-width="1.8"{dash} data-series="{s.label}"/>')
+                     f'stroke-width="1.8"{dash} data-series="{escape(s.label)}"/>')
 
     # legend
     ly = MARGIN_T + 12
@@ -121,14 +124,14 @@ def render_plot(series_list: list[Series], title: str, xlabel: str, ylabel: str,
         parts.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 22)}" '
                      f'y2="{_fmt(ly - 4)}" stroke="{s.color}" stroke-width="1.8"{dash}/>')
         parts.append(f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" font-family="sans-serif" '
-                     f'font-size="12">{s.label}</text>')
+                     f'font-size="12">{escape(s.label)}</text>')
         ly += 16
 
     ay = MARGIN_T + 14
     for note in annotations:
         parts.append(f'<text x="{_fmt(MARGIN_L + 8)}" y="{_fmt(ay)}" '
                      f'font-family="sans-serif" font-size="12" fill="#333333" '
-                     f'class="annotation">{note}</text>')
+                     f'class="annotation">{escape(note)}</text>')
         ay += 16
 
     parts.append("</svg>")

@@ -9,6 +9,7 @@ from recurrisk.boosting import (
     cox_negloglik,
     fit_boosted,
 )
+from recurrisk.errors import InvalidParameterError
 from recurrisk.nonparametric import RiskSets
 
 from conftest import make_cohort, random_censored_cohort
@@ -95,6 +96,92 @@ def test_gbm_tree_is_the_least_squares_tree():
         assert np.array_equal(tree.predict(X), expected), f"case {case}"
 
 
+# --- the former per-feature split search, kept as the oracle of the presort ---
+
+
+def best_split_gain_per_feature(X, node_idx, g, h, min_leaf, lam):
+    """Argsort, gather and cumsum one feature at a time."""
+    gt = float(np.sum(g[node_idx]))
+    ht = float(np.sum(h[node_idx]))
+    n = node_idx.size
+    best = None
+    for j in range(X.shape[1]):
+        col = X[node_idx, j]
+        order = np.argsort(col, kind="stable")
+        cs = col[order]
+        gp = np.cumsum(g[node_idx][order])
+        hp = np.cumsum(h[node_idx][order])
+        counts = np.arange(1, n + 1)
+        valid = np.nonzero(cs[:-1] < cs[1:])[0]
+        valid = valid[(counts[valid] >= min_leaf) & (n - counts[valid] >= min_leaf)]
+        if valid.size == 0:
+            continue
+        gl, hl = gp[valid], hp[valid]
+        gain = 0.5 * (gl ** 2 / (hl + lam) + (gt - gl) ** 2 / (ht - hl + lam)
+                      - gt ** 2 / (ht + lam))
+        k = int(np.argmax(gain))
+        if gain[k] > 1e-12 and (best is None or gain[k] > best[0] + 1e-15):
+            best = (float(gain[k]), j, float((cs[valid[k]] + cs[valid[k] + 1]) / 2.0))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def fit_tree_per_feature(X, g, h, depth, min_leaf, lam):
+    """The Newton tree on the per-feature search, as `Tree.to_dict` gives it."""
+
+    def build(node_idx, level):
+        split = None
+        if level < depth and node_idx.size >= 2 * min_leaf:
+            split = best_split_gain_per_feature(X, node_idx, g, h, min_leaf, lam)
+        if split is None:
+            return {"kind": "leaf",
+                    "value": float(-np.sum(g[node_idx]) / (np.sum(h[node_idx]) + lam))}
+        j, thr = split
+        go_left = X[node_idx, j] <= thr
+        return {"kind": "split", "feature": j, "threshold": thr,
+                "left": build(node_idx[go_left], level + 1),
+                "right": build(node_idx[~go_left], level + 1)}
+
+    return build(np.arange(X.shape[0]), 0)
+
+
+@pytest.mark.parametrize("setting", ["xgboost", "gbm"])
+def test_presorted_tree_equals_the_per_feature_tree(setting):
+    splits = 0
+    for case in range(120):
+        rng = np.random.default_rng(case)
+        n, d = int(rng.integers(2, 70)), 1 + case % 5
+        X = rng.standard_normal((n, d))
+        if case % 3:
+            X = np.round(X, case % 3 - 1)        # tied and rounded values
+        if d > 1 and case % 4 == 0:
+            X[:, int(rng.integers(d))] = 0.5     # a constant column
+        g = rng.standard_normal(n)
+        if setting == "xgboost":
+            h, lam = rng.uniform(0.0, 0.3, n) * (rng.random(n) < 0.8), 1.0
+        else:
+            h, lam = np.ones(n), 0.0
+        depth, min_leaf = int(rng.integers(1, 5)), 1 + case % 6
+        expected = fit_tree_per_feature(X, g, h, depth, min_leaf, lam)
+        assert _fit_tree(X, g, h, depth, min_leaf, lam).to_dict() == expected, f"case {case}"
+        splits += str(expected).count("'split'")
+    assert splits > 200
+
+
+def test_presort_sums_tied_rows_in_the_per_feature_order():
+    # column 1 can cut wherever column 0 can but orders each tied block of column 0
+    # differently, so their gains tie up to rounding and the winner depends
+    # on the order in which the cumulative sums add tied rows
+    for case in range(100):
+        rng = np.random.default_rng(case)
+        x = np.round(rng.standard_normal(80), 0)
+        X = np.column_stack([x, x + 1e-6 * rng.random(80)])
+        g, h = 1000.0 * rng.standard_normal(80), np.ones(80)
+        assert _fit_tree(X, g, h, 2, 1, 0.0).to_dict() == \
+            fit_tree_per_feature(X, g, h, 2, 1, 0.0), f"case {case}"
+
+
 # --- loss derivatives ----------------------------------------------------------
 
 
@@ -116,6 +203,19 @@ def test_gradients_match_finite_differences_with_ties():
         down = cox_negloglik(risk, f - step)
         assert g[i] == pytest.approx((up - down) / (2 * eps), rel=1e-6, abs=1e-8)
         assert h[i] == pytest.approx((up - 2 * base + down) / eps ** 2, rel=1e-4, abs=1e-5)
+
+
+def test_gradients_without_events_are_zero():
+    risk = RiskSets([1.0, 2.0, 2.0], [0, 0, 0])
+    g, h = cox_gradients(risk, [0.0, 0.3, -1.0])
+    assert cox_negloglik(risk, [0.0, 0.3, -1.0]) == 0.0
+    assert np.array_equal(g, np.zeros(3)) and np.array_equal(h, np.zeros(3))
+
+
+@pytest.mark.parametrize("min_leaf", [0, -2])
+def test_min_leaf_below_one_is_rejected(min_leaf):
+    with pytest.raises(InvalidParameterError, match="min_leaf must be >= 1"):
+        BoostParams(min_leaf=min_leaf)
 
 
 # the former per-call loss and derivatives, which sorted on every call, kept

@@ -102,10 +102,12 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "temporal_params: unknown key(s) ['epoch']"),
     (json.dumps({**BASE_CONFIG, "temporal_params": {"hidden": "x"}}),
      "temporal_params: hidden='x' does not match"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"min_leaf": 0}}}),
+     "model_params for xgboost: min_leaf must be >= 1"),
 ], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
         "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
         "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
-        "unknown-temporal-key", "string-hidden"])
+        "unknown-temporal-key", "string-hidden", "zero-min-leaf"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")

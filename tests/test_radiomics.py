@@ -7,6 +7,7 @@ from recurrisk.radiomics import (
     VoxelGrid,
     _run_length_matrix,
     shape_features,
+    texture_features,
     texture_matrices,
 )
 
@@ -120,3 +121,35 @@ class TestCubePhantom:
         half = self.k ** 3 // 2
         assert glszm.shape == (2, half)
         assert glszm[:, half - 1].tolist() == [1.0, 1.0] and glszm.sum() == 2
+
+
+@pytest.mark.parametrize("a", [1, 3, 5])
+@pytest.mark.parametrize("spacing", [1.0, 0.7])
+def test_cube_sphericity_is_analytic(a, spacing):
+    # V = a^3 s^3 and A = 6 a^2 s^2, so pi^(1/3) (6V)^(2/3) / A = (pi/6)^(1/3)
+    occ = np.zeros((a + 2,) * 3, dtype=bool)
+    occ[1:a + 1, 1:a + 1, 1:a + 1] = True
+    mask = RegionMask(occ.shape, occ.reshape(-1, order="F"))
+    got = shape_features(mask, (spacing,) * 3)["sphericity"]
+    assert got == pytest.approx((np.pi / 6.0) ** (1.0 / 3.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("levels", [4, 32])
+def test_texture_features_ignore_intensity_scale_and_shift(seed, levels):
+    # integer intensities keep the min-max binning exact under x2 and +c
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(v) for v in rng.integers(3, 8, size=3))
+    values = rng.integers(-40, 60, size=dims).astype(float)
+    occ = rng.random(dims) < 0.7
+    occ[0, 0, 0] = True
+    mask = RegionMask(dims, occ.reshape(-1, order="F"))
+
+    def features(intensity):
+        return texture_features(VoxelGrid(dims, (1.0, 1.0, 1.0),
+                                          intensity.reshape(-1, order="F")), mask, levels)
+
+    base = features(values)
+    assert features(2.0 * values) == base
+    assert features(values + 17.0) == base
+    assert features(values - 1000.0) == base
