@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
+from .coxph import breslow_baseline, breslow_survival
 from .errors import (
     InvalidParameterError,
     NumericInputError,
@@ -40,6 +41,7 @@ from .errors import (
     TrainingError,
 )
 from .nonparametric import RiskSets
+from .stepfun import StepFunction
 from . import tree
 
 _MODES = ("componentwise", "gbm", "xgboost")
@@ -228,6 +230,7 @@ class BoostedModel:
     feature_names: tuple[str, ...]
     base_learners: tuple
     training_loss_trace: tuple[float, ...]
+    baseline_chf: StepFunction         # Breslow, at the final training scores
     early_stop_round: int | None = None
 
     def predict_risk(self, X) -> np.ndarray:
@@ -240,6 +243,11 @@ class BoostedModel:
             out += self.learning_rate * learner.predict(X)
         return out
 
+    def predict(self, X, horizons):
+        """(risk scores, S(h | x) per row and horizon) from the Breslow baseline."""
+        scores = self.predict_risk(X)
+        return scores, breslow_survival(self.baseline_chf, scores, horizons)
+
     def to_json(self) -> str:
         doc = {
             "model": "boosted_cox",
@@ -248,6 +256,8 @@ class BoostedModel:
             "feature_names": list(self.feature_names),
             "learners": [l.to_dict() for l in self.base_learners],
             "training_loss_trace": list(self.training_loss_trace),
+            "baseline_knots": self.baseline_chf.knots.tolist(),
+            "baseline_values": self.baseline_chf.values.tolist(),
             "early_stop_round": self.early_stop_round,
         }
         return json.dumps(doc, sort_keys=True)
@@ -269,6 +279,7 @@ class BoostedModel:
             feature_names=tuple(doc["feature_names"]),
             base_learners=tuple(learners),
             training_loss_trace=tuple(doc["training_loss_trace"]),
+            baseline_chf=StepFunction(doc["baseline_knots"], doc["baseline_values"]),
             early_stop_round=doc.get("early_stop_round"),
         )
 
@@ -341,5 +352,7 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
         feature_names=canon.feature_names,
         base_learners=tuple(learners),
         training_loss_trace=tuple(trace),
+        # f, in canonical order, keeps the baseline invariant to input order
+        baseline_chf=breslow_baseline(t, e, f),
         early_stop_round=early_stop,
     )

@@ -28,7 +28,7 @@ from .cohort import (
     load_cohort,
     write_cohort,
 )
-from .errors import InvalidParameterError, RecurriskError, RowParseError
+from .errors import InvalidParameterError, RecurriskError, RowParseError, reading
 from .explain import (
     MAX_EXACT_FEATURES,
     mean_abs_shapley,
@@ -130,11 +130,12 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    spec = SyntheticSpec.from_json(doc)
+    with reading(f"spec {args.spec}"):
+        with open(args.spec, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        spec = SyntheticSpec.from_json(doc)
     cohort, true_scores = generate_synthetic(spec)
     write_cohort(cohort, args.out)
     if args.scores_out:
@@ -211,7 +212,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    model = BoostedModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+    with reading(f"model {args.model}"):
+        model = BoostedModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     cohort = load_cohort(args.cohort, ColumnSchema())
     cohort = cohort.subset_features(model.feature_names)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -128,22 +128,18 @@ def _read_only(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Column-role mapping for CSV ingestion.
-
-    `feature_columns=None` means every column that is not id/time/event is
-    a feature, in file order.
-    """
+    """Column-role mapping for CSV ingestion: every column that is not
+    id/time/event is a feature, in file order."""
 
     time_column: str = "time"
     event_column: str = "event"
     id_column: str | None = "id"
-    feature_columns: tuple[str, ...] | None = None
 
 
 def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
     """Read a comma-separated cohort file (header row, '.' decimals, UTF-8).
 
-    Row order is preserved; feature order follows the schema (or file order).
+    Row order is preserved; features are the non-role columns, in file order.
     Raises SchemaError for missing columns, RowParseError for bad cells
     (non-numeric feature, time <= 0, event not in {0,1}, missing value, a
     repeated subject id) and EmptyCohortError for a file without data rows.
@@ -165,13 +161,7 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
         reserved = {schema.time_column, schema.event_column}
         if schema.id_column is not None:
             reserved.add(schema.id_column)
-        if schema.feature_columns is None:
-            feature_names = tuple(h for h in header if h not in reserved)
-        else:
-            feature_names = tuple(schema.feature_columns)
-            for name in feature_names:
-                if name not in header:
-                    raise SchemaError(f"{path}: missing feature column {name!r}")
+        feature_names = tuple(h for h in header if h not in reserved)
         if not feature_names:
             raise SchemaError(f"{path}: schema must name at least one feature column")
 

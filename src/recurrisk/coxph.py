@@ -12,6 +12,7 @@ that floor are numerically irrelevant anyway.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,20 @@ class CoxModel:
                 f"expected {self.coefficients.size} features, got {X.shape[1]}")
         return X @ self.coefficients
 
-    def predict_survival(self, x) -> StepFunction:
-        """S(t | x) = exp(-H0(t) * exp(beta' x)) from the Breslow baseline."""
-        risk = float(np.exp(self.predict_risk(np.atleast_2d(x))[0]))
-        chf = self.baseline_chf
-        return StepFunction(chf.knots, np.exp(-chf.values * risk), 1.0)
+    def predict(self, X, horizons):
+        """(risk scores, S(h | x) per row and horizon) from the Breslow baseline."""
+        scores = self.predict_risk(X)
+        return scores, breslow_survival(self.baseline_chf, scores, horizons)
+
+    def to_json(self) -> str:
+        doc = {
+            "model": "cox_ph",
+            "feature_names": list(self.feature_names),
+            "coefficients": self.coefficients.tolist(),
+            "baseline_knots": self.baseline_chf.knots.tolist(),
+            "baseline_values": self.baseline_chf.values.tolist(),
+        }
+        return json.dumps(doc, sort_keys=True)
 
 
 def _prepare(beta, cohort: Cohort):
@@ -140,6 +150,25 @@ def breslow_baseline(times, events, scores) -> StepFunction:
     return StepFunction(risk.times[risk.blocks], np.cumsum(increments), 0.0)
 
 
+def breslow_survival(baseline: StepFunction, scores, horizons) -> np.ndarray:
+    """S(h | x) = exp(-H0(h) * exp(score)) for every score and horizon:
+    shape (len(scores), len(horizons))."""
+    h0 = np.array([baseline(h) for h in horizons])
+    return np.exp(-h0[None, :] * np.exp(scores)[:, None])
+
+
+def check_cox_params(ties: str, max_iter: int, tol: float, ridge: float) -> None:
+    """Raise InvalidParameterError for a fit_cox setting out of its domain."""
+    if ties not in ("breslow", "efron"):
+        raise InvalidParameterError(f"ties must be 'breslow' or 'efron', got {ties!r}")
+    if max_iter < 1:
+        raise InvalidParameterError("max_iter must be >= 1")
+    if not tol > 0:
+        raise InvalidParameterError("tol must be > 0")
+    if ridge < 0:
+        raise InvalidParameterError("ridge must be >= 0")
+
+
 _INFO_COLLAPSE = 1e-8  # information-collapse ratio; see fit_cox
 
 
@@ -167,8 +196,10 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
     separating column among healthy ones. The threshold sits far from both
     sides: the ratio is >= 0.03 on every fit of the benchmark cohorts and
     6.6e-16 on a separable one. Hitting max_iter or finding no ascent step
-    returns the last iterate with converged=False.
+    returns the last iterate with converged=False. A setting out of its
+    domain raises InvalidParameterError.
     """
+    check_cox_params(ties, max_iter, tol, ridge)
     times, events = cohort.times, cohort.events
     n_events = int(np.sum(events))
     if n_events < 1:

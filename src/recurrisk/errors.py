@@ -4,6 +4,8 @@ Every failure mode that callers are expected to distinguish gets its own
 class so that tests and the pipeline can catch precisely what they mean to.
 """
 
+from contextlib import contextmanager
+
 
 class RecurriskError(Exception):
     """Base class for all toolkit errors."""
@@ -91,3 +93,14 @@ class PipelineError(RecurriskError):
     def __init__(self, step: str, message: str):
         super().__init__(f"{step}: {message}")
         self.step = step
+
+
+@contextmanager
+def reading(what: str):
+    """Re-raise the OS, missing-field, type and value errors of reading an
+    input file as InvalidParameterError naming `what`."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise InvalidParameterError(f"{what}: {reason}") from None

@@ -3,7 +3,7 @@ and permutation importance as the scalable fallback.
 
 A "model" here is anything exposing batched risk prediction: either a
 callable mapping an (m, d) matrix to m scores, or an object with a
-``predict_risk`` method (CoxModel, BoostedModel, a forest wrapper...).
+``predict_risk`` method (CoxModel, BoostedModel, Forest).
 Exact attribution enumerates all 2^d feature coalitions, replacing absent
 features with the background vector, so it is capped at d <= 14.
 """
@@ -55,14 +55,14 @@ class ImportanceReport:
 
 
 def _coalition_values(predict, x, background):
-    """Model value for every coalition mask; masks indexed by bit pattern."""
+    """Model value and coalition size per mask; masks indexed by bit pattern."""
     x = np.asarray(x, dtype=float).ravel()
     background = np.asarray(background, dtype=float).ravel()
     d = x.size
     masks = np.arange(2 ** d)
     takes_x = (masks[:, None] >> np.arange(d)) & 1
     inputs = np.where(takes_x == 1, x[None, :], background[None, :])
-    return np.asarray(predict(inputs), dtype=float).ravel(), masks
+    return np.asarray(predict(inputs), dtype=float).ravel(), takes_x.sum(axis=1)
 
 
 def exact_shapley(model, x, background, feature_names=None) -> AttributionVector:
@@ -78,8 +78,8 @@ def exact_shapley(model, x, background, feature_names=None) -> AttributionVector
             f"{d} features exceeds the exact-enumeration cap of "
             f"{MAX_EXACT_FEATURES}; use permutation_importance instead")
     predict = _as_predictor(model)
-    values, masks = _coalition_values(predict, x, background)
-    sizes = np.array([bin(m).count("1") for m in masks])
+    values, sizes = _coalition_values(predict, x, background)
+    masks = np.arange(values.size)
     weight_by_size = np.array(
         [factorial(s) * factorial(d - s - 1) / factorial(d) for s in range(d)])
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, UndefinedMetricError
 from .nonparametric import kaplan_meier
-from .stepfun import StepFunction
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,7 @@ def auc_summary(times, events, scores, horizon):
     return float(np.sum(weights * values) / np.sum(weights)), evaluated, skipped
 
 
-def brier(t, survival_probs, times, events,
-          censor_survival: StepFunction | None = None) -> float:
+def brier(t, survival_probs, times, events) -> float:
     """IPCW (Graf) Brier score at horizon t.
 
     survival_probs holds each subject's predicted S(t | x). Subjects with an
@@ -182,8 +180,7 @@ def brier(t, survival_probs, times, events,
     survival_probs = np.asarray(survival_probs, dtype=float)
     if survival_probs.shape != times.shape:
         raise InvalidParameterError("one survival probability per subject required")
-    if censor_survival is None:
-        censor_survival = kaplan_meier(times, 1 - events)
+    censor_survival = kaplan_meier(times, 1 - events)
     g_at_t = censor_survival(t)
     if g_at_t <= 0.0:
         raise UndefinedMetricError(f"censoring survival is zero at t={t}")

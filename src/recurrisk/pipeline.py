@@ -17,14 +17,14 @@ import hashlib
 import inspect
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .boosting import BoostedModel, BoostParams, fit_boosted
+from .boosting import BoostParams, fit_boosted
 from .cohort import (
     Cohort,
     ColumnSchema,
@@ -34,8 +34,7 @@ from .cohort import (
     zscore_normalize,
 )
 from .coxph import (
-    CoxModel,
-    breslow_baseline,
+    check_cox_params,
     fit_cox,
     retained_features,
     univariate_screen,
@@ -47,6 +46,7 @@ from .errors import (
     PipelineError,
     RecurriskError,
     UndefinedMetricError,
+    reading,
 )
 from .explain import MAX_EXACT_FEATURES, mean_abs_shapley, median_background, permutation_importance
 from .metrics import (
@@ -59,8 +59,7 @@ from .metrics import (
 )
 from .nonparametric import kaplan_meier, log_rank, median_survival_time
 from .radiomics import extract_all, load_region_mask, load_voxel_grid
-from .rsf import Forest, ForestParams, fit_rsf, forest_to_json, predict_chf_at, predict_risk_matrix
-from .stepfun import StepFunction
+from .rsf import ForestParams, fit_rsf
 from .svgplot import PALETTE, Series, render_plot
 from .temporal import load_longitudinal, train_temporal, temporal_risk
 
@@ -69,15 +68,13 @@ DCA_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
 def _fit_cox(cohort: Cohort, params: dict, seed: int, fold: int):
-    model = fit_cox(cohort, **params)
-    return model, model.predict_risk
+    return fit_cox(cohort, **params)
 
 
 def _fit_rsf(cohort: Cohort, params: dict, seed: int, fold: int):
     params = {"n_trees": 100, "min_node_events": 5, "max_depth": 6, **params,
               "seed": seed + 7919 * (fold + 1)}
-    forest = fit_rsf(cohort, ForestParams(**params))
-    return forest, lambda X: predict_risk_matrix(forest, X)
+    return fit_rsf(cohort, ForestParams(**params))
 
 
 def _booster(mode: str):
@@ -86,9 +83,8 @@ def _booster(mode: str):
         defaults.update(tree_depth=3, min_leaf=5)
 
     def fit(cohort: Cohort, params: dict, seed: int, fold: int):
-        model = fit_boosted(cohort, BoostParams(
+        return fit_boosted(cohort, BoostParams(
             **{**defaults, **params, "mode": mode, "seed": seed + fold}))
-        return model, model.predict_risk
     return fit
 
 
@@ -99,27 +95,32 @@ def _accepted(target, *set_by_pipeline) -> dict:
 
 
 class Learner(NamedTuple):
-    """fit(cohort, params, seed, fold) -> (model, risk), where params is the
-    learner's `model_params` entry, fold is -1 for the whole-cohort refit and
-    risk(X) scores rows with the fitted model; `params` maps each key the
-    entry may hold to the default whose type its value must have, and
-    check(**entry) raises InvalidParameterError on a value out of range."""
+    """fit(cohort, params, seed, fold) -> fitted model, where params is the
+    learner's `model_params` entry and fold is -1 for the whole-cohort refit;
+    `params` maps each key the entry may hold to the default whose type its
+    value must have, and check(**entry) raises InvalidParameterError on a
+    value out of range.
+
+    Every fitted model answers predict_risk(X), predict(X, horizons) ->
+    (scores, survival of shape (n, len(horizons))) and to_json()."""
 
     fit: Callable
     params: dict
-    check: Callable = lambda **entry: None
+    check: Callable
 
 
-# The fit functions look fit_cox, fit_rsf, fit_boosted and predict_risk_matrix
-# up at call time, so rebinding those module names takes effect. The mode
-# and the seed are set by the pipeline, so a config may not set them.
+# The fit functions look fit_cox, fit_rsf and fit_boosted up at call time,
+# so rebinding those module names takes effect. The mode and the seed are
+# set by the pipeline, so a config may not set them.
 _BOOST_PARAMS = _accepted(BoostParams, "mode", "seed")
+_COX_PARAMS = _accepted(fit_cox)
 LEARNERS = {
     "xgboost": Learner(_booster("xgboost"), _BOOST_PARAMS, BoostParams),
     "rsf": Learner(_fit_rsf, _accepted(ForestParams, "seed"), ForestParams),
     "coxboost": Learner(_booster("componentwise"), _BOOST_PARAMS, BoostParams),
     "gbm": Learner(_booster("gbm"), _BOOST_PARAMS, BoostParams),
-    "cox": Learner(_fit_cox, _accepted(fit_cox)),
+    "cox": Learner(_fit_cox, _COX_PARAMS,
+                   lambda **entry: check_cox_params(**{**_COX_PARAMS, **entry})),
 }
 MODEL_ORDER = tuple(LEARNERS)
 
@@ -191,16 +192,20 @@ class PipelineConfig:
     @staticmethod
     def from_json_file(path) -> "PipelineConfig":
         """Read a config; an unreadable or malformed file, a missing
-        `cohort_csv` or a field of the wrong kind raises InvalidParameterError."""
+        `cohort_csv`, an unknown field or a field of the wrong kind raises
+        InvalidParameterError."""
         path = Path(path)
         base = path.parent
 
         def resolve(p):
             return None if p is None else str((base / p) if not Path(p).is_absolute() else Path(p))
 
-        try:
+        with reading(f"config {path}"):
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
+            unknown = sorted(set(doc) - {f.name for f in fields(PipelineConfig)})
+            if unknown:
+                raise ValueError(f"unknown key(s) {unknown}")
             return PipelineConfig(
                 cohort_csv=resolve(doc["cohort_csv"]),
                 out_dir=resolve(doc.get("out_dir", "out")),
@@ -219,9 +224,6 @@ class PipelineConfig:
                 radiomics_levels=int(doc.get("radiomics_levels", 32)),
                 temporal_params=dict(doc.get("temporal_params", {})),
             )
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise InvalidParameterError(f"config {path}: {reason}") from None
 
     def canonical_json(self) -> str:
         # out_dir is where artifacts land, not analysis content; leaving it
@@ -274,7 +276,6 @@ class FoldModels:
     selected: tuple[str, ...]
     vif_removed: tuple[str, ...]
     models: dict                       # name -> fitted model or None (failed)
-    baselines: dict                    # name -> Breslow StepFunction on train scores (not rsf)
     errors: dict                       # name -> message for failed models
 
 
@@ -303,15 +304,11 @@ def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldMod
 
     train_sel = train_norm.subset_features(selected)
 
-    models, baselines, errors = {}, {}, {}
+    models, errors = {}, {}
     for name in config.enabled_models:
         try:
-            model, risk = LEARNERS[name].fit(train_sel, config.model_params.get(name, {}),
-                                             config.seed, fold)
-            models[name] = model
-            if not isinstance(model, Forest):  # a forest's S(h) comes from its own CHF
-                baselines[name] = breslow_baseline(train_sel.times, train_sel.events,
-                                                   risk(train_sel.X))
+            models[name] = LEARNERS[name].fit(train_sel, config.model_params.get(name, {}),
+                                              config.seed, fold)
         except RecurriskError as exc:
             models[name] = None
             errors[name] = str(exc)
@@ -321,7 +318,6 @@ def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldMod
         selected=selected,
         vif_removed=vif_removed,
         models=models,
-        baselines=baselines,
         errors=errors,
     )
 
@@ -330,19 +326,7 @@ def _predict_fold(fold_models: FoldModels, name: str, test: Cohort, horizons):
     """(risk scores, survival probs per horizon) on held-out rows."""
     test_sel = apply_normalization(test, fold_models.normalization) \
         .subset_features(fold_models.selected)
-    X = test_sel.X
-    model = fold_models.models[name]
-    if isinstance(model, Forest):
-        chf = predict_chf_at(model, X, [*horizons, model.max_event_time])
-        scores = chf[:, -1]
-        # contiguous, so exp takes the same ufunc loop as StepFunction.exp_neg
-        surv = np.exp(-np.ascontiguousarray(chf[:, :-1]))
-    else:
-        scores = np.asarray(model.predict_risk(X), dtype=float)
-        base = fold_models.baselines[name]
-        h0 = np.array([base(h) for h in horizons])
-        surv = np.exp(-h0[None, :] * np.exp(scores)[:, None])
-    return scores, surv
+    return fold_models.models[name].predict(test_sel.X, horizons)
 
 
 def fold_models_hash(fold_models: FoldModels) -> str:
@@ -350,21 +334,9 @@ def fold_models_hash(fold_models: FoldModels) -> str:
     parts = {
         "normalization": {k: list(v) for k, v in sorted(fold_models.normalization.items())},
         "selected": list(fold_models.selected),
-        "models": {},
+        "models": {name: None if model is None else model.to_json()
+                   for name, model in sorted(fold_models.models.items())},
     }
-    for name, model in sorted(fold_models.models.items()):
-        if model is None:
-            parts["models"][name] = None
-        elif isinstance(model, CoxModel):
-            parts["models"][name] = {"coefficients": model.coefficients.tolist(),
-                                     "baseline_knots": model.baseline_chf.knots.tolist(),
-                                     "baseline_values": model.baseline_chf.values.tolist()}
-        elif isinstance(model, BoostedModel):
-            parts["models"][name] = model.to_json()
-        elif isinstance(model, Forest):
-            parts["models"][name] = forest_to_json(model)
-        else:
-            parts["models"][name] = repr(model)
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
 
 
@@ -385,11 +357,6 @@ def stratify_by_median(scores, ids):
     high = tuple(i for i, s in zip(ids, scores) if s > cutoff)
     low = tuple(i for i, s in zip(ids, scores) if s <= cutoff)
     return high, low, cutoff
-
-
-def _median_or_none(sf: StepFunction):
-    value = median_survival_time(sf)
-    return None if value is None else float(value)
 
 
 def run_pipeline(config: PipelineConfig):
@@ -556,8 +523,8 @@ def _stratify_and_compare(cohort: Cohort, scores):
         "cutoff": cutoff,
         "n_high": int(np.sum(is_high)),
         "n_low": int(np.sum(~is_high)),
-        "median_rfs_high": _median_or_none(km_high),
-        "median_rfs_low": _median_or_none(km_low),
+        "median_rfs_high": median_survival_time(km_high),
+        "median_rfs_low": median_survival_time(km_low),
         "log_rank_chi_square": lr.chi_square,
         "log_rank_p": lr.p_value,
         "km_high": km_high.to_rows(),
@@ -584,21 +551,21 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
     if selected:
         selected_cohort = full_norm.subset_features(selected)
         try:
-            _, risk = LEARNERS[chosen].fit(selected_cohort,
-                                           config.model_params.get(chosen, {}), config.seed, -1)
+            model = LEARNERS[chosen].fit(selected_cohort,
+                                         config.model_params.get(chosen, {}), config.seed, -1)
         except RecurriskError:
-            risk = None
-        if risk is not None:
+            model = None
+        if model is not None:
             if len(selected) <= MAX_EXACT_FEATURES:
                 background = median_background(selected_cohort)
-                rows = mean_abs_shapley(risk, selected_cohort.X, background,
+                rows = mean_abs_shapley(model, selected_cohort.X, background,
                                         selected_cohort.feature_names)
                 importance_section = {
                     "method": "mean_abs_shapley",
                     "rows": [{"feature": n, "value": v} for n, v in rows],
                 }
             else:
-                report = permutation_importance(risk, selected_cohort,
+                report = permutation_importance(model, selected_cohort,
                                                 repeats=10, seed=config.seed)
                 importance_section = {
                     "method": "permutation_importance",

@@ -319,10 +319,18 @@ def _read_header(lines, path):
         raise RowParseError(1, "dims", f"{path}: first line must be 'dims nx ny nz'")
     if len(s) != 4 or s[0] != "spacing":
         raise RowParseError(2, "spacing", f"{path}: second line must be 'spacing sx sy sz'")
-    dims = tuple(int(v) for v in d[1:])
-    spacing = tuple(float(v) for v in s[1:])
-    flat = np.array(" ".join(lines[2:]).split(), dtype=float)
+    dims = tuple(int(v) for v in _numbers(d[1:], int, 1, "dims", path))
+    spacing = tuple(float(v) for v in _numbers(s[1:], float, 2, "spacing", path))
+    flat = _numbers(" ".join(lines[2:]).split(), float, 3, "values", path)
     return dims, spacing, flat
+
+
+def _numbers(tokens, dtype, row, column, path) -> np.ndarray:
+    """The tokens as numbers; the values' row is the line they start on."""
+    try:
+        return np.array(tokens, dtype=dtype)
+    except ValueError as exc:
+        raise RowParseError(row, column, f"{path}: {exc}") from None
 
 
 def load_voxel_grid(path) -> VoxelGrid:

@@ -73,6 +73,21 @@ class Forest:
     max_event_time: float
     params: ForestParams
 
+    # The methods look the module functions up at call time, so a wrapper
+    # bound to those names (as bench/tracer.py binds them) sees every call.
+    def predict_risk(self, X) -> np.ndarray:
+        return predict_risk_matrix(self, X)
+
+    def predict(self, X, horizons):
+        """(risk scores, S(h | x) per row and horizon) from one pass over the
+        trees; the score is the ensemble CHF at the last training event time."""
+        chf = predict_chf_at(self, X, [*horizons, self.max_event_time])
+        # contiguous, so exp takes the same ufunc loop as StepFunction.exp_neg
+        return chf[:, -1], np.exp(-np.ascontiguousarray(chf[:, :-1]))
+
+    def to_json(self) -> str:
+        return forest_to_json(self)
+
 
 def _best_split(X, times, events, feat_indices, min_node_events):
     """Exhaustive log-rank split search over the given features.

@@ -22,7 +22,6 @@ over the batch. Scoring one subject is a batch of one.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,38 +67,6 @@ class TemporalModel:
     b_out: float
     training_loss_trace: tuple[float, ...] = ()
 
-    def to_json(self) -> str:
-        doc = {
-            "model": "temporal_attention_risk",
-            "pe_dim": self.pe_dim,
-            "hidden": self.hidden,
-            "w_query": self.w_query.tolist(),
-            "w_key": self.w_key.tolist(),
-            "w_value": self.w_value.tolist(),
-            "w_hidden": self.w_hidden.tolist(),
-            "b_hidden": self.b_hidden.tolist(),
-            "w_out": self.w_out.tolist(),
-            "b_out": self.b_out,
-            "training_loss_trace": list(self.training_loss_trace),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "TemporalModel":
-        doc = json.loads(text)
-        return TemporalModel(
-            pe_dim=int(doc["pe_dim"]),
-            hidden=int(doc["hidden"]),
-            w_query=np.array(doc["w_query"], dtype=float),
-            w_key=np.array(doc["w_key"], dtype=float),
-            w_value=np.array(doc["w_value"], dtype=float),
-            w_hidden=np.array(doc["w_hidden"], dtype=float),
-            b_hidden=np.array(doc["b_hidden"], dtype=float),
-            w_out=np.array(doc["w_out"], dtype=float),
-            b_out=float(doc["b_out"]),
-            training_loss_trace=tuple(doc["training_loss_trace"]),
-        )
-
 
 def sinusoidal_pe(T: int, d: int) -> np.ndarray:
     """Sinusoidal positional encoding, positions 0..T-1.
@@ -118,7 +85,7 @@ def sinusoidal_pe(T: int, d: int) -> np.ndarray:
     return pe
 
 
-def _pack(sequences, d: int, use_positional_encoding: bool):
+def _pack(sequences, d: int):
     """The batch one forward pass reads, in the given subject order.
 
     Returns the (n, T_max, d) embeddings (snapshot features zero-padded to
@@ -136,8 +103,7 @@ def _pack(sequences, d: int, use_positional_encoding: bool):
         if p > d:
             raise ShapeError(f"snapshot width {p} exceeds encoder dimension {d}")
         emb[i, :T, :p] = seq.snapshots
-    if use_positional_encoding:
-        emb += sinusoidal_pe(t_max, d)
+    emb += sinusoidal_pe(t_max, d)
     if not np.all(np.isfinite(emb)):
         raise NumericInputError("attention inputs must be finite")
     return emb, valid, lengths - 1
@@ -185,10 +151,9 @@ def _backward(model: TemporalModel, cache, dscores) -> dict:
     }
 
 
-def temporal_risk(seq: SnapshotSequence, model: TemporalModel,
-                  use_positional_encoding: bool = True) -> float:
+def temporal_risk(seq: SnapshotSequence, model: TemporalModel) -> float:
     """Risk score: MLP applied to the last contextual embedding."""
-    scores, _ = _forward(_pack([seq], model.pe_dim, use_positional_encoding), model)
+    scores, _ = _forward(_pack([seq], model.pe_dim), model)
     return float(scores[0])
 
 
@@ -204,11 +169,10 @@ def _risk_sets(sequences) -> RiskSets:
                     np.array([s.event for s in sequences]))
 
 
-def temporal_loss_and_gradients(sequences, model: TemporalModel,
-                                use_positional_encoding: bool = True):
+def temporal_loss_and_gradients(sequences, model: TemporalModel):
     """(loss, gradient dict) of the Cox loss; the finite-difference hook."""
     seqs = _canonical_order(sequences)
-    batch = _pack(seqs, model.pe_dim, use_positional_encoding)
+    batch = _pack(seqs, model.pe_dim)
     return _loss_and_gradients(batch, _risk_sets(seqs), model)
 
 
@@ -237,8 +201,7 @@ def initial_model(pe_dim: int, hidden: int, seed: int) -> TemporalModel:
 
 def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
                    learning_rate: float = 0.05, epochs: int = 100,
-                   seed: int = 0,
-                   use_positional_encoding: bool = True) -> TemporalModel:
+                   seed: int = 0) -> TemporalModel:
     """Full-batch gradient descent on the Cox loss over sequence scores.
 
     Raises TrainingError (with the loss trace attached) if the loss rises
@@ -251,7 +214,7 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
         raise TrainingError("need at least one event")
 
     model = initial_model(pe_dim, hidden, seed)
-    batch = _pack(seqs, pe_dim, use_positional_encoding)
+    batch = _pack(seqs, pe_dim)
     risk = _risk_sets(seqs)
     trace = []
     consecutive_rises = 0

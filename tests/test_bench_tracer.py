@@ -11,6 +11,7 @@ import pytest
 
 from recurrisk import boosting, pipeline, rsf
 from recurrisk.boosting import BoostedModel, BoostParams
+from recurrisk.cohort import SyntheticSpec, generate_synthetic
 from recurrisk.rsf import Forest, ForestParams, SurvivalTree, TreeLeaf, TreeSplit
 from recurrisk.stepfun import StepFunction
 
@@ -29,7 +30,7 @@ def tracer_module():
 
 def test_install_then_uninstall_restores_bindings(tracer_module):
     before = (rsf.fit_rsf, pipeline.fit_rsf, rsf.predict_risk_matrix,
-              pipeline.predict_risk_matrix, rsf.forest_to_json, rsf.nelson_aalen)
+              pipeline.fold_models_hash, rsf.forest_to_json, rsf.nelson_aalen)
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
@@ -40,7 +41,7 @@ def test_install_then_uninstall_restores_bindings(tracer_module):
     finally:
         tracer.uninstall()
     after = (rsf.fit_rsf, pipeline.fit_rsf, rsf.predict_risk_matrix,
-             pipeline.predict_risk_matrix, rsf.forest_to_json, rsf.nelson_aalen)
+             pipeline.fold_models_hash, rsf.forest_to_json, rsf.nelson_aalen)
     assert after == before
     metrics = tracer.layer_metrics()
     assert metrics["rsf.fit_s"] > 0
@@ -79,3 +80,24 @@ def test_tracer_follows_each_boosting_mode(tracer_module, mode):
     assert metrics["boosting.rounds"] == len(model.base_learners) > 0
     assert metrics["boosting.negloglik_evals"] > 0
     assert metrics["boosting.predict_s"] > 0
+
+
+def test_tracer_follows_the_calls_inside_fitted_models(tracer_module):
+    # the forest serializes itself and the boosted model computes its own
+    # Breslow baseline, so both must still be attributed to their layers
+    cohort, _ = generate_synthetic(SyntheticSpec(n=80, true_coefficients=(1.0, -1.0), seed=5))
+    config = pipeline.PipelineConfig(
+        cohort_csv="cohort.csv", enabled_models=("xgboost", "rsf"),
+        model_params={"xgboost": {"rounds": 5}, "rsf": {"n_trees": 3}})
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        fold_models = pipeline.fit_fold_models(cohort, config, 0)
+        pipeline.fold_models_hash(fold_models)
+    finally:
+        tracer.uninstall()
+    assert fold_models.errors == {}
+    metrics = tracer.layer_metrics()
+    for name in ("rsf.to_json_s", "coxph.breslow_s", "pipeline.fold_hash_s",
+                 "boosting.fit_s.xgboost", "rsf.fit_s"):
+        assert metrics[name] > 0, name

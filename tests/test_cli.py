@@ -104,10 +104,17 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "temporal_params: hidden='x' does not match"),
     (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"min_leaf": 0}}}),
      "model_params for xgboost: min_leaf must be >= 1"),
+    (json.dumps({"cohort_csv": "cohort.csv", "out_dir": "out", "enabled_model": ["cox"],
+                 "cv_fold": 3}), "unknown key(s) ['cv_fold', 'enabled_model']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"max_iter": 0}}}),
+     "model_params for cox: max_iter must be >= 1"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"ties": "exact"}}}),
+     "model_params for cox: ties must be 'breslow' or 'efron'"),
 ], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
         "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
         "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
-        "unknown-temporal-key", "string-hidden", "zero-min-leaf"])
+        "unknown-temporal-key", "string-hidden", "zero-min-leaf", "unknown-top-level-key",
+        "zero-cox-max-iter", "cox-ties"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")
@@ -135,4 +142,61 @@ def test_evaluate_bad_horizon_exits_1(scores_csv, capsys):
     assert main(["evaluate", "--scores", str(path), "--horizons", "12,x", "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--horizons" in err
+    assert "Traceback" not in err
+
+
+def _grids(tmp_path, sid="s0", dims="2 2 2", values="1 2 3 4 5 6 7 8"):
+    grids = tmp_path / "grids"
+    grids.mkdir()
+    (grids / f"{sid}_grid.txt").write_text(f"dims {dims}\nspacing 1 1 1\n{values}\n",
+                                           encoding="utf-8")
+    (grids / f"{sid}_mask.txt").write_text("dims 2 2 2\nspacing 1 1 1\n1 1 1 1 0 0 0 0\n",
+                                           encoding="utf-8")
+    return grids
+
+
+def _extract_args(tmp_path, **grid):
+    return ["extract-features", "--grids", str(_grids(tmp_path, **grid)),
+            "--out", str(tmp_path / "features.csv")]
+
+
+def _run_with_grids_args(tmp_path, **grid):
+    cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    grids = _grids(tmp_path, sid=cohort.ids[0], **grid)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "voxel_grid_dir": str(grids)}),
+                      encoding="utf-8")
+    return ["run", "--config", str(config)]
+
+
+def _simulate_args(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec), encoding="utf-8")
+    return ["simulate", "--spec", str(path), "--out", str(tmp_path / "cohort.csv")]
+
+
+def _explain_args(tmp_path, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    return ["explain", "--model", str(path), "--cohort", str(tmp_path / "cohort.csv"),
+            "--out", str(tmp_path / "importance.csv")]
+
+
+@pytest.mark.parametrize("make_args, message", [
+    (lambda tmp: _extract_args(tmp, dims="2 2 x"), "row 1, column 'dims'"),
+    (lambda tmp: _extract_args(tmp, values="1 2 3 oops 5 6 7 8"), "row 3, column 'values'"),
+    (lambda tmp: _run_with_grids_args(tmp, values="1 2 3 oops 5 6 7 8"),
+     "row 3, column 'values'"),
+    (lambda tmp: _simulate_args(tmp, None), "No such file"),
+    (lambda tmp: _simulate_args(tmp, {"n": 50}), "missing field 'true_coefficients'"),
+    (lambda tmp: _explain_args(tmp, {"model": "boosted_cox", "mode": "gbm"}),
+     "missing field 'learners'"),
+], ids=["grid-dims", "grid-value", "run-grid-value", "missing-spec", "spec-no-coefficients",
+        "model-no-learners"])
+def test_malformed_input_file_exits_1(tmp_path, capsys, make_args, message):
+    assert main([*make_args(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert "Traceback" not in err

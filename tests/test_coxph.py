@@ -242,6 +242,13 @@ class TestFitCox:
         model = fit_cox(cohort, ridge=1.0)
         assert np.all(np.isfinite(model.coefficients))
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"ties": "exact"}, "ties must be"), ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"tol": 0.0}, "tol must be > 0"), ({"ridge": -1.0}, "ridge must be >= 0")])
+    def test_setting_out_of_domain_rejected(self, small_linear_cohort, setting, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            fit_cox(small_linear_cohort[0], **setting)
+
     def test_singular_hessian_conditioning_error(self):
         # duplicated feature: exactly collinear
         x = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5], [3.0, 3.0]])
@@ -264,10 +271,12 @@ class TestFitCox:
     def test_predicted_survival_curve(self, small_linear_cohort):
         cohort, _ = small_linear_cohort
         model = fit_cox(cohort)
-        surv = model.predict_survival(cohort.matrix()[0])
-        assert surv.initial_value == 1.0
-        assert np.all(np.diff(surv.values) <= 1e-15)
-        assert np.all((surv.values > 0) & (surv.values <= 1))
+        knots = model.baseline_chf.knots
+        scores, surv = model.predict(cohort.matrix()[:1], [knots[0] / 2, *knots])
+        assert scores[0] == model.predict_risk(cohort.matrix()[:1])[0]
+        assert surv[0, 0] == 1.0
+        assert np.all(np.diff(surv[0]) <= 1e-15)
+        assert np.all((surv > 0) & (surv <= 1))
 
 
 def breslow_loop(times, events, scores) -> StepFunction:

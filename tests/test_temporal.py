@@ -55,14 +55,12 @@ class TestLongitudinalCsv:
 BLOCKS = ("w_query", "w_key", "w_value", "w_hidden", "b_hidden", "w_out", "b_out")
 
 
-def embed_sequence(seq, d, use_positional_encoding=True):
+def embed_sequence(seq, d):
     """Zero-pad snapshot features to width d and add the positional encoding."""
     T, p = seq.snapshots.shape
     X = np.zeros((T, d))
     X[:, :p] = seq.snapshots
-    if use_positional_encoding:
-        X = X + sinusoidal_pe(T, d)
-    return X
+    return X + sinusoidal_pe(T, d)
 
 
 def attention_weights(X, model):
@@ -78,13 +76,13 @@ def self_attention(X, model):
     return attention_weights(X, model) @ (X @ model.w_value)
 
 
-def risk_loop(seq, model, use_pe=True):
-    z_last = self_attention(embed_sequence(seq, model.pe_dim, use_pe), model)[-1]
+def risk_loop(seq, model):
+    z_last = self_attention(embed_sequence(seq, model.pe_dim), model)[-1]
     hidden = np.tanh(z_last @ model.w_hidden + model.b_hidden)
     return float(hidden @ model.w_out + model.b_out)
 
 
-def loss_and_gradients_loop(sequences, model, use_pe=True):
+def loss_and_gradients_loop(sequences, model):
     """Cox loss and gradients, one full attention pass per subject."""
     sequences = sorted(sequences, key=lambda s: (s.time, s.event, s.subject_id))
     times = np.array([s.time for s in sequences])
@@ -95,7 +93,7 @@ def loss_and_gradients_loop(sequences, model, use_pe=True):
     caches = []
     scores = np.empty(len(sequences))
     for i, seq in enumerate(sequences):
-        X = embed_sequence(seq, d, use_pe)
+        X = embed_sequence(seq, d)
         q, k, v = X @ model.w_query, X @ model.w_key, X @ model.w_value
         logits = q @ k.T * inv_sqrt_d
         logits -= logits.max(axis=1, keepdims=True)
@@ -148,11 +146,10 @@ def sequences(n=40, seed=3, width=3):
 
 
 class TestBatchedPass:
-    @pytest.mark.parametrize("use_pe", [True, False])
-    def test_gradients_match_central_differences(self, use_pe):
+    def test_gradients_match_central_differences(self):
         seqs = sequences(n=25)
         model = random_model(1)
-        _, grads = temporal_loss_and_gradients(seqs, model, use_pe)
+        _, grads = temporal_loss_and_gradients(seqs, model)
         h = 1e-6
         for name in BLOCKS:
             value = np.asarray(getattr(model, name), dtype=float)
@@ -164,7 +161,7 @@ class TestBatchedPass:
                     moved[idx] += sign * h
                     moved = float(moved) if name == "b_out" else moved
                     losses.append(temporal_loss_and_gradients(
-                        seqs, replace(model, **{name: moved}), use_pe)[0])
+                        seqs, replace(model, **{name: moved}))[0])
                 numeric[idx] = (losses[0] - losses[1]) / (2.0 * h)
             np.testing.assert_allclose(grads[name], numeric, rtol=1e-6, atol=1e-7,
                                        err_msg=name)
@@ -186,8 +183,6 @@ class TestBatchedPass:
         for seq in sequences(n=30):
             assert temporal_risk(seq, model) == pytest.approx(risk_loop(seq, model),
                                                               rel=1e-12, abs=1e-12)
-            assert temporal_risk(seq, model, False) == pytest.approx(
-                risk_loop(seq, model, False), rel=1e-12, abs=1e-12)
 
     def test_train_is_invariant_to_input_order(self):
         seqs = sequences(n=50)
