@@ -17,27 +17,23 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .boosting import BoostedModel
 from .cohort import (
     ColumnSchema,
     SyntheticSpec,
-    _parse_number,
     generate_synthetic,
     load_cohort,
     write_cohort,
 )
-from .errors import InvalidParameterError, RecurriskError, RowParseError, reading
-from .explain import (
-    MAX_EXACT_FEATURES,
-    mean_abs_shapley,
-    median_background,
-    permutation_importance,
-)
-from .metrics import auc_summary, c_index
+from .errors import InvalidParameterError, RecurriskError, SchemaError, reading
+from .explain import feature_importance
+from .metrics import auc_by_horizon, c_index
 from .pipeline import PipelineConfig, run_pipeline
 from .radiomics import extract_all, load_region_mask, load_voxel_grid
+
+
+EXPLAIN_COLUMNS = {"mean_abs_shapley": ["feature", "mean_abs_shapley"],
+                   "permutation_importance": ["feature", "mean_drop", "std_drop"]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,9 +129,9 @@ def _cmd_simulate(args) -> int:
     with reading(f"spec {args.spec}"):
         with open(args.spec, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        spec = SyntheticSpec.from_json(doc)
+    spec = SyntheticSpec.from_json(doc, where=f"spec {args.spec}")
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     cohort, true_scores = generate_synthetic(spec)
     write_cohort(cohort, args.out)
     if args.scores_out:
@@ -172,37 +168,13 @@ def _cmd_evaluate(args) -> int:
     except ValueError:
         raise InvalidParameterError(f"--horizons must be comma-separated numbers, "
                                     f"got {args.horizons!r}") from None
-    ids, times, events, scores = [], [], [], []
-    with open(args.scores, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"id", "time", "event", "score"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            print(f"error: {args.scores} needs columns id,time,event,score",
-                  file=sys.stderr)
-            return 1
-        for row_no, row in enumerate(reader, start=1):
-            if None in row or None in row.values():
-                raise RowParseError(row_no, "<row>",
-                                    f"expected {len(reader.fieldnames)} cells")
-            event = _parse_number(row["event"], row_no, "event")
-            if event not in (0.0, 1.0):
-                raise RowParseError(row_no, "event",
-                                    f"event must be 0 or 1, got {row['event'].strip()}")
-            ids.append(row["id"])
-            times.append(_parse_number(row["time"], row_no, "time"))
-            events.append(int(event))
-            scores.append(_parse_number(row["score"], row_no, "score"))
-    times = np.array(times)
-    events = np.array(events)
-    scores = np.array(scores)
-
-    result = {"n": len(ids), "c_index": c_index(times, events, scores).c_index, "auc": {}}
-    for h in horizons:
-        try:
-            value, _, _ = auc_summary(times, events, scores, h)
-        except RecurriskError:
-            value = None
-        result["auc"][f"{h:g}"] = value
+    # a score file is a cohort file whose only other column is the score
+    cohort = load_cohort(args.scores)
+    if cohort.feature_names != ("score",):
+        raise SchemaError(f"{args.scores} needs exactly the columns id,time,event,score")
+    times, events, scores = cohort.times, cohort.events, cohort.X[:, 0]
+    result = {"n": len(cohort), "c_index": c_index(times, events, scores).c_index,
+              "auc": auc_by_horizon(times, events, scores, horizons)}
     text = json.dumps(result, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -216,22 +188,12 @@ def _cmd_explain(args) -> int:
         model = BoostedModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     cohort = load_cohort(args.cohort, ColumnSchema())
     cohort = cohort.subset_features(model.feature_names)
+    method, rows = feature_importance(model, cohort, args.seed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if len(model.feature_names) <= MAX_EXACT_FEATURES:
-            rows = mean_abs_shapley(model, cohort.matrix(),
-                                    median_background(cohort), cohort.feature_names)
-            writer.writerow(["feature", "mean_abs_shapley"])
-            for name, value in rows:
-                writer.writerow([name, repr(value)])
-            _say(args, f"wrote exact attributions for {len(rows)} features to {args.out}")
-        else:
-            report = permutation_importance(model, cohort, repeats=10, seed=args.seed)
-            writer.writerow(["feature", "mean_drop", "std_drop"])
-            for row in report.rows:
-                writer.writerow([row.feature, repr(row.mean_drop), repr(row.std_drop)])
-            _say(args, f"wrote permutation importance for {len(report.rows)} "
-                       f"features to {args.out}")
+        writer.writerow(EXPLAIN_COLUMNS[method])
+        writer.writerows([name, *map(repr, values)] for name, *values in rows)
+    _say(args, f"wrote {method} for {len(rows)} features to {args.out}")
     return 0
 
 

@@ -24,6 +24,8 @@ from .errors import (
     NoInformativeFeaturesError,
     RowParseError,
     SchemaError,
+    checked,
+    declared,
 )
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -290,17 +292,12 @@ class SyntheticSpec:
         object.__setattr__(self, "true_coefficients", tuple(float(b) for b in self.true_coefficients))
 
     @staticmethod
-    def from_json(doc: str | dict) -> "SyntheticSpec":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-        return SyntheticSpec(
-            n=int(data["n"]),
-            true_coefficients=tuple(data["true_coefficients"]),
-            weibull_shape=float(data.get("weibull_shape", 1.5)),
-            weibull_scale=float(data.get("weibull_scale", 20.0)),
-            censoring_rate_target=float(data.get("censoring_rate_target", 0.3)),
-            nonlinear=bool(data.get("nonlinear", False)),
-            seed=int(data.get("seed", 0)),
-        )
+    def from_json(doc: str | dict, where: str = "spec") -> "SyntheticSpec":
+        """A spec from a JSON object or its text. An unknown key, a missing
+        `n` or `true_coefficients`, or a value not of its field's type
+        raises InvalidParameterError naming `where`."""
+        data = json.loads(doc) if isinstance(doc, str) else doc
+        return SyntheticSpec(**checked(where, data, declared(SyntheticSpec)))
 
 
 def _linear_predictor(X: np.ndarray, spec: SyntheticSpec) -> np.ndarray:

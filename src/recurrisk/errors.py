@@ -2,8 +2,12 @@
 
 Every failure mode that callers are expected to distinguish gets its own
 class so that tests and the pipeline can catch precisely what they mean to.
+`reading` and `checked` turn a bad input file into one of them.
 """
 
+import inspect
+import types
+import typing
 from contextlib import contextmanager
 
 
@@ -104,3 +108,60 @@ def reading(what: str):
     except (OSError, KeyError, TypeError, ValueError) as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise InvalidParameterError(f"{what}: {reason}") from None
+
+
+def declared(target, *skip) -> dict:
+    """Parameter name -> inspect.Parameter of a function or dataclass, each
+    annotation resolved to its type, leaving out the names in `skip`."""
+    hints = typing.get_type_hints(target)
+    return {name: p.replace(annotation=hints.get(name, p.annotation))
+            for name, p in inspect.signature(target).parameters.items() if name not in skip}
+
+
+def checked(where: str, doc, params: dict) -> dict:
+    """The JSON object `doc` checked against `params` (from `declared`).
+
+    An unknown key, a missing key without a default, or a value that is not
+    an instance of its annotated type raises InvalidParameterError naming
+    `where`. An int may stand for a float and is converted, a list may stand
+    for a tuple and its elements are checked too, and a bool stands only for
+    a bool.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"{where}: expected an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(params))
+    if unknown:
+        raise InvalidParameterError(f"{where}: unknown key(s) {unknown}")
+    for name, p in params.items():
+        if p.default is p.empty and name not in doc:
+            raise InvalidParameterError(f"{where}: missing field {name!r}")
+    out = {}
+    for key, value in doc.items():
+        hint, default = params[key].annotation, params[key].default
+        try:
+            out[key] = _as_type(hint, value)
+        except TypeError:
+            expected = (f"the type of its default {default!r}"
+                        if isinstance(default, (int, float, str, tuple)) else
+                        f"its type {hint.__name__ if isinstance(hint, type) else hint}")
+            raise InvalidParameterError(
+                f"{where}: {key}={value!r} does not match {expected}") from None
+    return out
+
+
+def _as_type(hint, value):
+    """`value` as an instance of `hint` (a class, `X | None` or
+    `tuple[X, ...]`); TypeError if it is none."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        inner = next(a for a in args if a is not type(None))
+        return None if value is None else _as_type(inner, value)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError
+        return tuple(_as_type(args[0], v) for v in value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if isinstance(value, bool) is not (hint is bool) or not isinstance(value, hint):
+        raise TypeError
+    return value

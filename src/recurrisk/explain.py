@@ -159,3 +159,19 @@ def permutation_importance(model, cohort: Cohort, repeats: int = 10,
     rows.sort(key=lambda r: -r.mean_drop)
     return ImportanceReport(rows=tuple(rows), repeats=repeats, seed=seed,
                             baseline_metric=float(baseline))
+
+
+def feature_importance(model, cohort: Cohort, seed: int) -> tuple[str, list[tuple]]:
+    """Exact mean |Shapley| against the median background for up to
+    MAX_EXACT_FEATURES features, else permutation importance (10 repeats).
+
+    Returns the method name and its rows, descending: (feature, value) for
+    "mean_abs_shapley", (feature, mean_drop, std_drop) for
+    "permutation_importance".
+    """
+    if cohort.n_features <= MAX_EXACT_FEATURES:
+        return "mean_abs_shapley", mean_abs_shapley(
+            model, cohort.X, median_background(cohort), cohort.feature_names)
+    report = permutation_importance(model, cohort, repeats=10, seed=seed)
+    return "permutation_importance", [(r.feature, r.mean_drop, r.std_drop)
+                                      for r in report.rows]

@@ -98,26 +98,6 @@ def c_index(times, events, scores) -> ConcordanceResult:
     return ConcordanceResult(concordant, discordant, tied)
 
 
-def auc_t(times, events, scores, t) -> float:
-    """Incident/dynamic AUC at an observed event time t.
-
-    Cases are subjects with an event exactly at t; controls are subjects
-    still event-free after t. Every control at a fixed t carries the same
-    IPCW weight 1/G(t), so the weights cancel inside AUC(t). Raises
-    UndefinedMetricError when there is no case or no control.
-    """
-    times, events, scores = _check_inputs(times, events, scores)
-    case = (times == t) & (events == 1)
-    control = times > t
-    n_case, n_control = int(case.sum()), int(control.sum())
-    if n_case == 0 or n_control == 0:
-        raise UndefinedMetricError(f"no case/control pair at t={t}")
-    s_case = scores[case][:, None]
-    s_ctrl = scores[control][None, :]
-    wins = np.sum(s_case > s_ctrl) + 0.5 * np.sum(s_case == s_ctrl)
-    return float(wins / (n_case * n_control))
-
-
 _AUC_CHUNK = 1 << 18  # case x control comparisons held at once by auc_summary
 
 
@@ -126,9 +106,11 @@ def auc_summary(times, events, scores, horizon):
 
     Returns (summary, evaluated, skipped) where `evaluated` is a list of
     (t, auc, n_events) and `skipped` lists event times with no controls.
-    Each AUC(t) is auc_t's wins / (n_case * n_control), with the integer
-    counts of lower- and equal-scored controls taken per case over chunks
-    of cases and then summed per event time.
+    AUC(t) is the incident/dynamic AUC: cases have an event exactly at t,
+    controls are still event-free after t, and the controls' common IPCW
+    weight 1/G(t) cancels. It is wins / (n_case * n_control), with the
+    integer counts of lower- and equal-scored controls taken per case over
+    chunks of cases and then summed per event time.
     """
     times, events, scores = _check_inputs(times, events, scores)
     if np.any(times <= 0):
@@ -167,6 +149,17 @@ def auc_summary(times, events, scores, horizon):
     weights = np.array([d for _, _, d in evaluated], dtype=float)
     values = np.array([a for _, a, _ in evaluated])
     return float(np.sum(weights * values) / np.sum(weights)), evaluated, skipped
+
+
+def auc_by_horizon(times, events, scores, horizons) -> dict:
+    """auc_summary per horizon, keyed f"{h:g}"; None where it is undefined."""
+    out = {}
+    for h in horizons:
+        try:
+            out[f"{h:g}"] = auc_summary(times, events, scores, h)[0]
+        except UndefinedMetricError:
+            out[f"{h:g}"] = None
+    return out
 
 
 def brier(t, survival_probs, times, events) -> float:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import inspect
 import json
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -46,11 +45,13 @@ from .errors import (
     PipelineError,
     RecurriskError,
     UndefinedMetricError,
+    checked,
+    declared,
     reading,
 )
-from .explain import MAX_EXACT_FEATURES, mean_abs_shapley, median_background, permutation_importance
+from .explain import feature_importance
 from .metrics import (
-    auc_summary,
+    auc_by_horizon,
     brier,
     c_index,
     calibration_table,
@@ -61,7 +62,7 @@ from .nonparametric import kaplan_meier, log_rank, median_survival_time
 from .radiomics import extract_all, load_region_mask, load_voxel_grid
 from .rsf import ForestParams, fit_rsf
 from .svgplot import PALETTE, Series, render_plot
-from .temporal import load_longitudinal, train_temporal, temporal_risk
+from .temporal import check_temporal_params, load_longitudinal, temporal_risk, train_temporal
 
 SCHEMA_VERSION = "1"
 DCA_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -88,18 +89,12 @@ def _booster(mode: str):
     return fit
 
 
-def _accepted(target, *set_by_pipeline) -> dict:
-    """Parameter name -> default for the keys a `model_params` entry may set."""
-    return {name: p.default for name, p in inspect.signature(target).parameters.items()
-            if name not in ("cohort", *set_by_pipeline)}
-
-
 class Learner(NamedTuple):
     """fit(cohort, params, seed, fold) -> fitted model, where params is the
     learner's `model_params` entry and fold is -1 for the whole-cohort refit;
-    `params` maps each key the entry may hold to the default whose type its
-    value must have, and check(**entry) raises InvalidParameterError on a
-    value out of range.
+    `params` declares the keys the entry may hold (see errors.declared), and
+    check(**settings) raises InvalidParameterError on a value out of range,
+    where settings are the entry over the defaults of `params`.
 
     Every fitted model answers predict_risk(X), predict(X, horizons) ->
     (scores, survival of shape (n, len(horizons))) and to_json()."""
@@ -112,41 +107,29 @@ class Learner(NamedTuple):
 # The fit functions look fit_cox, fit_rsf and fit_boosted up at call time,
 # so rebinding those module names takes effect. The mode and the seed are
 # set by the pipeline, so a config may not set them.
-_BOOST_PARAMS = _accepted(BoostParams, "mode", "seed")
-_COX_PARAMS = _accepted(fit_cox)
+_BOOST_PARAMS = declared(BoostParams, "mode", "seed")
 LEARNERS = {
     "xgboost": Learner(_booster("xgboost"), _BOOST_PARAMS, BoostParams),
-    "rsf": Learner(_fit_rsf, _accepted(ForestParams, "seed"), ForestParams),
+    "rsf": Learner(_fit_rsf, declared(ForestParams, "seed"), ForestParams),
     "coxboost": Learner(_booster("componentwise"), _BOOST_PARAMS, BoostParams),
     "gbm": Learner(_booster("gbm"), _BOOST_PARAMS, BoostParams),
-    "cox": Learner(_fit_cox, _COX_PARAMS,
-                   lambda **entry: check_cox_params(**{**_COX_PARAMS, **entry})),
+    "cox": Learner(_fit_cox, declared(fit_cox, "cohort"), check_cox_params),
 }
 MODEL_ORDER = tuple(LEARNERS)
 
-# `temporal_params` key -> the value used when the config leaves it out
-TEMPORAL_PARAMS = {"pe_dim": 8, "hidden": 8, "learning_rate": 0.02, "epochs": 60}
+# The keys `temporal_params` may set; train_temporal's defaults fill the rest.
+TEMPORAL_PARAMS = declared(train_temporal, "sequences", "seed")
+
+PATH_FIELDS = ("cohort_csv", "out_dir", "longitudinal_csv", "voxel_grid_dir")
 
 
-def _check_params(where: str, params: dict, defaults: dict) -> None:
-    """Reject unknown keys and values not of their default's type. An int
-    may stand for a float or fill a None default; a bool is never a number."""
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise InvalidParameterError(f"{where}: unknown key(s) {unknown}")
-    for key, value in params.items():
-        default = defaults[key]
-        allowed = {type(None): (int, type(None)), float: (int, float)}.get(
-            type(default), type(default))
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise InvalidParameterError(
-                f"{where}: {key}={value!r} does not match the type of its default {default!r}")
-
-
-def _json_list(value) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list, got {value!r}")
-    return tuple(value)
+def _check_entry(where: str, entry: dict, params: dict, check: Callable) -> None:
+    settings = {name: p.default for name, p in params.items()}
+    settings.update(checked(where, entry, params))
+    try:
+        check(**settings)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -179,72 +162,32 @@ class PipelineConfig:
         if unknown:
             raise InvalidParameterError(f"unknown models: {sorted(unknown)}")
         object.__setattr__(self, "enabled_models", tuple(self.enabled_models))
-        for name, params in self.model_params.items():
+        for name, entry in self.model_params.items():
             if name not in LEARNERS:
                 raise InvalidParameterError(f"model_params names an unknown model {name!r}")
-            _check_params(f"model_params for {name}", params, LEARNERS[name].params)
-            try:
-                LEARNERS[name].check(**params)
-            except InvalidParameterError as exc:
-                raise InvalidParameterError(f"model_params for {name}: {exc}") from None
-        _check_params("temporal_params", self.temporal_params, TEMPORAL_PARAMS)
+            learner = LEARNERS[name]
+            _check_entry(f"model_params for {name}", entry, learner.params, learner.check)
+        _check_entry("temporal_params", self.temporal_params, TEMPORAL_PARAMS,
+                     check_temporal_params)
 
     @staticmethod
     def from_json_file(path) -> "PipelineConfig":
-        """Read a config; an unreadable or malformed file, a missing
-        `cohort_csv`, an unknown field or a field of the wrong kind raises
-        InvalidParameterError."""
+        """Read a config and resolve its relative paths against the config's
+        folder. An unreadable or malformed file, a missing `cohort_csv`, an
+        unknown key or a value of the wrong type raises InvalidParameterError."""
         path = Path(path)
-        base = path.parent
-
-        def resolve(p):
-            return None if p is None else str((base / p) if not Path(p).is_absolute() else Path(p))
-
         with reading(f"config {path}"):
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            unknown = sorted(set(doc) - {f.name for f in fields(PipelineConfig)})
-            if unknown:
-                raise ValueError(f"unknown key(s) {unknown}")
-            return PipelineConfig(
-                cohort_csv=resolve(doc["cohort_csv"]),
-                out_dir=resolve(doc.get("out_dir", "out")),
-                longitudinal_csv=resolve(doc.get("longitudinal_csv")),
-                voxel_grid_dir=resolve(doc.get("voxel_grid_dir")),
-                id_column=doc.get("id_column", "id"),
-                time_column=doc.get("time_column", "time"),
-                event_column=doc.get("event_column", "event"),
-                alpha=float(doc.get("alpha", 0.05)),
-                vif_threshold=float(doc.get("vif_threshold", 5.0)),
-                cv_folds=int(doc.get("cv_folds", 5)),
-                horizons=_json_list(doc.get("horizons", (12.0, 24.0))),
-                seed=int(doc.get("seed", 0)),
-                enabled_models=_json_list(doc.get("enabled_models", MODEL_ORDER)),
-                model_params=dict(doc.get("model_params", {})),
-                radiomics_levels=int(doc.get("radiomics_levels", 32)),
-                temporal_params=dict(doc.get("temporal_params", {})),
-            )
+        config = PipelineConfig(**checked(f"config {path}", doc, declared(PipelineConfig)))
+        return replace(config, **{name: str(path.parent / getattr(config, name))
+                                  for name in PATH_FIELDS if getattr(config, name) is not None})
 
     def canonical_json(self) -> str:
         # out_dir is where artifacts land, not analysis content; leaving it
         # out keeps the provenance hash identical across scratch directories
-        doc = {
-            "cohort_csv": self.cohort_csv,
-            "longitudinal_csv": self.longitudinal_csv,
-            "voxel_grid_dir": self.voxel_grid_dir,
-            "id_column": self.id_column,
-            "time_column": self.time_column,
-            "event_column": self.event_column,
-            "alpha": self.alpha,
-            "vif_threshold": self.vif_threshold,
-            "cv_folds": self.cv_folds,
-            "horizons": list(self.horizons),
-            "seed": self.seed,
-            "enabled_models": list(self.enabled_models),
-            "model_params": self.model_params,
-            "radiomics_levels": self.radiomics_levels,
-            "temporal_params": self.temporal_params,
-        }
+        doc = asdict(self)
+        del doc["out_dir"]
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
@@ -465,14 +408,9 @@ def _attach_radiomics(cohort: Cohort, config: PipelineConfig) -> Cohort:
 def _evaluate_model(times, events, scores, surv, horizons):
     out = {"status": "ok"}
     out["c_index"] = c_index(times, events, scores).c_index
-    out["auc"] = {}
+    out["auc"] = auc_by_horizon(times, events, scores, horizons)
     out["brier"] = {}
     for hi, h in enumerate(horizons):
-        try:
-            value, _, _ = auc_summary(times, events, scores, h)
-            out["auc"][_hkey(h)] = value
-        except UndefinedMetricError:
-            out["auc"][_hkey(h)] = None
         try:
             out["brier"][_hkey(h)] = brier(h, surv[:, hi], times, events)
         except UndefinedMetricError:
@@ -556,22 +494,11 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
         except RecurriskError:
             model = None
         if model is not None:
-            if len(selected) <= MAX_EXACT_FEATURES:
-                background = median_background(selected_cohort)
-                rows = mean_abs_shapley(model, selected_cohort.X, background,
-                                        selected_cohort.feature_names)
-                importance_section = {
-                    "method": "mean_abs_shapley",
-                    "rows": [{"feature": n, "value": v} for n, v in rows],
-                }
-            else:
-                report = permutation_importance(model, selected_cohort,
-                                                repeats=10, seed=config.seed)
-                importance_section = {
-                    "method": "permutation_importance",
-                    "rows": [{"feature": r.feature, "value": r.mean_drop,
-                              "std": r.std_drop} for r in report.rows],
-                }
+            method, rows = feature_importance(model, selected_cohort, config.seed)
+            importance_section = {
+                "method": method,
+                "rows": [dict(zip(("feature", "value", "std"), row)) for row in rows],
+            }
 
     return {
         "screen": screen_section,
@@ -593,7 +520,6 @@ def _temporal_lane(cohort: Cohort, folds, config: PipelineConfig):
         raise PipelineError("temporal",
                             f"longitudinal data missing for {len(missing)} subjects "
                             f"(first: {missing[0]!r})")
-    params = {**TEMPORAL_PARAMS, **config.temporal_params}
 
     times, events = cohort.times, cohort.events
     ids = cohort.ids
@@ -604,20 +530,15 @@ def _temporal_lane(cohort: Cohort, folds, config: PipelineConfig):
             test_idx = np.nonzero(folds == f)[0]
             train_idx = np.nonzero(folds != f)[0]
             train_seqs = [by_id[ids[i]] for i in train_idx]
-            model = train_temporal(train_seqs, **params, seed=config.seed + f)
+            model = train_temporal(train_seqs, **config.temporal_params,
+                                   seed=config.seed + f)
             for i in test_idx:
                 oof[i] = temporal_risk(by_id[ids[i]], model)
     except RecurriskError as exc:
         return {"status": "failed", "error": str(exc)}
 
-    result = {"status": "ok", "c_index": c_index(times, events, oof).c_index, "auc": {}}
-    for h in config.horizons:
-        try:
-            value, _, _ = auc_summary(times, events, oof, h)
-            result["auc"][_hkey(h)] = value
-        except UndefinedMetricError:
-            result["auc"][_hkey(h)] = None
-    return result
+    return {"status": "ok", "c_index": c_index(times, events, oof).c_index,
+            "auc": auc_by_horizon(times, events, oof, config.horizons)}
 
 
 # --- artifact emission -------------------------------------------------------

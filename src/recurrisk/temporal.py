@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boosting import cox_gradients, cox_negloglik
-from .cohort import SyntheticSpec, _parse_number, generate_synthetic
+from .cohort import _parse_number
 from .errors import (
     InvalidParameterError,
     NumericInputError,
@@ -199,14 +199,29 @@ def initial_model(pe_dim: int, hidden: int, seed: int) -> TemporalModel:
     )
 
 
+def check_temporal_params(pe_dim: int, hidden: int, learning_rate: float,
+                          epochs: int) -> None:
+    """Raise InvalidParameterError for a train_temporal setting out of its domain."""
+    if pe_dim < 2 or pe_dim % 2 != 0:
+        raise InvalidParameterError(f"pe_dim must be even and >= 2, got {pe_dim}")
+    if hidden < 1:
+        raise InvalidParameterError("hidden must be >= 1")
+    if not learning_rate > 0:
+        raise InvalidParameterError("learning_rate must be > 0")
+    if epochs < 1:
+        raise InvalidParameterError("epochs must be >= 1")
+
+
 def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
-                   learning_rate: float = 0.05, epochs: int = 100,
+                   learning_rate: float = 0.02, epochs: int = 60,
                    seed: int = 0) -> TemporalModel:
     """Full-batch gradient descent on the Cox loss over sequence scores.
 
-    Raises TrainingError (with the loss trace attached) if the loss rises
-    for 10 consecutive epochs.
+    A setting out of its domain raises InvalidParameterError. Raises
+    TrainingError (with the loss trace attached) if the loss rises for 10
+    consecutive epochs.
     """
+    check_temporal_params(pe_dim, hidden, learning_rate, epochs)
     seqs = _canonical_order(list(sequences))
     if len(seqs) < 2:
         raise TrainingError("need at least two subjects")
@@ -243,44 +258,12 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
     return replace(model, training_loss_trace=tuple(trace))
 
 
-# --- longitudinal synthetic data and CSV interchange ------------------------
-
-
-def generate_longitudinal(spec: SyntheticSpec, max_snapshots: int = 4,
-                          drift: float = 0.25) -> list[SnapshotSequence]:
-    """Follow-up series for the synthetic cohort: snapshot t equals the
-    baseline features plus (t-1) * drift * eta along the all-ones direction,
-    i.e. a linear per-snapshot drift proportional to the subject's true risk.
-    """
-    cohort, eta = generate_synthetic(spec)
-    rng = np.random.default_rng([spec.seed, 0x5EED])
-    d = cohort.n_features
-    direction = np.ones(d) / np.sqrt(d)
-    sequences = []
-    for rid, time, event, base, eta_i in zip(cohort.ids, cohort.times.tolist(),
-                                             cohort.events.tolist(), cohort.X, eta):
-        t_count = int(rng.integers(1, max_snapshots + 1))
-        snaps = np.vstack([base + k * drift * eta_i * direction
-                           for k in range(t_count)])
-        sequences.append(SnapshotSequence(rid, snaps, time, event))
-    return sequences
-
-
-def write_longitudinal(sequences, path) -> None:
-    """CSV with columns id, snapshot_index, time, event, x0, x1, ..."""
-    width = sequences[0].snapshots.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "snapshot_index", "time", "event",
-                         *(f"x{j}" for j in range(width))])
-        for seq in sequences:
-            for t, row in enumerate(seq.snapshots, start=1):
-                writer.writerow([seq.subject_id, t, repr(seq.time), seq.event,
-                                 *(repr(float(v)) for v in row)])
+# --- longitudinal CSV ------------------------------------------------------
 
 
 def load_longitudinal(path) -> list[SnapshotSequence]:
-    """Inverse of write_longitudinal; snapshots ordered by snapshot_index."""
+    """Sequences from a CSV with columns id, snapshot_index, time, event and
+    one column per snapshot feature; snapshots ordered by snapshot_index."""
     groups: dict[str, list] = {}
     order: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:

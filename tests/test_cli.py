@@ -85,8 +85,9 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "model_params for cox: unknown key(s) ['tie']"),
     ('{"cohort_csv": "cohort.csv",', "Expecting property name"),
     (json.dumps({"out_dir": "out"}), "missing field 'cohort_csv'"),
-    (json.dumps({**BASE_CONFIG, "alpha": "five percent"}), "to float: 'five percent'"),
-    (json.dumps({**BASE_CONFIG, "enabled_models": "cox"}), "expected a list, got 'cox'"),
+    (json.dumps({**BASE_CONFIG, "alpha": "five percent"}),
+     "alpha='five percent' does not match the type of its default 0.05"),
+    (json.dumps({**BASE_CONFIG, "enabled_models": "cox"}), "enabled_models='cox' does not match"),
     (None, "No such file"),
     (json.dumps({**BASE_CONFIG, "model_params": {"gbm": {"mode": "xgboost"}}}),
      "model_params for gbm: unknown key(s) ['mode']"),
@@ -110,11 +111,34 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "model_params for cox: max_iter must be >= 1"),
     (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"ties": "exact"}}}),
      "model_params for cox: ties must be 'breslow' or 'efron'"),
+    (json.dumps({**BASE_CONFIG, "cv_folds": 5.9}),
+     "cv_folds=5.9 does not match the type of its default 5"),
+    (json.dumps({**BASE_CONFIG, "seed": True}), "seed=True does not match the type of its default 0"),
+    (json.dumps({**BASE_CONFIG, "alpha": "0.05"}),
+     "alpha='0.05' does not match the type of its default 0.05"),
+    (json.dumps({**BASE_CONFIG, "horizons": ["12", 24]}),
+     "horizons=['12', 24] does not match the type of its default (12.0, 24.0)"),
+    (json.dumps({**BASE_CONFIG, "id_column": 3}),
+     "id_column=3 does not match the type of its default 'id'"),
+    (json.dumps({**BASE_CONFIG, "voxel_grid_dir": 3}),
+     "voxel_grid_dir=3 does not match its type str | None"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"cox": 5}}),
+     "model_params for cox: expected an object, got 5"),
+    (json.dumps({**BASE_CONFIG, "temporal_params": {"pe_dim": 3}}),
+     "temporal_params: pe_dim must be even and >= 2, got 3"),
+    (json.dumps({**BASE_CONFIG, "temporal_params": {"hidden": 0}}),
+     "temporal_params: hidden must be >= 1"),
+    (json.dumps({**BASE_CONFIG, "temporal_params": {"learning_rate": 0}}),
+     "temporal_params: learning_rate must be > 0"),
+    (json.dumps({**BASE_CONFIG, "temporal_params": {"epochs": 0}}),
+     "temporal_params: epochs must be >= 1"),
 ], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
         "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
         "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
         "unknown-temporal-key", "string-hidden", "zero-min-leaf", "unknown-top-level-key",
-        "zero-cox-max-iter", "cox-ties"])
+        "zero-cox-max-iter", "cox-ties", "float-cv-folds", "bool-seed", "string-alpha",
+        "string-horizon", "int-id-column", "int-grid-dir", "cox-entry-not-object",
+        "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")
@@ -135,6 +159,40 @@ def test_config_types_follow_the_defaults():
         "rsf": {"mtry": 2, "max_depth": None}, "cox": {"ridge": 0, "ties": "breslow"}},
         temporal_params={"learning_rate": 1, "epochs": 3})
     assert config.model_params["rsf"]["mtry"] == 2
+
+
+def test_canonical_json_is_pinned():
+    # the provenance hash of every committed report depends on this string
+    config = PipelineConfig(cohort_csv="data/cohort.csv", out_dir="elsewhere",
+                            longitudinal_csv="data/longitudinal.csv", id_column="pid",
+                            alpha=0.01, vif_threshold=10.0, cv_folds=3, horizons=(6, 12.5),
+                            seed=11, enabled_models=("cox", "rsf"),
+                            model_params={"rsf": {"n_trees": 5, "max_depth": None},
+                                          "cox": {"ties": "breslow"}},
+                            radiomics_levels=16, temporal_params={"epochs": 3})
+    assert config.canonical_json() == (
+        '{"alpha":0.01,"cohort_csv":"data/cohort.csv","cv_folds":3,'
+        '"enabled_models":["cox","rsf"],"event_column":"event","horizons":[6.0,12.5],'
+        '"id_column":"pid","longitudinal_csv":"data/longitudinal.csv",'
+        '"model_params":{"cox":{"ties":"breslow"},"rsf":{"max_depth":null,"n_trees":5}},'
+        '"radiomics_levels":16,"seed":11,"temporal_params":{"epochs":3},'
+        '"time_column":"time","vif_threshold":10.0,"voxel_grid_dir":null}')
+
+
+def test_config_paths_resolve_next_to_the_config_file(tmp_path):
+    folder = tmp_path / "study"
+    folder.mkdir()
+    path = folder / "config.json"
+    path.write_text(json.dumps({"cohort_csv": "cohort.csv", "voxel_grid_dir": "grids",
+                                "alpha": 1, "horizons": [12, 24]}), encoding="utf-8")
+    config = PipelineConfig.from_json_file(path)
+    assert config.out_dir == str(folder / "out")
+    assert config.cohort_csv == str(folder / "cohort.csv")
+    assert config.voxel_grid_dir == str(folder / "grids")
+    assert config.longitudinal_csv is None
+    # an int stands for a float and is hashed as one
+    assert config.alpha == 1.0 and type(config.alpha) is float
+    assert '"alpha":1.0' in config.canonical_json()
 
 
 def test_evaluate_bad_horizon_exits_1(scores_csv, capsys):
@@ -177,6 +235,12 @@ def _simulate_args(tmp_path, spec):
     return ["simulate", "--spec", str(path), "--out", str(tmp_path / "cohort.csv")]
 
 
+def _evaluate_args(tmp_path, time):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"id,time,event,score\na,5.0,1,0.2\nb,{time},0,0.1\n", encoding="utf-8")
+    return ["evaluate", "--scores", str(path)]
+
+
 def _explain_args(tmp_path, model):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model), encoding="utf-8")
@@ -193,8 +257,18 @@ def _explain_args(tmp_path, model):
     (lambda tmp: _simulate_args(tmp, {"n": 50}), "missing field 'true_coefficients'"),
     (lambda tmp: _explain_args(tmp, {"model": "boosted_cox", "mode": "gbm"}),
      "missing field 'learners'"),
+    (lambda tmp: _simulate_args(tmp, {"n": 40, "true_coefficients": [1.0],
+                                      "censoring_rate": 0.9}),
+     "unknown key(s) ['censoring_rate']"),
+    (lambda tmp: _simulate_args(tmp, {"n": 40, "true_coefficients": [1.0],
+                                      "nonlinear": "false"}),
+     "nonlinear='false' does not match the type of its default False"),
+    (lambda tmp: _simulate_args(tmp, {"n": 40.7, "true_coefficients": [1.0]}),
+     "n=40.7 does not match its type int"),
+    (lambda tmp: _evaluate_args(tmp, 0), "row 2, column 'time': time must be positive"),
 ], ids=["grid-dims", "grid-value", "run-grid-value", "missing-spec", "spec-no-coefficients",
-        "model-no-learners"])
+        "model-no-learners", "spec-unknown-key", "spec-string-bool", "spec-float-n",
+        "evaluate-zero-time"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, make_args, message):
     assert main([*make_args(tmp_path), "--quiet"]) == 1
     err = capsys.readouterr().err

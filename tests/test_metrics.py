@@ -8,7 +8,6 @@ from recurrisk.metrics import (
     ConcordanceResult,
     _check_inputs,
     auc_summary,
-    auc_t,
     brier,
     c_index,
     calibration_table,
@@ -18,6 +17,26 @@ from recurrisk.metrics import (
 from recurrisk.nonparametric import kaplan_meier
 from recurrisk.cohort import SyntheticSpec, generate_synthetic
 
+
+def auc_t(times, events, scores, t) -> float:
+    """Incident/dynamic AUC at an observed event time t, the oracle for
+    auc_summary's per-time values.
+
+    Cases are subjects with an event exactly at t; controls are subjects
+    still event-free after t. Every control at a fixed t carries the same
+    IPCW weight 1/G(t), so the weights cancel inside AUC(t). Raises
+    UndefinedMetricError when there is no case or no control.
+    """
+    times, events, scores = _check_inputs(times, events, scores)
+    case = (times == t) & (events == 1)
+    control = times > t
+    n_case, n_control = int(case.sum()), int(control.sum())
+    if n_case == 0 or n_control == 0:
+        raise UndefinedMetricError(f"no case/control pair at t={t}")
+    s_case = scores[case][:, None]
+    s_ctrl = scores[control][None, :]
+    wins = np.sum(s_case > s_ctrl) + 0.5 * np.sum(s_case == s_ctrl)
+    return float(wins / (n_case * n_control))
 
 def c_index_brute(times, events, scores) -> ConcordanceResult:
     """O(n^2) reference implementation; the oracle for the fast variant."""

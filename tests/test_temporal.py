@@ -1,23 +1,55 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from recurrisk.boosting import cox_gradients, cox_negloglik
-from recurrisk.cohort import SyntheticSpec
+from recurrisk.cohort import SyntheticSpec, generate_synthetic
 from recurrisk.errors import NumericInputError, RowParseError, ShapeError
 from recurrisk.nonparametric import RiskSets
 from recurrisk.temporal import (
     SnapshotSequence,
-    generate_longitudinal,
     initial_model,
     load_longitudinal,
     sinusoidal_pe,
     temporal_loss_and_gradients,
     temporal_risk,
     train_temporal,
-    write_longitudinal,
 )
+
+
+def generate_longitudinal(spec: SyntheticSpec, max_snapshots: int = 4,
+                          drift: float = 0.25) -> list[SnapshotSequence]:
+    """Follow-up series for the synthetic cohort: snapshot t equals the
+    baseline features plus (t-1) * drift * eta along the all-ones direction,
+    i.e. a linear per-snapshot drift proportional to the subject's true risk.
+    """
+    cohort, eta = generate_synthetic(spec)
+    rng = np.random.default_rng([spec.seed, 0x5EED])
+    d = cohort.n_features
+    direction = np.ones(d) / np.sqrt(d)
+    sequences = []
+    for rid, time, event, base, eta_i in zip(cohort.ids, cohort.times.tolist(),
+                                             cohort.events.tolist(), cohort.X, eta):
+        t_count = int(rng.integers(1, max_snapshots + 1))
+        snaps = np.vstack([base + k * drift * eta_i * direction
+                           for k in range(t_count)])
+        sequences.append(SnapshotSequence(rid, snaps, time, event))
+    return sequences
+
+
+def write_longitudinal(sequences, path) -> None:
+    """CSV with columns id, snapshot_index, time, event, x0, x1, ..."""
+    width = sequences[0].snapshots.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "snapshot_index", "time", "event",
+                         *(f"x{j}" for j in range(width))])
+        for seq in sequences:
+            for t, row in enumerate(seq.snapshots, start=1):
+                writer.writerow([seq.subject_id, t, repr(seq.time), seq.event,
+                                 *(repr(float(v)) for v in row)])
 
 
 class TestLongitudinalCsv:
