@@ -49,7 +49,7 @@ _MODES = ("componentwise", "gbm", "xgboost")
 
 @dataclass(frozen=True)
 class BoostParams:
-    rounds: int = 100
+    rounds: int = 150
     learning_rate: float = 0.1
     tree_depth: int = 3
     min_leaf: int = 5

@@ -180,14 +180,8 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
             if len(row) != len(header):
                 raise RowParseError(row_no, "<row>",
                                     f"expected {len(header)} cells, got {len(row)}")
-            time = _parse_number(row[t_idx], row_no, schema.time_column)
-            if not time > 0:
-                raise RowParseError(row_no, schema.time_column,
-                                    f"time must be positive, got {time}")
-            event_raw = _parse_number(row[e_idx], row_no, schema.event_column)
-            if event_raw not in (0.0, 1.0):
-                raise RowParseError(row_no, schema.event_column,
-                                    f"event must be 0 or 1, got {row[e_idx].strip()}")
+            time, event = _parse_outcome(row[t_idx], row[e_idx], row_no,
+                                         schema.time_column, schema.event_column)
             rows.append([_parse_number(row[i], row_no, name)
                          for i, name in zip(f_idx, feature_names)])
             rid = row[id_idx].strip() if id_idx is not None else f"row{row_no}"
@@ -196,11 +190,24 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
                                     f"duplicate id {rid!r} (first on row {row_of_id[rid]})")
             row_of_id[rid] = row_no
             times.append(time)
-            events.append(int(event_raw))
+            events.append(event)
 
     if not row_of_id:
         raise EmptyCohortError(f"{path}: no data rows")
     return Cohort(feature_names, list(row_of_id), times, events, rows)
+
+
+def _parse_outcome(time_cell: str, event_cell: str, row_no: int,
+                   time_column: str, event_column: str) -> tuple[float, int]:
+    """(time, event) of one row; the time must be positive, the event 0 or 1."""
+    time = _parse_number(time_cell, row_no, time_column)
+    if not time > 0:
+        raise RowParseError(row_no, time_column, f"time must be positive, got {time}")
+    event = _parse_number(event_cell, row_no, event_column)
+    if event not in (0.0, 1.0):
+        raise RowParseError(row_no, event_column,
+                            f"event must be 0 or 1, got {event_cell.strip()}")
+    return time, int(event)
 
 
 def _parse_number(cell: str, row_no: int, column: str) -> float:

@@ -1,10 +1,13 @@
 """Evaluation machinery: concordance, time-dependent AUC, IPCW Brier score,
 calibration tables and decision-curve net benefit.
 
-The concordance index is Harrell's: a pair (i, j) is comparable iff
-t_i < t_j and subject i had the event; it is concordant when the
-higher-risk subject fails first, and score ties earn half credit. The
-pairs are counted in O(n log n) with a Fenwick tree over score ranks.
+Harrell's C and the incident/dynamic AUC read one count kernel,
+`_pair_counts`: for each event subject i it counts the subjects with a
+strictly later time, and among them those with a lower and an equal score.
+C sums these counts over all events; AUC(t) groups them by event time.
+Each event is compared with every later subject in chunked numpy passes,
+so the cost is O(n * E) time (n subjects, E events) and O(_PAIR_CHUNK)
+memory.
 """
 
 from __future__ import annotations
@@ -38,67 +41,43 @@ def _check_inputs(times, events, scores):
     return times, events, scores
 
 
-class _Fenwick:
-    """Binary indexed tree over score ranks (prefix counts)."""
+_PAIR_CHUNK = 1 << 18  # event x later-subject comparisons held at once
 
-    def __init__(self, size: int):
-        self.tree = np.zeros(size + 1, dtype=np.int64)
 
-    def add(self, i: int, delta: int):
-        i += 1
-        while i < self.tree.size:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Count of entries with rank <= i."""
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return int(total)
+def _pair_counts(times, scores, is_case):
+    """(t, lower, equal, later) for each subject selected by the boolean
+    mask `is_case`, in ascending time order: its time, and how many subjects
+    with a strictly later time have a lower score, an equal score, or any.
+    """
+    order = np.argsort(times, kind="stable")
+    t_s, s_s = times[order], scores[order]
+    cases = np.flatnonzero(is_case[order])
+    # the later subjects of case k sit at sorted positions >= first[k]
+    first = np.searchsorted(t_s, t_s[cases], side="right")
+    lower = np.empty(cases.size, dtype=np.int64)
+    equal = np.empty(cases.size, dtype=np.int64)
+    n = times.size
+    step = max(1, _PAIR_CHUNK // max(n, 1))
+    for c in range(0, cases.size, step):
+        chunk, lo = cases[c:c + step], first[c]   # cases ascend in time, so first does too
+        later = t_s[None, lo:] > t_s[chunk, None]
+        s_case = s_s[chunk, None]
+        lower[c:c + step] = np.sum(later & (s_s[None, lo:] < s_case), axis=1)
+        equal[c:c + step] = np.sum(later & (s_s[None, lo:] == s_case), axis=1)
+    return t_s[cases], lower, equal, n - first
 
 
 def c_index(times, events, scores) -> ConcordanceResult:
-    """O(n log n) concordance via a Fenwick tree over compressed score ranks."""
+    """Harrell's C: a pair (i, j) is comparable iff t_i < t_j and subject i
+    had the event; it is concordant when i has the higher score, and score
+    ties earn half credit."""
     times, events, scores = _check_inputs(times, events, scores)
-    n = times.size
-    _, ranks = np.unique(scores, return_inverse=True)
-    n_ranks = int(ranks.max()) + 1
-
-    tree = _Fenwick(n_ranks)
-    for r in ranks:
-        tree.add(int(r), 1)
-    remaining = n
-
-    concordant = discordant = tied = 0
-    order = np.argsort(times, kind="stable")
-    i = 0
-    while i < n:
-        j = i
-        while j < n and times[order[j]] == times[order[i]]:
-            j += 1
-        group = order[i:j]
-        for idx in group:  # remove the whole tied-time group first
-            tree.add(int(ranks[idx]), -1)
-        remaining -= group.size
-        for idx in group:
-            if events[idx] == 1 and remaining > 0:
-                r = int(ranks[idx])
-                below = tree.prefix(r - 1) if r > 0 else 0
-                at_or_below = tree.prefix(r)
-                concordant += below
-                tied += at_or_below - below
-                discordant += remaining - at_or_below
-        i = j
-
-    if concordant + discordant + tied == 0:
+    _, lower, equal, later = _pair_counts(times, scores, events == 1)
+    comparable = int(later.sum())
+    if comparable == 0:
         raise UndefinedMetricError("no comparable pairs")
-    return ConcordanceResult(concordant, discordant, tied)
-
-
-_AUC_CHUNK = 1 << 18  # case x control comparisons held at once by auc_summary
+    concordant, tied = int(lower.sum()), int(equal.sum())
+    return ConcordanceResult(concordant, comparable - concordant - tied, tied)
 
 
 def auc_summary(times, events, scores, horizon):
@@ -109,36 +88,21 @@ def auc_summary(times, events, scores, horizon):
     AUC(t) is the incident/dynamic AUC: cases have an event exactly at t,
     controls are still event-free after t, and the controls' common IPCW
     weight 1/G(t) cancels. It is wins / (n_case * n_control), with the
-    integer counts of lower- and equal-scored controls taken per case over
-    chunks of cases and then summed per event time.
+    per-case counts of lower- and equal-scored controls summed per event time.
     """
     times, events, scores = _check_inputs(times, events, scores)
     if np.any(times <= 0):
         raise InvalidParameterError("all times must be positive")
-    order = np.argsort(times, kind="stable")
-    t_s, s_s = times[order], scores[order]
-    cases = np.flatnonzero((events[order] == 1) & (t_s <= horizon))
-    if cases.size == 0:
+    t_case, lower, equal, later = _pair_counts(times, scores,
+                                               (events == 1) & (times <= horizon))
+    if t_case.size == 0:
         raise UndefinedMetricError(f"no evaluable event time at or before {horizon}")
-    # the controls of case k (later times) sit at sorted positions >= first[k]
-    first = np.searchsorted(t_s, t_s[cases], side="right")
-    lower = np.empty(cases.size, dtype=np.int64)
-    equal = np.empty(cases.size, dtype=np.int64)
-    n = times.size
-    step = max(1, _AUC_CHUNK // n)
-    for c in range(0, cases.size, step):
-        chunk, lo = cases[c:c + step], first[c]   # cases ascend in time, so first does too
-        ctrl = t_s[None, lo:] > t_s[chunk, None]
-        s_case = s_s[chunk, None]
-        lower[c:c + step] = np.sum(ctrl & (s_s[None, lo:] < s_case), axis=1)
-        equal[c:c + step] = np.sum(ctrl & (s_s[None, lo:] == s_case), axis=1)
-
-    heads = np.flatnonzero(np.r_[True, t_s[cases[1:]] != t_s[cases[:-1]]])
-    n_case = np.diff(np.r_[heads, cases.size])
-    n_control = n - first[heads]
+    heads = np.flatnonzero(np.r_[True, t_case[1:] != t_case[:-1]])
+    n_case = np.diff(np.r_[heads, t_case.size])
+    n_control = later[heads]
     wins = np.add.reduceat(lower, heads) + 0.5 * np.add.reduceat(equal, heads)
     evaluated, skipped = [], []
-    for k, t in enumerate(t_s[cases[heads]].tolist()):
+    for k, t in enumerate(t_case[heads].tolist()):
         if n_control[k] == 0:
             skipped.append(t)
         else:

@@ -73,19 +73,12 @@ def _fit_cox(cohort: Cohort, params: dict, seed: int, fold: int):
 
 
 def _fit_rsf(cohort: Cohort, params: dict, seed: int, fold: int):
-    params = {"n_trees": 100, "min_node_events": 5, "max_depth": 6, **params,
-              "seed": seed + 7919 * (fold + 1)}
-    return fit_rsf(cohort, ForestParams(**params))
+    return fit_rsf(cohort, ForestParams(**params, seed=seed + 7919 * (fold + 1)))
 
 
 def _booster(mode: str):
-    defaults = {"rounds": 150, "learning_rate": 0.1}
-    if mode != "componentwise":
-        defaults.update(tree_depth=3, min_leaf=5)
-
     def fit(cohort: Cohort, params: dict, seed: int, fold: int):
-        return fit_boosted(cohort, BoostParams(
-            **{**defaults, **params, "mode": mode, "seed": seed + fold}))
+        return fit_boosted(cohort, BoostParams(**params, mode=mode, seed=seed + fold))
     return fit
 
 
@@ -523,6 +516,13 @@ def _temporal_lane(cohort: Cohort, folds, config: PipelineConfig):
 
     times, events = cohort.times, cohort.events
     ids = cohort.ids
+    differ = [rid for rid, t, e in zip(ids, times.tolist(), events.tolist())
+              if (by_id[rid].time, by_id[rid].event) != (t, e)]
+    if differ:
+        raise PipelineError("temporal",
+                            f"longitudinal time or event differs from the cohort's for "
+                            f"{len(differ)} subjects (first: {differ[0]!r})")
+
     n = len(cohort)
     oof = np.full(n, np.nan)
     try:

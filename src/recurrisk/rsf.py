@@ -38,8 +38,8 @@ from .tree import TreeSplit, grow, route, to_dict
 class ForestParams:
     n_trees: int = 100
     mtry: int | None = None          # None -> ceil(sqrt(d))
-    min_node_events: int = 3
-    max_depth: int | None = None     # None -> unlimited
+    min_node_events: int = 5
+    max_depth: int | None = 6        # None -> unlimited
     seed: int = 0
 
     def __post_init__(self):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boosting import cox_gradients, cox_negloglik
-from .cohort import _parse_number
+from .cohort import _parse_number, _parse_outcome
 from .errors import (
     InvalidParameterError,
     NumericInputError,
@@ -263,7 +263,8 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
 
 def load_longitudinal(path) -> list[SnapshotSequence]:
     """Sequences from a CSV with columns id, snapshot_index, time, event and
-    one column per snapshot feature; snapshots ordered by snapshot_index."""
+    one column per snapshot feature; snapshots ordered by snapshot_index.
+    A bad cell, a time <= 0 or an event other than 0/1 raises RowParseError."""
     groups: dict[str, list] = {}
     order: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -282,8 +283,7 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
                 order.append(sid)
             groups[sid].append((
                 _parse_int(row["snapshot_index"], row_no, "snapshot_index"),
-                _parse_number(row["time"], row_no, "time"),
-                _parse_int(row["event"], row_no, "event"),
+                *_parse_outcome(row["time"], row["event"], row_no, "time", "event"),
                 [_parse_number(row[c], row_no, c) for c in feature_cols],
             ))
     sequences = []

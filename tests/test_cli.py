@@ -94,7 +94,7 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
     (json.dumps({**BASE_CONFIG, "model_params": {"rsf": {"seed": 3}}}),
      "model_params for rsf: unknown key(s) ['seed']"),
     (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"rounds": "5"}}}),
-     "model_params for xgboost: rounds='5' does not match the type of its default 100"),
+     "model_params for xgboost: rounds='5' does not match the type of its default 150"),
     (json.dumps({**BASE_CONFIG, "model_params": {"rsf": {"n_trees": 2.5}}}),
      "model_params for rsf: n_trees=2.5 does not match"),
     (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"max_iter": True}}}),

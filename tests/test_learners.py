@@ -3,6 +3,7 @@ predict(X, horizons) -> (scores, survival) and to_json. The fold digest
 built from to_json is the leakage probe: it must see the training rows of
 a fold and nothing else."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -44,6 +45,16 @@ def test_every_learner_answers_the_model_protocol(cohort, name):
         back = BoostedModel.from_json(model.to_json())
         back_scores, back_surv = back.predict(X, horizons)
         assert np.array_equal(back_scores, scores) and np.array_equal(back_surv, surv)
+
+
+@pytest.mark.parametrize("name", MODEL_ORDER)
+def test_an_empty_entry_fits_the_declared_defaults(cohort, name):
+    learner = LEARNERS[name]
+    written_out = {key: p.default for key, p in learner.params.items()}
+
+    def digest(entry):  # a digest keeps a failure from diffing two large documents
+        return hashlib.sha256(learner.fit(cohort, entry, 0, 0).to_json().encode()).hexdigest()
+    assert digest({}) == digest(written_out)
 
 
 def _with_rows(cohort, rows, times=None, events=None, X=None):

@@ -52,6 +52,27 @@ def c_index_brute(times, events, scores) -> ConcordanceResult:
     return ConcordanceResult(concordant, discordant, tied)
 
 
+# coarse grids force tied times, censorings at event times and tied scores
+TIME = st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0]) | st.floats(0.01, 50.0)
+SCORE = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
+HORIZON = st.sampled_from([1.0, 2.5, 4.0, 100.0]) | st.floats(0.01, 60.0)
+
+
+def auc_samples():
+    return st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(TIME, min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(SCORE, min_size=n, max_size=n),
+        HORIZON))
+
+
+def outcome(fn, sample):
+    try:
+        return fn(*sample)
+    except UndefinedMetricError:
+        return "undefined"
+
+
 class TestCIndex:
     def test_perfect_ranking(self):
         times = np.array([1.0, 2.0, 3.0, 4.0])
@@ -89,6 +110,21 @@ class TestCIndex:
             brute = c_index_brute(times, events, scores)
             assert (fast.concordant, fast.discordant, fast.tied_score) == \
                    (brute.concordant, brute.discordant, brute.tied_score)
+
+    def test_matches_brute_across_chunks(self, rng, monkeypatch):
+        # 1000 // 300 = 3 events per chunk: many chunks, the last one partial
+        monkeypatch.setattr("recurrisk.metrics._PAIR_CHUNK", 1000)
+        times = np.round(rng.exponential(5, 300), 1) + 0.1
+        events = rng.integers(0, 2, 300)
+        scores = np.round(rng.standard_normal(300), 1)
+        assert c_index(times, events, scores) == c_index_brute(times, events, scores)
+
+    @settings(max_examples=300, deadline=None)
+    @given(auc_samples().map(lambda sample: sample[:3]))
+    @example(([1.0], [1], [0.0]))                                   # a single subject
+    @example(([2.0, 2.0, 1.0, 3.0], [1, 1, 0, 1], [0.5, 0.5, 0.5, 0.5]))
+    def test_matches_brute_oracle(self, sample):
+        assert outcome(c_index, sample) == outcome(c_index_brute, sample)
 
     def test_all_censored_undefined(self):
         with pytest.raises(UndefinedMetricError):
@@ -167,27 +203,6 @@ def auc_summary_loop(times, events, scores, horizon):
     return float(np.sum(weights * values) / np.sum(weights)), evaluated, skipped
 
 
-# coarse grids force tied times, censorings at event times and tied scores
-TIME = st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0]) | st.floats(0.01, 50.0)
-SCORE = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0)
-HORIZON = st.sampled_from([1.0, 2.5, 4.0, 100.0]) | st.floats(0.01, 60.0)
-
-
-def auc_samples():
-    return st.integers(1, 40).flatmap(lambda n: st.tuples(
-        st.lists(TIME, min_size=n, max_size=n),
-        st.lists(st.integers(0, 1), min_size=n, max_size=n),
-        st.lists(SCORE, min_size=n, max_size=n),
-        HORIZON))
-
-
-def outcome(fn, sample):
-    try:
-        return fn(*sample)
-    except UndefinedMetricError:
-        return "undefined"
-
-
 class TestAucSummaryOracle:
     @settings(max_examples=300, deadline=None)
     @given(auc_samples())
@@ -200,7 +215,7 @@ class TestAucSummaryOracle:
 
     def test_matches_loop_oracle_across_chunks(self, rng, monkeypatch):
         # several chunks of cases, the last one partial
-        monkeypatch.setattr("recurrisk.metrics._AUC_CHUNK", 1000)
+        monkeypatch.setattr("recurrisk.metrics._PAIR_CHUNK", 1000)
         times = np.round(rng.exponential(5, 300), 1) + 0.1
         events = rng.integers(0, 2, 300)
         scores = np.round(rng.standard_normal(300), 1)

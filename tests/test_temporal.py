@@ -6,8 +6,9 @@ import pytest
 
 from recurrisk.boosting import cox_gradients, cox_negloglik
 from recurrisk.cohort import SyntheticSpec, generate_synthetic
-from recurrisk.errors import NumericInputError, RowParseError, ShapeError
+from recurrisk.errors import NumericInputError, PipelineError, RowParseError, ShapeError
 from recurrisk.nonparametric import RiskSets
+from recurrisk.pipeline import PipelineConfig, _temporal_lane, assign_folds
 from recurrisk.temporal import (
     SnapshotSequence,
     initial_model,
@@ -66,6 +67,7 @@ class TestLongitudinalCsv:
 
     @pytest.mark.parametrize("column, cell", [("x1", "abc"), ("time", ""),
                                               ("snapshot_index", "first"),
+                                              ("time", "0"), ("event", "2"),
                                               ("<row>", None)])
     def test_bad_cell_names_row_and_column(self, tmp_path, column, cell):
         header = ["id", "snapshot_index", "time", "event", "x0", "x1"]
@@ -80,6 +82,29 @@ class TestLongitudinalCsv:
         with pytest.raises(RowParseError) as info:
             load_longitudinal(path)
         assert (info.value.row, info.value.column) == (2, column)
+
+
+class TestTemporalLane:
+    SPEC = SyntheticSpec(n=30, true_coefficients=(1.0, -1.0), seed=4)
+
+    def lane(self, tmp_path, sequences):
+        cohort = generate_synthetic(self.SPEC)[0]
+        path = tmp_path / "longitudinal.csv"
+        write_longitudinal(sequences, path)
+        config = PipelineConfig(cohort_csv="cohort.csv", longitudinal_csv=str(path),
+                                cv_folds=2, temporal_params={"epochs": 2})
+        return _temporal_lane(cohort, assign_folds(cohort.events, 2, 0), config)
+
+    def test_matching_outcomes_are_evaluated(self, tmp_path):
+        assert self.lane(tmp_path, generate_longitudinal(self.SPEC))["status"] == "ok"
+
+    def test_outcome_differing_from_the_cohort_names_the_first_id(self, tmp_path):
+        sequences = generate_longitudinal(self.SPEC)
+        sequences[7] = replace(sequences[7], time=sequences[7].time + 1.0)
+        sequences[12] = replace(sequences[12], event=1 - sequences[12].event)
+        with pytest.raises(PipelineError, match=r"^temporal: .* for 2 subjects "
+                                                rf"\(first: '{sequences[7].subject_id}'\)"):
+            self.lane(tmp_path, sequences)
 
 
 # --- the per-subject loop the batched pass replaced: the test oracle --------
