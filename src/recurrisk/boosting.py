@@ -20,9 +20,9 @@ permutations, and their risk sets are built once per fit. Tree growth,
 routing and serialization come from ``tree.py``.
 
 The trees use XGBoost's presorted exact greedy search (Chen & Guestrin,
-KDD 2016): each tree argsorts every column once, a node reads its rows in
-each column's order by filtering that presort with a membership mask, and
-one 2-D cumulative sum scores every threshold of every feature at once.
+KDD 2016): ``tree.grow`` argsorts every column once per tree and hands each
+node its rows in every column's order, and one 2-D cumulative sum scores
+every threshold of every feature at once.
 """
 
 from __future__ import annotations
@@ -176,23 +176,16 @@ def _fit_stump(X, residual):
 
 def _fit_tree(X, g, h, depth, min_leaf, lam) -> Tree:
     """Second-order tree: gain-based splits and leaf weight -G/(H + lambda)."""
-    presorted = np.argsort(X, axis=0, kind="stable").T     # (d, n)
-    in_node = np.zeros(X.shape[0], dtype=bool)
 
-    def find_split(idx, level):
+    def find_split(idx, order, level):
         if level == depth or idx.size < 2 * min_leaf:
             return None
-        # idx is ascending, so the filtered presort is each column's stable
-        # argsort within the node
-        in_node[:] = False
-        in_node[idx] = True
-        order = presorted[in_node[presorted]].reshape(X.shape[1], idx.size)
         return _best_split_gain(X, idx, order, g, h, min_leaf, lam)
 
     def make_leaf(idx):
         return float(-np.sum(g[idx]) / (np.sum(h[idx]) + lam))
 
-    return Tree(tree.grow(X, np.arange(X.shape[0]), 0, find_split, make_leaf))
+    return Tree(tree.grow(X, find_split, make_leaf))
 
 
 def _best_split_gain(X, node_idx, order, g, h, min_leaf, lam):

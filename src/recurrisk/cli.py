@@ -29,7 +29,7 @@ from .errors import InvalidParameterError, RecurriskError, SchemaError, reading
 from .explain import feature_importance
 from .metrics import auc_by_horizon, c_index
 from .pipeline import PipelineConfig, run_pipeline
-from .radiomics import extract_all, load_region_mask, load_voxel_grid
+from .radiomics import extract_subjects
 
 
 EXPLAIN_COLUMNS = {"mean_abs_shapley": ["feature", "mean_abs_shapley"],
@@ -109,18 +109,11 @@ def _cmd_extract(args) -> int:
     if not pairs:
         print(f"error: no *_grid.txt files in {grid_dir}", file=sys.stderr)
         return 1
-    rows, names = [], None
-    for sid in pairs:
-        grid = load_voxel_grid(grid_dir / f"{sid}_grid.txt")
-        mask = load_region_mask(grid_dir / f"{sid}_mask.txt")
-        feats = extract_all(grid, mask, args.levels)
-        if names is None:
-            names = sorted(feats)
-        rows.append([sid, *(repr(float(feats[k])) for k in names)])
+    names, rows = extract_subjects(grid_dir, pairs, args.levels)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", *names])
-        writer.writerows(rows)
+        writer.writerows([sid, *map(repr, map(float, row))] for sid, row in zip(pairs, rows))
     _say(args, f"wrote {len(rows)} subjects x {len(names)} features to {args.out}")
     return 0
 

@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     checked,
     declared,
+    reading,
 )
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -142,12 +143,13 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
     """Read a comma-separated cohort file (header row, '.' decimals, UTF-8).
 
     Row order is preserved; features are the non-role columns, in file order.
-    Raises SchemaError for missing columns, RowParseError for bad cells
-    (non-numeric feature, time <= 0, event not in {0,1}, missing value, a
-    repeated subject id) and EmptyCohortError for a file without data rows.
+    Raises InvalidParameterError for a file that cannot be read, SchemaError
+    for missing columns, RowParseError for bad cells (non-numeric feature,
+    time <= 0, event not in {0,1}, missing value, a repeated subject id) and
+    EmptyCohortError for a file without data rows.
     """
     schema = schema or ColumnSchema()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with reading(f"cohort {path}"), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -59,7 +59,7 @@ from .metrics import (
     net_benefit,
 )
 from .nonparametric import kaplan_meier, log_rank, median_survival_time
-from .radiomics import extract_all, load_region_mask, load_voxel_grid
+from .radiomics import extract_subjects
 from .rsf import ForestParams, fit_rsf
 from .svgplot import PALETTE, Series, render_plot
 from .temporal import check_temporal_params, load_longitudinal, temporal_risk, train_temporal
@@ -276,25 +276,6 @@ def fold_models_hash(fold_models: FoldModels) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def stratify_by_median(scores, ids):
-    """Median-cutoff risk groups: score > median is high risk.
-
-    Returns (high ids, low ids, cutoff). With distinct scores the group
-    sizes differ by at most one; identical scores raise
-    DegenerateStratificationError.
-    """
-    scores = np.asarray(scores, dtype=float)
-    ids = list(ids)
-    if scores.size < 2:
-        raise InvalidParameterError("need at least two subjects to stratify")
-    if np.all(scores == scores[0]):
-        raise DegenerateStratificationError("all risk scores identical")
-    cutoff = float(np.median(scores))
-    high = tuple(i for i, s in zip(ids, scores) if s > cutoff)
-    low = tuple(i for i, s in zip(ids, scores) if s <= cutoff)
-    return high, low, cutoff
-
-
 def run_pipeline(config: PipelineConfig):
     """Execute the full protocol and write report.json, curve CSVs and SVGs.
 
@@ -378,21 +359,8 @@ def run_pipeline(config: PipelineConfig):
 
 def _attach_radiomics(cohort: Cohort, config: PipelineConfig) -> Cohort:
     """Extract features for every subject's grid/mask pair and append them."""
-    grid_dir = Path(config.voxel_grid_dir)
-    feature_rows = []
-    names = None
-    for rid in cohort.ids:
-        grid_path = grid_dir / f"{rid}_grid.txt"
-        mask_path = grid_dir / f"{rid}_mask.txt"
-        if not grid_path.exists() or not mask_path.exists():
-            raise PipelineError("radiomics", f"missing grid/mask for subject {rid!r}")
-        grid = load_voxel_grid(grid_path)
-        mask = load_region_mask(mask_path)
-        feats = extract_all(grid, mask, config.radiomics_levels)
-        if names is None:
-            names = sorted(feats)
-        feature_rows.append([feats[k] for k in names])
-
+    names, feature_rows = extract_subjects(config.voxel_grid_dir, cohort.ids,
+                                           config.radiomics_levels)
     new_names = cohort.feature_names + tuple(f"radiomics_{k}" for k in names)
     X = np.hstack([cohort.X, np.array(feature_rows, dtype=float)])
     return Cohort(new_names, cohort.ids, cohort.times, cohort.events, X)
@@ -442,8 +410,15 @@ def _choose_model(model_reports) -> str | None:
 
 
 def _stratify_and_compare(cohort: Cohort, scores):
+    """Median-cutoff risk groups (score > median is high risk), their
+    Kaplan-Meier curves and the log-rank test between them; identical
+    scores raise DegenerateStratificationError."""
     times, events = cohort.times, cohort.events
-    _, _, cutoff = stratify_by_median(scores, cohort.ids)
+    if scores.size < 2:
+        raise InvalidParameterError("need at least two subjects to stratify")
+    if np.all(scores == scores[0]):
+        raise DegenerateStratificationError("all risk scores identical")
+    cutoff = float(np.median(scores))
     is_high = scores > cutoff
 
     km_high = kaplan_meier(times[is_high], events[is_high])

@@ -18,6 +18,7 @@ they are fixed implementer choices, documented here):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import (
     InvalidParameterError,
     RowParseError,
     ShapeError,
+    reading,
 )
 
 # 13 unique 3D directions at distance 1 (one per axis pair up to sign)
@@ -334,14 +336,26 @@ def _numbers(tokens, dtype, row, column, path) -> np.ndarray:
 
 
 def load_voxel_grid(path) -> VoxelGrid:
-    with open(path, encoding="utf-8") as fh:
+    with reading(f"voxel grid {path}"), open(path, encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()
     dims, spacing, flat = _read_header(lines, path)
     return VoxelGrid.from_flat(dims, spacing, flat)
 
 
 def load_region_mask(path) -> RegionMask:
-    with open(path, encoding="utf-8") as fh:
+    with reading(f"region mask {path}"), open(path, encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()
     dims, _, flat = _read_header(lines, path)
     return RegionMask(dims, flat)
+
+
+def extract_subjects(grid_dir, ids, levels):
+    """(sorted feature names, one row of their values per id) from each id's
+    <id>_grid.txt and <id>_mask.txt in grid_dir."""
+    names, rows = None, []
+    for sid in ids:
+        feats = extract_all(load_voxel_grid(Path(grid_dir) / f"{sid}_grid.txt"),
+                            load_region_mask(Path(grid_dir) / f"{sid}_mask.txt"), levels)
+        names = names or sorted(feats)
+        rows.append([feats[k] for k in names])
+    return names, rows

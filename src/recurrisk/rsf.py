@@ -1,16 +1,19 @@
 """Random survival forest: bootstrap trees with log-rank split selection and
 Nelson-Aalen terminal estimates; the ensemble averages cumulative hazards.
 
-Determinism contract: tree b draws its bootstrap sample and per-node
-feature subsets from ``default_rng(seed + b)``, so the fitted forest is
-byte-identical across runs and independent of any parallel schedule.
-Split search is exhaustive over midpoints of consecutive distinct feature
-values; ties in the log-rank statistic break toward the lowest feature
-index, then the lowest threshold. Each node takes its event times, death
-counts and risk-set sizes from the risk-set kernel that also builds the
-Nelson-Aalen leaves (``nonparametric.RiskSets``, read through
-``_event_table``), and builds its subject-by-event-time at-risk matrix once
-for all candidate features.
+Determinism contract: tree b draws its bootstrap sample (n indices) and
+then, depth first, each node's feature subset from ``default_rng(seed + b)``,
+so the fitted forest is byte-identical across runs and independent of any
+parallel schedule. A tree is grown on its bootstrap rows as drawn, so tied
+values keep their bootstrap order. Split search is exhaustive over
+midpoints of consecutive distinct feature values; ties in the log-rank
+statistic break toward the lowest feature index, then the lowest
+threshold. Each node takes its event times, death counts and risk-set
+sizes from the risk-set kernel that also builds the Nelson-Aalen leaves
+(``nonparametric.RiskSets``, read through ``_event_table``). It reads its
+rows in every candidate feature's order from ``tree.grow``, which sorts
+them once per tree, and scores all candidates in one pass over a
+(candidate, row, event time) cube of cumulative at-risk counts.
 
 Growth order and batch routing come from ``tree.py``: every leaf reached
 by a batch of rows evaluates its cumulative hazard once at the requested
@@ -62,8 +65,6 @@ class TreeLeaf:
 @dataclass(frozen=True)
 class SurvivalTree:
     root: TreeSplit | TreeLeaf
-    bootstrap_indices: np.ndarray
-    oob_indices: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,51 +90,44 @@ class Forest:
         return forest_to_json(self)
 
 
-def _best_split(X, times, events, feat_indices, min_node_events):
-    """Exhaustive log-rank split search over the given features.
+def _best_split(X, times, events, idx, order, feats, min_node_events):
+    """Exhaustive log-rank split search of the rows idx over the features
+    feats (ascending); row j of order holds idx sorted by X[:, j].
 
     Returns (feature, threshold) or None. The statistic is (O-E)^2 / V with
-    the hypergeometric variance, evaluated for every midpoint threshold via
-    cumulative risk-set counts, all thresholds of one feature at once.
+    the hypergeometric variance, evaluated for every midpoint threshold of
+    every candidate at once from one cumulative (candidate, row, event time)
+    at-risk count.
     """
-    ets, d_tot, n_tot = _event_table(times, events)
+    ets, d_tot, n_tot = _event_table(times[idx], events[idx])
     if ets.size == 0:
         return None
     d_tot, n_tot = d_tot.astype(float), n_tot.astype(float)
-    total_events = float(np.sum(events))
+    total_events = float(np.sum(events[idx]))
     with np.errstate(divide="ignore", invalid="ignore"):
         var_coef = np.where(n_tot > 1, d_tot * (n_tot - d_tot) / (n_tot - 1), 0.0)
     e_coef = d_tot / n_tot                 # E contribution per unit of n_A
     v1 = var_coef / n_tot                  # V = v1 . n_A - v2 . n_A^2
     v2 = var_coef / n_tot ** 2
 
-    at_risk = (times[:, None] >= ets[None, :]).astype(float)
-
-    best_stat, best = 0.0, None
-    for j in sorted(int(f) for f in feat_indices):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        k = np.nonzero(cs[:-1] < cs[1:])[0]
-        ev_left = np.cumsum(events[order])[k].astype(float)
-        ev_right = total_events - ev_left
-        valid = (ev_left >= min_node_events) & (ev_right >= min_node_events)
-        if not np.any(valid):
-            continue                       # skip the risk-set work: no legal split
-        n_a = np.cumsum(at_risk[order], axis=0)
-        expected = n_a @ e_coef
-        variance = n_a @ v1 - (n_a ** 2) @ v2
-        valid &= variance[k] > 1e-12
-        if not np.any(valid):
-            continue
-        kv = k[valid]
-        stats = (ev_left[valid] - expected[kv]) ** 2 / variance[kv]
-        i = int(np.argmax(stats))          # first max -> lowest threshold on ties
-        if stats[i] > best_stat:
-            best_stat = float(stats[i])
-            pos = kv[i]
-            best = (j, float((cs[pos] + cs[pos + 1]) / 2.0))
-    return best
+    rows = order[feats]                    # (candidate, row) in feature order
+    cs = X[rows, feats[:, None]]
+    # position k splits off the first k + 1 rows of a candidate
+    ev_left = np.cumsum(events[rows], axis=1)[:, :-1]
+    ev_right = total_events - ev_left
+    n_a = (times[rows][:, :, None] >= ets).astype(float)
+    np.cumsum(n_a, axis=1, out=n_a)        # at risk among the first k + 1 rows
+    expected = (n_a @ e_coef)[:, :-1]
+    variance = (n_a @ v1 - (n_a ** 2) @ v2)[:, :-1]
+    valid = ((cs[:, :-1] < cs[:, 1:]) & (ev_left >= min_node_events)
+             & (ev_right >= min_node_events) & (variance > 1e-12))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stats = np.where(valid, (ev_left - expected) ** 2 / variance, 0.0)
+    # first max of the flattened stats -> lowest feature, then lowest threshold
+    c, k = np.unravel_index(np.argmax(stats), stats.shape)
+    if not stats[c, k] > 0.0:
+        return None
+    return int(feats[c]), float((cs[c, k] + cs[c, k + 1]) / 2.0)
 
 
 def fit_rsf(cohort: Cohort, params: ForestParams) -> Forest:
@@ -146,25 +140,23 @@ def fit_rsf(cohort: Cohort, params: ForestParams) -> Forest:
     mtry = params.mtry if params.mtry is not None else int(np.ceil(np.sqrt(d)))
     mtry = min(mtry, d)
 
-    def make_leaf(idx):
-        return TreeLeaf(chf=nelson_aalen(times[idx], events[idx]), count=idx.size)
-
     trees = []
     for b in range(params.n_trees):
         rng = np.random.default_rng(params.seed + b)
         boot = rng.integers(0, n, size=n)
-        oob = np.setdiff1d(np.arange(n), boot)
+        Xb, tb, eb = X[boot], times[boot], events[boot]
 
-        def find_split(idx, depth):
+        def find_split(idx, order, depth):
             if (params.max_depth is not None and depth >= params.max_depth) or \
-                    int(np.sum(events[idx])) < 2 * params.min_node_events:
+                    int(np.sum(eb[idx])) < 2 * params.min_node_events:
                 return None
-            feats = rng.choice(d, size=mtry, replace=False)
-            return _best_split(X[idx], times[idx], events[idx], feats,
-                               params.min_node_events)
+            feats = np.sort(rng.choice(d, size=mtry, replace=False))
+            return _best_split(Xb, tb, eb, idx, order, feats, params.min_node_events)
 
-        trees.append(SurvivalTree(root=grow(X, boot, 0, find_split, make_leaf),
-                                  bootstrap_indices=boot, oob_indices=oob))
+        def make_leaf(idx):
+            return TreeLeaf(chf=nelson_aalen(tb[idx], eb[idx]), count=idx.size)
+
+        trees.append(SurvivalTree(root=grow(Xb, find_split, make_leaf)))
 
     event_times = times[events == 1]
     return Forest(
@@ -235,10 +227,6 @@ def forest_to_json(forest: Forest) -> str:
             "max_depth": forest.params.max_depth,
             "seed": forest.params.seed,
         },
-        "trees": [{
-            "root": to_dict(t.root, _leaf_to_dict),
-            "bootstrap_indices": t.bootstrap_indices.tolist(),
-            "oob_indices": t.oob_indices.tolist(),
-        } for t in forest.trees],
+        "trees": [{"root": to_dict(t.root, _leaf_to_dict)} for t in forest.trees],
     }
     return json.dumps(doc, sort_keys=True)

@@ -34,6 +34,7 @@ from .errors import (
     RowParseError,
     ShapeError,
     TrainingError,
+    reading,
 )
 from .nonparametric import RiskSets
 
@@ -267,7 +268,8 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
     A bad cell, a time <= 0 or an event other than 0/1 raises RowParseError."""
     groups: dict[str, list] = {}
     order: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with reading(f"longitudinal file {path}"), \
+            open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"id", "snapshot_index", "time", "event"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):

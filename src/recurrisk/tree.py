@@ -5,6 +5,11 @@ forest stores a ``TreeLeaf``, the boosted trees a float. A row goes left
 when ``x[feature] <= threshold``. Growth is depth first, left before
 right, so a learner that draws random numbers in ``find_split`` draws
 them in this fixed order.
+
+``grow`` owns the row order of the split search, as in the presorted exact
+greedy algorithm of XGBoost (Chen & Guestrin, KDD 2016): it argsorts every
+column once at the root and partitions that order stably at each split, so
+a node reads its rows in each feature's order without sorting them again.
 """
 
 from __future__ import annotations
@@ -22,16 +27,30 @@ class TreeSplit:
     right: object
 
 
-def grow(X, idx, depth, find_split, make_leaf):
-    """Tree over rows idx of X; find_split(idx, depth) gives (feature,
-    threshold) or None, and on None make_leaf(idx) gives the leaf."""
-    split = find_split(idx, depth)
-    if split is None:
-        return make_leaf(idx)
-    j, thr = split
-    go_left = X[idx, j] <= thr
-    return TreeSplit(j, thr, grow(X, idx[go_left], depth + 1, find_split, make_leaf),
-                     grow(X, idx[~go_left], depth + 1, find_split, make_leaf))
+def grow(X, find_split, make_leaf):
+    """Tree over the rows of X.
+
+    find_split(idx, order, depth) gives (feature, threshold) or None, and on
+    None make_leaf(idx) gives the leaf. idx holds the node's rows in
+    ascending order, and row j of order (d, len(idx)) holds them sorted by
+    X[:, j], ties in row order.
+    """
+    d = X.shape[1]
+
+    def build(idx, order, depth):
+        split = find_split(idx, order, depth)
+        if split is None:
+            return make_leaf(idx)
+        j, thr = split
+        go_left = X[idx, j] <= thr
+        n_left = int(np.sum(go_left))
+        order_left = X[order, j] <= thr        # the same rows in every row of order
+        return TreeSplit(j, thr,
+                         build(idx[go_left], order[order_left].reshape(d, n_left), depth + 1),
+                         build(idx[~go_left], order[~order_left].reshape(d, idx.size - n_left),
+                               depth + 1))
+
+    return build(np.arange(X.shape[0]), np.argsort(X, axis=0, kind="stable").T, 0)
 
 
 def route(root, X):

@@ -51,10 +51,8 @@ def test_install_then_uninstall_restores_bindings(tracer_module):
 
 def test_forest_nodes_counts_two_trees(tracer_module):
     leaf = TreeLeaf(chf=StepFunction(np.array([1.0]), np.array([0.5])), count=3)
-    deep = SurvivalTree(root=TreeSplit(0, 0.0, leaf, TreeSplit(1, 1.0, leaf, leaf)),
-                        bootstrap_indices=np.arange(3), oob_indices=np.arange(0))
-    stump = SurvivalTree(root=leaf, bootstrap_indices=np.arange(3),
-                         oob_indices=np.arange(0))
+    deep = SurvivalTree(root=TreeSplit(0, 0.0, leaf, TreeSplit(1, 1.0, leaf, leaf)))
+    stump = SurvivalTree(root=leaf)
     forest = Forest(("a", "b"), (deep, stump), 1.0, ForestParams(n_trees=2))
     assert tracer_module.forest_nodes(forest) == 5 + 1
 

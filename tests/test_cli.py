@@ -213,19 +213,21 @@ def _grids(tmp_path, sid="s0", dims="2 2 2", values="1 2 3 4 5 6 7 8"):
     return grids
 
 
-def _extract_args(tmp_path, **grid):
-    return ["extract-features", "--grids", str(_grids(tmp_path, **grid)),
-            "--out", str(tmp_path / "features.csv")]
+def _extract_args(tmp_path, mask=True, **grid):
+    grids = _grids(tmp_path, **grid)
+    if not mask:
+        (grids / "s0_mask.txt").unlink()
+    return ["extract-features", "--grids", str(grids), "--out", str(tmp_path / "features.csv")]
 
 
-def _run_with_grids_args(tmp_path, **grid):
+def _run_args(tmp_path, grid=None, **config):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")
-    grids = _grids(tmp_path, sid=cohort.ids[0], **grid)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**BASE_CONFIG, "voxel_grid_dir": str(grids)}),
-                      encoding="utf-8")
-    return ["run", "--config", str(config)]
+    if grid is not None:
+        config["voxel_grid_dir"] = str(_grids(tmp_path, sid=cohort.ids[0], **grid))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE_CONFIG, **config}), encoding="utf-8")
+    return ["run", "--config", str(path)]
 
 
 def _simulate_args(tmp_path, spec):
@@ -251,7 +253,7 @@ def _explain_args(tmp_path, model):
 @pytest.mark.parametrize("make_args, message", [
     (lambda tmp: _extract_args(tmp, dims="2 2 x"), "row 1, column 'dims'"),
     (lambda tmp: _extract_args(tmp, values="1 2 3 oops 5 6 7 8"), "row 3, column 'values'"),
-    (lambda tmp: _run_with_grids_args(tmp, values="1 2 3 oops 5 6 7 8"),
+    (lambda tmp: _run_args(tmp, grid={"values": "1 2 3 oops 5 6 7 8"}),
      "row 3, column 'values'"),
     (lambda tmp: _simulate_args(tmp, None), "No such file"),
     (lambda tmp: _simulate_args(tmp, {"n": 50}), "missing field 'true_coefficients'"),
@@ -266,9 +268,16 @@ def _explain_args(tmp_path, model):
     (lambda tmp: _simulate_args(tmp, {"n": 40.7, "true_coefficients": [1.0]}),
      "n=40.7 does not match its type int"),
     (lambda tmp: _evaluate_args(tmp, 0), "row 2, column 'time': time must be positive"),
+    (lambda tmp: _run_args(tmp, cohort_csv="absent.csv"), "absent.csv: [Errno 2] No such file"),
+    (lambda tmp: _run_args(tmp, longitudinal_csv="absent_longitudinal.csv"),
+     "absent_longitudinal.csv: [Errno 2] No such file"),
+    (lambda tmp: ["evaluate", "--scores", str(tmp / "nope.csv")],
+     "nope.csv: [Errno 2] No such file"),
+    (lambda tmp: _extract_args(tmp, mask=False), "s0_mask.txt: [Errno 2] No such file"),
 ], ids=["grid-dims", "grid-value", "run-grid-value", "missing-spec", "spec-no-coefficients",
         "model-no-learners", "spec-unknown-key", "spec-string-bool", "spec-float-n",
-        "evaluate-zero-time"])
+        "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
+        "evaluate-missing-scores", "extract-missing-mask"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, make_args, message):
     assert main([*make_args(tmp_path), "--quiet"]) == 1
     err = capsys.readouterr().err

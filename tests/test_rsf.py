@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recurrisk.errors import ShapeError
-from recurrisk.nonparametric import log_rank
+from recurrisk.nonparametric import _event_table, log_rank, nelson_aalen
 from recurrisk.stepfun import StepFunction, average_step_functions
 from recurrisk.tree import from_dict
 from recurrisk.rsf import (
@@ -21,7 +21,7 @@ from recurrisk.rsf import (
     predict_survival,
 )
 
-from conftest import random_censored_cohort
+from conftest import make_cohort, random_censored_cohort
 
 
 def forest_from_json(text: str) -> Forest:
@@ -34,11 +34,8 @@ def forest_from_json(text: str) -> Forest:
                                          np.array(leaf["values"], dtype=float), 0.0),
                         count=int(leaf["count"]))
 
-    trees = tuple(
-        SurvivalTree(root=from_dict(t["root"], leaf_from_dict),
-                     bootstrap_indices=np.array(t["bootstrap_indices"], dtype=int),
-                     oob_indices=np.array(t["oob_indices"], dtype=int))
-        for t in doc["trees"])
+    trees = tuple(SurvivalTree(root=from_dict(t["root"], leaf_from_dict))
+                  for t in doc["trees"])
     return Forest(
         feature_names=tuple(doc["feature_names"]),
         trees=trees,
@@ -154,7 +151,8 @@ def test_root_split_maximizes_log_rank(cohort, seed):
     forest = fit_rsf(cohort, ForestParams(n_trees=1, mtry=cohort.n_features,
                                           min_node_events=m, max_depth=1, seed=seed))
     tree = forest.trees[0]
-    boot = tree.bootstrap_indices
+    # tree b draws its bootstrap first from default_rng(seed + b)
+    boot = np.random.default_rng(seed).integers(0, len(cohort), size=len(cohort))
     X, t, e = cohort.matrix()[boot], cohort.times[boot], cohort.events[boot]
 
     def chi_square(j, thr):
@@ -173,3 +171,100 @@ def test_root_split_maximizes_log_rank(cohort, seed):
     assert isinstance(root, TreeSplit)
     assert best > 0
     assert chi_square(root.feature, root.threshold) == pytest.approx(best, rel=1e-9)
+
+
+# --- the former per-feature split search, kept as the oracle of the one-pass one ---
+
+
+def best_split_per_feature(X, times, events, feat_indices, min_node_events):
+    """Argsort, build the at-risk counts and score one feature at a time."""
+    ets, d_tot, n_tot = _event_table(times, events)
+    if ets.size == 0:
+        return None
+    d_tot, n_tot = d_tot.astype(float), n_tot.astype(float)
+    total_events = float(np.sum(events))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_coef = np.where(n_tot > 1, d_tot * (n_tot - d_tot) / (n_tot - 1), 0.0)
+    e_coef = d_tot / n_tot
+    v1 = var_coef / n_tot
+    v2 = var_coef / n_tot ** 2
+
+    at_risk = (times[:, None] >= ets[None, :]).astype(float)
+
+    best_stat, best = 0.0, None
+    for j in sorted(int(f) for f in feat_indices):
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        cs = col[order]
+        k = np.nonzero(cs[:-1] < cs[1:])[0]
+        ev_left = np.cumsum(events[order])[k].astype(float)
+        ev_right = total_events - ev_left
+        valid = (ev_left >= min_node_events) & (ev_right >= min_node_events)
+        if not np.any(valid):
+            continue
+        n_a = np.cumsum(at_risk[order], axis=0)
+        expected = n_a @ e_coef
+        variance = n_a @ v1 - (n_a ** 2) @ v2
+        valid &= variance[k] > 1e-12
+        if not np.any(valid):
+            continue
+        kv = k[valid]
+        stats = (ev_left[valid] - expected[kv]) ** 2 / variance[kv]
+        i = int(np.argmax(stats))          # first max -> lowest threshold on ties
+        if stats[i] > best_stat:
+            best_stat = float(stats[i])
+            pos = kv[i]
+            best = (j, float((cs[pos] + cs[pos + 1]) / 2.0))
+    return best
+
+
+def forest_per_feature(cohort, params):
+    """Each tree's root as `forest_to_json` writes it, grown on the per-feature
+    search with the draws of the determinism contract."""
+    X, times, events = cohort.matrix(), cohort.times, cohort.events
+    n, d = X.shape
+    mtry = min(params.mtry or int(np.ceil(np.sqrt(d))), d)
+    roots = []
+    for b in range(params.n_trees):
+        rng = np.random.default_rng(params.seed + b)
+
+        def build(idx, depth):
+            split = None
+            if (params.max_depth is None or depth < params.max_depth) and \
+                    events[idx].sum() >= 2 * params.min_node_events:
+                feats = rng.choice(d, size=mtry, replace=False)
+                split = best_split_per_feature(X[idx], times[idx], events[idx], feats,
+                                               params.min_node_events)
+            if split is None:
+                chf = nelson_aalen(times[idx], events[idx])
+                return {"kind": "leaf", "count": int(idx.size),
+                        "knots": chf.knots.tolist(), "values": chf.values.tolist()}
+            j, thr = split
+            go_left = X[idx, j] <= thr
+            return {"kind": "split", "feature": j, "threshold": thr,
+                    "left": build(idx[go_left], depth + 1),
+                    "right": build(idx[~go_left], depth + 1)}
+
+        roots.append(build(rng.integers(0, n, size=n), 0))
+    return roots
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_pass_forest_equals_the_per_feature_forest(seed):
+    rng = np.random.default_rng(100 + seed)
+    n, d = int(rng.integers(30, 160)), 2 + seed % 5
+    base = random_censored_cohort(rng, n, d, tie_fraction=seed % 2)
+    X = base.matrix().copy()
+    if seed % 3:
+        X = np.round(X, seed % 3 - 1)      # tied and rounded values
+    if seed % 4 == 0:
+        X[:, 1] = X[:, 0]                  # two candidates with equal statistics
+    cohort = make_cohort(base.times, base.events, X)
+    params = ForestParams(n_trees=6, mtry=max(1, d - 1 - seed % 2),
+                          min_node_events=1 + seed % 4, max_depth=(None, 3)[seed % 2],
+                          seed=seed)
+    forest = fit_rsf(cohort, params)
+    roots = [t["root"] for t in json.loads(forest_to_json(forest))["trees"]]
+    expected = forest_per_feature(cohort, params)
+    assert roots == expected
+    assert sum(str(r).count("'split'") for r in expected) > 6
