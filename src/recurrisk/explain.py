@@ -5,12 +5,15 @@ A "model" here is anything exposing batched risk prediction: either a
 callable mapping an (m, d) matrix to m scores, or an object with a
 ``predict_risk`` method (CoxModel, BoostedModel, Forest).
 Exact attribution enumerates all 2^d feature coalitions, replacing absent
-features with the background vector, so it is capped at d <= 14.
+features with the background vector, so it is capped at d <= 14. The
+coalition matrix, the weight table and each feature's without-j mask index
+depend only on d, so they are built once per d and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -54,22 +57,33 @@ class ImportanceReport:
     baseline_metric: float
 
 
-def _coalition_values(predict, x, background):
-    """Model value and coalition size per mask; masks indexed by bit pattern."""
-    x = np.asarray(x, dtype=float).ravel()
-    background = np.asarray(background, dtype=float).ravel()
-    d = x.size
+@lru_cache(maxsize=None)
+def _coalitions(d: int):
+    """The tables every explained row of width d shares, built once per d.
+
+    Returns the (2^d, d) boolean matrix of which features each mask takes
+    from x (masks indexed by bit pattern), and for each feature j the masks
+    S without j and their weights |S|!(d-|S|-1)!/d!.
+    """
     masks = np.arange(2 ** d)
-    takes_x = (masks[:, None] >> np.arange(d)) & 1
-    inputs = np.where(takes_x == 1, x[None, :], background[None, :])
-    return np.asarray(predict(inputs), dtype=float).ravel(), takes_x.sum(axis=1)
+    takes_x = (masks[:, None] >> np.arange(d)) & 1 == 1
+    sizes = takes_x.sum(axis=1)
+    weight_by_size = np.array(
+        [factorial(s) * factorial(d - s - 1) / factorial(d) for s in range(d)])
+    per_feature = []
+    for j in range(d):
+        m_wo = masks[(masks >> j) & 1 == 0]
+        per_feature.append((m_wo, weight_by_size[sizes[m_wo]]))
+    return takes_x, tuple(per_feature)
 
 
 def exact_shapley(model, x, background, feature_names=None) -> AttributionVector:
     """Exact Shapley attribution of f(x) - f(background) over all subsets.
 
     phi_j = sum over S not containing j of |S|!(d-|S|-1)!/d! *
-    (f(x restricted to S+{j}) - f(x restricted to S)).
+    (f(x restricted to S+{j}) - f(x restricted to S)). The coalition
+    tables come from the per-d cache, so each row costs one batched
+    prediction of 2^d inputs and d weighted sums.
     """
     x = np.asarray(x, dtype=float).ravel()
     d = x.size
@@ -78,16 +92,13 @@ def exact_shapley(model, x, background, feature_names=None) -> AttributionVector
             f"{d} features exceeds the exact-enumeration cap of "
             f"{MAX_EXACT_FEATURES}; use permutation_importance instead")
     predict = _as_predictor(model)
-    values, sizes = _coalition_values(predict, x, background)
-    masks = np.arange(values.size)
-    weight_by_size = np.array(
-        [factorial(s) * factorial(d - s - 1) / factorial(d) for s in range(d)])
+    takes_x, per_feature = _coalitions(d)
+    background = np.asarray(background, dtype=float).ravel()
+    values = np.asarray(predict(np.where(takes_x, x[None, :], background[None, :])),
+                        dtype=float).ravel()
 
     phi = np.empty(d)
-    for j in range(d):
-        without_j = (masks >> j) & 1 == 0
-        m_wo = masks[without_j]
-        w = weight_by_size[sizes[without_j]]
+    for j, (m_wo, w) in enumerate(per_feature):
         phi[j] = float(np.sum(w * (values[m_wo | (1 << j)] - values[m_wo])))
 
     names = tuple(feature_names) if feature_names is not None \

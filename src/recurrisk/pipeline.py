@@ -287,6 +287,9 @@ def run_pipeline(config: PipelineConfig):
 
     if config.voxel_grid_dir is not None:
         cohort = _attach_radiomics(cohort, config)
+    by_id = None
+    if config.longitudinal_csv is not None:
+        by_id = _longitudinal_by_id(cohort, config.longitudinal_csv)
 
     n = len(cohort)
     times, events = cohort.times, cohort.events
@@ -334,8 +337,8 @@ def run_pipeline(config: PipelineConfig):
     features_section = _feature_tables(cohort, config, chosen, vif_removed_by_fold)
 
     temporal_section = None
-    if config.longitudinal_csv is not None:
-        temporal_section = _temporal_lane(cohort, folds, config)
+    if by_id is not None:
+        temporal_section = _temporal_lane(cohort, folds, by_id, config)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -479,25 +482,30 @@ def _nan_to_none(v: float):
     return None if v is None or (isinstance(v, float) and np.isnan(v)) else float(v)
 
 
-def _temporal_lane(cohort: Cohort, folds, config: PipelineConfig):
-    """Out-of-fold evaluation of the temporal attention learner."""
-    sequences = load_longitudinal(config.longitudinal_csv)
-    by_id = {s.subject_id: s for s in sequences}
+def _longitudinal_by_id(cohort: Cohort, path) -> dict:
+    """Each cohort subject's snapshot sequence from the longitudinal file,
+    keyed by id; read and checked against the cohort before any fold is fit."""
+    by_id = {s.subject_id: s for s in load_longitudinal(path)}
     missing = [rid for rid in cohort.ids if rid not in by_id]
     if missing:
         raise PipelineError("temporal",
                             f"longitudinal data missing for {len(missing)} subjects "
                             f"(first: {missing[0]!r})")
 
-    times, events = cohort.times, cohort.events
-    ids = cohort.ids
-    differ = [rid for rid, t, e in zip(ids, times.tolist(), events.tolist())
+    differ = [rid for rid, t, e in zip(cohort.ids, cohort.times.tolist(),
+                                       cohort.events.tolist())
               if (by_id[rid].time, by_id[rid].event) != (t, e)]
     if differ:
         raise PipelineError("temporal",
                             f"longitudinal time or event differs from the cohort's for "
                             f"{len(differ)} subjects (first: {differ[0]!r})")
+    return by_id
 
+
+def _temporal_lane(cohort: Cohort, folds, by_id: dict, config: PipelineConfig):
+    """Out-of-fold evaluation of the temporal attention learner on the
+    sequences of `_longitudinal_by_id`."""
+    times, events, ids = cohort.times, cohort.events, cohort.ids
     n = len(cohort)
     oof = np.full(n, np.nan)
     try:

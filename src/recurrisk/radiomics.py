@@ -13,6 +13,11 @@ they are fixed implementer choices, documented here):
   directions merged before normalization;
 * GLRLM: runs along the same 13 directions, merged;
 * GLSZM: 26-connected zones of equal gray level.
+
+The three texture matrices count only masked voxels (IBSI), so they are
+built on the mask's bounding box; the GLSZM labels every gray level's zones
+in one 4-D `ndimage.label` call. First-order and shape features read the
+full grid.
 """
 
 from __future__ import annotations
@@ -181,24 +186,26 @@ class TextureMatrices:
 
 def texture_matrices(grid: VoxelGrid, mask: RegionMask, levels: int = 32,
                      glcm_offsets=GLCM_OFFSETS) -> TextureMatrices:
-    """Build the direction-merged GLCM, GLRLM and 26-connected GLSZM."""
+    """Build the direction-merged GLCM, GLRLM and 26-connected GLSZM.
+
+    All three are computed on the mask's bounding box, with no margin: a
+    voxel outside the mask never pairs, runs or joins a zone, so the crop
+    changes no matrix.
+    """
     binned = discretize(grid, mask, levels)
     occ = mask.occupancy
-    nx, ny, nz = grid.dims
+    box = tuple(slice(a.min(), a.max() + 1) for a in np.nonzero(occ))
+    binned, occ = binned[box], occ[box]
 
-    glcm = np.zeros((levels, levels))
+    codes = [np.zeros(0, dtype=int)]  # no offsets: no pairs
     for off in glcm_offsets:
-        ox, oy, oz = off
-        src = _shift_slices((nx, ny, nz), (ox, oy, oz))
-        dst = _shift_slices((nx, ny, nz), (-ox, -oy, -oz))
+        src = _shift_slices(occ.shape, off)
+        dst = _shift_slices(occ.shape, tuple(-o for o in off))
         pair_ok = occ[src] & occ[dst]
-        a = binned[src][pair_ok]
-        b = binned[dst][pair_ok]
-        np.add.at(glcm, (a, b), 1.0)
-        np.add.at(glcm, (b, a), 1.0)
-    total_pairs = glcm.sum()
-    if total_pairs > 0:
-        glcm /= total_pairs
+        a, b = binned[src][pair_ok], binned[dst][pair_ok]
+        codes += [a * levels + b, b * levels + a]  # symmetric accumulation
+    pairs = np.bincount(np.concatenate(codes), minlength=levels * levels)
+    glcm = pairs.reshape(levels, levels) / max(int(pairs.sum()), 1)
 
     glrlm = _run_length_matrix(binned, occ, levels, glcm_offsets)
     glszm = _size_zone_matrix(binned, occ, levels)
@@ -249,24 +256,27 @@ def _run_length_matrix(binned, occ, levels, offsets):
 
 
 def _size_zone_matrix(binned, occ, levels):
+    """GLSZM of 26-connected equal-level zones, from one label call.
+
+    The gray levels present are stacked on a leading axis, (level, x, y, z),
+    and labeled once with a 3x3x3x3 structure whose only true slice is the
+    middle one along the level axis: 26-connectivity within a level and none
+    across levels. Voxels outside the mask are -1 and match no level. Each
+    zone takes its level from the stack index of its voxels.
+    """
     from scipy import ndimage  # deferred: a module-level import slows every CLI start
 
-    structure = np.ones((3, 3, 3), dtype=int)  # 26-connectivity
-    zones: list[tuple[int, int]] = []
-    max_size = 1
-    for level in range(levels):
-        level_mask = occ & (binned == level)
-        if not np.any(level_mask):
-            continue
-        labeled, n_zones = ndimage.label(level_mask, structure=structure)
-        sizes = ndimage.sum_labels(level_mask, labeled, index=np.arange(1, n_zones + 1))
-        for s in sizes.astype(int):
-            zones.append((level, int(s)))
-            max_size = max(max_size, int(s))
-    glszm = np.zeros((levels, max_size))
-    for level, size in zones:
-        glszm[level, size - 1] += 1
-    return glszm
+    present = np.unique(binned[occ])
+    stack = binned[None] == present[:, None, None, None]
+    structure = np.zeros((3, 3, 3, 3), dtype=bool)
+    structure[1] = True
+    labeled, n_zones = ndimage.label(stack, structure=structure)
+    sizes = np.bincount(labeled.ravel())[1:]
+    zone_level = np.zeros(n_zones, dtype=int)
+    zone_level[labeled[stack] - 1] = present[np.nonzero(stack)[0]]
+    max_size = int(sizes.max(initial=1))
+    cells = np.bincount(zone_level * max_size + sizes - 1, minlength=levels * max_size)
+    return cells.reshape(levels, max_size).astype(float)
 
 
 def texture_features(grid: VoxelGrid, mask: RegionMask, levels: int = 32,

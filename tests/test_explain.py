@@ -4,28 +4,33 @@ import numpy as np
 import pytest
 
 from recurrisk.errors import InvalidParameterError
-from recurrisk.explain import _as_predictor, _coalition_values, exact_shapley
+from recurrisk.explain import exact_shapley
 
 
 def shapley_permutation_oracle(model, x, background) -> np.ndarray:
     """Average marginal contribution over all d! orderings (d <= 6).
 
-    Enumerates orderings directly instead of weighting subsets.
+    Enumerates orderings directly instead of weighting subsets, and builds
+    and scores each coalition's input row itself, one row per call.
     """
     x = np.asarray(x, dtype=float).ravel()
+    background = np.asarray(background, dtype=float).ravel()
     d = x.size
     assert d <= 6, "the permutation oracle enumerates d! orderings"
-    values, _ = _coalition_values(_as_predictor(model), x, background)
+
+    def value(taken):
+        row = [x[j] if j in taken else background[j] for j in range(d)]
+        return float(np.ravel(model(np.array([row])))[0])
+
     totals = np.zeros(d)
-    count = 0
-    for ordering in permutations(range(d)):
-        mask = 0
+    orderings = list(permutations(range(d)))
+    for ordering in orderings:
+        taken = set()
         for j in ordering:
-            new_mask = mask | (1 << j)
-            totals[j] += values[new_mask] - values[mask]
-            mask = new_mask
-        count += 1
-    return totals / count
+            before = value(taken)
+            taken.add(j)
+            totals[j] += value(taken) - before
+    return totals / len(orderings)
 
 
 def nonlinear(X):

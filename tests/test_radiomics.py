@@ -6,6 +6,8 @@ from recurrisk.radiomics import (
     RegionMask,
     VoxelGrid,
     _run_length_matrix,
+    _size_zone_matrix,
+    discretize,
     shape_features,
     texture_features,
     texture_matrices,
@@ -81,6 +83,129 @@ class TestRunLengthMatrix:
         assert_matches_loop(np.zeros(occ.shape, dtype=int), occ, 2, ())
 
 
+def size_zone_loop(binned, occ, levels):
+    """One 26-connected label call per gray level, the loop the single 4-D
+    label call replaced: the test oracle."""
+    from scipy import ndimage
+
+    structure = np.ones((3, 3, 3), dtype=int)
+    zones = []
+    max_size = 1
+    for level in range(levels):
+        level_mask = occ & (binned == level)
+        if not np.any(level_mask):
+            continue
+        labeled, n_zones = ndimage.label(level_mask, structure=structure)
+        sizes = ndimage.sum_labels(level_mask, labeled, index=np.arange(1, n_zones + 1))
+        for s in sizes.astype(int):
+            zones.append((level, int(s)))
+            max_size = max(max_size, int(s))
+    glszm = np.zeros((levels, max_size))
+    for level, size in zones:
+        glszm[level, size - 1] += 1
+    return glszm
+
+
+def cooccurrence_loop(binned, occ, levels, offsets):
+    """Symmetric GLCM by np.add.at over the whole grid: the test oracle."""
+    glcm = np.zeros((levels, levels))
+    for off in offsets:
+        src = tuple(slice(0, n - o) if o >= 0 else slice(-o, n) for n, o in zip(occ.shape, off))
+        dst = tuple(slice(o, n) if o >= 0 else slice(0, n + o) for n, o in zip(occ.shape, off))
+        pair_ok = occ[src] & occ[dst]
+        a, b = binned[src][pair_ok], binned[dst][pair_ok]
+        np.add.at(glcm, (a, b), 1.0)
+        np.add.at(glcm, (b, a), 1.0)
+    total_pairs = glcm.sum()
+    return glcm / total_pairs if total_pairs > 0 else glcm
+
+
+class TestSizeZoneMatrix:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_masks_and_levels(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        dims = tuple(rng.integers(1, 8, size=3))
+        levels = int(rng.integers(2, 6))
+        occ = rng.random(dims) < rng.uniform(0.3, 1.0)
+        occ[tuple(rng.integers(0, dims))] = True
+        binned = np.where(occ, rng.integers(0, levels, size=dims), -1)
+        assert np.array_equal(_size_zone_matrix(binned, occ, levels),
+                              size_zone_loop(binned, occ, levels))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 4)])
+    def test_mask_filling_the_grid_with_one_level(self, dims):
+        # no voxel is background, so no label is 0
+        occ = np.ones(dims, dtype=bool)
+        glszm = _size_zone_matrix(np.full(dims, 2), occ, 3)
+        want = np.zeros((3, occ.size))
+        want[2, -1] = 1
+        assert np.array_equal(glszm, want)
+
+
+def region(intensity, occ):
+    dims = occ.shape
+    return (VoxelGrid(dims, (1.0, 1.0, 1.0), intensity.reshape(-1, order="F")),
+            RegionMask(dims, occ.reshape(-1, order="F")))
+
+
+def assert_crop_changes_no_matrix(intensity, occ, levels):
+    """texture_matrices, which crops to the mask's bounding box, against the
+    oracles run on the whole uncropped grid."""
+    grid, mask = region(intensity, occ)
+    binned = discretize(grid, mask, levels)
+    got = texture_matrices(grid, mask, levels)
+    for have, want in [(got.glcm, cooccurrence_loop(binned, occ, levels, GLCM_OFFSETS)),
+                       (got.glrlm, _run_length_matrix(binned, occ, levels, GLCM_OFFSETS)),
+                       (got.glszm, size_zone_loop(binned, occ, levels))]:
+        assert have.shape == want.shape and np.array_equal(have, want)
+
+
+class TestBoundingBoxCrop:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_regions(self, seed):
+        # 50 draws per seed; the margins around the region are 0 to 3 voxels,
+        # so some regions touch the grid faces and some sit inside
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(50):
+            inner = tuple(int(v) for v in rng.integers(1, 7, size=3))
+            before = rng.integers(0, 4, size=3)
+            dims = tuple(int(v) for v in np.add(inner, before + rng.integers(0, 4, size=3)))
+            levels = int(rng.integers(2, 9))
+            occ = np.zeros(dims, dtype=bool)
+            box = tuple(slice(b, b + n) for b, n in zip(before, inner))
+            occ[box] = rng.random(inner) < rng.uniform(0.1, 1.0)
+            occ[tuple(rng.integers(before, before + inner))] = True
+            intensity = rng.integers(0, 2 * levels, size=dims).astype(float)
+            assert_crop_changes_no_matrix(intensity, occ, levels)
+
+    def test_single_voxel(self):
+        occ = np.zeros((4, 5, 3), dtype=bool)
+        occ[2, 1, 1] = True
+        assert_crop_changes_no_matrix(np.arange(60.0).reshape(occ.shape), occ, 4)
+        glszm = texture_matrices(*region(np.ones(occ.shape), occ), levels=4).glszm
+        assert glszm.shape == (4, 1) and glszm[0, 0] == 1 and glszm.sum() == 1
+
+    def test_box_filled_with_one_level(self):
+        occ = np.zeros((6, 6, 6), dtype=bool)
+        occ[1:4, 2:5, 1:5] = True
+        assert_crop_changes_no_matrix(np.full(occ.shape, 7.0), occ, 8)
+        glszm = texture_matrices(*region(np.full(occ.shape, 7.0), occ), levels=8).glszm
+        assert glszm[0, -1] == 1 and glszm.sum() == 1
+
+    def test_box_filled_with_two_levels(self):
+        occ = np.zeros((7, 5, 6), dtype=bool)
+        occ[2:6, 1:4, 1:5] = True
+        intensity = np.where(np.indices(occ.shape)[2] < 3, 1.0, 9.0)
+        assert_crop_changes_no_matrix(intensity, occ, 2)
+
+    def test_mask_touching_the_grid_faces(self):
+        occ = np.zeros((5, 4, 6), dtype=bool)
+        occ[0] = occ[-1] = True
+        occ[:, 0, 0] = occ[:, -1, -1] = True
+        intensity = np.indices(occ.shape).sum(axis=0).astype(float)
+        assert_crop_changes_no_matrix(intensity, occ, 5)
+
+
 class TestCubePhantom:
     """A k-voxel cube inside a larger grid, split into two gray levels along x."""
 
@@ -132,6 +257,28 @@ def test_cube_sphericity_is_analytic(a, spacing):
     mask = RegionMask(occ.shape, occ.reshape(-1, order="F"))
     got = shape_features(mask, (spacing,) * 3)["sphericity"]
     assert got == pytest.approx((np.pi / 6.0) ** (1.0 / 3.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [3, 4, 6, 8, 12])
+def test_voxelized_sphere_sphericity(r):
+    # The ball of voxel centers within r of a lattice point. Each axis line
+    # through it holds one run, so the face-counted area is exactly 2 faces
+    # per occupied line along x, y and z: 6 * N2(r), with N2(r) the lattice
+    # points of the disc of radius r. With V = N3(r), the lattice points of
+    # the ball, sphericity is pi^(1/3) (6 N3)^(2/3) / (6 N2). As N2 -> pi r^2
+    # and N3 -> 4/3 pi r^3 this tends to 2/3, not 1: the staircase has
+    # 3/2 times the sphere's area. For r = 3..12 the lattice counts keep it
+    # within 0.021 of 2/3 (largest at r = 3), so 0.03 bounds it.
+    n = 2 * r + 3
+    offsets = np.indices((n, n, n)) - (r + 1)
+    occ = (offsets ** 2).sum(axis=0) <= r * r
+    feats = shape_features(RegionMask(occ.shape, occ.reshape(-1, order="F")), (1.0,) * 3)
+    k = np.arange(-r, r + 1)
+    disc = int(np.sum(k[:, None] ** 2 + k[None, :] ** 2 <= r * r))
+    assert feats["volume_mm3"] == occ.sum()
+    assert feats["surface_area_mm2"] == 6 * disc
+    assert abs(feats["sphericity"] - 2.0 / 3.0) < 0.03
+    assert feats["elongation"] == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -4,11 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from recurrisk import pipeline
 from recurrisk.boosting import cox_gradients, cox_negloglik
-from recurrisk.cohort import SyntheticSpec, generate_synthetic
-from recurrisk.errors import NumericInputError, PipelineError, RowParseError, ShapeError
+from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
+from recurrisk.errors import (
+    NumericInputError,
+    PipelineError,
+    RecurriskError,
+    RowParseError,
+    ShapeError,
+)
 from recurrisk.nonparametric import RiskSets
-from recurrisk.pipeline import PipelineConfig, _temporal_lane, assign_folds
+from recurrisk.pipeline import PipelineConfig, _longitudinal_by_id, _temporal_lane, assign_folds
 from recurrisk.temporal import (
     SnapshotSequence,
     initial_model,
@@ -93,7 +100,8 @@ class TestTemporalLane:
         write_longitudinal(sequences, path)
         config = PipelineConfig(cohort_csv="cohort.csv", longitudinal_csv=str(path),
                                 cv_folds=2, temporal_params={"epochs": 2})
-        return _temporal_lane(cohort, assign_folds(cohort.events, 2, 0), config)
+        by_id = _longitudinal_by_id(cohort, path)
+        return _temporal_lane(cohort, assign_folds(cohort.events, 2, 0), by_id, config)
 
     def test_matching_outcomes_are_evaluated(self, tmp_path):
         assert self.lane(tmp_path, generate_longitudinal(self.SPEC))["status"] == "ok"
@@ -105,6 +113,27 @@ class TestTemporalLane:
         with pytest.raises(PipelineError, match=r"^temporal: .* for 2 subjects "
                                                 rf"\(first: '{sequences[7].subject_id}'\)"):
             self.lane(tmp_path, sequences)
+
+    @pytest.mark.parametrize("defect", ["absent", "missing-subject", "differing-outcome"])
+    def test_bad_file_fails_before_any_fold_is_fitted(self, tmp_path, monkeypatch, defect):
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_fold_models", lambda *a: fits.append(a))
+        cohort = generate_synthetic(self.SPEC)[0]
+        write_cohort(cohort, tmp_path / "cohort.csv")
+        sequences = generate_longitudinal(self.SPEC)
+        if defect == "missing-subject":
+            del sequences[5]
+        elif defect == "differing-outcome":
+            sequences[5] = replace(sequences[5], time=sequences[5].time + 1.0)
+        path = tmp_path / "longitudinal.csv"
+        if defect != "absent":
+            write_longitudinal(sequences, path)
+        config = PipelineConfig(cohort_csv=str(tmp_path / "cohort.csv"),
+                                out_dir=str(tmp_path / "out"), longitudinal_csv=str(path),
+                                cv_folds=2, enabled_models=("cox",))
+        with pytest.raises(RecurriskError):
+            pipeline.run_pipeline(config)
+        assert fits == []
 
 
 # --- the per-subject loop the batched pass replaced: the test oracle --------
