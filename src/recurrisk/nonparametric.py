@@ -8,10 +8,10 @@ All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import EmptyCohortError, InvalidParameterError, UndefinedMetricError
 from .stepfun import StepFunction
@@ -107,8 +107,10 @@ class LogRankResult:
 def log_rank(group_a, group_b) -> LogRankResult:
     """Two-sample log-rank test with hypergeometric variance, 1 df.
 
-    Each group is a (times, events) pair. Raises UndefinedMetricError when
-    no events occur in either group.
+    Each group is a (times, events) pair. The p-value is the chi-square(1)
+    upper tail, erfc(sqrt(chi_square / 2)), which is exactly 1 at
+    chi_square = 0. Raises UndefinedMetricError when no events occur in
+    either group.
     """
     times_a, events_a = (np.asarray(v) for v in group_a)
     times_b, events_b = (np.asarray(v) for v in group_b)
@@ -136,7 +138,7 @@ def log_rank(group_a, group_b) -> LogRankResult:
         chi_square = 0.0
     else:
         chi_square = (observed_a - expected_a) ** 2 / variance
-    p_value = float(special.chdtrc(1, chi_square))
+    p_value = math.erfc(math.sqrt(chi_square / 2.0))
     return LogRankResult(
         chi_square=float(chi_square),
         p_value=p_value,

@@ -13,6 +13,8 @@ from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.metrics import c_index
 from recurrisk.pipeline import PipelineConfig
 
+from test_temporal import generate_longitudinal, write_longitudinal
+
 
 @pytest.fixture
 def scores_csv(tmp_path):
@@ -61,16 +63,49 @@ def test_evaluate_short_row_exits_1(scores_csv, capsys):
     assert "row 2, column '<row>'" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.stats alone costs about a second of every start; the p-values
-    # come from scipy.special, and radiomics loads scipy.ndimage on first use
+SCIPY_PROBE = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+
+
+def run_probe(code):
+    """stdout of `code` run in a fresh interpreter that imports this checkout."""
     src = str(Path(recurrisk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, recurrisk.cli; "
-             "print([m for m in ('scipy.stats', 'scipy.ndimage') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.special alone doubles the start-up time and memory of a command;
+    # the package needs numpy only
+    assert run_probe(f"import sys, recurrisk.cli; {SCIPY_PROBE}").strip() == "[]"
+
+
+def test_run_with_grids_and_snapshots_loads_no_scipy(tmp_path):
+    spec = SyntheticSpec(n=40, true_coefficients=(1.0, -1.0), seed=4)
+    cohort, _ = generate_synthetic(spec)
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    write_longitudinal(generate_longitudinal(spec), tmp_path / "longitudinal.csv")
+    grids = tmp_path / "grids"
+    grids.mkdir()
+    rng = np.random.default_rng(5)
+    for sid in cohort.ids:
+        for kind, values in (("grid", rng.normal(size=64)), ("mask", rng.random(64) < 0.5)):
+            text = " ".join(str(float(v)) for v in values)
+            (grids / f"{sid}_{kind}.txt").write_text(
+                f"dims 4 4 4\nspacing 1 1 1\n{text}\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "enabled_models": ["cox"],
+                                  "voxel_grid_dir": "grids",
+                                  "longitudinal_csv": "longitudinal.csv",
+                                  "temporal_params": {"epochs": 2}}), encoding="utf-8")
+    out = run_probe("import sys; from recurrisk.cli import main; "
+                    f"assert main(['run', '--config', {str(config)!r}, '--quiet']) == 0; "
+                    + SCIPY_PROBE)
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["temporal"]["status"] == "ok"
+    screened = {row["feature"] for row in report["features"]["screen"]}
+    assert "radiomics_glszm_zone_variance" in screened
     assert out.strip() == "[]"
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from recurrisk import coxph
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, zscore_normalize
@@ -399,6 +400,25 @@ class TestUnivariateScreen:
         assert np.isnan([rows[1].hazard_ratio, rows[1].ci_low, rows[1].ci_high,
                          rows[1].p_value]).all()
         assert retained_features(rows) == ["x0"]
+
+    def test_wald_p_matches_the_scipy_normal_tail(self, small_linear_cohort, monkeypatch):
+        # z = |beta| / se swept over [0, 37]: p from 1 down to ~1e-299
+        cohort, _ = small_linear_cohort
+        one = cohort.subset_features(["x0"])
+        fitted = fit_cox(one)
+        worst = 0.0
+        for z in np.linspace(0.0, 37.0, 371):
+            for beta, se in ((z, 1.0), (-z * 0.03, 0.03), (z * 7.0, 7.0)):
+                model = dataclasses.replace(fitted, coefficients=np.array([beta]),
+                                            covariance=np.array([[se * se]]))
+                monkeypatch.setattr(coxph, "fit_cox", lambda sub, **kwargs: model)
+                (row,) = univariate_screen(one)
+                want = 2.0 * stats.norm.sf(abs(beta) / np.sqrt(se * se))
+                worst = max(worst, abs(row.p_value - want) / want)
+        assert worst <= 1e-12
+
+    def test_z975_is_the_scipy_quantile(self):
+        assert coxph._Z975 == float(special.ndtri(0.975))
 
     def test_retained_features_helper(self, linear_cohort):
         cohort, _ = linear_cohort

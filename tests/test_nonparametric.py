@@ -111,6 +111,18 @@ class TestLogRank:
             a[1][0] = 1
         assert abs(log_rank(a, b).chi_square - log_rank(b, a).chi_square) < 1e-12
 
+    def test_p_matches_the_scipy_chi_square_tail(self):
+        # group b trails group a by `shift` places: chi-square sweeps 0 to
+        # ~1380, p from 1 down to ~5e-302
+        m = 556
+        a = (np.arange(1.0, m + 1), np.ones(m, dtype=int))
+        results = [log_rank(a, (a[0] + shift, a[1])) for shift in range(0, m + 1, 4)]
+        chi_squares = [r.chi_square for r in results]
+        assert min(chi_squares) == 0.0 and max(chi_squares) > 1379.0
+        for r in results:
+            want = stats.chi2.sf(r.chi_square, df=1)
+            assert r.p_value == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_zero_events_undefined(self):
         with pytest.raises(UndefinedMetricError):
             log_rank(([1, 2], [0, 0]), ([3, 4], [0, 0]))
@@ -195,7 +207,12 @@ class TestEventTableOracle:
         assert res.observed[0] == observed
         assert res.expected[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
         assert res.chi_square == pytest.approx(chi_square, rel=1e-9, abs=1e-12)
-        assert res == log_rank_loop(a, b)
+        # p comes from math.erfc in log_rank and from scipy in the oracle:
+        # two implementations of one function, so equal to rounding only
+        ref = log_rank_loop(a, b)
+        assert (res.chi_square, res.observed, res.expected) == \
+            (ref.chi_square, ref.observed, ref.expected)
+        assert res.p_value == pytest.approx(ref.p_value, rel=1e-12)
 
 
 def event_table_per_call(times, events):

@@ -84,8 +84,7 @@ class TestRunLengthMatrix:
 
 
 def size_zone_loop(binned, occ, levels):
-    """One 26-connected label call per gray level, the loop the single 4-D
-    label call replaced: the test oracle."""
+    """One 26-connected `ndimage.label` call per gray level: the test oracle."""
     from scipy import ndimage
 
     structure = np.ones((3, 3, 3), dtype=int)
@@ -140,6 +139,68 @@ class TestSizeZoneMatrix:
         want = np.zeros((3, occ.size))
         want[2, -1] = 1
         assert np.array_equal(glszm, want)
+
+
+def serpentine(n):
+    """A one-voxel tube through an n x n x n lattice of even coordinates, in
+    boustrophedon order, with each step's midpoint filled: one zone spanning
+    a (2n - 1)^3 box, whose smallest index sits at one end of the tube."""
+    nodes = []
+    for k in range(n):
+        for j in range(n) if k % 2 == 0 else range(n - 1, -1, -1):
+            row = range(n) if len(nodes) // n % 2 == 0 else range(n - 1, -1, -1)
+            nodes += [(2 * i, 2 * j, 2 * k) for i in row]
+    steps = np.abs(np.diff(nodes, axis=0)).sum(axis=1)
+    assert np.all(steps == 2)  # consecutive nodes are one midpoint apart
+    tube = np.zeros((2 * n - 1,) * 3, dtype=bool)
+    for here, there in zip(nodes, nodes[1:] + nodes[-1:]):
+        tube[here] = tube[tuple(np.add(here, there) // 2)] = True
+    return tube
+
+
+class TestZoneLabeller:
+    """Shapes that stress the label propagation, each `==` to the oracle."""
+
+    def assert_matches_loop(self, binned, occ, levels):
+        assert np.array_equal(_size_zone_matrix(binned, occ, levels),
+                              size_zone_loop(binned, occ, levels))
+
+    def test_serpentine_zone_spanning_the_box(self):
+        tube = serpentine(12)
+        glszm = _size_zone_matrix(tube.astype(int), np.ones(tube.shape, dtype=bool), 2)
+        assert glszm[1, tube.sum() - 1] == 1 and glszm[1].sum() == 1
+        self.assert_matches_loop(tube.astype(int), np.ones(tube.shape, dtype=bool), 2)
+        self.assert_matches_loop(np.where(tube, 0, -1), tube, 2)
+
+    def test_checkerboard_joined_only_through_diagonals(self):
+        binned = np.indices((5, 4, 6)).sum(axis=0) % 2
+        occ = np.ones(binned.shape, dtype=bool)
+        glszm = _size_zone_matrix(binned, occ, 2)
+        assert glszm.sum() == 2 and glszm[0, 59] == glszm[1, 59] == 1
+        self.assert_matches_loop(binned, occ, 2)
+
+    def test_singleton_zones(self):
+        occ = np.zeros((7, 5, 6), dtype=bool)
+        occ[::2, ::2, ::2] = True
+        binned = np.where(occ, np.arange(occ.size).reshape(occ.shape) % 3, -1)
+        glszm = _size_zone_matrix(binned, occ, 3)
+        assert glszm.shape == (3, 1) and glszm.sum() == occ.sum()
+        self.assert_matches_loop(binned, occ, 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_line(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        binned = rng.integers(0, 3, size=(1, 1, 40))
+        self.assert_matches_loop(binned, np.ones(binned.shape, dtype=bool), 3)
+
+    def test_zones_ignore_the_glcm_offsets(self):
+        rng = np.random.default_rng(310)
+        occ = rng.random((6, 7, 5)) < 0.7
+        grid, mask = region(rng.random(occ.shape), occ)
+        binned = discretize(grid, mask, 4)
+        glszm = texture_matrices(grid, mask, 4, glcm_offsets=((1, 0, 0),)).glszm
+        assert np.array_equal(glszm, size_zone_loop(binned, occ, 4))
+        assert np.array_equal(glszm, texture_matrices(grid, mask, 4).glszm)
 
 
 def region(intensity, occ):
