@@ -14,6 +14,8 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import (
     declared,
     reading,
 )
+from .nonparametric import RiskSets
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 
@@ -44,6 +47,8 @@ class Cohort:
     `X` is the C-ordered n x d feature matrix, columns in `feature_names`
     order. The constructor validates them once and stores read-only copies,
     so a cohort is immutable and safe to share across threads.
+    `risk_sets` is built from `times` and `events` on first use and cached;
+    two threads racing on it only build two equal objects.
     `normalization` maps feature name -> (mean, stddev) once z-scoring has
     been fit; it travels with the cohort so held-out data can be transformed
     with training statistics.
@@ -100,6 +105,11 @@ class Cohort:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+    @cached_property
+    def risk_sets(self) -> RiskSets:
+        """The cohort's `nonparametric.RiskSets`, built once."""
+        return RiskSets(self.times, self.events)
 
     def matrix(self) -> np.ndarray:
         """The read-only feature matrix `X`."""
@@ -170,33 +180,68 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
             raise SchemaError(f"{path}: schema must name at least one feature column")
 
         col_index = {h: i for i, h in enumerate(header)}
-        t_idx = col_index[schema.time_column]
-        e_idx = col_index[schema.event_column]
         id_idx = col_index[schema.id_column] if schema.id_column is not None else None
-        f_idx = [col_index[n] for n in feature_names]
-
-        row_of_id, times, events, rows = {}, [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise RowParseError(row_no, "<row>",
-                                    f"expected {len(header)} cells, got {len(row)}")
-            time, event = _parse_outcome(row[t_idx], row[e_idx], row_no,
-                                         schema.time_column, schema.event_column)
-            rows.append([_parse_number(row[i], row_no, name)
-                         for i, name in zip(f_idx, feature_names)])
-            rid = row[id_idx].strip() if id_idx is not None else f"row{row_no}"
-            if rid in row_of_id:
-                raise RowParseError(row_no, schema.id_column,
-                                    f"duplicate id {rid!r} (first on row {row_of_id[rid]})")
-            row_of_id[rid] = row_no
-            times.append(time)
-            events.append(event)
+        cols = [col_index[n] for n in (schema.time_column, schema.event_column,
+                                       *feature_names)]
+        rows = ((row_no, row) for row_no, row in enumerate(reader, start=1)
+                if row and any(c.strip() for c in row))
+        row_of_id, blocks = {}, []
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            values = _convert_block(block, header, cols, id_idx, row_of_id)
+            if values is None:     # let the cell-by-cell parser name the first bad row
+                values = np.array([_parse_row(row_no, row, header, cols, id_idx,
+                                              schema, row_of_id) for row_no, row in block])
+            blocks.append(values)
 
     if not row_of_id:
         raise EmptyCohortError(f"{path}: no data rows")
-    return Cohort(feature_names, list(row_of_id), times, events, rows)
+    values = np.concatenate(blocks)
+    return Cohort(feature_names, list(row_of_id), values[:, 0], values[:, 1], values[:, 2:])
+
+
+_BLOCK_ROWS = 2048  # rows load_cohort converts with one np.array call
+
+
+def _convert_block(block, header, cols, id_idx, row_of_id) -> np.ndarray | None:
+    """The (time, event, *features) values of a block of (row_no, cells)
+    rows from one np.array call, with the block's ids added to `row_of_id`.
+
+    None, with `row_of_id` untouched, if a row has the wrong length, a cell
+    is not a finite number, a time is not positive, an event is not 0 or 1,
+    or an id repeats.
+    """
+    if any(len(row) != len(header) for _, row in block):
+        return None
+    try:
+        values = np.array([[row[i] for i in cols] for _, row in block], dtype=float)
+    except ValueError:
+        return None
+    ids = [row[id_idx].strip() if id_idx is not None else f"row{row_no}"
+           for row_no, row in block]
+    if not (np.all(np.isfinite(values)) and np.all(values[:, 0] > 0)
+            and np.all((values[:, 1] == 0) | (values[:, 1] == 1))
+            and len(set(ids)) == len(ids) and row_of_id.keys().isdisjoint(ids)):
+        return None
+    row_of_id.update(zip(ids, (row_no for row_no, _ in block)))
+    return values
+
+
+def _parse_row(row_no: int, row, header, cols, id_idx, schema: ColumnSchema,
+               row_of_id) -> list[float]:
+    """(time, event, *features) of one row, or the RowParseError of its
+    first bad cell; records its id in `row_of_id`, which holds the ids of
+    the rows before it."""
+    if len(row) != len(header):
+        raise RowParseError(row_no, "<row>", f"expected {len(header)} cells, got {len(row)}")
+    time, event = _parse_outcome(row[cols[0]], row[cols[1]], row_no,
+                                 schema.time_column, schema.event_column)
+    values = [time, event] + [_parse_number(row[i], row_no, header[i]) for i in cols[2:]]
+    rid = row[id_idx].strip() if id_idx is not None else f"row{row_no}"
+    if rid in row_of_id:
+        raise RowParseError(row_no, schema.id_column,
+                            f"duplicate id {rid!r} (first on row {row_of_id[rid]})")
+    row_of_id[rid] = row_no
+    return values
 
 
 def _parse_outcome(time_cell: str, event_cell: str, row_no: int,

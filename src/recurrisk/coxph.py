@@ -72,20 +72,21 @@ def _prepare(beta, cohort: Cohort):
             f"beta has length {beta.size}, cohort has {X.shape[1]} features")
     if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(X)):
         raise NumericInputError("beta and features must be finite")
-    return beta, X, cohort.times, cohort.events
+    return beta, X
 
 
 def partial_loglik(beta, cohort: Cohort, ties: str = "efron"):
     """Cox partial log-likelihood, its gradient and Hessian at beta.
 
-    Risk sets are {j : t_j >= t_i}. With tied event times the Efron
-    correction adjusts each tied event's denominator; Breslow reuses the
-    full risk-set sum. Returns (value, gradient, hessian).
+    Risk sets are {j : t_j >= t_i}, read from `cohort.risk_sets`, so a fit
+    builds them once. With tied event times the Efron correction adjusts
+    each tied event's denominator; Breslow reuses the full risk-set sum.
+    Returns (value, gradient, hessian).
     """
     if ties not in ("breslow", "efron"):
         raise InvalidParameterError(f"unknown tie method {ties!r}")
-    beta, X, times, events = _prepare(beta, cohort)
-    return _partial_loglik_arrays(beta, X, RiskSets(times, events), ties)
+    beta, X = _prepare(beta, cohort)
+    return _partial_loglik_arrays(beta, X, cohort.risk_sets, ties)
 
 
 def _partial_loglik_arrays(beta, X, risk: RiskSets, ties):

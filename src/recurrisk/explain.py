@@ -6,8 +6,8 @@ callable mapping an (m, d) matrix to m scores, or an object with a
 ``predict_risk`` method (CoxModel, BoostedModel, Forest).
 Exact attribution enumerates all 2^d feature coalitions, replacing absent
 features with the background vector, so it is capped at d <= 14. The
-coalition matrix, the weight table and each feature's without-j mask index
-depend only on d, so they are built once per d and cached.
+coalition matrix and the per-feature mask and weight tables depend only on
+d, so they are built once per d and cached.
 """
 
 from __future__ import annotations
@@ -62,19 +62,18 @@ def _coalitions(d: int):
     """The tables every explained row of width d shares, built once per d.
 
     Returns the (2^d, d) boolean matrix of which features each mask takes
-    from x (masks indexed by bit pattern), and for each feature j the masks
-    S without j and their weights |S|!(d-|S|-1)!/d!.
+    from x (masks indexed by bit pattern), and three (d, 2^(d-1)) tables:
+    row j holds the masks S without j, the masks S + {j}, and the weights
+    |S|!(d-|S|-1)!/d!.
     """
-    masks = np.arange(2 ** d)
+    masks = np.arange(2 ** d, dtype=np.int32)
     takes_x = (masks[:, None] >> np.arange(d)) & 1 == 1
     sizes = takes_x.sum(axis=1)
     weight_by_size = np.array(
         [factorial(s) * factorial(d - s - 1) / factorial(d) for s in range(d)])
-    per_feature = []
-    for j in range(d):
-        m_wo = masks[(masks >> j) & 1 == 0]
-        per_feature.append((m_wo, weight_by_size[sizes[m_wo]]))
-    return takes_x, tuple(per_feature)
+    bits = np.int32(1) << np.arange(d, dtype=np.int32)
+    m_wo = np.stack([masks[masks & bit == 0] for bit in bits])
+    return takes_x, m_wo, m_wo | bits[:, None], weight_by_size[sizes[m_wo]]
 
 
 def exact_shapley(model, x, background, feature_names=None) -> AttributionVector:
@@ -83,7 +82,7 @@ def exact_shapley(model, x, background, feature_names=None) -> AttributionVector
     phi_j = sum over S not containing j of |S|!(d-|S|-1)!/d! *
     (f(x restricted to S+{j}) - f(x restricted to S)). The coalition
     tables come from the per-d cache, so each row costs one batched
-    prediction of 2^d inputs and d weighted sums.
+    prediction of 2^d inputs and one weighted sum over all features.
     """
     x = np.asarray(x, dtype=float).ravel()
     d = x.size
@@ -92,14 +91,14 @@ def exact_shapley(model, x, background, feature_names=None) -> AttributionVector
             f"{d} features exceeds the exact-enumeration cap of "
             f"{MAX_EXACT_FEATURES}; use permutation_importance instead")
     predict = _as_predictor(model)
-    takes_x, per_feature = _coalitions(d)
+    takes_x, m_wo, m_with, weights = _coalitions(d)
     background = np.asarray(background, dtype=float).ravel()
     values = np.asarray(predict(np.where(takes_x, x[None, :], background[None, :])),
                         dtype=float).ravel()
-
-    phi = np.empty(d)
-    for j, (m_wo, w) in enumerate(per_feature):
-        phi[j] = float(np.sum(w * (values[m_wo | (1 << j)] - values[m_wo])))
+    diff = np.take(values, m_with)   # values[m_with] measured ~2x slower on int32 indices
+    diff -= np.take(values, m_wo)
+    diff *= weights
+    phi = diff.sum(axis=1)
 
     names = tuple(feature_names) if feature_names is not None \
         else tuple(f"x{j}" for j in range(d))

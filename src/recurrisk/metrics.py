@@ -5,9 +5,10 @@ Harrell's C and the incident/dynamic AUC read one count kernel,
 `_pair_counts`: for each event subject i it counts the subjects with a
 strictly later time, and among them those with a lower and an equal score.
 C sums these counts over all events; AUC(t) groups them by event time.
-Each event is compared with every later subject in chunked numpy passes,
-so the cost is O(n * E) time (n subjects, E events) and O(_PAIR_CHUNK)
-memory.
+The kernel is dominance counting over the time-sorted scores (Knight's
+merge-sort count for Kendall's tau, laid out level by level): O(n log^2 n)
+time and O(n) memory for n subjects. All counts are integers, so the
+results do not depend on the order of summation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UndefinedMetricError
+from .errors import InvalidParameterError, NumericInputError, UndefinedMetricError
 from .nonparametric import kaplan_meier
 
 
@@ -38,32 +39,47 @@ def _check_inputs(times, events, scores):
     scores = np.asarray(scores, dtype=float)
     if not (times.shape == events.shape == scores.shape) or times.ndim != 1:
         raise InvalidParameterError("times, events and scores must be equal-length 1-d arrays")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(scores))):
+        raise NumericInputError("times and scores must be finite")
     return times, events, scores
-
-
-_PAIR_CHUNK = 1 << 18  # event x later-subject comparisons held at once
 
 
 def _pair_counts(times, scores, is_case):
     """(t, lower, equal, later) for each subject selected by the boolean
     mask `is_case`, in ascending time order: its time, and how many subjects
     with a strictly later time have a lower score, an equal score, or any.
+
+    The later subjects of case k are the sorted positions >= first[k], so
+    its counts are those over all subjects minus those over the prefix
+    [0, first[k]). The prefix splits into one aligned block of 2^l
+    positions per set bit l of first[k]; at level l the keys
+    (position >> l) * R + rank sort once, and two binary searches count the
+    block's lower and lower-or-equal score ranks (R distinct scores).
     """
     order = np.argsort(times, kind="stable")
-    t_s, s_s = times[order], scores[order]
+    t_s = times[order]
     cases = np.flatnonzero(is_case[order])
-    # the later subjects of case k sit at sorted positions >= first[k]
     first = np.searchsorted(t_s, t_s[cases], side="right")
-    lower = np.empty(cases.size, dtype=np.int64)
-    equal = np.empty(cases.size, dtype=np.int64)
     n = times.size
-    step = max(1, _PAIR_CHUNK // max(n, 1))
-    for c in range(0, cases.size, step):
-        chunk, lo = cases[c:c + step], first[c]   # cases ascend in time, so first does too
-        later = t_s[None, lo:] > t_s[chunk, None]
-        s_case = s_s[chunk, None]
-        lower[c:c + step] = np.sum(later & (s_s[None, lo:] < s_case), axis=1)
-        equal[c:c + step] = np.sum(later & (s_s[None, lo:] == s_case), axis=1)
+    _, rank = np.unique(scores[order], return_inverse=True)
+    rank = rank.astype(np.int64, copy=False)
+    n_ranks = np.int64(rank.max() + 1 if n else 1)
+    count = np.bincount(rank, minlength=n_ranks)
+    case_rank = rank[cases]
+    lower = np.r_[0, np.cumsum(count)][case_rank]
+    equal = count[case_rank]
+    top = int(first.max()) if cases.size else 0     # no prefix reaches past top
+    pos = np.arange(top, dtype=np.int64)
+    for level in range(top.bit_length()):
+        hit = np.flatnonzero((first >> level) & 1)
+        if hit.size == 0:
+            continue
+        keys = np.sort((pos >> level) * n_ranks + rank[:top])
+        block = (first[hit] >> level) - 1
+        query = block * n_ranks + case_rank[hit]
+        below = np.searchsorted(keys, query, side="left")
+        lower[hit] -= below - (block << level)      # block starts at that key index
+        equal[hit] -= np.searchsorted(keys, query, side="right") - below
     return t_s[cases], lower, equal, n - first
 
 

@@ -321,9 +321,10 @@ def run_pipeline(config: PipelineConfig):
 
     model_reports = {}
     for name in config.enabled_models:
-        if name in failed or np.any(np.isnan(oof_scores[name])):
-            model_reports[name] = {"status": "failed",
-                                   "error": failed.get(name, "incomplete predictions")}
+        if name in failed or not np.all(np.isfinite(oof_scores[name])):
+            model_reports[name] = {
+                "status": "failed",
+                "error": failed.get(name, "incomplete or non-finite predictions")}
             continue
         model_reports[name] = _evaluate_model(
             times, events, oof_scores[name], oof_surv[name], config.horizons)

@@ -1,9 +1,14 @@
 import importlib.util
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recurrisk import cohort as cohort_module
 from recurrisk.cohort import (
     Cohort,
     ColumnSchema,
@@ -24,6 +29,7 @@ from recurrisk.errors import (
     SchemaError,
 )
 from recurrisk.metrics import c_index
+from recurrisk.nonparametric import RiskSets
 
 from conftest import make_cohort
 
@@ -119,6 +125,88 @@ class TestLoadCohort:
         assert np.array_equal(back.matrix(), cohort.matrix())
 
 
+def _padded(cell):
+    return st.tuples(st.sampled_from(["", " ", "  "]), st.just(cell),
+                     st.sampled_from(["", " "])).map("".join)
+
+
+FEATURE_CELL = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                | st.sampled_from(["+3", ".5", "1e-300", "1_000", "-0", "7"])
+                ).flatmap(_padded)
+TIME_CELL = (st.floats(1e-300, 1e300).map(repr)
+             | st.sampled_from(["+3", ".5", "1e-300", "1_000", "12"])).flatmap(_padded)
+EVENT_CELL = st.sampled_from(["0", "1", " 1", "0.0", "1.", "+1"])
+
+
+def csv_text(d):
+    """A cohort file with d features: data rows of odd cells between blank lines."""
+    row = st.tuples(TIME_CELL, EVENT_CELL, st.lists(FEATURE_CELL, min_size=d, max_size=d))
+    lines = st.lists(row | st.sampled_from(["", ",,,"]), min_size=1, max_size=12).filter(
+        lambda ls: any(not isinstance(line, str) for line in ls))
+    header = ",".join(["id", "time", "event"] + [f"x{j}" for j in range(d)])
+    return lines.map(lambda ls: "\n".join([header] + [
+        line if isinstance(line, str) else ",".join([f"s{k}", line[0], line[1], *line[2]])
+        for k, line in enumerate(ls)]) + "\n")
+
+
+class TestBlockLoader:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(csv_text))
+    def test_block_path_equals_cell_path(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "c.csv")
+            path.write_text(text, encoding="utf-8")
+            real_convert, converted = cohort_module._convert_block, []
+
+            def convert(*args):
+                converted.append(real_convert(*args))
+                return converted[-1]
+
+            with mock.patch.object(cohort_module, "_BLOCK_ROWS", 3), \
+                    mock.patch.object(cohort_module, "_convert_block", convert):
+                block = load_cohort(path)
+            with mock.patch.object(cohort_module, "_convert_block", return_value=None):
+                cell = load_cohort(path)
+        assert converted and all(v is not None for v in converted)   # no fallback
+        assert list(block.ids) == list(cell.ids)
+        assert np.array_equal(block.times.view(np.int64), cell.times.view(np.int64))
+        assert np.array_equal(block.events, cell.events)
+        assert np.array_equal(block.X.view(np.int64), cell.X.view(np.int64))
+
+    @staticmethod
+    def _big_file(path, n, bad_row=None, cell="0.5"):
+        lines = ["id,time,event,x"]
+        for k in range(1, n + 1):
+            lines.append(f"p{k},{k % 50 + 1}.5,{k % 2},{cell if k == bad_row else k / 7}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_bad_cell_in_second_block_names_its_row(self, tmp_path):
+        path = tmp_path / "big.csv"
+        self._big_file(path, 3500, bad_row=3000, cell="abc")
+        with pytest.raises(RowParseError) as err:
+            load_cohort(path)
+        assert err.value.row == 3000
+        assert err.value.column == "x"
+        assert "row 3000, column 'x': not a number: 'abc'" in str(err.value)
+
+    def test_id_repeated_across_blocks_names_both_rows(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        self._big_file(path, 3000)
+        text = path.read_text(encoding="utf-8").replace("\np2500,", "\np10,")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(RowParseError) as err:
+            load_cohort(path)
+        assert err.value.row == 2500
+        assert "duplicate id 'p10' (first on row 10)" in str(err.value)
+
+    def test_multi_block_file_loads_every_row(self, tmp_path):
+        path = tmp_path / "big.csv"
+        self._big_file(path, 5000)
+        cohort = load_cohort(path)
+        assert len(cohort) == 5000
+        assert cohort.ids[-1] == "p5000" and cohort.X[-1, 0] == 5000 / 7
+
+
 class TestRecordInvariants:
     """The checks the array constructor makes on every cohort."""
 
@@ -164,6 +252,15 @@ class TestRecordInvariants:
             cohort.matrix()[0, 0] = 5.0
         with pytest.raises(ValueError):
             cohort.times[0] = 5.0
+
+    def test_risk_sets_built_once_and_match_the_outcomes(self, rng):
+        cohort = make_cohort(np.ceil(rng.exponential(3, 30)), rng.integers(0, 2, 30),
+                             rng.standard_normal((30, 2)))
+        risk = cohort.risk_sets
+        assert cohort.risk_sets is risk
+        fresh = RiskSets(cohort.times, cohort.events)
+        for name in ("order", "times", "events", "heads", "blocks", "deaths", "at_risk"):
+            assert np.array_equal(getattr(risk, name), getattr(fresh, name))
 
     def test_derived_matrices_are_c_contiguous(self, rng):
         # X[:, cols] is F-ordered; X @ beta on F-ordered storage takes another

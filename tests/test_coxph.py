@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from recurrisk import cohort as cohort_module
 from recurrisk import coxph
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, zscore_normalize
 from recurrisk.coxph import (
@@ -229,6 +230,29 @@ class TestFitCox:
         assert model.iterations <= 10
         assert len(calls) <= 1.5 * model.iterations + 1
         assert np.max(np.abs(model.coefficients - reference.coefficients)) < 1e-9
+
+    @pytest.mark.parametrize("ties", ["efron", "breslow"])
+    def test_one_risk_set_build_per_fit(self, monkeypatch, ties):
+        # ceil() ties the times, so Efron's tied blocks are exercised too
+        cohort, _ = generate_synthetic(
+            SyntheticSpec(n=300, true_coefficients=(0.8, -0.5, 0.3), seed=3))
+        cohort = make_cohort(np.ceil(cohort.times), cohort.events, cohort.X)
+        builds, evals = [], []
+
+        class CountingRiskSets(cohort_module.RiskSets):
+            def __init__(self, times, events):
+                builds.append(1)
+                super().__init__(times, events)
+
+        def counting_loglik(beta, cohort, ties="efron"):
+            evals.append(1)
+            return partial_loglik(beta, cohort, ties)
+
+        monkeypatch.setattr(cohort_module, "RiskSets", CountingRiskSets)
+        monkeypatch.setattr(coxph, "partial_loglik", counting_loglik)
+        fit_cox(cohort, ties=ties)
+        assert len(builds) == 1
+        assert len(evals) == 5          # 4 Newton steps, no halving, 1 final
 
     def test_zero_events_rejected(self, rng):
         cohort = make_cohort([1.0, 2.0], [0, 0], [[0.1], [0.2]])

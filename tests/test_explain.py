@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -33,6 +34,28 @@ def shapley_permutation_oracle(model, x, background) -> np.ndarray:
     return totals / len(orderings)
 
 
+def shapley_per_feature_loop(model, x, background) -> np.ndarray:
+    """The subset-weighted sum one feature at a time: for each j, the masks
+    S without j, their weights |S|!(d-|S|-1)!/d! and one np.sum, over the
+    same batched predictions of all 2^d coalitions."""
+    x = np.asarray(x, dtype=float).ravel()
+    background = np.asarray(background, dtype=float).ravel()
+    d = x.size
+    masks = np.arange(2 ** d)
+    takes_x = (masks[:, None] >> np.arange(d)) & 1 == 1
+    sizes = takes_x.sum(axis=1)
+    weight_by_size = np.array(
+        [factorial(s) * factorial(d - s - 1) / factorial(d) for s in range(d)])
+    values = np.asarray(model(np.where(takes_x, x[None, :], background[None, :])),
+                        dtype=float).ravel()
+    phi = np.empty(d)
+    for j in range(d):
+        m_wo = masks[(masks >> j) & 1 == 0]
+        w = weight_by_size[sizes[m_wo]]
+        phi[j] = float(np.sum(w * (values[m_wo | (1 << j)] - values[m_wo])))
+    return phi
+
+
 def nonlinear(X):
     """Interactions, a threshold and a saturating term."""
     X = np.atleast_2d(X)
@@ -49,6 +72,15 @@ def test_exact_matches_permutation_oracle(d):
     phi = exact_shapley(nonlinear, x, background).values
     np.testing.assert_allclose(phi, shapley_permutation_oracle(nonlinear, x, background),
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_one_weighted_sum_equals_the_per_feature_loop(d):
+    rng = np.random.default_rng(20 + d)
+    for _ in range(3):
+        x, background = rng.standard_normal(d), rng.standard_normal(d)
+        phi = exact_shapley(nonlinear, x, background).values
+        assert np.array_equal(phi, shapley_per_feature_loop(nonlinear, x, background))
 
 
 @pytest.mark.parametrize("d", [1, 3, 6, 9])

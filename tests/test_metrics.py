@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from recurrisk.errors import InvalidParameterError, UndefinedMetricError
+from recurrisk.errors import InvalidParameterError, NumericInputError, UndefinedMetricError
 from recurrisk.metrics import (
     ConcordanceResult,
     _check_inputs,
+    _pair_counts,
     auc_summary,
     brier,
     c_index,
@@ -73,6 +75,90 @@ def outcome(fn, sample):
         return "undefined"
 
 
+def pair_counts_chunked(times, scores, is_case, chunk=1 << 18):
+    """O(n * E) reference for `_pair_counts`: each case is compared with
+    every later subject, in passes of at most `chunk` comparisons."""
+    order = np.argsort(times, kind="stable")
+    t_s, s_s = times[order], scores[order]
+    cases = np.flatnonzero(is_case[order])
+    # the later subjects of case k sit at sorted positions >= first[k]
+    first = np.searchsorted(t_s, t_s[cases], side="right")
+    lower = np.empty(cases.size, dtype=np.int64)
+    equal = np.empty(cases.size, dtype=np.int64)
+    n = times.size
+    step = max(1, chunk // max(n, 1))
+    for c in range(0, cases.size, step):
+        part, lo = cases[c:c + step], first[c]   # cases ascend in time, so first does too
+        later = t_s[None, lo:] > t_s[part, None]
+        s_case = s_s[part, None]
+        lower[c:c + step] = np.sum(later & (s_s[None, lo:] < s_case), axis=1)
+        equal[c:c + step] = np.sum(later & (s_s[None, lo:] == s_case), axis=1)
+    return t_s[cases], lower, equal, n - first
+
+
+def pair_samples():
+    return st.integers(1, 70).flatmap(lambda n: st.tuples(
+        st.lists(TIME, min_size=n, max_size=n),
+        st.lists(SCORE, min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+def _spread(n):
+    """n subjects on coarse grids: tied times, tied scores, every third a case."""
+    k = np.arange(n)
+    return ((k * 7 % 5 + 1.0).tolist(), (k * 3 % 4 - 1.0).tolist(),
+            (k % 3 == 0).tolist())
+
+
+class TestPairCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(pair_samples())
+    @example(_spread(15))
+    @example(_spread(16))
+    @example(_spread(17))
+    @example(_spread(63))
+    @example(_spread(64))
+    @example(_spread(65))
+    @example(([2.0] * 9, [0.5, 1.0, -1.0, 0.5, 2.0, 0.0, 1.0, 0.5, 3.0], [True] * 9))
+    @example(([1.0, 4.0, 2.0, 3.0, 2.0, 5.0], [0.5] * 6, [True, False, True, True, False, True]))
+    @example(([1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [False] * 3))        # no case
+    @example(([1.0, 3.0, 2.0, 3.0], [1.0, 0.0, 2.0, 5.0], [False, True, True, True]))
+    def test_equals_chunked_oracle(self, sample):
+        # the last example's cases at t = 3 have no later subject
+        times, scores, is_case = (np.asarray(v, dtype=float) for v in sample)
+        is_case = is_case.astype(bool)
+        got = _pair_counts(times, scores, is_case)
+        want = pair_counts_chunked(times, scores, is_case, chunk=7)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    def test_c_index_is_kendall_complement_at_200k(self):
+        # no censoring, distinct times and scores: every pair is comparable,
+        # and C = (1 - tau) / 2 for Kendall's tau of (time, score)
+        rng = np.random.default_rng(5)
+        n = 200_000
+        scores = rng.standard_normal(n)
+        times = np.exp(-scores + rng.standard_normal(n))
+        assert np.unique(times).size == n and np.unique(scores).size == n
+        tau = stats.kendalltau(times, scores).statistic
+        assert abs(c_index(times, np.ones(n), scores).c_index - (1 - tau) / 2) <= 1e-12
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("times, scores", [
+        ([1.0, 2.0, 3.0, 4.0], [np.nan, 1.0, 0.5, 0.2]),
+        ([1.0, 2.0, 3.0, 4.0], [np.inf, 1.0, 0.5, 0.2]),
+        ([1.0, np.nan, 3.0, 4.0], [0.3, 1.0, 0.5, 0.2]),
+        ([1.0, 2.0, np.inf, 4.0], [0.3, 1.0, 0.5, 0.2]),
+    ])
+    def test_c_index_and_auc_raise(self, times, scores):
+        with pytest.raises(NumericInputError):
+            c_index(times, [1, 1, 0, 1], scores)
+        with pytest.raises(NumericInputError):
+            auc_summary(times, [1, 1, 0, 1], scores, 3.0)
+
+
 class TestCIndex:
     def test_perfect_ranking(self):
         times = np.array([1.0, 2.0, 3.0, 4.0])
@@ -113,7 +199,6 @@ class TestCIndex:
 
     def test_matches_brute_across_chunks(self, rng, monkeypatch):
         # 1000 // 300 = 3 events per chunk: many chunks, the last one partial
-        monkeypatch.setattr("recurrisk.metrics._PAIR_CHUNK", 1000)
         times = np.round(rng.exponential(5, 300), 1) + 0.1
         events = rng.integers(0, 2, 300)
         scores = np.round(rng.standard_normal(300), 1)
@@ -215,7 +300,6 @@ class TestAucSummaryOracle:
 
     def test_matches_loop_oracle_across_chunks(self, rng, monkeypatch):
         # several chunks of cases, the last one partial
-        monkeypatch.setattr("recurrisk.metrics._PAIR_CHUNK", 1000)
         times = np.round(rng.exponential(5, 300), 1) + 0.1
         events = rng.integers(0, 2, 300)
         scores = np.round(rng.standard_normal(300), 1)

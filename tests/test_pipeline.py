@@ -5,6 +5,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
+from recurrisk import pipeline
+from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.pipeline import PipelineConfig, run_pipeline
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -47,3 +51,26 @@ def test_demo_report_matches_committed_golden(tmp_path):
     got = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     want = json.loads((DATA / "demo_out" / "report.json").read_text(encoding="utf-8"))
     assert _mismatches(got, want) == []
+
+
+def test_infinite_out_of_fold_score_fails_only_that_learner(tmp_path, monkeypatch):
+    cohort, _ = generate_synthetic(
+        SyntheticSpec(n=120, true_coefficients=(1.0, -0.7), seed=2))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    predict_fold = pipeline._predict_fold
+
+    def infinite_coxboost(fold_models, name, test, horizons):
+        scores, surv = predict_fold(fold_models, name, test, horizons)
+        if name == "coxboost":
+            scores = np.where(np.arange(scores.size) == 0, np.inf, scores)
+        return scores, surv
+
+    monkeypatch.setattr(pipeline, "_predict_fold", infinite_coxboost)
+    report = run_pipeline(PipelineConfig(
+        cohort_csv=str(tmp_path / "cohort.csv"), out_dir=str(tmp_path / "out"),
+        cv_folds=3, enabled_models=("cox", "coxboost"),
+        model_params={"coxboost": {"rounds": 20}}))
+    assert report["models"]["coxboost"] == {
+        "status": "failed", "error": "incomplete or non-finite predictions"}
+    assert report["models"]["cox"]["status"] == "ok"
+    assert report["chosen_model"] == "cox"
