@@ -19,7 +19,6 @@ from .cohort import (
 )
 from .nonparametric import (
     LogRankResult,
-    greenwood_variance,
     kaplan_meier,
     log_rank,
     median_survival_time,
@@ -36,7 +35,6 @@ __all__ = [
     "__version__",
     "apply_normalization",
     "generate_synthetic",
-    "greenwood_variance",
     "kaplan_meier",
     "load_cohort",
     "log_rank",

@@ -255,27 +255,6 @@ class BoostedModel:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "BoostedModel":
-        doc = json.loads(text)
-        learners = []
-        for entry in doc["learners"]:
-            if entry["kind"] == "stump":
-                learners.append(Stump(int(entry["feature"]), float(entry["slope"]),
-                                      float(entry["intercept"])))
-            else:
-                root = tree.from_dict(entry, lambda leaf: float(leaf["value"]))
-                learners.append(Tree(root))
-        return BoostedModel(
-            mode=doc["mode"],
-            learning_rate=float(doc["learning_rate"]),
-            feature_names=tuple(doc["feature_names"]),
-            base_learners=tuple(learners),
-            training_loss_trace=tuple(doc["training_loss_trace"]),
-            baseline_chf=StepFunction(doc["baseline_knots"], doc["baseline_values"]),
-            early_stop_round=doc.get("early_stop_round"),
-        )
-
 
 def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     """Gradient/Newton boosting on the Cox partial likelihood.
@@ -346,6 +325,6 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
         base_learners=tuple(learners),
         training_loss_trace=tuple(trace),
         # f, in canonical order, keeps the baseline invariant to input order
-        baseline_chf=breslow_baseline(t, e, f),
+        baseline_chf=breslow_baseline(risk, f),
         early_stop_round=early_stop,
     )

@@ -5,7 +5,6 @@ Subcommands:
   simulate           synthetic cohort from a JSON generator spec
   run                the full pipeline from a JSON config
   evaluate           metrics for an external id,time,event,score CSV
-  explain            attribution table for a saved boosted model
 """
 
 from __future__ import annotations
@@ -17,23 +16,11 @@ import json
 import sys
 from pathlib import Path
 
-from .boosting import BoostedModel
-from .cohort import (
-    ColumnSchema,
-    SyntheticSpec,
-    generate_synthetic,
-    load_cohort,
-    write_cohort,
-)
+from .cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort
 from .errors import InvalidParameterError, RecurriskError, SchemaError, reading
-from .explain import feature_importance
 from .metrics import auc_by_horizon, c_index
 from .pipeline import PipelineConfig, run_pipeline
 from .radiomics import extract_subjects
-
-
-EXPLAIN_COLUMNS = {"mean_abs_shapley": ["feature", "mean_abs_shapley"],
-                   "permutation_importance": ["feature", "mean_drop", "std_drop"]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,12 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="CSV with id,time,event,score")
     p.add_argument("--horizons", default="12,24", help="comma-separated AUC horizons")
     p.add_argument("--out", default=None, help="write metrics JSON here (default stdout)")
-
-    p = sub.add_parser("explain", help="feature attributions for a saved model")
-    p.add_argument("--model", required=True, help="boosted-model JSON file")
-    p.add_argument("--cohort", required=True, help="cohort CSV")
-    p.add_argument("--out", required=True, help="output importance CSV")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -93,8 +74,6 @@ def _dispatch(args) -> int:
         return _cmd_run(args)
     if args.command == "evaluate":
         return _cmd_evaluate(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
     raise AssertionError(f"unhandled command {args.command}")
 
 
@@ -173,20 +152,6 @@ def _cmd_evaluate(args) -> int:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-    return 0
-
-
-def _cmd_explain(args) -> int:
-    with reading(f"model {args.model}"):
-        model = BoostedModel.from_json(Path(args.model).read_text(encoding="utf-8"))
-    cohort = load_cohort(args.cohort, ColumnSchema())
-    cohort = cohort.subset_features(model.feature_names)
-    method, rows = feature_importance(model, cohort, args.seed)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXPLAIN_COLUMNS[method])
-        writer.writerows([name, *map(repr, values)] for name, *values in rows)
-    _say(args, f"wrote {method} for {len(rows)} features to {args.out}")
     return 0
 
 

@@ -14,7 +14,6 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -47,8 +46,9 @@ class Cohort:
     `X` is the C-ordered n x d feature matrix, columns in `feature_names`
     order. The constructor validates them once and stores read-only copies,
     so a cohort is immutable and safe to share across threads.
-    `risk_sets` is built from `times` and `events` on first use and cached;
-    two threads racing on it only build two equal objects.
+    `risk_sets` is built from `times` and `events` on first use and cached,
+    once per chain of `subset_features` calls; two threads racing on it only
+    build two equal objects.
     `normalization` maps feature name -> (mean, stddev) once z-scoring has
     been fit; it travels with the cohort so held-out data can be transformed
     with training statistics.
@@ -89,6 +89,7 @@ class Cohort:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "events", _read_only(events, int))
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "_risk_cache", [])   # risk_sets, once built
 
     def __eq__(self, other):
         if not isinstance(other, Cohort):
@@ -106,10 +107,13 @@ class Cohort:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    @cached_property
+    @property
     def risk_sets(self) -> RiskSets:
-        """The cohort's `nonparametric.RiskSets`, built once."""
-        return RiskSets(self.times, self.events)
+        """The cohort's `nonparametric.RiskSets`, built once and shared
+        with every cohort `subset_features` derives from it."""
+        if not self._risk_cache:
+            self._risk_cache.append(RiskSets(self.times, self.events))
+        return self._risk_cache[0]
 
     def matrix(self) -> np.ndarray:
         """The read-only feature matrix `X`."""
@@ -129,7 +133,9 @@ class Cohort:
         norm = None
         if self.normalization is not None:
             norm = {n: self.normalization[n] for n in names if n in self.normalization}
-        return Cohort(names, self.ids, self.times, self.events, self.X[:, cols], norm)
+        sub = Cohort(names, self.ids, self.times, self.events, self.X[:, cols], norm)
+        object.__setattr__(sub, "_risk_cache", self._risk_cache)   # same outcomes
+        return sub
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -270,12 +276,12 @@ def _parse_number(cell: str, row_no: int, column: str) -> float:
     return value
 
 
-def write_cohort(cohort: Cohort, path, id_column: str = "id",
-                 time_column: str = "time", event_column: str = "event") -> None:
-    """Write a cohort back to CSV; inverse of load_cohort up to float formatting."""
+def write_cohort(cohort: Cohort, path) -> None:
+    """Write a cohort back to CSV under the header id,time,event,<features>;
+    inverse of load_cohort up to float formatting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([id_column, time_column, event_column, *cohort.feature_names])
+        writer.writerow(["id", "time", "event", *cohort.feature_names])
         for rid, time, event, feats in zip(cohort.ids, cohort.times.tolist(),
                                            cohort.events.tolist(), cohort.X.tolist()):
             writer.writerow([rid, repr(time), event, *map(repr, feats)])

@@ -137,12 +137,12 @@ def _partial_loglik_arrays(beta, X, risk: RiskSets, ties):
     return float(value), grad, hess
 
 
-def breslow_baseline(times, events, scores) -> StepFunction:
+def breslow_baseline(risk: RiskSets, scores) -> StepFunction:
     """Breslow cumulative baseline hazard for any fitted risk score.
 
-    H0(t) = sum over event times t_k <= t of d_k / sum_{j in R_k} exp(f_j).
+    H0(t) = sum over event times t_k <= t of d_k / sum_{j in R_k} exp(f_j),
+    with `risk` the subjects' risk sets and `scores` in the same subject order.
     """
-    risk = RiskSets(times, events)
     scores = np.asarray(scores, dtype=float)
     shift = float(np.max(scores))
     w = np.exp(np.maximum(scores - shift, -700.0))
@@ -201,8 +201,7 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
     domain raises InvalidParameterError.
     """
     check_cox_params(ties, max_iter, tol, ridge)
-    times, events = cohort.times, cohort.events
-    n_events = int(np.sum(events))
+    n_events = int(np.sum(cohort.events))
     if n_events < 1:
         raise TrainingError("cannot fit with zero events")
     d = cohort.n_features
@@ -266,7 +265,7 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
         raise ConditioningError("information matrix singular at optimum") from None
     covariance = (covariance + covariance.T) / 2.0
 
-    baseline = breslow_baseline(times, events, cohort.matrix() @ beta)
+    baseline = breslow_baseline(cohort.risk_sets, cohort.matrix() @ beta)
     return CoxModel(
         feature_names=cohort.feature_names,
         coefficients=beta,

@@ -1,5 +1,6 @@
-"""Model interpretability: exact Shapley attributions by subset enumeration
-and permutation importance as the scalable fallback.
+"""Feature importance for the run report: exact Shapley attributions by
+subset enumeration, and permutation importance by Harrell's C as the
+fallback above MAX_EXACT_FEATURES features (`feature_importance` picks).
 
 A "model" here is anything exposing batched risk prediction: either a
 callable mapping an (m, d) matrix to m scores, or an object with a
@@ -39,22 +40,6 @@ class AttributionVector:
     values: np.ndarray             # phi_j per feature
     baseline: float                # f(background)
     explained: float               # f(x)
-
-
-@dataclass(frozen=True)
-class ImportanceRow:
-    feature: str
-    mean_drop: float
-    std_drop: float
-    skipped: int = 0
-
-
-@dataclass(frozen=True)
-class ImportanceReport:
-    rows: tuple[ImportanceRow, ...]    # descending mean drop
-    repeats: int
-    seed: int
-    baseline_metric: float
 
 
 @lru_cache(maxsize=None)
@@ -133,42 +118,34 @@ def mean_abs_shapley(model, sample: np.ndarray, background,
 
 
 def permutation_importance(model, cohort: Cohort, repeats: int = 10,
-                           seed: int = 0, metric=None) -> ImportanceReport:
-    """Per-feature metric drop when that column is shuffled.
+                           seed: int = 0) -> list[tuple[str, float, float]]:
+    """Per-feature drop in the concordance index when that column is shuffled.
 
-    The metric defaults to the concordance index of the model's risk scores
-    against the cohort outcomes. Repeats where the metric is undefined on
-    the shuffled data are skipped and counted.
+    Returns (feature, mean_drop, std_drop) rows sorted stably by descending
+    mean drop. A repeat whose C is undefined on the shuffled scores is
+    left out; a feature with no repeat left reads 0.0 for both.
     """
     if repeats < 1:
         raise InvalidParameterError("repeats must be >= 1")
     predict = _as_predictor(model)
     times, events = cohort.times, cohort.events
     X = cohort.matrix()
-
-    if metric is None:
-        def metric(scores):
-            return c_index(times, events, scores).c_index
-
-    baseline = metric(predict(X))
+    baseline = c_index(times, events, predict(X)).c_index
     rng = np.random.default_rng(seed)
     rows = []
     for j, name in enumerate(cohort.feature_names):
-        drops, skipped = [], 0
+        drops = []
         for _ in range(repeats):
             shuffled = X.copy()
             shuffled[:, j] = rng.permutation(shuffled[:, j])
             try:
-                drops.append(baseline - metric(predict(shuffled)))
+                drops.append(baseline - c_index(times, events, predict(shuffled)).c_index)
             except UndefinedMetricError:
-                skipped += 1
-        mean = float(np.mean(drops)) if drops else 0.0
-        std = float(np.std(drops)) if drops else 0.0
-        rows.append(ImportanceRow(name, mean, std, skipped))
-
-    rows.sort(key=lambda r: -r.mean_drop)
-    return ImportanceReport(rows=tuple(rows), repeats=repeats, seed=seed,
-                            baseline_metric=float(baseline))
+                pass
+        drops = drops or [0.0]
+        rows.append((name, float(np.mean(drops)), float(np.std(drops))))
+    rows.sort(key=lambda row: -row[1])
+    return rows
 
 
 def feature_importance(model, cohort: Cohort, seed: int) -> tuple[str, list[tuple]]:
@@ -182,6 +159,5 @@ def feature_importance(model, cohort: Cohort, seed: int) -> tuple[str, list[tupl
     if cohort.n_features <= MAX_EXACT_FEATURES:
         return "mean_abs_shapley", mean_abs_shapley(
             model, cohort.X, median_background(cohort), cohort.feature_names)
-    report = permutation_importance(model, cohort, repeats=10, seed=seed)
-    return "permutation_importance", [(r.feature, r.mean_drop, r.std_drop)
-                                      for r in report.rows]
+    return "permutation_importance", permutation_importance(model, cohort, repeats=10,
+                                                            seed=seed)

@@ -76,20 +76,6 @@ def kaplan_meier(times, events) -> StepFunction:
     return StepFunction(event_times, surv, initial_value=1.0)
 
 
-def greenwood_variance(times, events) -> StepFunction:
-    """Greenwood variance of the KM estimate at each event time.
-
-    Var(S(t)) = S(t)^2 * sum_{ti<=t} d_i / (n_i (n_i - d_i)); the summand is
-    treated as 0 where n_i == d_i (the curve has hit zero).
-    """
-    event_times, d, n = _event_table(times, events)
-    surv = np.cumprod(1.0 - d / n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(n > d, d / (n * (n - d)), 0.0)
-    var = surv ** 2 * np.cumsum(terms)
-    return StepFunction(event_times, var, initial_value=0.0)
-
-
 def nelson_aalen(times, events) -> StepFunction:
     """Cumulative-hazard estimate H(t) = sum_{ti<=t} d_i / n_i."""
     event_times, d, n = _event_table(times, events)

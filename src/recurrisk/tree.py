@@ -83,12 +83,3 @@ def to_dict(node, leaf_to_dict):
     return {"kind": "split", "feature": node.feature, "threshold": node.threshold,
             "left": to_dict(node.left, leaf_to_dict),
             "right": to_dict(node.right, leaf_to_dict)}
-
-
-def from_dict(doc, leaf_from_dict):
-    """Inverse of to_dict; leaf_from_dict rebuilds a leaf from its dict."""
-    if doc["kind"] == "leaf":
-        return leaf_from_dict(doc)
-    return TreeSplit(int(doc["feature"]), float(doc["threshold"]),
-                     from_dict(doc["left"], leaf_from_dict),
-                     from_dict(doc["right"], leaf_from_dict))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from recurrisk.boosting import (
-    BoostedModel,
     BoostParams,
     _fit_tree,
     cox_gradients,
@@ -302,15 +301,6 @@ def test_fit_is_invariant_to_row_order(cohort, mode, subsample):
                            cohort.feature_names, list(cohort.ids[perm]))
     params = _params(mode, row_subsample=subsample)
     assert fit_boosted(shuffled, params).to_json() == fit_boosted(cohort, params).to_json()
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_json_round_trip_predicts_identically(cohort, mode):
-    model = fit_boosted(cohort, _params(mode))
-    back = BoostedModel.from_json(model.to_json())
-    assert back.to_json() == model.to_json()
-    X = np.vstack([cohort.X, 3.0 * np.random.default_rng(2).standard_normal((20, 3))])
-    assert np.array_equal(back.predict_risk(X), model.predict_risk(X))
 
 
 @pytest.mark.parametrize("mode", ["gbm", "xgboost"])

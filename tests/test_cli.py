@@ -278,13 +278,6 @@ def _evaluate_args(tmp_path, time):
     return ["evaluate", "--scores", str(path)]
 
 
-def _explain_args(tmp_path, model):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(model), encoding="utf-8")
-    return ["explain", "--model", str(path), "--cohort", str(tmp_path / "cohort.csv"),
-            "--out", str(tmp_path / "importance.csv")]
-
-
 @pytest.mark.parametrize("make_args, message", [
     (lambda tmp: _extract_args(tmp, dims="2 2 x"), "row 1, column 'dims'"),
     (lambda tmp: _extract_args(tmp, values="1 2 3 oops 5 6 7 8"), "row 3, column 'values'"),
@@ -292,8 +285,6 @@ def _explain_args(tmp_path, model):
      "row 3, column 'values'"),
     (lambda tmp: _simulate_args(tmp, None), "No such file"),
     (lambda tmp: _simulate_args(tmp, {"n": 50}), "missing field 'true_coefficients'"),
-    (lambda tmp: _explain_args(tmp, {"model": "boosted_cox", "mode": "gbm"}),
-     "missing field 'learners'"),
     (lambda tmp: _simulate_args(tmp, {"n": 40, "true_coefficients": [1.0],
                                       "censoring_rate": 0.9}),
      "unknown key(s) ['censoring_rate']"),
@@ -310,11 +301,17 @@ def _explain_args(tmp_path, model):
      "nope.csv: [Errno 2] No such file"),
     (lambda tmp: _extract_args(tmp, mask=False), "s0_mask.txt: [Errno 2] No such file"),
 ], ids=["grid-dims", "grid-value", "run-grid-value", "missing-spec", "spec-no-coefficients",
-        "model-no-learners", "spec-unknown-key", "spec-string-bool", "spec-float-n",
-        "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
+        "spec-unknown-key", "spec-string-bool", "spec-float-n", "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
         "evaluate-missing-scores", "extract-missing-mask"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, make_args, message):
     assert main([*make_args(tmp_path), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_unknown_command_exits_2_with_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", "--model", "model.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'explain'" in capsys.readouterr().err

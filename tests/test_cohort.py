@@ -262,6 +262,13 @@ class TestRecordInvariants:
         for name in ("order", "times", "events", "heads", "blocks", "deaths", "at_risk"):
             assert np.array_equal(getattr(risk, name), getattr(fresh, name))
 
+    def test_feature_subsets_share_the_risk_sets(self, rng):
+        cohort = make_cohort(np.ceil(rng.exponential(3, 30)), rng.integers(0, 2, 30),
+                             rng.standard_normal((30, 3)))
+        assert cohort.subset_features(["x2", "x0"]).risk_sets is cohort.risk_sets
+        nested = cohort.subset_features(["x1", "x2"]).subset_features(["x2"])
+        assert nested.risk_sets is cohort.risk_sets
+
     def test_derived_matrices_are_c_contiguous(self, rng):
         # X[:, cols] is F-ordered; X @ beta on F-ordered storage takes another
         # BLAS path and moves Cox scores in the last bits of oof_scores.csv

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from recurrisk import cohort as cohort_module
 from recurrisk import coxph
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, zscore_normalize
 from recurrisk.coxph import (
@@ -24,9 +23,23 @@ from recurrisk.errors import (
     NumericInputError,
     TrainingError,
 )
+from recurrisk.nonparametric import RiskSets
 from recurrisk.stepfun import StepFunction
 
 from conftest import make_cohort, random_censored_cohort
+
+
+@pytest.fixture
+def risk_set_builds(monkeypatch):
+    """A list that grows by one at every `RiskSets` construction, wherever made."""
+    builds, init = [], RiskSets.__init__
+
+    def counting_init(self, times, events):
+        builds.append(1)
+        init(self, times, events)
+
+    monkeypatch.setattr(RiskSets, "__init__", counting_init)
+    return builds
 
 
 def finite_difference_check(cohort, beta, ties, h=1e-5):
@@ -232,26 +245,21 @@ class TestFitCox:
         assert np.max(np.abs(model.coefficients - reference.coefficients)) < 1e-9
 
     @pytest.mark.parametrize("ties", ["efron", "breslow"])
-    def test_one_risk_set_build_per_fit(self, monkeypatch, ties):
-        # ceil() ties the times, so Efron's tied blocks are exercised too
+    def test_one_risk_set_build_per_fit(self, monkeypatch, risk_set_builds, ties):
+        # ceil() ties the times, so Efron's tied blocks are exercised too;
+        # the Breslow baseline reads the cohort's risk sets as well
         cohort, _ = generate_synthetic(
             SyntheticSpec(n=300, true_coefficients=(0.8, -0.5, 0.3), seed=3))
         cohort = make_cohort(np.ceil(cohort.times), cohort.events, cohort.X)
-        builds, evals = [], []
-
-        class CountingRiskSets(cohort_module.RiskSets):
-            def __init__(self, times, events):
-                builds.append(1)
-                super().__init__(times, events)
+        evals = []
 
         def counting_loglik(beta, cohort, ties="efron"):
             evals.append(1)
             return partial_loglik(beta, cohort, ties)
 
-        monkeypatch.setattr(cohort_module, "RiskSets", CountingRiskSets)
         monkeypatch.setattr(coxph, "partial_loglik", counting_loglik)
         fit_cox(cohort, ties=ties)
-        assert len(builds) == 1
+        assert len(risk_set_builds) == 1
         assert len(evals) == 5          # 4 Newton steps, no halving, 1 final
 
     def test_zero_events_rejected(self, rng):
@@ -350,7 +358,8 @@ class TestBreslowBaseline:
     @example(([2.0, 2.0, 2.0, 1.0, 2.0], [1, 0, 1, 1, 0], [0.5, -1.0, 2.0, 0.0, 0.0]))
     @example(([1.0, 1.0, 4.0, 4.0], [1, 1, 1, 1], [700.0, -700.0, 0.0, 1.0]))
     def test_matches_loop_oracle(self, sample):
-        base, ref = breslow_baseline(*sample), breslow_loop(*sample)
+        times, events, scores = sample
+        base, ref = breslow_baseline(RiskSets(times, events), scores), breslow_loop(*sample)
         assert base.knots.tolist() == ref.knots.tolist()
         assert base.values.tolist() == ref.values.tolist()
 
@@ -359,7 +368,7 @@ class TestBreslowBaseline:
         times = rng.exponential(5, 40) + 0.1
         events = rng.integers(0, 2, 40)
         events[0] = 1
-        base = breslow_baseline(times, events, np.zeros(40))
+        base = breslow_baseline(RiskSets(times, events), np.zeros(40))
         na = nelson_aalen(times, events)
         assert np.array_equal(base.knots, na.knots)
         assert np.allclose(base.values, na.values, atol=1e-12)
@@ -424,6 +433,13 @@ class TestUnivariateScreen:
         assert np.isnan([rows[1].hazard_ratio, rows[1].ci_low, rows[1].ci_high,
                          rows[1].p_value]).all()
         assert retained_features(rows) == ["x0"]
+
+    def test_one_risk_set_construction_per_screen(self, risk_set_builds):
+        # every single-feature cohort shares the screened cohort's risk sets
+        cohort, _ = generate_synthetic(
+            SyntheticSpec(n=200, true_coefficients=(0.8, -0.5, 0.3, 0.0), seed=3))
+        assert len(univariate_screen(cohort)) == 4
+        assert len(risk_set_builds) == 1
 
     def test_wald_p_matches_the_scipy_normal_tail(self, small_linear_cohort, monkeypatch):
         # z = |beta| / se swept over [0, 37]: p from 1 down to ~1e-299

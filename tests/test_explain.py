@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from recurrisk.errors import InvalidParameterError
-from recurrisk.explain import exact_shapley
+from recurrisk.explain import MAX_EXACT_FEATURES, exact_shapley, feature_importance
+
+from conftest import make_cohort
 
 
 def shapley_permutation_oracle(model, x, background) -> np.ndarray:
@@ -112,3 +114,21 @@ def test_more_than_fourteen_features_is_rejected():
     with pytest.raises(InvalidParameterError):
         exact_shapley(lambda X: calls.append(X) or X[:, 0], np.zeros(15), np.zeros(15))
     assert not calls
+
+
+def test_wide_cohorts_fall_back_to_permutation_importance():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((120, MAX_EXACT_FEATURES + 1))
+    # a higher x0 means an earlier event, so x0 ranks the subjects well
+    cohort = make_cohort(rng.exponential(10.0, 120) * np.exp(-X[:, 0]),
+                         rng.integers(0, 2, 120), X)
+
+    def first_column(X):            # every other column is noise to this model
+        return X[:, 0]
+
+    method, rows = feature_importance(first_column, cohort, seed=5)
+    assert method == "permutation_importance"
+    assert [row[0] for row in rows] == ["x0", *cohort.feature_names[1:]]
+    assert rows[0][1] > 0
+    assert all(drop == 0.0 and std == 0.0 for _, drop, std in rows[1:])
+    assert feature_importance(first_column, cohort, seed=5) == (method, rows)

@@ -9,7 +9,6 @@ import json
 import numpy as np
 import pytest
 
-from recurrisk.boosting import BoostedModel
 from recurrisk.cohort import Cohort, SyntheticSpec, generate_synthetic
 from recurrisk.pipeline import (
     LEARNERS,
@@ -41,10 +40,6 @@ def test_every_learner_answers_the_model_protocol(cohort, name):
     assert np.all((surv > 0) & (surv <= 1))
     assert np.all(np.diff(surv, axis=1) <= 0)
     assert isinstance(json.loads(model.to_json()), dict)
-    if isinstance(model, BoostedModel):
-        back = BoostedModel.from_json(model.to_json())
-        back_scores, back_surv = back.predict(X, horizons)
-        assert np.array_equal(back_scores, scores) and np.array_equal(back_surv, surv)
 
 
 @pytest.mark.parametrize("name", MODEL_ORDER)

@@ -8,7 +8,6 @@ from recurrisk.errors import EmptyCohortError, UndefinedMetricError
 from recurrisk.nonparametric import (
     LogRankResult,
     _event_table,
-    greenwood_variance,
     kaplan_meier,
     log_rank,
     median_survival_time,
@@ -55,14 +54,6 @@ class TestKaplanMeier:
     def test_empty_input(self):
         with pytest.raises(EmptyCohortError):
             kaplan_meier([], [])
-
-    def test_greenwood_variance_nonnegative_and_zero_before_events(self, rng):
-        times = rng.exponential(5, 30) + 0.1
-        events = rng.integers(0, 2, 30)
-        events[0] = 1
-        var = greenwood_variance(times, events)
-        assert var.initial_value == 0.0
-        assert np.all(var.values >= 0.0)
 
 
 class TestNelsonAalen:

@@ -6,7 +6,6 @@ import pytest
 from recurrisk.errors import ShapeError
 from recurrisk.nonparametric import _event_table, log_rank, nelson_aalen
 from recurrisk.stepfun import StepFunction, average_step_functions
-from recurrisk.tree import from_dict
 from recurrisk.rsf import (
     Forest,
     ForestParams,
@@ -22,6 +21,15 @@ from recurrisk.rsf import (
 )
 
 from conftest import make_cohort, random_censored_cohort
+
+
+def from_dict(doc, leaf_from_dict):
+    """Inverse of `tree.to_dict`; leaf_from_dict rebuilds a leaf from its dict."""
+    if doc["kind"] == "leaf":
+        return leaf_from_dict(doc)
+    return TreeSplit(int(doc["feature"]), float(doc["threshold"]),
+                     from_dict(doc["left"], leaf_from_dict),
+                     from_dict(doc["right"], leaf_from_dict))
 
 
 def forest_from_json(text: str) -> Forest:
