@@ -4,7 +4,10 @@ Three modes share one training loop:
 
 * ``componentwise`` - per round, a one-feature least-squares stump fit to
   the negative gradient; the feature with the smallest squared residual
-  wins (CoxBoost-style componentwise linear boosting).
+  wins (CoxBoost-style componentwise linear boosting). Each column's mean
+  and sum of squares are computed once per fit (once per round under row
+  subsampling), and every feature is scored in one pass over a cached
+  (d, n) copy of the columns.
 * ``xgboost`` - Newton boosting: trees grown by the second-order gain
   formula with leaf weights -sum(g) / (sum(h) + lambda).
 * ``gbm`` - first-order gradient boosting: the same Newton tree with
@@ -12,12 +15,12 @@ Three modes share one training loop:
   in squared error and the leaf weight is the mean negative gradient, so
   this is the regression tree fit to the negative gradient.
 
-The per-subject first and second derivatives of the loss come from
-``cox_gradients`` and use a diagonal Hessian approximation, standard for
-survival boosting. Subjects are re-sorted into a canonical order at the
-start of training, which makes the fitted model exactly invariant to input
-permutations, and their risk sets are built once per fit. Tree growth,
-routing and serialization come from ``tree.py``.
+The per-subject first derivatives of the loss come from ``cox_gradients``;
+only ``xgboost`` asks it for the second, a diagonal Hessian approximation
+standard for survival boosting. Subjects are re-sorted into a canonical
+order at the start of training, which makes the fitted model exactly
+invariant to input permutations, and their risk sets are built once per
+fit. Tree growth, routing and serialization come from ``tree.py``.
 
 The trees use XGBoost's presorted exact greedy search (Chen & Guestrin,
 KDD 2016): ``tree.grow`` argsorts every column once per tree and hands each
@@ -85,13 +88,15 @@ def cox_negloglik(risk: RiskSets, scores) -> float:
                         - scores[risk.order][risk.event_pos]))
 
 
-def cox_gradients(risk: RiskSets, scores):
-    """Per-subject gradient g and diagonal Hessian h of the negative partial
-    log-likelihood with respect to the scores.
+def cox_gradients(risk: RiskSets, scores, hessian: bool = True):
+    """(g, h): per-subject gradient g and diagonal Hessian h of the negative
+    partial log-likelihood with respect to the scores; h is None when
+    ``hessian`` is false.
 
-    g_i = -delta_i + exp(f_i) * sum over events k with t_k <= t_i of 1/Phi_k,
-    h_i = exp(f_i) * A_i - exp(2 f_i) * B_i with B the sum of 1/Phi_k^2;
-    computed in O(n) from the risk sets via cumulative sums.
+    g_i = -delta_i + exp(f_i) * A_i with A_i the sum over events k with
+    t_k <= t_i of 1/Phi_k, h_i = exp(f_i) * A_i - exp(2 f_i) * B_i with B
+    the sum of 1/Phi_k^2; computed in O(n) from the risk sets via
+    cumulative sums.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
@@ -101,14 +106,13 @@ def cox_gradients(risk: RiskSets, scores):
     w = np.exp(np.maximum(scores - shift, -700.0))[risk.order]
     phi = risk.suffix_sum(w)[risk.event_heads]    # one term per event
     # sums over the first k event terms, k = 0..E; with no event all are 0
-    inv1 = np.concatenate(([0.0], np.cumsum(1.0 / phi)))
-    inv2 = np.concatenate(([0.0], np.cumsum(1.0 / phi ** 2)))
-
     k = risk.events_through                       # event terms with t_k <= t_i
-    a, b = inv1[k], inv2[k]
-    g = -risk.events + w * a
-    h = np.maximum(w * a - w ** 2 * b, 0.0)
-    return risk.unsort(g), risk.unsort(h)
+    a = np.concatenate(([0.0], np.cumsum(1.0 / phi)))[k]
+    g = risk.unsort(-risk.events + w * a)
+    if not hessian:
+        return g, None
+    b = np.concatenate(([0.0], np.cumsum(1.0 / phi ** 2)))[k]
+    return g, risk.unsort(np.maximum(w * a - w ** 2 * b, 0.0))
 
 
 # --- base learners ----------------------------------------------------------
@@ -152,26 +156,45 @@ class Tree:
         return tree.to_dict(self.root, lambda value: {"value": value})
 
 
-def _fit_stump(X, residual):
-    """Least-squares one-feature stump; lowest-SSE feature wins, ties to the
-    lowest index."""
-    n, d = X.shape
-    r_mean = float(np.mean(residual))
-    best = None
-    for j in range(d):
-        col = X[:, j]
-        cm = float(np.mean(col))
-        var = float(np.sum((col - cm) ** 2))
-        if var == 0.0:
-            continue
-        slope = float(np.sum((col - cm) * (residual - r_mean))) / var
-        intercept = r_mean - slope * cm
-        sse = float(np.sum((residual - slope * col - intercept) ** 2))
-        if best is None or sse < best[0] - 1e-15:
-            best = (sse, Stump(j, slope, intercept))
-    if best is None:
-        return None
-    return best[1]
+class _StumpFitter:
+    """Least-squares one-feature stumps on the fixed rows of X.
+
+    Each column's mean and sum of squares are computed once; each fit
+    scores every non-constant column in one pass through one scratch
+    buffer. Columns are held as C-contiguous (d, n) rows, so every
+    per-column sum runs along a contiguous axis, with the same pairwise
+    summation as a sum over one column.
+    """
+
+    def __init__(self, X):
+        cols = np.ascontiguousarray(X.T)
+        means = np.mean(cols, axis=1)
+        centred = cols - means[:, None]
+        ss = np.sum(centred ** 2, axis=1)
+        live = np.flatnonzero(ss != 0.0)          # constant columns never win
+        self.features = live
+        self.cols, self.means, self.ss = cols[live], means[live], ss[live]
+        self.buf = np.empty_like(self.cols)
+
+    def fit(self, residual) -> Stump | None:
+        """The lowest-SSE stump, ties to the lowest feature; None if every
+        column is constant."""
+        if self.features.size == 0:
+            return None
+        r_mean = float(np.mean(residual))
+        buf = np.subtract(self.cols, self.means[:, None], out=self.buf)
+        buf *= residual - r_mean
+        slope = np.sum(buf, axis=1) / self.ss
+        intercept = r_mean - slope * self.means
+        # residual - slope * col - intercept, squared
+        np.subtract(residual, np.multiply(slope[:, None], self.cols, out=buf), out=buf)
+        buf -= intercept[:, None]
+        sse = np.sum(np.square(buf, out=buf), axis=1)
+        best = 0
+        for k in range(1, sse.size):
+            if sse[k] < sse[best] - 1e-15:
+                best = k
+        return Stump(int(self.features[best]), float(slope[best]), float(intercept[best]))
 
 
 def _fit_tree(X, g, h, depth, min_leaf, lam) -> Tree:
@@ -256,6 +279,12 @@ class BoostedModel:
         return json.dumps(doc, sort_keys=True)
 
 
+def _canonical_order(cohort: Cohort) -> np.ndarray:
+    """Row order by (time, event, id); ids are unique, so the order is total
+    and the fitted model is independent of the input permutation."""
+    return np.lexsort((cohort.ids, cohort.events, cohort.times))
+
+
 def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     """Gradient/Newton boosting on the Cox partial likelihood.
 
@@ -264,17 +293,15 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     the new learner is halved (folded into its values) until the trace is
     nonincreasing, and the round is abandoned once halving stops helping.
     """
-    times, events, ids = cohort.times, cohort.events, cohort.ids
-    if int(np.sum(events)) < 1:
+    if int(np.sum(cohort.events)) < 1:
         raise TrainingError("cannot boost with zero events")
 
-    # canonical subject order: fitted model independent of input permutation
-    order = sorted(range(len(cohort)), key=lambda i: (times[i], events[i], ids[i]))
-    canon = cohort.subset_rows(order)
+    canon = cohort.subset_rows(_canonical_order(cohort))
     X, t, e = canon.matrix(), canon.times, canon.events
     n = X.shape[0]
     rng = np.random.default_rng(params.seed)
     lam = params.l2_lambda if params.mode == "xgboost" else 0.0
+    stumps = None
 
     f = np.zeros(n)
     learners: list = []
@@ -283,20 +310,21 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     early_stop = None
 
     for rnd in range(params.rounds):
-        g, h = cox_gradients(risk, f)
+        g, h = cox_gradients(risk, f, hessian=params.mode == "xgboost")
         if params.mode == "gbm":
             h = np.ones(n)
+        rows = slice(None)
         if params.row_subsample < 1.0:
             m = max(1, int(round(params.row_subsample * n)))
-            chosen = np.sort(rng.choice(n, size=m, replace=False))
-            Xr, gr, hr = X[chosen], g[chosen], h[chosen]
-        else:
-            Xr, gr, hr = X, g, h
+            rows = np.sort(rng.choice(n, size=m, replace=False))
 
         if params.mode == "componentwise":
-            learner = _fit_stump(Xr, -gr)
+            if stumps is None or params.row_subsample < 1.0:
+                stumps = _StumpFitter(X[rows])
+            learner = stumps.fit(-g[rows])
         else:
-            learner = _fit_tree(Xr, gr, hr, params.tree_depth, params.min_leaf, lam)
+            learner = _fit_tree(X[rows], g[rows], h[rows], params.tree_depth,
+                                params.min_leaf, lam)
         if learner is None:
             early_stop = rnd
             break

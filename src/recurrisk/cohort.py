@@ -152,7 +152,7 @@ class ColumnSchema:
 
     time_column: str = "time"
     event_column: str = "event"
-    id_column: str | None = "id"
+    id_column: str = "id"
 
 
 def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
@@ -172,21 +172,16 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
         except StopIteration:
             raise EmptyCohortError(f"{path}: file is empty")
         header = [h.strip() for h in header]
-        for required in (schema.time_column, schema.event_column):
+        reserved = (schema.time_column, schema.event_column, schema.id_column)
+        for required in reserved:
             if required not in header:
                 raise SchemaError(f"{path}: missing column {required!r}")
-        if schema.id_column is not None and schema.id_column not in header:
-            raise SchemaError(f"{path}: missing column {schema.id_column!r}")
-
-        reserved = {schema.time_column, schema.event_column}
-        if schema.id_column is not None:
-            reserved.add(schema.id_column)
         feature_names = tuple(h for h in header if h not in reserved)
         if not feature_names:
             raise SchemaError(f"{path}: schema must name at least one feature column")
 
         col_index = {h: i for i, h in enumerate(header)}
-        id_idx = col_index[schema.id_column] if schema.id_column is not None else None
+        id_idx = col_index[schema.id_column]
         cols = [col_index[n] for n in (schema.time_column, schema.event_column,
                                        *feature_names)]
         rows = ((row_no, row) for row_no, row in enumerate(reader, start=1)
@@ -222,8 +217,7 @@ def _convert_block(block, header, cols, id_idx, row_of_id) -> np.ndarray | None:
         values = np.array([[row[i] for i in cols] for _, row in block], dtype=float)
     except ValueError:
         return None
-    ids = [row[id_idx].strip() if id_idx is not None else f"row{row_no}"
-           for row_no, row in block]
+    ids = [row[id_idx].strip() for _, row in block]
     if not (np.all(np.isfinite(values)) and np.all(values[:, 0] > 0)
             and np.all((values[:, 1] == 0) | (values[:, 1] == 1))
             and len(set(ids)) == len(ids) and row_of_id.keys().isdisjoint(ids)):
@@ -242,7 +236,7 @@ def _parse_row(row_no: int, row, header, cols, id_idx, schema: ColumnSchema,
     time, event = _parse_outcome(row[cols[0]], row[cols[1]], row_no,
                                  schema.time_column, schema.event_column)
     values = [time, event] + [_parse_number(row[i], row_no, header[i]) for i in cols[2:]]
-    rid = row[id_idx].strip() if id_idx is not None else f"row{row_no}"
+    rid = row[id_idx].strip()
     if rid in row_of_id:
         raise RowParseError(row_no, schema.id_column,
                             f"duplicate id {rid!r} (first on row {row_of_id[rid]})")

@@ -295,8 +295,7 @@ class ScreenRow:
 _Z975 = 1.959963984540054  # Phi^-1(0.975) within 1 ulp; the tests pin this exact double
 
 
-def univariate_screen(cohort: Cohort, alpha: float = 0.05,
-                      ties: str = "efron") -> list[ScreenRow]:
+def univariate_screen(cohort: Cohort, ties: str = "efron") -> list[ScreenRow]:
     """One single-feature Cox fit per feature; Wald p-values, sorted ascending.
 
     The two-sided Wald p is 2·Phi(-|z|) = erfc(|z| / sqrt 2), z = beta / se,

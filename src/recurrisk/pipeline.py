@@ -222,7 +222,7 @@ def _select_features(cohort: Cohort, config: PipelineConfig):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantFeatureWarning)
         norm = zscore_normalize(cohort)
-    screen_rows = univariate_screen(norm, alpha=config.alpha)
+    screen_rows = univariate_screen(norm)
     retained = set(retained_features(screen_rows, config.alpha))
     retained = [n for n in norm.feature_names if n in retained]
     if len(retained) < 2:

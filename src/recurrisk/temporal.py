@@ -161,7 +161,7 @@ def temporal_risk(seq: SnapshotSequence, model: TemporalModel) -> float:
 def _loss_and_gradients(batch, risk: RiskSets, model: TemporalModel):
     """Cox loss and parameter gradients over one packed batch."""
     scores, cache = _forward(batch, model)
-    dscores, _ = cox_gradients(risk, scores)
+    dscores, _ = cox_gradients(risk, scores, hessian=False)
     return cox_negloglik(risk, scores), _backward(model, cache, dscores)
 
 

@@ -3,7 +3,10 @@ import pytest
 
 from recurrisk.boosting import (
     BoostParams,
+    Stump,
+    _canonical_order,
     _fit_tree,
+    _StumpFitter,
     cox_gradients,
     cox_negloglik,
     fit_boosted,
@@ -181,6 +184,130 @@ def test_presort_sums_tied_rows_in_the_per_feature_order():
             fit_tree_per_feature(X, g, h, 2, 1, 0.0), f"case {case}"
 
 
+# --- the former per-feature stump search, kept as the oracle of the fitter ------
+
+
+def fit_stump_per_feature(X, residual):
+    """Least-squares one-feature stump; lowest-SSE feature wins, ties to the
+    lowest index."""
+    n, d = X.shape
+    r_mean = float(np.mean(residual))
+    best = None
+    for j in range(d):
+        col = X[:, j]
+        cm = float(np.mean(col))
+        var = float(np.sum((col - cm) ** 2))
+        if var == 0.0:
+            continue
+        slope = float(np.sum((col - cm) * (residual - r_mean))) / var
+        intercept = r_mean - slope * cm
+        sse = float(np.sum((residual - slope * col - intercept) ** 2))
+        if best is None or sse < best[0] - 1e-15:
+            best = (sse, Stump(j, slope, intercept))
+    if best is None:
+        return None
+    return best[1]
+
+
+def test_stump_fitter_equals_the_per_feature_stump():
+    for case in range(200):
+        rng = np.random.default_rng(case)
+        n, d = int(rng.integers(1, 90)), 1 + case % 6
+        X = rng.standard_normal((n, d)) * np.exp(rng.normal(0.0, 2.0, d))
+        if case % 3:
+            X = np.round(X, case % 3 - 1)          # tied and rounded values
+        if d > 1 and case % 4 == 0:
+            X[:, int(rng.integers(d))] = -1.25     # a zero-variance column
+        if d > 2 and case % 5 == 0:
+            X[:, d - 1] = X[:, 1]                   # an exact SSE tie
+        if case % 7 == 0:
+            X = np.asfortranarray(X)
+        fitter = _StumpFitter(X)
+        for scale in (1e-3, 1.0, 40.0):
+            residual = scale * rng.standard_normal(n)
+            assert fitter.fit(residual) == fit_stump_per_feature(X, residual), \
+                f"case {case}, scale {scale}"
+
+
+def test_stump_ties_go_to_the_lowest_feature():
+    rng = np.random.default_rng(2)
+    x, r = rng.standard_normal(50), rng.standard_normal(50)
+    X = np.column_stack([np.full(50, 3.0), x, 0.5 * rng.standard_normal(50), x])
+    stump = _StumpFitter(X).fit(r)
+    assert stump == fit_stump_per_feature(X, r)
+    assert stump.feature == 1
+
+
+def test_all_constant_columns_give_no_stump():
+    X = np.column_stack([np.full(12, 2.0), np.zeros(12)])
+    residual = np.random.default_rng(0).standard_normal(12)
+    assert _StumpFitter(X).fit(residual) is None
+    assert fit_stump_per_feature(X, residual) is None
+    assert _StumpFitter(X[:1]).fit(residual[:1]) is None     # one row
+
+
+def fit_componentwise_reference(cohort, params):
+    """(learners, loss trace) of the former componentwise loop: sorted-key
+    canonical order, per-round row draws, the per-feature stump search."""
+    order = sorted(range(len(cohort)),
+                   key=lambda i: (cohort.times[i], cohort.events[i], cohort.ids[i]))
+    X, t, e = cohort.X[order], cohort.times[order], cohort.events[order]
+    n = len(t)
+    rng = np.random.default_rng(params.seed)
+    risk = RiskSets(t, e)
+    f, learners, trace = np.zeros(n), [], [cox_negloglik(risk, np.zeros(n))]
+    for _ in range(params.rounds):
+        g, _ = cox_gradients(risk, f)
+        rows = np.arange(n)
+        if params.row_subsample < 1.0:
+            m = max(1, int(round(params.row_subsample * n)))
+            rows = np.sort(rng.choice(n, size=m, replace=False))
+        learner = fit_stump_per_feature(X[rows], -g[rows])
+        if learner is None:
+            break
+        for halvings in range(31):
+            cand = learner.scaled(0.5 ** halvings) if halvings else learner
+            f_new = f + params.learning_rate * cand.predict(X)
+            loss = cox_negloglik(risk, f_new)
+            if loss <= trace[-1] + 1e-9:
+                learners.append(cand)
+                f = f_new
+                trace.append(loss)
+                break
+        else:
+            break
+    return tuple(learners), tuple(trace)
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_componentwise_fit_equals_the_per_feature_fit(subsample):
+    rng = np.random.default_rng(6)
+    cohort = random_censored_cohort(rng, 90, 4, tie_fraction=0.5)
+    X = cohort.X.copy()
+    X[3:, 3] = 0.0                    # nonzero on three rows: constant on some subsamples
+    cohort = make_cohort(cohort.times, cohort.events, X, cohort.feature_names,
+                         list(cohort.ids))
+    params = _params("componentwise", rounds=40, row_subsample=subsample)
+    model = fit_boosted(cohort, params)
+    learners, trace = fit_componentwise_reference(cohort, params)
+    assert len(learners) == 40
+    assert model.base_learners == learners and model.training_loss_trace == trace
+
+
+def test_canonical_order_is_the_sorted_key_order():
+    for case in range(40):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(1, 120))
+        times = rng.choice([0.5, 2.0, 3.0, 7.5], n) if case % 2 else \
+            np.round(rng.exponential(4.0, n), 0) + 0.5
+        events = rng.integers(0, 2, n)          # many tied (time, event) pairs
+        ids = [f"s{k}" for k in rng.permutation(n) * 7]   # "s14" sorts before "s7"
+        cohort = make_cohort(times, events, np.zeros((n, 1)), ids=ids)
+        expected = sorted(range(n), key=lambda i: (cohort.times[i], cohort.events[i],
+                                                    cohort.ids[i]))
+        assert _canonical_order(cohort).tolist() == expected, f"case {case}"
+
+
 # --- loss derivatives ----------------------------------------------------------
 
 
@@ -272,6 +399,8 @@ def test_risk_set_loss_and_derivatives_equal_the_per_call_versions():
         g, h = cox_gradients(risk, scores)
         g_ref, h_ref = gradients_per_call(scores, times, events)
         assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref), f"case {case}"
+        g_only, no_h = cox_gradients(risk, scores, hessian=False)
+        assert np.array_equal(g_only, g) and no_h is None, f"case {case}"
 
 
 # --- the fitted model ----------------------------------------------------------

@@ -295,7 +295,8 @@ class TestZscore:
 
     def test_all_constant_fails(self):
         cohort = make_cohort([1, 2], [1, 1], [[5.0], [5.0]])
-        with pytest.raises(NoInformativeFeaturesError):
+        with pytest.warns(ConstantFeatureWarning), \
+                pytest.raises(NoInformativeFeaturesError):
             zscore_normalize(cohort)
 
     def test_idempotent_on_standardized_input(self, rng):
