@@ -43,7 +43,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .nonparametric import RiskSets
+from .nonparametric import CoxLoss, RiskSets
 from .stepfun import StepFunction
 from . import tree
 
@@ -80,12 +80,7 @@ class BoostParams:
 
 def cox_negloglik(risk: RiskSets, scores) -> float:
     """Negative Cox partial log-likelihood of per-subject scores (Breslow ties)."""
-    scores = np.asarray(scores, float)
-    shift = float(np.max(scores))
-    w = np.exp(np.maximum(scores - shift, -700.0))
-    s0 = risk.suffix_sum(w[risk.order])
-    return float(np.sum(np.log(s0[risk.event_heads]) + shift
-                        - scores[risk.order][risk.event_pos]))
+    return CoxLoss(risk, scores).value()
 
 
 def cox_gradients(risk: RiskSets, scores, hessian: bool = True):
@@ -94,25 +89,21 @@ def cox_gradients(risk: RiskSets, scores, hessian: bool = True):
     ``hessian`` is false.
 
     g_i = -delta_i + exp(f_i) * A_i with A_i the sum over events k with
-    t_k <= t_i of 1/Phi_k, h_i = exp(f_i) * A_i - exp(2 f_i) * B_i with B
-    the sum of 1/Phi_k^2; computed in O(n) from the risk sets via
-    cumulative sums.
+    t_k <= t_i of 1/Phi_k (``CoxLoss``, Breslow ties), h_i = exp(f_i) * A_i
+    - exp(2 f_i) * B_i with B the sum of 1/Phi_k^2; computed in O(n) from
+    the risk sets via cumulative sums.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise NumericInputError("scores must be finite")
 
-    shift = float(np.max(scores))
-    w = np.exp(np.maximum(scores - shift, -700.0))[risk.order]
-    phi = risk.suffix_sum(w)[risk.event_heads]    # one term per event
-    # sums over the first k event terms, k = 0..E; with no event all are 0
-    k = risk.events_through                       # event terms with t_k <= t_i
-    a = np.concatenate(([0.0], np.cumsum(1.0 / phi)))[k]
-    g = risk.unsort(-risk.events + w * a)
+    loss = CoxLoss(risk, scores)
+    hazard = loss.cumulative_hazard()                # exp(f_i) * A_i
+    g = risk.unsort(-risk.events + hazard)
     if not hessian:
         return g, None
-    b = np.concatenate(([0.0], np.cumsum(1.0 / phi ** 2)))[k]
-    return g, risk.unsort(np.maximum(w * a - w ** 2 * b, 0.0))
+    b = risk.through_events(1.0 / loss.den ** 2)
+    return g, risk.unsort(np.maximum(hazard - loss.w ** 2 * b, 0.0))
 
 
 # --- base learners ----------------------------------------------------------

@@ -1,13 +1,11 @@
 """Cox proportional-hazards machinery.
 
-Partial log-likelihood with analytic gradient and Hessian (Breslow and
-Efron tie handling), Newton-Raphson fitting with step halving, Wald-based
-univariate screening, and iterative VIF collinearity filtering.
-
-Numerical guard: risk weights are computed relative to the largest linear
-predictor (log-sum-exp max shift) and floored at exp(-700), which keeps
-every output finite for linear predictors up to +-700; contributions below
-that floor are numerically irrelevant anyway.
+Partial log-likelihood with analytic gradient and Hessian, as the chain
+rule through the score-space ``nonparametric.CoxLoss`` at f = X beta:
+weights w = exp(f - max f), floored at exp(-700), and the k-th event term's
+denominator D_k = S0(head_k) - c_k * W(block_k), with c_k = ell / m under
+Efron and c = 0 under Breslow. Newton-Raphson fitting with step halving,
+Wald-based univariate screening, and iterative VIF collinearity filtering.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .errors import (
     NumericInputError,
     TrainingError,
 )
-from .nonparametric import RiskSets
+from .nonparametric import CoxLoss, RiskSets
 from .stepfun import StepFunction
 
 
@@ -64,77 +62,36 @@ class CoxModel:
         return json.dumps(doc, sort_keys=True)
 
 
-def _prepare(beta, cohort: Cohort):
-    beta = np.asarray(beta, dtype=float)
-    X = cohort.matrix()
+def partial_loglik(beta, cohort: Cohort, ties: str = "efron"):
+    """Cox partial log-likelihood, its gradient and Hessian at beta.
+
+    With the loss and g = w * (A - B) - delta of ``CoxLoss`` at f = X beta
+    (c = 0 under Breslow) over `cohort.risk_sets`, built once per fit: the
+    value is -loss, the gradient -X' g and the Hessian
+    sum_k xbar_k xbar_k' - X' diag(g + delta) X, where
+    xbar_k = (S1(head_k) - c_k * W1(block_k)) / D_k and S1, W1 are S0, W
+    summing w x. Returns (value, gradient, hessian).
+    """
+    if ties not in ("breslow", "efron"):
+        raise InvalidParameterError(f"unknown tie method {ties!r}")
+    beta, X = np.asarray(beta, dtype=float), cohort.matrix()
     if beta.shape != (X.shape[1],):
         raise InvalidParameterError(
             f"beta has length {beta.size}, cohort has {X.shape[1]} features")
     if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(X)):
         raise NumericInputError("beta and features must be finite")
-    return beta, X
-
-
-def partial_loglik(beta, cohort: Cohort, ties: str = "efron"):
-    """Cox partial log-likelihood, its gradient and Hessian at beta.
-
-    Risk sets are {j : t_j >= t_i}, read from `cohort.risk_sets`, so a fit
-    builds them once. With tied event times the Efron correction adjusts
-    each tied event's denominator; Breslow reuses the full risk-set sum.
-    Returns (value, gradient, hessian).
-    """
-    if ties not in ("breslow", "efron"):
-        raise InvalidParameterError(f"unknown tie method {ties!r}")
-    beta, X = _prepare(beta, cohort)
-    return _partial_loglik_arrays(beta, X, cohort.risk_sets, ties)
-
-
-def _partial_loglik_arrays(beta, X, risk: RiskSets, ties):
-    n, d = X.shape
-    eta = X @ beta
-    shift = float(np.max(eta))
-    w = np.exp(np.maximum(eta - shift, -700.0))
-
-    x_s, w_s, eta_s = X[risk.order], w[risk.order], eta[risk.order]
-    wx = w_s[:, None] * x_s
-    wxx = np.einsum("ni,nj->nij", wx, x_s)
-    s0, s1, s2 = (risk.suffix_sum(v) for v in (w_s, wx, wxx))
-    ev = risk.event_pos
-
-    value = float(np.sum(eta_s[ev]))
-    grad = x_s[ev].sum(axis=0)
-    hess = np.zeros((d, d))
-
-    if ties == "breslow":
-        simple_ev = ev                     # every event uses the full risk set
-        tied_blocks = np.empty(0, dtype=int)
-    else:
-        simple_ev = ev[risk.deaths_at[risk.event_heads] == 1]
-        tied_blocks = risk.blocks[risk.deaths > 1]
-
-    if simple_ev.size:
-        idx = risk.heads[simple_ev]
-        den = s0[idx]
-        means = s1[idx] / den[:, None]
-        value -= float(np.sum(np.log(den) + shift))
-        grad -= means.sum(axis=0)
-        hess -= np.tensordot(1.0 / den, s2[idx], axes=1) - means.T @ means
-
-    for i in tied_blocks:                  # Efron correction per tied block
-        dead = ev[risk.event_heads == i]
-        d_k = dead.size
-        phi0, phi1, phi2 = s0[i], s1[i], s2[i]
-        psi0 = float(np.sum(w_s[dead]))
-        psi1 = wx[dead].sum(axis=0)
-        psi2 = wxx[dead].sum(axis=0)
-        for ell in range(d_k):
-            c = ell / d_k
-            den = phi0 - c * psi0
-            xbar = (phi1 - c * psi1) / den
-            value -= np.log(den) + shift
-            grad -= xbar
-            hess -= (phi2 - c * psi2) / den - np.outer(xbar, xbar)
-    return float(value), grad, hess
+    risk = cohort.risk_sets
+    loss = CoxLoss(risk, X @ beta, efron=ties == "efron")
+    hazard = loss.cumulative_hazard()            # g + delta, sorted
+    x_s = X[risk.order]
+    wx = loss.w[:, None] * x_s
+    s1 = risk.suffix_sum(wx)[risk.event_heads]
+    if loss.c is not None:
+        s1 -= loss.c[:, None] * risk.tied_sums(wx[risk.event_pos])
+    xbar = s1 / loss.den[:, None]
+    grad = x_s.T @ (risk.events - hazard)
+    hess = xbar.T @ xbar - (x_s * hazard[:, None]).T @ x_s
+    return -loss.value(), grad, hess
 
 
 def breslow_baseline(risk: RiskSets, scores) -> StepFunction:
@@ -143,11 +100,8 @@ def breslow_baseline(risk: RiskSets, scores) -> StepFunction:
     H0(t) = sum over event times t_k <= t of d_k / sum_{j in R_k} exp(f_j),
     with `risk` the subjects' risk sets and `scores` in the same subject order.
     """
-    scores = np.asarray(scores, dtype=float)
-    shift = float(np.max(scores))
-    w = np.exp(np.maximum(scores - shift, -700.0))
-    s0 = risk.suffix_sum(w[risk.order])
-    increments = risk.deaths / (s0[risk.blocks] * np.exp(shift))
+    loss = CoxLoss(risk, scores)
+    increments = risk.deaths / (loss.s0[risk.blocks] * np.exp(loss.shift))
     return StepFunction(risk.times[risk.blocks], np.cumsum(increments), 0.0)
 
 
@@ -210,8 +164,7 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
             f"{d} features but only {n_events} events; supply ridge > 0")
 
     beta = np.zeros(d)
-    value, grad, hess = partial_loglik(beta, cohort, ties)
-    value -= 0.5 * ridge * float(beta @ beta)
+    value, grad, hess, loglik = _penalized(beta, cohort, ties, ridge)
     info_scale = float(np.max(np.linalg.eigvalsh(-hess + ridge * np.eye(d))))
     converged = False
     iterations = 0
@@ -234,27 +187,22 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
             converged = True
             break
 
-        scale = 1.0
-        new_beta = beta + step
-        new_value, new_grad, new_hess = _penalized(new_beta, cohort, ties, ridge)
         slack = 1e-12 * max(1.0, abs(value))
-        halvings = 0
-        while new_value < value - slack and halvings < 30:
-            scale *= 0.5
-            halvings += 1
-            new_beta = beta + scale * step
-            new_value, new_grad, new_hess = _penalized(new_beta, cohort, ties, ridge)
-        if new_value < value - slack:
+        for halvings in range(31):
+            new_beta = beta + 0.5 ** halvings * step
+            new_value, new_grad, new_hess, new_loglik = _penalized(new_beta, cohort, ties, ridge)
+            if not new_value < value - slack:
+                break
+        else:
             break                      # no usable step in this direction
 
-        beta, value, grad, hess = new_beta, new_value, new_grad, new_hess
+        beta, value, grad, hess, loglik = new_beta, new_value, new_grad, new_hess, new_loglik
         if np.max(np.abs(beta)) > 50.0:
             raise NonconvergenceError(
                 "coefficients diverged (|beta| > 50); data may be separable",
                 last_iterate=beta)
 
-    final_value, _, final_hess = partial_loglik(beta, cohort, ties)
-    info = -final_hess + ridge * np.eye(d)
+    info = -hess + ridge * np.eye(d)
     if np.min(np.linalg.eigvalsh(info)) <= _INFO_COLLAPSE * info_scale:
         raise NonconvergenceError(
             "information collapsed at the last iterate; data may be separable",
@@ -273,13 +221,14 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
         baseline_chf=baseline,
         converged=converged,
         iterations=iterations,
-        final_loglik=float(final_value),
+        final_loglik=float(loglik),
     )
 
 
 def _penalized(beta, cohort, ties, ridge):
+    """(penalized value, gradient, Hessian, unpenalized value) at beta."""
     value, grad, hess = partial_loglik(beta, cohort, ties)
-    return value - 0.5 * ridge * float(beta @ beta), grad, hess
+    return value - 0.5 * ridge * float(beta @ beta), grad, hess, value
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,24 @@
-"""Risk sets, Kaplan-Meier and Nelson-Aalen estimators and the log-rank test.
+"""Risk sets, the Cox loss, Kaplan-Meier and Nelson-Aalen estimators and
+the log-rank test.
 
 Tie convention, kept by ``RiskSets``, which every risk-set sum in the
 package reads: events at t precede censorings at t, so subjects censored
 at t are still part of the risk set at t and leave it strictly afterwards.
-All functions are pure and thread-safe.
+
+``CoxLoss`` is the package's one Cox partial likelihood; every Cox learner
+and the Breslow baseline read its weights and denominators. In sorted
+order, w = exp(max(f - shift, -700)) with shift = max f (finite for scores
+up to +-700) and S0(p) sums w over positions >= p. The ell-th (from 0) of
+the m events tied in a block has the denominator D = S0(head) - c * W, W
+the summed weight of the block's events: c = ell / m is Efron's
+correction, and Breslow is c = 0. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +32,7 @@ class RiskSets:
     Subjects are taken in stable time order, and a block of tied times
     shares the risk set that starts at its first sorted position, its head.
     Arrays and positions are in sorted order; ``unsort`` maps per-subject
-    values back to input order.
+    values back to input order. Event terms are the events in sorted order.
     """
 
     def __init__(self, times, events):
@@ -43,6 +52,24 @@ class RiskSets:
         # number of events at or before each subject's time
         self.events_through = np.cumsum(self.deaths_at)[self.heads]
 
+    @cached_property
+    def efron_ties(self):
+        """(c, start): each event term's Efron fraction c = ell / m and each
+        tied block's first event term; built on first use, as most risk
+        sets (the forest's, one per node) never need them."""
+        start = np.cumsum(self.deaths) - self.deaths
+        ell = np.arange(self.event_pos.size) - np.repeat(start, self.deaths)
+        return ell / np.repeat(self.deaths, self.deaths), start
+
+    def tied_sums(self, per_event):
+        """Per event term, the sum of per-event-term rows over its tied block."""
+        sums = np.add.reduceat(per_event, self.efron_ties[1], axis=0)
+        return np.repeat(sums, self.deaths, axis=0)
+
+    def through_events(self, per_event):
+        """Per sorted subject j, the sum of per-event-term values over t_k <= t_j."""
+        return np.concatenate(([0.0], np.cumsum(per_event)))[self.events_through]
+
     @staticmethod
     def suffix_sum(sorted_values):
         """Sums over {j : position >= p} for every sorted position p."""
@@ -53,6 +80,37 @@ class RiskSets:
         out = np.empty_like(sorted_values)
         out[self.order] = sorted_values
         return out
+
+
+class CoxLoss:
+    """The loss sum_k (log D_k + shift - f_k) of scores f over `risk`, from
+    the sorted weights ``w``, their suffix sums ``s0`` and the event terms'
+    denominators ``den``; the Efron fractions ``c`` are None under Breslow."""
+
+    def __init__(self, risk: RiskSets, scores, efron: bool = False):
+        self.risk, self.scores = risk, np.asarray(scores, dtype=float)
+        self.shift = float(np.max(self.scores))
+        self.w = np.exp(np.maximum(self.scores - self.shift, -700.0))[risk.order]
+        self.s0 = risk.suffix_sum(self.w)
+        self.den, self.c = self.s0[risk.event_heads], None
+        if efron:
+            self.c = risk.efron_ties[0]
+            self.den = self.den - self.c * risk.tied_sums(self.w[risk.event_pos])
+
+    def value(self) -> float:
+        f = self.scores[self.risk.order][self.risk.event_pos]
+        return float(np.sum(np.log(self.den) + self.shift - f))
+
+    def cumulative_hazard(self):
+        """w * (A - B) per sorted subject, so that g = w * (A - B) - delta is
+        the loss's gradient in f: A_j sums 1/D_k over t_k <= t_j, and B_j
+        sums c_k/D_k over j's tied block if j is an event (else, or under
+        Breslow, 0)."""
+        risk = self.risk
+        a = risk.through_events(1.0 / self.den)
+        if self.c is not None:
+            a[risk.event_pos] -= risk.tied_sums(self.c / self.den)
+        return self.w * a
 
 
 def _event_table(times, events):

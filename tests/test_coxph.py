@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from recurrisk import coxph
+from recurrisk.boosting import cox_negloglik
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, zscore_normalize
 from recurrisk.coxph import (
     breslow_baseline,
@@ -60,7 +62,120 @@ def finite_difference_check(cohort, beta, ties, h=1e-5):
     return grad_err, hess_err
 
 
+def partial_loglik_einsum(beta, X, risk: RiskSets, ties):
+    """Reference Cox partial log-likelihood: the (n, d, d) suffix sums of
+    w x x' with Efron's correction applied one tied block at a time."""
+    n, d = X.shape
+    eta = X @ beta
+    shift = float(np.max(eta))
+    w = np.exp(np.maximum(eta - shift, -700.0))
+
+    x_s, w_s, eta_s = X[risk.order], w[risk.order], eta[risk.order]
+    wx = w_s[:, None] * x_s
+    wxx = np.einsum("ni,nj->nij", wx, x_s)
+    s0, s1, s2 = (risk.suffix_sum(v) for v in (w_s, wx, wxx))
+    ev = risk.event_pos
+
+    value = float(np.sum(eta_s[ev]))
+    grad = x_s[ev].sum(axis=0)
+    hess = np.zeros((d, d))
+
+    if ties == "breslow":
+        simple_ev = ev                     # every event uses the full risk set
+        tied_blocks = np.empty(0, dtype=int)
+    else:
+        simple_ev = ev[risk.deaths_at[risk.event_heads] == 1]
+        tied_blocks = risk.blocks[risk.deaths > 1]
+
+    if simple_ev.size:
+        idx = risk.heads[simple_ev]
+        den = s0[idx]
+        means = s1[idx] / den[:, None]
+        value -= float(np.sum(np.log(den) + shift))
+        grad -= means.sum(axis=0)
+        hess -= np.tensordot(1.0 / den, s2[idx], axes=1) - means.T @ means
+
+    for i in tied_blocks:                  # Efron correction per tied block
+        dead = ev[risk.event_heads == i]
+        d_k = dead.size
+        phi0, phi1, phi2 = s0[i], s1[i], s2[i]
+        psi0 = float(np.sum(w_s[dead]))
+        psi1 = wx[dead].sum(axis=0)
+        psi2 = wxx[dead].sum(axis=0)
+        for ell in range(d_k):
+            c = ell / d_k
+            den = phi0 - c * psi0
+            xbar = (phi1 - c * psi1) / den
+            value -= np.log(den) + shift
+            grad -= xbar
+            hess -= (phi2 - c * psi2) / den - np.outer(xbar, xbar)
+    return float(value), grad, hess
+
+
+def oracle_samples():
+    """(times, events, X) samples that stress the tie handling."""
+    rng = np.random.default_rng(19)
+    n, d = 400, 5
+    X = rng.standard_normal((n, d))
+    ceil_times = np.ceil(rng.exponential(6.0, n))
+    yield ceil_times, rng.integers(0, 2, n), X
+    # one block where every subject dies, among censored neighbours
+    times = np.r_[np.full(6, 2.0), rng.exponential(6.0, 14) + 2.5]
+    events = np.r_[np.ones(6, int), rng.integers(0, 2, 14)]
+    yield times, events, rng.standard_normal((20, 3))
+    # a tied block whose events and censorings interleave in input order
+    times = np.r_[np.full(9, 3.0), [1.0, 5.0, 7.0]]
+    events = np.r_[[1, 0, 1, 0, 0, 1, 1, 0, 1], [1, 1, 0]]
+    yield times, events, rng.standard_normal((12, 2))
+    # every subject in one block
+    yield np.full(15, 4.0), rng.integers(0, 2, 15) | np.eye(15, dtype=int)[0], \
+        rng.standard_normal((15, 3))
+    # a single event
+    yield rng.exponential(5.0, 25) + 0.1, np.eye(25, dtype=int)[7], rng.standard_normal((25, 2))
+    for case in range(6):                  # coarse grids: heavy ties, n up to 3,000
+        n, d = int(rng.integers(30, 3000)), int(rng.integers(1, 9))
+        times = rng.choice(np.arange(1.0, 2.0 + case * 5), n)
+        yield times, rng.integers(0, 2, n), rng.standard_normal((n, d)) * (1 + case)
+
+
+def relative_error(got, want):
+    return np.max(np.abs(np.asarray(got) - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
 class TestPartialLoglik:
+    @pytest.mark.parametrize("ties", ["breslow", "efron"])
+    def test_matches_the_einsum_oracle(self, rng, ties):
+        for times, events, X in oracle_samples():
+            cohort = make_cohort(times, events, X)
+            beta = rng.standard_normal(X.shape[1]) * 0.4
+            got = partial_loglik(beta, cohort, ties)
+            want = partial_loglik_einsum(beta, cohort.matrix(), cohort.risk_sets, ties)
+            for g, w in zip(got, want):
+                assert relative_error(g, w) < 1e-12
+
+    def test_breslow_value_is_the_score_space_loss(self, rng):
+        for times, events, X in oracle_samples():
+            cohort = make_cohort(times, events, X)
+            beta = rng.standard_normal(X.shape[1])
+            value, _, _ = partial_loglik(beta, cohort, "breslow")
+            assert value == -cox_negloglik(cohort.risk_sets, cohort.matrix() @ beta)
+
+    def test_peak_memory_below_one_n_d_d_array(self, rng):
+        # one (n, d, d) float64 array is 20.5 MB here; the einsum kernel
+        # held about three of them at once
+        n, d = 10_000, 16
+        cohort = make_cohort(np.ceil(rng.exponential(20.0, n)), rng.integers(0, 2, n),
+                             rng.standard_normal((n, d)))
+        beta = rng.standard_normal(d) * 0.1
+        cohort.risk_sets
+        tracemalloc.start()
+        try:
+            partial_loglik(beta, cohort, "efron")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * d * 8
+
     def test_zero_beta_value_is_log_risk_set_sizes(self, rng):
         cohort = random_censored_cohort(rng, 25, 2)
         times, events = cohort.times, cohort.events
@@ -244,6 +359,33 @@ class TestFitCox:
         assert len(calls) <= 1.5 * model.iterations + 1
         assert np.max(np.abs(model.coefficients - reference.coefficients)) < 1e-9
 
+    def test_step_halving_backs_off_then_gives_up(self, small_linear_cohort, monkeypatch):
+        # the likelihood drops by 1e6 beyond a box around beta = 0, so the
+        # first step is halved until it lands inside; with an empty box every
+        # candidate of the first iteration, the full step and 30 halvings, loses
+        cohort, _ = small_linear_cohort
+        _, grad, hess = partial_loglik(np.zeros(2), cohort, "efron")
+        step = np.linalg.solve(-hess, grad)
+        calls = []
+
+        def boxed(beta, cohort, ties="efron"):
+            value, g, h = partial_loglik(beta, cohort, ties)
+            calls.append(beta)
+            return value - 1e6 * (np.max(np.abs(beta)) > box), g, h
+
+        monkeypatch.setattr(coxph, "partial_loglik", boxed)
+        box = 0.1 * np.max(np.abs(step))
+        fit_cox(cohort)
+        assert [np.array_equal(b, step / 2 ** h) for h, b in enumerate(calls[1:6])] == [True] * 5
+
+        calls.clear()
+        box = 0.0
+        model = fit_cox(cohort)
+        assert not model.converged and model.iterations == 1
+        assert np.array_equal(model.coefficients, np.zeros(2))
+        assert len(calls) == 32
+        assert np.array_equal(calls[-1], step / 2 ** 30)
+
     @pytest.mark.parametrize("ties", ["efron", "breslow"])
     def test_one_risk_set_build_per_fit(self, monkeypatch, risk_set_builds, ties):
         # ceil() ties the times, so Efron's tied blocks are exercised too;
@@ -260,7 +402,7 @@ class TestFitCox:
         monkeypatch.setattr(coxph, "partial_loglik", counting_loglik)
         fit_cox(cohort, ties=ties)
         assert len(risk_set_builds) == 1
-        assert len(evals) == 5          # 4 Newton steps, no halving, 1 final
+        assert len(evals) == 4          # beta = 0 and 3 full steps; the 4th is below tol
 
     def test_zero_events_rejected(self, rng):
         cohort = make_cohort([1.0, 2.0], [0, 0], [[0.1], [0.2]])

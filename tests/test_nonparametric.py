@@ -7,6 +7,7 @@ from scipy import stats
 from recurrisk.errors import EmptyCohortError, UndefinedMetricError
 from recurrisk.nonparametric import (
     LogRankResult,
+    RiskSets,
     _event_table,
     kaplan_meier,
     log_rank,
@@ -259,3 +260,14 @@ def log_rank_loop(group_a, group_b) -> LogRankResult:
         observed=(float(observed_a), float(observed_total - observed_a)),
         expected=(float(expected_a), float(observed_total - expected_a)),
     )
+
+
+def test_efron_tie_structure_is_built_on_first_use():
+    # sorted: times 1, 2, 2, 2, 3 with the censoring at 2 between two events
+    risk = RiskSets([2.0, 1.0, 2.0, 2.0, 3.0], [1, 1, 0, 1, 1])
+    assert "efron_ties" not in vars(risk)
+    c, start = risk.efron_ties
+    assert c.tolist() == [0.0, 0.0, 0.5, 0.0]
+    assert start.tolist() == [0, 1, 3]
+    assert risk.efron_ties[0] is c
+    assert risk.tied_sums(np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [1.0, 5.0, 5.0, 4.0]

@@ -1,8 +1,8 @@
 """Golden test: the demo protocol reproduces the committed data/demo_out report."""
 
 import dataclasses
+import importlib.util
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +11,17 @@ from recurrisk import pipeline
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.pipeline import PipelineConfig, run_pipeline
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+REPO = Path(__file__).resolve().parent.parent
+DATA = REPO / "data"
 
-# The Cox fits can differ from the committed run in the last bits; the
-# largest float difference measured against the golden report is 8.2e-10,
-# at features/screen/0/ci_high.
+_spec = importlib.util.spec_from_file_location("report_diff", REPO / "tools" / "report_diff.py")
+report_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_diff)
+
+# The Cox fits can differ from the committed run in the last bits. When the
+# Cox likelihood moved to the score-space loss, the demo report moved by at
+# most 9.8e-15 relative (features/screen/*/p_value) and every other
+# workload report by at most 4.8e-13.
 FLOAT_ABS_TOL = 1e-8
 
 # config_hash hashes the absolute input paths, so it differs per checkout.
@@ -24,33 +30,33 @@ FLOAT_ABS_TOL = 1e-8
 SKIPPED = {("provenance", "config_hash"), ("provenance", "fold_model_hashes")}
 
 
-def _mismatches(got, want, path=()):
-    if path in SKIPPED:
-        return []
-    if isinstance(want, dict) and isinstance(got, dict):
-        if got.keys() != want.keys():
-            return [f"{'/'.join(path)}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in want for m in _mismatches(got[k], want[k], path + (k,))]
-    if isinstance(want, list) and isinstance(got, list):
-        if len(got) != len(want):
-            return [f"{'/'.join(path)}: length {len(got)} != {len(want)}"]
-        return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in _mismatches(g, w, path + (str(i),))]
-    if type(want) is float and type(got) is float:
-        if math.isclose(got, want, rel_tol=0.0, abs_tol=FLOAT_ABS_TOL):
-            return []
-    elif type(got) is type(want) and got == want:
-        return []
-    return [f"{'/'.join(path)}: {got!r} != {want!r}"]
-
-
 def test_demo_report_matches_committed_golden(tmp_path):
     config = dataclasses.replace(PipelineConfig.from_json_file(DATA / "demo.json"),
                                  out_dir=str(tmp_path))
     run_pipeline(config)
     got = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     want = json.loads((DATA / "demo_out" / "report.json").read_text(encoding="utf-8"))
-    assert _mismatches(got, want) == []
+    assert list(report_diff.differences(got, want, FLOAT_ABS_TOL, SKIPPED)) == []
+
+
+def test_report_diff_walks_every_kind_of_difference(tmp_path, capsys):
+    old = {"a": [1.0, 2.0, {"b": "x"}], "c": 3, "d": [1, 2], "e": {"f": 1},
+           "skip": 1.0, "g": 1.0}
+    new = {"a": [1.0, 2.5, {"b": "y"}], "c": 3.0, "d": [1], "e": {"h": 1},
+           "skip": 5.0, "g": 1.0 + 2 ** -40}
+    assert list(report_diff.differences(new, old, 1e-8, {("skip",)})) == [
+        (("a", "1"), 2.5, 2.0), (("a", "2", "b"), "y", "x"), (("c",), 3.0, 3),
+        (("d",), 1, 2), (("e",), ["h"], ["f"])]
+    assert list(report_diff.differences(old, old)) == []
+
+    rows, others = report_diff.summarize(old, new)
+    assert rows == [("a/*", 0.2, 1), ("skip", 0.8, 1), ("g", 2 ** -40 / (1 + 2 ** -40), 1)]
+    assert [path for path, _, _ in others] == [("a", "2", "b"), ("c",), ("d",), ("e",)]
+    for name, doc in (("old", old), ("new", new)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert report_diff.main([str(tmp_path / "old"), str(tmp_path / "old")]) == 0
+    assert report_diff.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert "0.8\t1\tskip" in capsys.readouterr().out
 
 
 def test_infinite_out_of_fold_score_fails_only_that_learner(tmp_path, monkeypatch):
