@@ -36,7 +36,6 @@ class CoxModel:
     baseline_chf: StepFunction
     converged: bool
     iterations: int
-    final_loglik: float
 
     def predict_risk(self, X) -> np.ndarray:
         """Linear predictor beta' x per row."""
@@ -164,7 +163,7 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
             f"{d} features but only {n_events} events; supply ridge > 0")
 
     beta = np.zeros(d)
-    value, grad, hess, loglik = _penalized(beta, cohort, ties, ridge)
+    value, grad, hess = _penalized(beta, cohort, ties, ridge)
     info_scale = float(np.max(np.linalg.eigvalsh(-hess + ridge * np.eye(d))))
     converged = False
     iterations = 0
@@ -190,13 +189,13 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
         slack = 1e-12 * max(1.0, abs(value))
         for halvings in range(31):
             new_beta = beta + 0.5 ** halvings * step
-            new_value, new_grad, new_hess, new_loglik = _penalized(new_beta, cohort, ties, ridge)
+            new_value, new_grad, new_hess = _penalized(new_beta, cohort, ties, ridge)
             if not new_value < value - slack:
                 break
         else:
             break                      # no usable step in this direction
 
-        beta, value, grad, hess, loglik = new_beta, new_value, new_grad, new_hess, new_loglik
+        beta, value, grad, hess = new_beta, new_value, new_grad, new_hess
         if np.max(np.abs(beta)) > 50.0:
             raise NonconvergenceError(
                 "coefficients diverged (|beta| > 50); data may be separable",
@@ -221,14 +220,13 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
         baseline_chf=baseline,
         converged=converged,
         iterations=iterations,
-        final_loglik=float(loglik),
     )
 
 
 def _penalized(beta, cohort, ties, ridge):
-    """(penalized value, gradient, Hessian, unpenalized value) at beta."""
+    """(penalized value, gradient, Hessian) at beta."""
     value, grad, hess = partial_loglik(beta, cohort, ties)
-    return value - 0.5 * ridge * float(beta @ beta), grad, hess, value
+    return value - 0.5 * ridge * float(beta @ beta), grad, hess
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,11 @@ they are fixed implementer choices, documented here):
 * GLSZM: 26-connected zones of equal gray level.
 
 The three texture matrices count only masked voxels (IBSI), so they are
-built on the mask's bounding box; the GLSZM finds its zones by label
-propagation in numpy. First-order and shape features read the full grid.
+built on the mask's bounding box, in one pass over the 13 directions. A run
+is a zone whose neighbourhood is a single direction (IBSI), so one numpy
+labeller finds both: a direction's runs are the zones of its equal-level
+pairs alone, and the GLSZM's zones are those of all 13 directions' pairs
+together. First-order and shape features read the full grid.
 """
 
 from __future__ import annotations
@@ -61,10 +64,6 @@ class VoxelGrid:
         if arr.size != nx * ny * nz:
             raise ShapeError(f"expected {nx * ny * nz} intensities, got {arr.size}")
         object.__setattr__(self, "intensities", arr.reshape((nx, ny, nz), order="F"))
-
-    @staticmethod
-    def from_flat(dims, spacing, flat) -> "VoxelGrid":
-        return VoxelGrid(tuple(dims), tuple(spacing), np.asarray(flat, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -180,11 +179,9 @@ class TextureMatrices:
     glcm: np.ndarray               # (L, L), symmetric, sums to 1
     glrlm: np.ndarray              # (L, Rmax) run counts
     glszm: np.ndarray              # (L, Smax) zone counts
-    levels: int
 
 
-def texture_matrices(grid: VoxelGrid, mask: RegionMask, levels: int = 32,
-                     glcm_offsets=GLCM_OFFSETS) -> TextureMatrices:
+def texture_matrices(grid: VoxelGrid, mask: RegionMask, levels: int = 32) -> TextureMatrices:
     """Build the direction-merged GLCM, GLRLM and 26-connected GLSZM.
 
     All three are computed on the mask's bounding box, with no margin: a
@@ -194,84 +191,47 @@ def texture_matrices(grid: VoxelGrid, mask: RegionMask, levels: int = 32,
     binned = discretize(grid, mask, levels)
     occ = mask.occupancy
     box = tuple(slice(a.min(), a.max() + 1) for a in np.nonzero(occ))
-    binned, occ = binned[box], occ[box]
+    return _texture(binned[box], occ[box], levels)
 
-    codes = [np.zeros(0, dtype=int)]  # no offsets: no pairs
-    for off in glcm_offsets:
-        src, dst = _pair_slices(occ.shape, off)
+
+def _texture(binned, occ, levels) -> TextureMatrices:
+    """The three matrices of `binned` (-1 outside `occ`), in one pass over
+    GLCM_OFFSETS. Each direction's masked pairs are its GLCM codes, and its
+    equal-level pairs are its edges: labelled alone they give the direction's
+    runs; all 13 directions' edges, which reach all 26 neighbours, labelled
+    together give the zones."""
+    index = np.arange(occ.size).reshape(occ.shape)
+    codes, edges, runs = [], [], []
+    for off in GLCM_OFFSETS:
+        src = tuple(slice(0, n - o) if o >= 0 else slice(-o, n) for n, o in zip(occ.shape, off))
+        dst = tuple(slice(o, n) if o >= 0 else slice(0, n + o) for n, o in zip(occ.shape, off))
         pair_ok = occ[src] & occ[dst]
         a, b = binned[src][pair_ok], binned[dst][pair_ok]
         codes += [a * levels + b, b * levels + a]  # symmetric accumulation
+        same = pair_ok & (binned[src] == binned[dst])
+        edges.append((index[src][same], index[dst][same]))
+        runs.append(_zones(binned, occ, *edges[-1]))
     pairs = np.bincount(np.concatenate(codes), minlength=levels * levels)
     glcm = pairs.reshape(levels, levels) / max(int(pairs.sum()), 1)
-
-    glrlm = _run_length_matrix(binned, occ, levels, glcm_offsets)
-    glszm = _size_zone_matrix(binned, occ, levels)
-    return TextureMatrices(glcm=glcm, glrlm=glrlm, glszm=glszm, levels=levels)
-
-
-def _pair_slices(dims, offset):
-    """Slices of v and of v + offset, over every v whose neighbour is inside."""
-    src = tuple(slice(0, n - o) if o >= 0 else slice(-o, n) for n, o in zip(dims, offset))
-    dst = tuple(slice(o, n) if o >= 0 else slice(0, n + o) for n, o in zip(dims, offset))
-    return src, dst
+    glrlm = _histogram(*(np.concatenate(r) for r in zip(*runs)), levels)
+    glszm = _histogram(*_zones(binned, occ, *(np.concatenate(e) for e in zip(*edges))), levels)
+    return TextureMatrices(glcm=glcm, glrlm=glrlm, glszm=glszm)
 
 
-def _run_length_matrix(binned, occ, levels, offsets):
-    """Direction-merged GLRLM by array run lengths, one pass per offset.
+def _zones(binned, occ, a, b):
+    """(level, size) of each connected set of masked voxels that the edges
+    a[i]-b[i] (flat indices into `occ`, joining equal levels) make.
 
-    same[v]: v and v+off are both masked with equal levels. A run head is a
-    masked voxel whose predecessor v-off is not `same`; the run lengths
-    solve len[v] = 1 + same[v]·len[v+off], iterated to its fixpoint (one
-    sweep per voxel of the longest run), and are counted at the heads.
+    Every voxel starts as its own label. Each sweep hooks the labels at both
+    ends of every edge to the smaller one, then jumps labels to their labels'
+    labels until they stop moving (Shiloach & Vishkin); sweeps repeat until
+    one changes nothing. Labels only fall and never leave their zone, so
+    each zone ends labelled by its smallest voxel. A 9,825-voxel serpentine
+    zone takes 4 sweeps. Labelling in numpy keeps an image library out: its
+    labeller, even imported on first use, loads a special-function module
+    that doubles every command's start-up time and memory.
     """
-    dims = occ.shape
-    unit = occ.astype(int)
-    head_levels, head_lengths = [np.zeros(0, int)], [np.zeros(0, int)]  # no offsets: no runs
-    for off in offsets:
-        src, dst = _pair_slices(dims, off)
-        same = occ[src] & occ[dst] & (binned[src] == binned[dst])
-        head = occ.copy()
-        head[dst] &= ~same
-        length = unit
-        while True:
-            longer = unit.copy()
-            longer[src] += same * length[dst]
-            if np.array_equal(longer, length):
-                break
-            length = longer
-        head_levels.append(binned[head])
-        head_lengths.append(length[head])
-    run_levels = np.concatenate(head_levels)
-    run_lengths = np.concatenate(head_lengths)
-    max_len = int(run_lengths.max(initial=1))
-    cells = np.bincount(run_levels * max_len + run_lengths - 1, minlength=levels * max_len)
-    return cells.reshape(levels, max_len).astype(float)
-
-
-def _size_zone_matrix(binned, occ, levels):
-    """GLSZM of 26-connected equal-level zones, labelled by min-label propagation.
-
-    Masked neighbours of equal level are joined by an edge; the 13
-    half-offsets of GLCM_OFFSETS reach all 26 neighbours, whatever offsets
-    the GLCM uses. Every voxel starts as its own label. Each sweep hooks the
-    labels at both ends of every edge to the smaller one, then jumps labels
-    to their labels' labels until they stop moving (Shiloach & Vishkin);
-    sweeps repeat until one changes nothing. Labels only fall and never
-    leave their zone, so each zone ends labelled by its smallest voxel.
-    A 9,825-voxel serpentine zone takes 4 sweeps. Labelling in numpy keeps
-    an image library out: its labeller, even imported on first use, loads a
-    special-function module that doubles every command's start-up time and
-    memory.
-    """
-    index = np.arange(occ.size).reshape(occ.shape)
-    ends = []
-    for off in GLCM_OFFSETS:
-        src, dst = _pair_slices(occ.shape, off)
-        same = occ[src] & occ[dst] & (binned[src] == binned[dst])
-        ends.append((index[src][same], index[dst][same]))
-    a, b = (np.concatenate(e) for e in zip(*ends))
-    label = index.ravel()
+    label = np.arange(occ.size)
     while True:
         lower = label.copy()
         np.minimum.at(lower, label[a], label[b])
@@ -281,17 +241,21 @@ def _size_zone_matrix(binned, occ, levels):
         if np.array_equal(lower, label):
             break
         label = lower
-    roots, sizes = np.unique(label[occ.ravel()], return_counts=True)
-    zone_level = binned.ravel()[roots]
-    max_size = int(sizes.max(initial=1))
-    cells = np.bincount(zone_level * max_size + sizes - 1, minlength=levels * max_size)
-    return cells.reshape(levels, max_size).astype(float)
+    sizes = np.bincount(label[occ.ravel()])
+    roots = np.flatnonzero(sizes)
+    return binned.ravel()[roots], sizes[roots]
 
 
-def texture_features(grid: VoxelGrid, mask: RegionMask, levels: int = 32,
-                     glcm_offsets=GLCM_OFFSETS) -> dict[str, float]:
+def _histogram(level, size, levels):
+    """(levels, largest size) counts of the (level, size) pairs."""
+    width = int(size.max(initial=1))
+    cells = np.bincount(level * width + size - 1, minlength=levels * width)
+    return cells.reshape(levels, width).astype(float)
+
+
+def texture_features(grid: VoxelGrid, mask: RegionMask, levels: int = 32) -> dict[str, float]:
     """GLCM entropy (bits), GLRLM short-run emphasis, GLSZM zone variance."""
-    mats = texture_matrices(grid, mask, levels, glcm_offsets)
+    mats = texture_matrices(grid, mask, levels)
 
     p = mats.glcm[mats.glcm > 0]
     entropy = float(-np.sum(p * np.log2(p))) if p.size else 0.0
@@ -347,18 +311,23 @@ def _read_header(lines, path):
 
 
 def _numbers(tokens, dtype, row, column, path) -> np.ndarray:
-    """The tokens as numbers; the values' row is the line they start on."""
+    """The tokens as finite numbers; the values' row is the line they start on."""
     try:
-        return np.array(tokens, dtype=dtype)
+        values = np.array(tokens, dtype=dtype)
     except ValueError as exc:
         raise RowParseError(row, column, f"{path}: {exc}") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise RowParseError(row, column,
+                            f"{path}: non-finite value: {tokens[np.argmin(finite)]!r}")
+    return values
 
 
 def load_voxel_grid(path) -> VoxelGrid:
     with reading(f"voxel grid {path}"), open(path, encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()
     dims, spacing, flat = _read_header(lines, path)
-    return VoxelGrid.from_flat(dims, spacing, flat)
+    return VoxelGrid(dims, spacing, flat)
 
 
 def load_region_mask(path) -> RegionMask:

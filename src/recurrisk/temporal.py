@@ -265,9 +265,11 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
 def load_longitudinal(path) -> list[SnapshotSequence]:
     """Sequences from a CSV with columns id, snapshot_index, time, event and
     one column per snapshot feature; snapshots ordered by snapshot_index.
-    A bad cell, a time <= 0 or an event other than 0/1 raises RowParseError."""
-    groups: dict[str, list] = {}
-    order: list[str] = []
+    A bad cell, a time <= 0, an event other than 0/1, a time or event that
+    differs from the subject's earlier rows, or a snapshot_index repeated
+    within a subject raises RowParseError."""
+    outcomes: dict[str, tuple[float, int]] = {}
+    snapshots: dict[str, dict[int, list[float]]] = {}
     with reading(f"longitudinal file {path}"), \
             open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -280,20 +282,21 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
                 raise RowParseError(row_no, "<row>",
                                     f"expected {len(reader.fieldnames)} cells")
             sid = row["id"]
-            if sid not in groups:
-                groups[sid] = []
-                order.append(sid)
-            groups[sid].append((
-                _parse_int(row["snapshot_index"], row_no, "snapshot_index"),
-                *_parse_outcome(row["time"], row["event"], row_no, "time", "event"),
-                [_parse_number(row[c], row_no, c) for c in feature_cols],
-            ))
-    sequences = []
-    for sid in order:
-        rows = sorted(groups[sid], key=lambda r: r[0])
-        snaps = np.array([r[3] for r in rows])
-        sequences.append(SnapshotSequence(sid, snaps, rows[0][1], rows[0][2]))
-    return sequences
+            index = _parse_int(row["snapshot_index"], row_no, "snapshot_index")
+            outcome = _parse_outcome(row["time"], row["event"], row_no, "time", "event")
+            features = [_parse_number(row[c], row_no, c) for c in feature_cols]
+            earlier = outcomes.setdefault(sid, outcome)
+            for column, here, before in zip(("time", "event"), outcome, earlier):
+                if here != before:
+                    raise RowParseError(row_no, column, f"subject {sid!r} has {column} "
+                                        f"{before} on an earlier row, {here} here")
+            seen = snapshots.setdefault(sid, {})
+            if index in seen:
+                raise RowParseError(row_no, "snapshot_index",
+                                    f"subject {sid!r} repeats snapshot {index}")
+            seen[index] = features
+    return [SnapshotSequence(sid, np.array([seen[k] for k in sorted(seen)]), *outcomes[sid])
+            for sid, seen in snapshots.items()]
 
 
 def _parse_int(cell: str, row_no: int, column: str) -> int:

@@ -283,6 +283,10 @@ def _evaluate_args(tmp_path, time):
     (lambda tmp: _extract_args(tmp, values="1 2 3 oops 5 6 7 8"), "row 3, column 'values'"),
     (lambda tmp: _run_args(tmp, grid={"values": "1 2 3 oops 5 6 7 8"}),
      "row 3, column 'values'"),
+    (lambda tmp: _extract_args(tmp, values="1 2 nan 4 5 6 7 8"),
+     "s0_grid.txt: non-finite value: 'nan'"),
+    (lambda tmp: _run_args(tmp, grid={"values": "1 inf 3 4 5 6 7 8"}),
+     "_grid.txt: non-finite value: 'inf'"),
     (lambda tmp: _simulate_args(tmp, None), "No such file"),
     (lambda tmp: _simulate_args(tmp, {"n": 50}), "missing field 'true_coefficients'"),
     (lambda tmp: _simulate_args(tmp, {"n": 40, "true_coefficients": [1.0],
@@ -300,7 +304,8 @@ def _evaluate_args(tmp_path, time):
     (lambda tmp: ["evaluate", "--scores", str(tmp / "nope.csv")],
      "nope.csv: [Errno 2] No such file"),
     (lambda tmp: _extract_args(tmp, mask=False), "s0_mask.txt: [Errno 2] No such file"),
-], ids=["grid-dims", "grid-value", "run-grid-value", "missing-spec", "spec-no-coefficients",
+], ids=["grid-dims", "grid-value", "run-grid-value", "grid-nan", "run-grid-inf",
+        "missing-spec", "spec-no-coefficients",
         "spec-unknown-key", "spec-string-bool", "spec-float-n", "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
         "evaluate-missing-scores", "extract-missing-mask"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, make_args, message):

@@ -5,8 +5,7 @@ from recurrisk.radiomics import (
     GLCM_OFFSETS,
     RegionMask,
     VoxelGrid,
-    _run_length_matrix,
-    _size_zone_matrix,
+    _texture,
     discretize,
     shape_features,
     texture_features,
@@ -42,9 +41,9 @@ def run_length_loop(binned, occ, levels, offsets):
     return glrlm
 
 
-def assert_matches_loop(binned, occ, levels, offsets=GLCM_OFFSETS):
-    got = _run_length_matrix(binned, occ, levels, offsets)
-    want = run_length_loop(binned, occ, levels, offsets)
+def assert_matches_loop(binned, occ, levels):
+    got = _texture(binned, occ, levels).glrlm
+    want = run_length_loop(binned, occ, levels, GLCM_OFFSETS)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -64,7 +63,7 @@ class TestRunLengthMatrix:
         occ[1, 2, 0] = True
         binned = np.where(occ, 1, -1)
         assert_matches_loop(binned, occ, 2)
-        glrlm = _run_length_matrix(binned, occ, 2, GLCM_OFFSETS)
+        glrlm = _texture(binned, occ, 2).glrlm
         assert glrlm.shape == (2, 1) and glrlm[1, 0] == len(GLCM_OFFSETS)
 
     def test_full_cube_two_levels(self):
@@ -77,10 +76,6 @@ class TestRunLengthMatrix:
         occ[1:5, 0:6, 2:5] = True
         binned = np.where(occ, 0, -1)
         assert_matches_loop(binned, occ, 3)
-
-    def test_no_offsets(self):
-        occ = np.ones((2, 2, 2), dtype=bool)
-        assert_matches_loop(np.zeros(occ.shape, dtype=int), occ, 2, ())
 
 
 def size_zone_loop(binned, occ, levels):
@@ -128,14 +123,14 @@ class TestSizeZoneMatrix:
         occ = rng.random(dims) < rng.uniform(0.3, 1.0)
         occ[tuple(rng.integers(0, dims))] = True
         binned = np.where(occ, rng.integers(0, levels, size=dims), -1)
-        assert np.array_equal(_size_zone_matrix(binned, occ, levels),
+        assert np.array_equal(_texture(binned, occ, levels).glszm,
                               size_zone_loop(binned, occ, levels))
 
     @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 4)])
     def test_mask_filling_the_grid_with_one_level(self, dims):
         # no voxel is background, so no label is 0
         occ = np.ones(dims, dtype=bool)
-        glszm = _size_zone_matrix(np.full(dims, 2), occ, 3)
+        glszm = _texture(np.full(dims, 2), occ, 3).glszm
         want = np.zeros((3, occ.size))
         want[2, -1] = 1
         assert np.array_equal(glszm, want)
@@ -162,12 +157,12 @@ class TestZoneLabeller:
     """Shapes that stress the label propagation, each `==` to the oracle."""
 
     def assert_matches_loop(self, binned, occ, levels):
-        assert np.array_equal(_size_zone_matrix(binned, occ, levels),
+        assert np.array_equal(_texture(binned, occ, levels).glszm,
                               size_zone_loop(binned, occ, levels))
 
     def test_serpentine_zone_spanning_the_box(self):
         tube = serpentine(12)
-        glszm = _size_zone_matrix(tube.astype(int), np.ones(tube.shape, dtype=bool), 2)
+        glszm = _texture(tube.astype(int), np.ones(tube.shape, dtype=bool), 2).glszm
         assert glszm[1, tube.sum() - 1] == 1 and glszm[1].sum() == 1
         self.assert_matches_loop(tube.astype(int), np.ones(tube.shape, dtype=bool), 2)
         self.assert_matches_loop(np.where(tube, 0, -1), tube, 2)
@@ -175,7 +170,7 @@ class TestZoneLabeller:
     def test_checkerboard_joined_only_through_diagonals(self):
         binned = np.indices((5, 4, 6)).sum(axis=0) % 2
         occ = np.ones(binned.shape, dtype=bool)
-        glszm = _size_zone_matrix(binned, occ, 2)
+        glszm = _texture(binned, occ, 2).glszm
         assert glszm.sum() == 2 and glszm[0, 59] == glszm[1, 59] == 1
         self.assert_matches_loop(binned, occ, 2)
 
@@ -183,7 +178,7 @@ class TestZoneLabeller:
         occ = np.zeros((7, 5, 6), dtype=bool)
         occ[::2, ::2, ::2] = True
         binned = np.where(occ, np.arange(occ.size).reshape(occ.shape) % 3, -1)
-        glszm = _size_zone_matrix(binned, occ, 3)
+        glszm = _texture(binned, occ, 3).glszm
         assert glszm.shape == (3, 1) and glszm.sum() == occ.sum()
         self.assert_matches_loop(binned, occ, 3)
 
@@ -192,15 +187,6 @@ class TestZoneLabeller:
         rng = np.random.default_rng(300 + seed)
         binned = rng.integers(0, 3, size=(1, 1, 40))
         self.assert_matches_loop(binned, np.ones(binned.shape, dtype=bool), 3)
-
-    def test_zones_ignore_the_glcm_offsets(self):
-        rng = np.random.default_rng(310)
-        occ = rng.random((6, 7, 5)) < 0.7
-        grid, mask = region(rng.random(occ.shape), occ)
-        binned = discretize(grid, mask, 4)
-        glszm = texture_matrices(grid, mask, 4, glcm_offsets=((1, 0, 0),)).glszm
-        assert np.array_equal(glszm, size_zone_loop(binned, occ, 4))
-        assert np.array_equal(glszm, texture_matrices(grid, mask, 4).glszm)
 
 
 def region(intensity, occ):
@@ -216,7 +202,7 @@ def assert_crop_changes_no_matrix(intensity, occ, levels):
     binned = discretize(grid, mask, levels)
     got = texture_matrices(grid, mask, levels)
     for have, want in [(got.glcm, cooccurrence_loop(binned, occ, levels, GLCM_OFFSETS)),
-                       (got.glrlm, _run_length_matrix(binned, occ, levels, GLCM_OFFSETS)),
+                       (got.glrlm, run_length_loop(binned, occ, levels, GLCM_OFFSETS)),
                        (got.glszm, size_zone_loop(binned, occ, levels))]:
         assert have.shape == want.shape and np.array_equal(have, want)
 
@@ -293,13 +279,15 @@ class TestCubePhantom:
     def test_axis_run_glrlm(self):
         grid, mask = self.phantom()
         k = self.k
-        glrlm = texture_matrices(grid, mask, levels=2, glcm_offsets=AXES).glrlm
+        binned, occ = discretize(grid, mask, 2), mask.occupancy
         # along x every line of the cube is two runs of k/2, one per level;
         # along y and z each level holds (k/2)*k lines, each one run of k
         want = np.zeros((2, k))
         want[:, k // 2 - 1] = k * k
         want[:, k - 1] = 2 * (k // 2) * k
-        assert np.array_equal(glrlm, want)
+        assert np.array_equal(run_length_loop(binned, occ, 2, AXES), want)
+        glrlm = texture_matrices(grid, mask, levels=2).glrlm
+        assert np.array_equal(glrlm, run_length_loop(binned, occ, 2, GLCM_OFFSETS))
 
     def test_zones_are_the_two_halves(self):
         grid, mask = self.phantom()

@@ -90,6 +90,23 @@ class TestLongitudinalCsv:
             load_longitudinal(path)
         assert (info.value.row, info.value.column) == (2, column)
 
+    @pytest.mark.parametrize("rows, row, column, message", [
+        (["a,0,5,1", "a,1,9,0", "a,1,9,0"], 2, "time",
+         "subject 'a' has time 5.0 on an earlier row, 9.0 here"),
+        (["a,0,5,1", "b,0,7,0", "a,1,5,0"], 3, "event",
+         "subject 'a' has event 1 on an earlier row, 0 here"),
+        (["a,0,5,1", "b,1,7,0", "a,1,5,1", "b,1,7,0"], 4, "snapshot_index",
+         "subject 'b' repeats snapshot 1"),
+    ], ids=["time", "event", "snapshot"])
+    def test_contradictory_rows_name_row_and_column(self, tmp_path, rows, row, column,
+                                                    message):
+        path = tmp_path / "longitudinal.csv"
+        path.write_text("\n".join(["id,snapshot_index,time,event,x0",
+                                   *(f"{r},0.5" for r in rows)]) + "\n", encoding="utf-8")
+        with pytest.raises(RowParseError, match=message) as info:
+            load_longitudinal(path)
+        assert (info.value.row, info.value.column) == (row, column)
+
 
 class TestTemporalLane:
     SPEC = SyntheticSpec(n=30, true_coefficients=(1.0, -1.0), seed=4)
