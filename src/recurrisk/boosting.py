@@ -43,7 +43,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .nonparametric import CoxLoss, RiskSets
+from .nonparametric import CoxLoss, RiskSets, canonical_order
 from .stepfun import StepFunction
 from . import tree
 
@@ -270,12 +270,6 @@ class BoostedModel:
         return json.dumps(doc, sort_keys=True)
 
 
-def _canonical_order(cohort: Cohort) -> np.ndarray:
-    """Row order by (time, event, id); ids are unique, so the order is total
-    and the fitted model is independent of the input permutation."""
-    return np.lexsort((cohort.ids, cohort.events, cohort.times))
-
-
 def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     """Gradient/Newton boosting on the Cox partial likelihood.
 
@@ -287,8 +281,8 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     if int(np.sum(cohort.events)) < 1:
         raise TrainingError("cannot boost with zero events")
 
-    canon = cohort.subset_rows(_canonical_order(cohort))
-    X, t, e = canon.matrix(), canon.times, canon.events
+    order = canonical_order(cohort.times, cohort.events, cohort.ids)
+    X, t, e = cohort.matrix()[order], cohort.times[order], cohort.events[order]
     n = X.shape[0]
     rng = np.random.default_rng(params.seed)
     lam = params.l2_lambda if params.mode == "xgboost" else 0.0
@@ -340,7 +334,7 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     return BoostedModel(
         mode=params.mode,
         learning_rate=params.learning_rate,
-        feature_names=canon.feature_names,
+        feature_names=cohort.feature_names,
         base_learners=tuple(learners),
         training_loss_trace=tuple(trace),
         # f, in canonical order, keeps the baseline invariant to input order

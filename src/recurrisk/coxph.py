@@ -164,14 +164,12 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
 
     beta = np.zeros(d)
     value, grad, hess = _penalized(beta, cohort, ties, ridge)
-    info_scale = float(np.max(np.linalg.eigvalsh(-hess + ridge * np.eye(d))))
+    info_scale = float(np.max(np.linalg.eigvalsh(-hess)))
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad_pen = grad - ridge * beta
-        hess_pen = hess - ridge * np.eye(d)
         try:
-            step = np.linalg.solve(-hess_pen, grad_pen)
+            step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
             if iterations == 1:
                 # singular at beta = 0: structural collinearity in X
@@ -201,7 +199,7 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
                 "coefficients diverged (|beta| > 50); data may be separable",
                 last_iterate=beta)
 
-    info = -hess + ridge * np.eye(d)
+    info = -hess
     if np.min(np.linalg.eigvalsh(info)) <= _INFO_COLLAPSE * info_scale:
         raise NonconvergenceError(
             "information collapsed at the last iterate; data may be separable",
@@ -224,9 +222,10 @@ def fit_cox(cohort: Cohort, ties: str = "efron", max_iter: int = 100,
 
 
 def _penalized(beta, cohort, ties, ridge):
-    """(penalized value, gradient, Hessian) at beta."""
+    """(value, gradient, Hessian) of the log-likelihood less ridge |beta|^2 / 2."""
     value, grad, hess = partial_loglik(beta, cohort, ties)
-    return value - 0.5 * ridge * float(beta @ beta), grad, hess
+    return (value - 0.5 * ridge * float(beta @ beta), grad - ridge * beta,
+            hess - ridge * np.eye(beta.size))
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,14 @@ def exact_shapley(model, x, background, feature_names=None) -> AttributionVector
     phi_j = sum over S not containing j of |S|!(d-|S|-1)!/d! *
     (f(x restricted to S+{j}) - f(x restricted to S)). The coalition
     tables come from the per-d cache, so each row costs one batched
-    prediction of 2^d inputs and one weighted sum over all features.
+    prediction of 2^d inputs and one weighted sum over all features. An
+    `x` that is not one row, or a background of another length, raises
+    InvalidParameterError.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x, background = np.asarray(x, dtype=float), np.asarray(background, dtype=float)
+    if x.ndim != 1 or background.shape != x.shape:
+        raise InvalidParameterError(f"x must be one row and the background as long; "
+                                    f"got shapes {x.shape} and {background.shape}")
     d = x.size
     if d > MAX_EXACT_FEATURES:
         raise InvalidParameterError(
@@ -77,7 +82,6 @@ def exact_shapley(model, x, background, feature_names=None) -> AttributionVector
             f"{MAX_EXACT_FEATURES}; use permutation_importance instead")
     predict = _as_predictor(model)
     takes_x, m_wo, m_with, weights = _coalitions(d)
-    background = np.asarray(background, dtype=float).ravel()
     values = np.asarray(predict(np.where(takes_x, x[None, :], background[None, :])),
                         dtype=float).ravel()
     diff = np.take(values, m_with)   # values[m_with] measured ~2x slower on int32 indices
@@ -102,7 +106,8 @@ def median_background(cohort: Cohort) -> np.ndarray:
 
 def mean_abs_shapley(model, sample: np.ndarray, background,
                      feature_names=None) -> list[tuple[str, float]]:
-    """Mean |phi_j| over the sample rows, sorted descending."""
+    """Mean |phi_j| over the sample rows, sorted descending. A row width
+    other than the background's raises InvalidParameterError."""
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if sample.shape[0] < 1:
         raise InvalidParameterError("sample must contain at least one row")

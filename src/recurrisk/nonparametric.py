@@ -26,6 +26,12 @@ from .errors import EmptyCohortError, InvalidParameterError, UndefinedMetricErro
 from .stepfun import StepFunction
 
 
+def canonical_order(times, events, ids) -> np.ndarray:
+    """Subject order by (time, event, id): total for unique ids, so a fit that
+    sorts its subjects by it first is independent of the input order."""
+    return np.lexsort((np.asarray(ids, dtype=object), events, times))
+
+
 class RiskSets:
     """Risk sets {j : t_j >= t} of one sample, built once from (times, events).
 

@@ -76,12 +76,6 @@ def _fit_rsf(cohort: Cohort, params: dict, seed: int, fold: int):
     return fit_rsf(cohort, ForestParams(**params, seed=seed + 7919 * (fold + 1)))
 
 
-def _booster(mode: str):
-    def fit(cohort: Cohort, params: dict, seed: int, fold: int):
-        return fit_boosted(cohort, BoostParams(**params, mode=mode, seed=seed + fold))
-    return fit
-
-
 class Learner(NamedTuple):
     """fit(cohort, params, seed, fold) -> fitted model, where params is the
     learner's `model_params` entry and fold is -1 for the whole-cohort refit;
@@ -97,15 +91,20 @@ class Learner(NamedTuple):
     check: Callable
 
 
+def _booster(mode: str, *unread: str) -> Learner:
+    def fit(cohort: Cohort, params: dict, seed: int, fold: int):
+        return fit_boosted(cohort, BoostParams(**params, mode=mode, seed=seed + fold))
+    return Learner(fit, declared(BoostParams, "mode", "seed", *unread), BoostParams)
+
+
 # The fit functions look fit_cox, fit_rsf and fit_boosted up at call time,
-# so rebinding those module names takes effect. The mode and the seed are
-# set by the pipeline, so a config may not set them.
-_BOOST_PARAMS = declared(BoostParams, "mode", "seed")
+# so rebinding those module names takes effect. A config may set neither a
+# booster's mode and seed nor the settings its mode never reads (`unread`).
 LEARNERS = {
-    "xgboost": Learner(_booster("xgboost"), _BOOST_PARAMS, BoostParams),
+    "xgboost": _booster("xgboost"),
     "rsf": Learner(_fit_rsf, declared(ForestParams, "seed"), ForestParams),
-    "coxboost": Learner(_booster("componentwise"), _BOOST_PARAMS, BoostParams),
-    "gbm": Learner(_booster("gbm"), _BOOST_PARAMS, BoostParams),
+    "coxboost": _booster("componentwise", "tree_depth", "min_leaf", "l2_lambda"),
+    "gbm": _booster("gbm", "l2_lambda"),
     "cox": Learner(_fit_cox, declared(fit_cox, "cohort"), check_cox_params),
 }
 MODEL_ORDER = tuple(LEARNERS)
@@ -147,13 +146,22 @@ class PipelineConfig:
     def __post_init__(self):
         if self.cv_folds < 2:
             raise InvalidParameterError("cv_folds must be >= 2")
+        if not 0.0 < self.alpha <= 1.0:
+            raise InvalidParameterError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not self.vif_threshold >= 1.0:     # every VIF is >= 1
+            raise InvalidParameterError(
+                f"vif_threshold must be >= 1, got {self.vif_threshold}")
         horizons = tuple(float(h) for h in self.horizons)
-        if not horizons or any(h <= 0 for h in horizons) or list(horizons) != sorted(horizons):
-            raise InvalidParameterError("horizons must be positive and ascending")
+        ascending = all(a < b for a, b in zip(horizons, horizons[1:]))
+        if not (horizons and horizons[0] > 0 and ascending):
+            raise InvalidParameterError("horizons must be positive and strictly ascending")
         object.__setattr__(self, "horizons", horizons)
         unknown = set(self.enabled_models) - set(MODEL_ORDER)
         if unknown:
             raise InvalidParameterError(f"unknown models: {sorted(unknown)}")
+        if len(set(self.enabled_models)) < len(self.enabled_models):
+            raise InvalidParameterError(f"enabled_models repeats a model: "
+                                        f"{list(self.enabled_models)}")
         object.__setattr__(self, "enabled_models", tuple(self.enabled_models))
         for name, entry in self.model_params.items():
             if name not in LEARNERS:

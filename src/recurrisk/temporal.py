@@ -36,7 +36,7 @@ from .errors import (
     TrainingError,
     reading,
 )
-from .nonparametric import RiskSets
+from .nonparametric import RiskSets, canonical_order
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,6 @@ class SnapshotSequence:
 
 @dataclass(frozen=True)
 class TemporalModel:
-    pe_dim: int
-    hidden: int
     w_query: np.ndarray            # (d, d)
     w_key: np.ndarray              # (d, d)
     w_value: np.ndarray            # (d, d)
@@ -67,6 +65,16 @@ class TemporalModel:
     w_out: np.ndarray              # (h,)
     b_out: float
     training_loss_trace: tuple[float, ...] = ()
+
+    @property
+    def pe_dim(self) -> int:
+        """The encoder width d."""
+        return self.w_query.shape[0]
+
+
+# The weight blocks in draw order, shaped over the widths d and h (b_out: scalar)
+_BLOCKS = (("w_query", "dd"), ("w_key", "dd"), ("w_value", "dd"),
+           ("w_hidden", "dh"), ("b_hidden", "h"), ("w_out", "h"), ("b_out", ""))
 
 
 def sinusoidal_pe(T: int, d: int) -> np.ndarray:
@@ -165,20 +173,17 @@ def _loss_and_gradients(batch, risk: RiskSets, model: TemporalModel):
     return cox_negloglik(risk, scores), _backward(model, cache, dscores)
 
 
-def _risk_sets(sequences) -> RiskSets:
-    return RiskSets(np.array([s.time for s in sequences]),
-                    np.array([s.event for s in sequences]))
+def _prepared(sequences, d: int):
+    """The packed batch and risk sets of the sequences in `canonical_order`."""
+    times = np.array([s.time for s in sequences])
+    events = np.array([s.event for s in sequences])
+    order = canonical_order(times, events, [s.subject_id for s in sequences])
+    return _pack([sequences[i] for i in order], d), RiskSets(times[order], events[order])
 
 
 def temporal_loss_and_gradients(sequences, model: TemporalModel):
     """(loss, gradient dict) of the Cox loss; the finite-difference hook."""
-    seqs = _canonical_order(sequences)
-    batch = _pack(seqs, model.pe_dim)
-    return _loss_and_gradients(batch, _risk_sets(seqs), model)
-
-
-def _canonical_order(sequences):
-    return sorted(sequences, key=lambda s: (s.time, s.event, s.subject_id))
+    return _loss_and_gradients(*_prepared(list(sequences), model.pe_dim), model)
 
 
 def initial_model(pe_dim: int, hidden: int, seed: int) -> TemporalModel:
@@ -186,18 +191,12 @@ def initial_model(pe_dim: int, hidden: int, seed: int) -> TemporalModel:
     if pe_dim % 2 != 0:
         raise InvalidParameterError("encoding dimension must be even")
     rng = np.random.default_rng(seed)
-    u = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
-    return TemporalModel(
-        pe_dim=pe_dim,
-        hidden=hidden,
-        w_query=u(pe_dim, pe_dim),
-        w_key=u(pe_dim, pe_dim),
-        w_value=u(pe_dim, pe_dim),
-        w_hidden=u(pe_dim, hidden),
-        b_hidden=u(hidden),
-        w_out=u(hidden),
-        b_out=float(u()),
-    )
+    widths = {"d": pe_dim, "h": hidden}
+    blocks = {}
+    for name, shape in _BLOCKS:
+        value = rng.uniform(-0.1, 0.1, size=tuple(widths[c] for c in shape))
+        blocks[name] = value if shape else float(value)
+    return TemporalModel(**blocks)
 
 
 def check_temporal_params(pe_dim: int, hidden: int, learning_rate: float,
@@ -223,15 +222,14 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
     consecutive epochs.
     """
     check_temporal_params(pe_dim, hidden, learning_rate, epochs)
-    seqs = _canonical_order(list(sequences))
+    seqs = list(sequences)
     if len(seqs) < 2:
         raise TrainingError("need at least two subjects")
     if not any(s.event == 1 for s in seqs):
         raise TrainingError("need at least one event")
 
     model = initial_model(pe_dim, hidden, seed)
-    batch = _pack(seqs, pe_dim)
-    risk = _risk_sets(seqs)
+    batch, risk = _prepared(seqs, pe_dim)
     trace = []
     consecutive_rises = 0
     for _ in range(epochs):
@@ -244,16 +242,8 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
                                     trace=trace)
         else:
             consecutive_rises = 0
-        model = replace(
-            model,
-            w_query=model.w_query - learning_rate * grads["w_query"],
-            w_key=model.w_key - learning_rate * grads["w_key"],
-            w_value=model.w_value - learning_rate * grads["w_value"],
-            w_hidden=model.w_hidden - learning_rate * grads["w_hidden"],
-            b_hidden=model.b_hidden - learning_rate * grads["b_hidden"],
-            w_out=model.w_out - learning_rate * grads["w_out"],
-            b_out=model.b_out - learning_rate * grads["b_out"],
-        )
+        model = replace(model, **{name: getattr(model, name) - learning_rate * grads[name]
+                                  for name, _ in _BLOCKS})
     final_loss, _ = _loss_and_gradients(batch, risk, model)
     trace.append(final_loss)
     return replace(model, training_loss_trace=tuple(trace))

@@ -4,7 +4,6 @@ import pytest
 from recurrisk.boosting import (
     BoostParams,
     Stump,
-    _canonical_order,
     _fit_tree,
     _StumpFitter,
     cox_gradients,
@@ -12,7 +11,7 @@ from recurrisk.boosting import (
     fit_boosted,
 )
 from recurrisk.errors import InvalidParameterError
-from recurrisk.nonparametric import RiskSets
+from recurrisk.nonparametric import RiskSets, canonical_order
 
 from conftest import make_cohort, random_censored_cohort
 
@@ -305,7 +304,8 @@ def test_canonical_order_is_the_sorted_key_order():
         cohort = make_cohort(times, events, np.zeros((n, 1)), ids=ids)
         expected = sorted(range(n), key=lambda i: (cohort.times[i], cohort.events[i],
                                                     cohort.ids[i]))
-        assert _canonical_order(cohort).tolist() == expected, f"case {case}"
+        assert canonical_order(cohort.times, cohort.events, cohort.ids).tolist() == expected, \
+            f"case {case}"
 
 
 # --- loss derivatives ----------------------------------------------------------

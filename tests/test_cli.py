@@ -167,13 +167,29 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "temporal_params: learning_rate must be > 0"),
     (json.dumps({**BASE_CONFIG, "temporal_params": {"epochs": 0}}),
      "temporal_params: epochs must be >= 1"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"coxboost": {"tree_depth": 9}}}),
+     "model_params for coxboost: unknown key(s) ['tree_depth']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"coxboost": {"min_leaf": 50}}}),
+     "model_params for coxboost: unknown key(s) ['min_leaf']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"coxboost": {"l2_lambda": 100}}}),
+     "model_params for coxboost: unknown key(s) ['l2_lambda']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"gbm": {"l2_lambda": 100}}}),
+     "model_params for gbm: unknown key(s) ['l2_lambda']"),
+    (json.dumps({**BASE_CONFIG, "alpha": 2.0}), "alpha must be in (0, 1], got 2.0"),
+    (json.dumps({**BASE_CONFIG, "vif_threshold": -1}), "vif_threshold must be >= 1, got -1.0"),
+    (json.dumps({**BASE_CONFIG, "enabled_models": ["cox", "cox"]}),
+     "enabled_models repeats a model: ['cox', 'cox']"),
+    (json.dumps({**BASE_CONFIG, "horizons": [12, 12]}),
+     "horizons must be positive and strictly ascending"),
 ], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
         "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
         "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
         "unknown-temporal-key", "string-hidden", "zero-min-leaf", "unknown-top-level-key",
         "zero-cox-max-iter", "cox-ties", "float-cv-folds", "bool-seed", "string-alpha",
         "string-horizon", "int-id-column", "int-grid-dir", "cox-entry-not-object",
-        "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs"])
+        "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
+        "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
+        "alpha-above-one", "vif-threshold-below-one", "repeated-model", "repeated-horizon"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")

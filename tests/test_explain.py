@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from recurrisk.errors import InvalidParameterError
-from recurrisk.explain import MAX_EXACT_FEATURES, exact_shapley, feature_importance
+from recurrisk.explain import (
+    MAX_EXACT_FEATURES,
+    exact_shapley,
+    feature_importance,
+    mean_abs_shapley,
+)
 
 from conftest import make_cohort
 
@@ -114,6 +119,21 @@ def test_more_than_fourteen_features_is_rejected():
     with pytest.raises(InvalidParameterError):
         exact_shapley(lambda X: calls.append(X) or X[:, 0], np.zeros(15), np.zeros(15))
     assert not calls
+
+
+@pytest.mark.parametrize("x, background", [
+    (np.zeros(3), np.zeros(4)),             # a background of another length
+    (np.zeros((2, 2)), np.zeros(4)),        # a block of rows, not one row
+    (np.zeros((1, 3)), np.zeros(3)),
+], ids=["short-x", "square-x", "one-row-block"])
+def test_mismatched_shapes_are_rejected(x, background):
+    with pytest.raises(InvalidParameterError, match="x must be one row"):
+        exact_shapley(nonlinear, x, background)
+
+
+def test_sample_width_must_match_the_background():
+    with pytest.raises(InvalidParameterError, match="x must be one row"):
+        mean_abs_shapley(nonlinear, np.zeros((5, 3)), np.zeros(4))
 
 
 def test_wide_cohorts_fall_back_to_permutation_importance():

@@ -52,6 +52,14 @@ def test_an_empty_entry_fits_the_declared_defaults(cohort, name):
     assert digest({}) == digest(written_out)
 
 
+def test_each_booster_accepts_only_the_settings_its_mode_reads():
+    # only xgboost's Newton leaf reads l2_lambda; componentwise boosting grows no trees
+    common = {"rounds", "learning_rate", "row_subsample"}
+    assert set(LEARNERS["xgboost"].params) == common | {"tree_depth", "min_leaf", "l2_lambda"}
+    assert set(LEARNERS["gbm"].params) == common | {"tree_depth", "min_leaf"}
+    assert set(LEARNERS["coxboost"].params) == common
+
+
 def _with_rows(cohort, rows, times=None, events=None, X=None):
     """A copy of the cohort with the given rows' outcomes or features replaced."""
     new_times, new_events, new_X = cohort.times.copy(), cohort.events.copy(), cohort.X.copy()

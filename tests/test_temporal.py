@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -233,6 +233,18 @@ def loss_and_gradients_loop(sequences, model):
 
 
 # --- batched pass ------------------------------------------------------------
+
+
+def test_initial_model_draws_every_block_in_order():
+    # seven uniform(-0.1, 0.1) draws in block order; the model holds only weights
+    rng = np.random.default_rng(0)
+    shapes = {"w_query": (8, 8), "w_key": (8, 8), "w_value": (8, 8), "w_hidden": (8, 4),
+              "b_hidden": (4,), "w_out": (4,), "b_out": ()}
+    model = initial_model(8, 4, 0)
+    for name in BLOCKS:
+        assert np.array_equal(getattr(model, name), rng.uniform(-0.1, 0.1, size=shapes[name]))
+    assert isinstance(model.b_out, float) and model.pe_dim == 8
+    assert [f.name for f in fields(model)] == [*BLOCKS, "training_loss_trace"]
 
 
 def random_model(seed, pe_dim=6, hidden=5):
