@@ -10,15 +10,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort
+from .cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort, write_csv
 from .errors import InvalidParameterError, RecurriskError, SchemaError, reading
-from .metrics import auc_by_horizon, c_index
+from .metrics import auc_by_horizon, c_index, check_horizons
 from .pipeline import PipelineConfig, run_pipeline
 from .radiomics import extract_subjects
 
@@ -89,10 +88,8 @@ def _cmd_extract(args) -> int:
         print(f"error: no *_grid.txt files in {grid_dir}", file=sys.stderr)
         return 1
     names, rows = extract_subjects(grid_dir, pairs, args.levels)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *names])
-        writer.writerows([sid, *map(repr, map(float, row))] for sid, row in zip(pairs, rows))
+    write_csv(args.out, ["id", *names],
+              ([sid, *map(float, row)] for sid, row in zip(pairs, rows)))
     _say(args, f"wrote {len(rows)} subjects x {len(names)} features to {args.out}")
     return 0
 
@@ -107,11 +104,8 @@ def _cmd_simulate(args) -> int:
     cohort, true_scores = generate_synthetic(spec)
     write_cohort(cohort, args.out)
     if args.scores_out:
-        with open(args.scores_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "true_score"])
-            for rid, s in zip(cohort.ids, true_scores):
-                writer.writerow([rid, repr(float(s))])
+        write_csv(args.scores_out, ["id", "true_score"],
+                  ([rid, float(s)] for rid, s in zip(cohort.ids, true_scores)))
     events = int(cohort.events.sum())
     _say(args, f"wrote {len(cohort)} subjects ({events} events) to {args.out}")
     return 0
@@ -136,7 +130,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     try:
-        horizons = [float(h) for h in args.horizons.split(",")]
+        horizons = check_horizons(args.horizons.split(","))
     except ValueError:
         raise InvalidParameterError(f"--horizons must be comma-separated numbers, "
                                     f"got {args.horizons!r}") from None

@@ -270,15 +270,22 @@ def _parse_number(cell: str, row_no: int, column: str) -> float:
     return value
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then the rows. A Python float cell is written
+    as its repr, which reads back as the same double."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort back to CSV under the header id,time,event,<features>;
     inverse of load_cohort up to float formatting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "time", "event", *cohort.feature_names])
-        for rid, time, event, feats in zip(cohort.ids, cohort.times.tolist(),
-                                           cohort.events.tolist(), cohort.X.tolist()):
-            writer.writerow([rid, repr(time), event, *map(repr, feats)])
+    write_csv(path, ["id", "time", "event", *cohort.feature_names],
+              ([rid, time, event, *feats] for rid, time, event, feats in zip(
+                  cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
+                  cohort.X.tolist())))
 
 
 def zscore_normalize(cohort: Cohort) -> Cohort:

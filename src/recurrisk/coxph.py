@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     NonconvergenceError,
     NumericInputError,
+    ShapeError,
     TrainingError,
 )
 from .nonparametric import CoxLoss, RiskSets
@@ -41,8 +42,7 @@ class CoxModel:
         """Linear predictor beta' x per row."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.coefficients.size:
-            raise InvalidParameterError(
-                f"expected {self.coefficients.size} features, got {X.shape[1]}")
+            raise ShapeError(f"expected {self.coefficients.size} features, got {X.shape[1]}")
         return X @ self.coefficients
 
     def predict(self, X, horizons):

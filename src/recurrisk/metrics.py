@@ -96,11 +96,33 @@ def c_index(times, events, scores) -> ConcordanceResult:
     return ConcordanceResult(concordant, comparable - concordant - tied, tied)
 
 
-def auc_summary(times, events, scores, horizon):
-    """Event-count-weighted mean of AUC(t) over event times in (0, horizon].
+def check_horizons(horizons) -> tuple[float, ...]:
+    """The horizons as floats; raises InvalidParameterError unless they are
+    non-empty, finite, positive and strictly ascending."""
+    horizons = tuple(float(h) for h in horizons)
+    ascending = all(a < b for a, b in zip(horizons, horizons[1:]))
+    if not (horizons and horizons[0] > 0 and ascending and np.isfinite(horizons[-1])):
+        raise InvalidParameterError(f"horizons must be positive and strictly ascending "
+                                    f"finite numbers, got {list(horizons)}")
+    return horizons
 
-    Returns (summary, evaluated, skipped) where `evaluated` is a list of
-    (t, auc, n_events) and `skipped` lists event times with no controls.
+
+def by_horizon(metric, horizons) -> dict:
+    """{f"{h:g}": metric(k, h)} over the k-th horizon h; None where the
+    metric raises UndefinedMetricError."""
+    out = {}
+    for k, h in enumerate(horizons):
+        try:
+            out[f"{h:g}"] = metric(k, h)
+        except UndefinedMetricError:
+            out[f"{h:g}"] = None
+    return out
+
+
+def auc_summary(times, events, scores, horizon) -> float:
+    """Event-count-weighted mean of AUC(t) over the event times in
+    (0, horizon] that have controls.
+
     AUC(t) is the incident/dynamic AUC: cases have an event exactly at t,
     controls are still event-free after t, and the controls' common IPCW
     weight 1/G(t) cancels. It is wins / (n_case * n_control), with the
@@ -111,35 +133,21 @@ def auc_summary(times, events, scores, horizon):
         raise InvalidParameterError("all times must be positive")
     t_case, lower, equal, later = _pair_counts(times, scores,
                                                (events == 1) & (times <= horizon))
-    if t_case.size == 0:
-        raise UndefinedMetricError(f"no evaluable event time at or before {horizon}")
-    heads = np.flatnonzero(np.r_[True, t_case[1:] != t_case[:-1]])
+    heads = np.flatnonzero(np.diff(t_case, prepend=-np.inf))    # first case per time
     n_case = np.diff(np.r_[heads, t_case.size])
     n_control = later[heads]
-    wins = np.add.reduceat(lower, heads) + 0.5 * np.add.reduceat(equal, heads)
-    evaluated, skipped = [], []
-    for k, t in enumerate(t_case[heads].tolist()):
-        if n_control[k] == 0:
-            skipped.append(t)
-        else:
-            evaluated.append((t, float(wins[k] / (n_case[k] * n_control[k])),
-                              int(n_case[k])))
-    if not evaluated:
+    ok = n_control > 0
+    if not np.any(ok):
         raise UndefinedMetricError(f"no evaluable event time at or before {horizon}")
-    weights = np.array([d for _, _, d in evaluated], dtype=float)
-    values = np.array([a for _, a, _ in evaluated])
-    return float(np.sum(weights * values) / np.sum(weights)), evaluated, skipped
+    wins = np.add.reduceat(lower, heads) + 0.5 * np.add.reduceat(equal, heads)
+    weights = n_case[ok]
+    values = wins[ok] / (n_case[ok] * n_control[ok])
+    return float(np.sum(weights * values) / np.sum(weights))
 
 
 def auc_by_horizon(times, events, scores, horizons) -> dict:
     """auc_summary per horizon, keyed f"{h:g}"; None where it is undefined."""
-    out = {}
-    for h in horizons:
-        try:
-            out[f"{h:g}"] = auc_summary(times, events, scores, h)[0]
-        except UndefinedMetricError:
-            out[f"{h:g}"] = None
-    return out
+    return by_horizon(lambda _, h: auc_summary(times, events, scores, h), horizons)
 
 
 def brier(t, survival_probs, times, events) -> float:
@@ -190,13 +198,10 @@ def calibration_table(predicted_risk, times, events, t, n_bins: int = 10) -> lis
     events = np.asarray(events, dtype=int)
 
     edges = np.unique(np.quantile(predicted_risk, np.linspace(0, 1, n_bins + 1)))
-    if edges.size <= 2:
-        members = [np.arange(predicted_risk.size)]
-    else:
-        inner = edges[1:-1]
-        assignment = np.searchsorted(inner, predicted_risk, side="right")
-        members = [np.nonzero(assignment == b)[0] for b in range(inner.size + 1)]
-        members = [m for m in members if m.size > 0]
+    inner = edges[1:-1]
+    assignment = np.searchsorted(inner, predicted_risk, side="right")
+    members = [np.nonzero(assignment == b)[0] for b in range(inner.size + 1)]
+    members = [m for m in members if m.size > 0]
 
     table = []
     for m in members:
@@ -215,8 +220,8 @@ def calibration_table(predicted_risk, times, events, t, n_bins: int = 10) -> lis
 class DCAPoint:
     threshold: float
     net_benefit: float
-    treat_all_benefit: float
-    treat_none_benefit: float = 0.0
+    treat_all: float
+    treat_none: float = 0.0
 
 
 def net_benefit(event_by_t, predicted_prob, p: float) -> DCAPoint:
@@ -241,7 +246,7 @@ def net_benefit(event_by_t, predicted_prob, p: float) -> DCAPoint:
     return DCAPoint(
         threshold=float(p),
         net_benefit=tp / n - (fp / n) * odds,
-        treat_all_benefit=prevalence - (1.0 - prevalence) * odds,
+        treat_all=prevalence - (1.0 - prevalence) * odds,
     )
 
 

@@ -12,7 +12,6 @@ predictions. Everything is deterministic given the config seed.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import warnings
@@ -30,6 +29,7 @@ from .cohort import (
     ConstantFeatureWarning,
     apply_normalization,
     load_cohort,
+    write_csv,
     zscore_normalize,
 )
 from .coxph import (
@@ -44,7 +44,6 @@ from .errors import (
     InvalidParameterError,
     PipelineError,
     RecurriskError,
-    UndefinedMetricError,
     checked,
     declared,
     reading,
@@ -53,8 +52,10 @@ from .explain import feature_importance
 from .metrics import (
     auc_by_horizon,
     brier,
+    by_horizon,
     c_index,
     calibration_table,
+    check_horizons,
     dca_inputs,
     net_benefit,
 )
@@ -151,11 +152,9 @@ class PipelineConfig:
         if not self.vif_threshold >= 1.0:     # every VIF is >= 1
             raise InvalidParameterError(
                 f"vif_threshold must be >= 1, got {self.vif_threshold}")
-        horizons = tuple(float(h) for h in self.horizons)
-        ascending = all(a < b for a, b in zip(horizons, horizons[1:]))
-        if not (horizons and horizons[0] > 0 and ascending):
-            raise InvalidParameterError("horizons must be positive and strictly ascending")
-        object.__setattr__(self, "horizons", horizons)
+        object.__setattr__(self, "horizons", check_horizons(self.horizons))
+        if not self.enabled_models:
+            raise InvalidParameterError("enabled_models names no model")
         unknown = set(self.enabled_models) - set(MODEL_ORDER)
         if unknown:
             raise InvalidParameterError(f"unknown models: {sorted(unknown)}")
@@ -266,13 +265,6 @@ def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldMod
     )
 
 
-def _predict_fold(fold_models: FoldModels, name: str, test: Cohort, horizons):
-    """(risk scores, survival probs per horizon) on held-out rows."""
-    test_sel = apply_normalization(test, fold_models.normalization) \
-        .subset_features(fold_models.selected)
-    return fold_models.models[name].predict(test_sel.X, horizons)
-
-
 def fold_models_hash(fold_models: FoldModels) -> str:
     """Canonical digest of everything fitted on one fold (leakage probe)."""
     parts = {
@@ -319,13 +311,13 @@ def run_pipeline(config: PipelineConfig):
         fold_hashes.append(fold_models_hash(fold_models))
         vif_removed_by_fold.append(list(fold_models.vif_removed))
         failed.update(fold_models.errors)
-        test = cohort.subset_rows(test_idx)
+        test = apply_normalization(cohort.subset_rows(test_idx), fold_models.normalization) \
+            .subset_features(fold_models.selected)
         for name in config.enabled_models:
-            if fold_models.models.get(name) is None:
-                continue
-            scores, surv = _predict_fold(fold_models, name, test, config.horizons)
-            oof_scores[name][test_idx] = scores
-            oof_surv[name][test_idx] = surv
+            model = fold_models.models[name]
+            if model is not None:
+                oof_scores[name][test_idx], oof_surv[name][test_idx] = model.predict(
+                    test.X, config.horizons)
 
     model_reports = {}
     for name in config.enabled_models:
@@ -382,32 +374,16 @@ def _evaluate_model(times, events, scores, surv, horizons):
     out = {"status": "ok"}
     out["c_index"] = c_index(times, events, scores).c_index
     out["auc"] = auc_by_horizon(times, events, scores, horizons)
-    out["brier"] = {}
-    for hi, h in enumerate(horizons):
-        try:
-            out["brier"][_hkey(h)] = brier(h, surv[:, hi], times, events)
-        except UndefinedMetricError:
-            out["brier"][_hkey(h)] = None
+    out["brier"] = by_horizon(lambda k, h: brier(h, surv[:, k], times, events), horizons)
 
     t_star = horizons[-1]
     risk_at_t = 1.0 - surv[:, -1]
-    out["calibration"] = [
-        {"mean_predicted": b.mean_predicted, "observed_risk": b.observed_risk,
-         "count": b.count}
-        for b in calibration_table(risk_at_t, times, events, t_star)]
+    out["calibration"] = [asdict(b)
+                          for b in calibration_table(risk_at_t, times, events, t_star)]
     event_by_t, probs = dca_inputs(times, events, surv[:, -1], t_star)
-    dca = []
-    for p in DCA_THRESHOLDS:
-        point = net_benefit(event_by_t, probs, p)
-        dca.append({"threshold": point.threshold, "net_benefit": point.net_benefit,
-                    "treat_all": point.treat_all_benefit, "treat_none": 0.0})
-    out["dca"] = dca
+    out["dca"] = [asdict(net_benefit(event_by_t, probs, p)) for p in DCA_THRESHOLDS]
     out["dca_horizon"] = t_star
     return out
-
-
-def _hkey(h: float) -> str:
-    return f"{h:g}"
 
 
 def _choose_model(model_reports) -> str | None:
@@ -458,11 +434,12 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
     exclusively from out-of-fold predictions.
     """
     full_norm, screen_rows, selected, _ = _select_features(cohort, config)
+    retained = set(retained_features(screen_rows, config.alpha))
     screen_section = [
         {"feature": r.feature, "hazard_ratio": _nan_to_none(r.hazard_ratio),
          "ci_low": _nan_to_none(r.ci_low), "ci_high": _nan_to_none(r.ci_high),
          "p_value": _nan_to_none(r.p_value), "converged": r.converged,
-         "retained": r.converged and not np.isnan(r.p_value) and r.p_value < config.alpha}
+         "retained": r.feature in retained}
         for r in screen_rows]
 
     importance_section = {"method": None, "rows": []}
@@ -540,43 +517,27 @@ def report_json_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
 def _write_artifacts(report: dict, cohort: Cohort, oof_scores, config: PipelineConfig):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "wb") as fh:
         fh.write(report_json_bytes(report))
 
-    _write_csv(out / "oof_scores.csv", ["id", "time", "event", *oof_scores.keys()],
-               [[rid, repr(time), event, *map(repr, scores)]
-                for rid, time, event, *scores in zip(
-                    cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
-                    *(s.tolist() for s in oof_scores.values()))])
+    write_csv(out / "oof_scores.csv", ["id", "time", "event", *oof_scores.keys()],
+              zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
+                  *(s.tolist() for s in oof_scores.values())))
 
     strat = report["stratification"]
-    _write_csv(out / "km_high.csv", ["time", "survival"],
-               [[repr(t), repr(v)] for t, v in strat["km_high"]])
-    _write_csv(out / "km_low.csv", ["time", "survival"],
-               [[repr(t), repr(v)] for t, v in strat["km_low"]])
+    write_csv(out / "km_high.csv", ["time", "survival"], strat["km_high"])
+    write_csv(out / "km_low.csv", ["time", "survival"], strat["km_low"])
 
     for name, rep in report["models"].items():
         if rep.get("status") != "ok":
             continue
-        _write_csv(out / f"calibration_{name}.csv",
-                   ["mean_predicted", "observed_risk", "count"],
-                   [[repr(b["mean_predicted"]), repr(b["observed_risk"]), b["count"]]
-                    for b in rep["calibration"]])
-        _write_csv(out / f"dca_{name}.csv",
-                   ["threshold", "net_benefit", "treat_all", "treat_none"],
-                   [[repr(p["threshold"]), repr(p["net_benefit"]),
-                     repr(p["treat_all"]), repr(p["treat_none"])] for p in rep["dca"]])
+        for table in ("calibration", "dca"):
+            rows = rep[table]
+            write_csv(out / f"{table}_{name}.csv", rows[0].keys(),
+                      (row.values() for row in rows))
 
     emit_plots(report, out)
 

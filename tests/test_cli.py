@@ -181,6 +181,9 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "enabled_models repeats a model: ['cox', 'cox']"),
     (json.dumps({**BASE_CONFIG, "horizons": [12, 12]}),
      "horizons must be positive and strictly ascending"),
+    (json.dumps({**BASE_CONFIG, "enabled_models": []}), "enabled_models names no model"),
+    (json.dumps({**BASE_CONFIG, "enabled_models": ["coxboost"],
+                 "model_params": {"coxboost": {"rounds": 0}}}), "all risk scores identical"),
 ], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
         "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
         "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
@@ -189,7 +192,8 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
         "string-horizon", "int-id-column", "int-grid-dir", "cox-entry-not-object",
         "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
         "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
-        "alpha-above-one", "vif-threshold-below-one", "repeated-model", "repeated-horizon"])
+        "alpha-above-one", "vif-threshold-below-one", "repeated-model", "repeated-horizon",
+        "no-models", "coxboost-zero-rounds"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")
@@ -254,12 +258,24 @@ def test_evaluate_bad_horizon_exits_1(scores_csv, capsys):
     assert "Traceback" not in err
 
 
-def _grids(tmp_path, sid="s0", dims="2 2 2", values="1 2 3 4 5 6 7 8"):
+@pytest.mark.parametrize("horizons", ["12,12", "-5", "inf", "24,12", "nan", "12,inf"])
+def test_run_and_evaluate_reject_the_same_horizons(scores_csv, tmp_path, capsys, horizons):
+    path, _, _ = scores_csv
+    values = [float(h) for h in horizons.split(",")]
+    message = f"horizons must be positive and strictly ascending finite numbers, got {values}"
+    assert main(["evaluate", "--scores", str(path), f"--horizons={horizons}", "--quiet"]) == 1
+    assert message in capsys.readouterr().err
+    assert main([*_run_args(tmp_path, horizons=values), "--quiet"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def _grids(tmp_path, sid="s0", dims="2 2 2", values="1 2 3 4 5 6 7 8",
+           mask_values="1 1 1 1 0 0 0 0"):
     grids = tmp_path / "grids"
     grids.mkdir()
     (grids / f"{sid}_grid.txt").write_text(f"dims {dims}\nspacing 1 1 1\n{values}\n",
                                            encoding="utf-8")
-    (grids / f"{sid}_mask.txt").write_text("dims 2 2 2\nspacing 1 1 1\n1 1 1 1 0 0 0 0\n",
+    (grids / f"{sid}_mask.txt").write_text(f"dims 2 2 2\nspacing 1 1 1\n{mask_values}\n",
                                            encoding="utf-8")
     return grids
 
@@ -320,10 +336,12 @@ def _evaluate_args(tmp_path, time):
     (lambda tmp: ["evaluate", "--scores", str(tmp / "nope.csv")],
      "nope.csv: [Errno 2] No such file"),
     (lambda tmp: _extract_args(tmp, mask=False), "s0_mask.txt: [Errno 2] No such file"),
+    (lambda tmp: _extract_args(tmp, mask_values="0 0 0 0 0 0 0 0"),
+     "mask has no occupied voxels"),
 ], ids=["grid-dims", "grid-value", "run-grid-value", "grid-nan", "run-grid-inf",
         "missing-spec", "spec-no-coefficients",
         "spec-unknown-key", "spec-string-bool", "spec-float-n", "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
-        "evaluate-missing-scores", "extract-missing-mask"])
+        "evaluate-missing-scores", "extract-missing-mask", "extract-empty-mask"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, make_args, message):
     assert main([*make_args(tmp_path), "--quiet"]) == 1
     err = capsys.readouterr().err

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from recurrisk.cohort import Cohort, SyntheticSpec, generate_synthetic
+from recurrisk.errors import ShapeError
 from recurrisk.pipeline import (
     LEARNERS,
     MODEL_ORDER,
@@ -40,6 +41,13 @@ def test_every_learner_answers_the_model_protocol(cohort, name):
     assert np.all((surv > 0) & (surv <= 1))
     assert np.all(np.diff(surv, axis=1) <= 0)
     assert isinstance(json.loads(model.to_json()), dict)
+
+
+@pytest.mark.parametrize("name", MODEL_ORDER)
+def test_a_matrix_of_the_wrong_width_raises_shape_error(cohort, name):
+    model = LEARNERS[name].fit(cohort, SMALL[name], 0, 0)
+    with pytest.raises(ShapeError):
+        model.predict_risk(np.hstack([cohort.X, cohort.X[:, :1]]))
 
 
 @pytest.mark.parametrize("name", MODEL_ORDER)

@@ -253,11 +253,8 @@ class TestAucT:
         times = np.array([1.0, 1.0, 2.0, 3.0, 4.0])
         events = np.array([1, 1, 1, 0, 0])
         scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        value, evaluated, skipped = auc_summary(times, events, scores, 3.0)
         # AUC(1)=1 with 2 events, AUC(2)=1 with 1 event -> weighted mean 1
-        assert value == 1.0
-        assert [(t, d) for t, _, d in evaluated] == [(1.0, 2), (2.0, 1)]
-        assert skipped == []
+        assert auc_summary(times, events, scores, 3.0) == 1.0
 
 
     def test_nonpositive_time_rejected(self):
@@ -296,7 +293,8 @@ class TestAucSummaryOracle:
     @example(([1.0, 1.0], [1, 1], [1.0, 2.0], 4.0))               # no time evaluable
     @example(([3.0, 4.0], [1, 0], [1.0, 2.0], 2.0))               # no event by horizon
     def test_matches_loop_oracle(self, sample):
-        assert outcome(auc_summary, sample) == outcome(auc_summary_loop, sample)
+        assert outcome(auc_summary, sample) == outcome(
+            lambda *args: auc_summary_loop(*args)[0], sample)
 
     def test_matches_loop_oracle_across_chunks(self, rng, monkeypatch):
         # several chunks of cases, the last one partial
@@ -305,7 +303,7 @@ class TestAucSummaryOracle:
         scores = np.round(rng.standard_normal(300), 1)
         for horizon in (2.0, 8.0, 100.0):
             sample = (times, events, scores, horizon)
-            assert auc_summary(*sample) == auc_summary_loop(*sample)
+            assert auc_summary(*sample) == auc_summary_loop(*sample)[0]
 
 
 class TestBrier:
@@ -371,12 +369,12 @@ class TestNetBenefit:
     def test_nobody_called_positive_is_zero(self):
         point = net_benefit(np.array([1, 0, 1], bool), np.zeros(3), 0.25)
         assert point.net_benefit == 0.0
-        assert point.treat_none_benefit == 0.0
+        assert point.treat_none == 0.0
 
     def test_everyone_called_equals_treat_all(self):
         events = np.array([1, 1, 0, 0, 0], bool)
         point = net_benefit(events, np.ones(5), 0.3)
-        assert abs(point.net_benefit - point.treat_all_benefit) < 1e-12
+        assert abs(point.net_benefit - point.treat_all) < 1e-12
 
     def test_perfect_classifier_prevalence_04(self):
         events = np.array([1] * 4 + [0] * 6, bool)

@@ -1,5 +1,6 @@
-"""Golden test: the demo protocol reproduces the committed data/demo_out report."""
+"""Golden test: the demo protocol reproduces the committed data/demo_out artifacts."""
 
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -30,13 +31,34 @@ FLOAT_ABS_TOL = 1e-8
 SKIPPED = {("provenance", "config_hash"), ("provenance", "fold_model_hashes")}
 
 
+def _csv_cells(path):
+    """The rows of a CSV file, each cell as an int, a float or a string."""
+    def cell(text):
+        for kind in (int, float):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        return text
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [[cell(text) for text in row] for row in csv.reader(fh)]
+
+
 def test_demo_report_matches_committed_golden(tmp_path):
     config = dataclasses.replace(PipelineConfig.from_json_file(DATA / "demo.json"),
                                  out_dir=str(tmp_path))
     run_pipeline(config)
+    golden = DATA / "demo_out"
     got = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    want = json.loads((DATA / "demo_out" / "report.json").read_text(encoding="utf-8"))
+    want = json.loads((golden / "report.json").read_text(encoding="utf-8"))
     assert list(report_diff.differences(got, want, FLOAT_ABS_TOL, SKIPPED)) == []
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert len([n for n in names if n.endswith(".svg")]) == 4
+    for name in names:
+        if name.endswith(".csv"):
+            assert list(report_diff.differences(
+                _csv_cells(tmp_path / name), _csv_cells(golden / name), FLOAT_ABS_TOL)) == [], name
 
 
 def test_report_diff_walks_every_kind_of_difference(tmp_path, capsys):
@@ -63,15 +85,21 @@ def test_infinite_out_of_fold_score_fails_only_that_learner(tmp_path, monkeypatc
     cohort, _ = generate_synthetic(
         SyntheticSpec(n=120, true_coefficients=(1.0, -0.7), seed=2))
     write_cohort(cohort, tmp_path / "cohort.csv")
-    predict_fold = pipeline._predict_fold
+    coxboost = pipeline.LEARNERS["coxboost"]
 
-    def infinite_coxboost(fold_models, name, test, horizons):
-        scores, surv = predict_fold(fold_models, name, test, horizons)
-        if name == "coxboost":
-            scores = np.where(np.arange(scores.size) == 0, np.inf, scores)
-        return scores, surv
+    class FirstRowInfinite:
+        def __init__(self, model):
+            self.model = model
 
-    monkeypatch.setattr(pipeline, "_predict_fold", infinite_coxboost)
+        def predict(self, X, horizons):
+            scores, surv = self.model.predict(X, horizons)
+            return np.where(np.arange(scores.size) == 0, np.inf, scores), surv
+
+        def to_json(self):
+            return self.model.to_json()
+
+    monkeypatch.setitem(pipeline.LEARNERS, "coxboost", coxboost._replace(
+        fit=lambda *args: FirstRowInfinite(coxboost.fit(*args))))
     report = run_pipeline(PipelineConfig(
         cohort_csv=str(tmp_path / "cohort.csv"), out_dir=str(tmp_path / "out"),
         cv_folds=3, enabled_models=("cox", "coxboost"),

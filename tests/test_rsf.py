@@ -117,7 +117,7 @@ class TestBatchPrediction:
     def test_survival_matches_per_row_reference(self, forest, cohort):
         X, times = _rows(forest, cohort), _query_times(forest, cohort)
         expected = np.array([predict_survival(forest, x)(times) for x in X])
-        # drop a trailing column, as _predict_fold drops the risk-score column
+        # drop a trailing column, as Forest.predict drops the risk-score column
         chf = predict_chf_at(forest, X, np.append(times, 1.0))[:, :-1]
         assert np.array_equal(np.exp(-np.ascontiguousarray(chf)), expected)
 
