@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .cohort import (
     Cohort,
-    ColumnSchema,
     SyntheticSpec,
     apply_normalization,
     generate_synthetic,
@@ -28,7 +27,6 @@ from .stepfun import StepFunction
 
 __all__ = [
     "Cohort",
-    "ColumnSchema",
     "LogRankResult",
     "StepFunction",
     "SyntheticSpec",

@@ -36,12 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
-from .coxph import breslow_baseline, breslow_survival
+from .coxph import breslow_baseline, breslow_predict
 from .errors import (
     InvalidParameterError,
     NumericInputError,
-    ShapeError,
     TrainingError,
+    check_rows,
 )
 from .nonparametric import CoxLoss, RiskSets, canonical_order
 from .stepfun import StepFunction
@@ -242,18 +242,13 @@ class BoostedModel:
 
     def predict_risk(self, X) -> np.ndarray:
         """Sum of scaled learner outputs per row."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != len(self.feature_names):
-            raise ShapeError(f"expected {len(self.feature_names)} features, got {X.shape[1]}")
+        X = check_rows(X, len(self.feature_names))
         out = np.zeros(X.shape[0])
         for learner in self.base_learners:
             out += self.learning_rate * learner.predict(X)
         return out
 
-    def predict(self, X, horizons):
-        """(risk scores, S(h | x) per row and horizon) from the Breslow baseline."""
-        scores = self.predict_risk(X)
-        return scores, breslow_survival(self.baseline_chf, scores, horizons)
+    predict = breslow_predict
 
     def to_json(self) -> str:
         doc = {

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort, write_csv
 from .errors import InvalidParameterError, RecurriskError, SchemaError, reading
-from .metrics import auc_by_horizon, c_index, check_horizons
+from .metrics import check_horizons, discrimination
 from .pipeline import PipelineConfig, run_pipeline
 from .radiomics import extract_subjects
 
@@ -138,9 +138,8 @@ def _cmd_evaluate(args) -> int:
     cohort = load_cohort(args.scores)
     if cohort.feature_names != ("score",):
         raise SchemaError(f"{args.scores} needs exactly the columns id,time,event,score")
-    times, events, scores = cohort.times, cohort.events, cohort.X[:, 0]
-    result = {"n": len(cohort), "c_index": c_index(times, events, scores).c_index,
-              "auc": auc_by_horizon(times, events, scores, horizons)}
+    result = {"n": len(cohort),
+              **discrimination(cohort.times, cohort.events, cohort.X[:, 0], horizons)}
     text = json.dumps(result, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -145,26 +145,18 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Column-role mapping for CSV ingestion: every column that is not
-    id/time/event is a feature, in file order."""
-
-    time_column: str = "time"
-    event_column: str = "event"
-    id_column: str = "id"
-
-
-def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
+def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
+                event_column: str = "event") -> Cohort:
     """Read a comma-separated cohort file (header row, '.' decimals, UTF-8).
 
-    Row order is preserved; features are the non-role columns, in file order.
+    Row order is preserved; features are the columns other than the id,
+    time and event columns, in file order. Header names and ids are
+    stripped; blank lines are skipped but counted in row numbers.
     Raises InvalidParameterError for a file that cannot be read, SchemaError
     for missing columns, RowParseError for bad cells (non-numeric feature,
     time <= 0, event not in {0,1}, missing value, a repeated subject id) and
     EmptyCohortError for a file without data rows.
     """
-    schema = schema or ColumnSchema()
     with reading(f"cohort {path}"), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -172,26 +164,25 @@ def load_cohort(path, schema: ColumnSchema | None = None) -> Cohort:
         except StopIteration:
             raise EmptyCohortError(f"{path}: file is empty")
         header = [h.strip() for h in header]
-        reserved = (schema.time_column, schema.event_column, schema.id_column)
+        reserved = (time_column, event_column, id_column)
         for required in reserved:
             if required not in header:
                 raise SchemaError(f"{path}: missing column {required!r}")
         feature_names = tuple(h for h in header if h not in reserved)
         if not feature_names:
-            raise SchemaError(f"{path}: schema must name at least one feature column")
+            raise SchemaError(f"{path}: needs at least one feature column")
 
         col_index = {h: i for i, h in enumerate(header)}
-        id_idx = col_index[schema.id_column]
-        cols = [col_index[n] for n in (schema.time_column, schema.event_column,
-                                       *feature_names)]
+        id_idx = col_index[id_column]
+        cols = [col_index[n] for n in (time_column, event_column, *feature_names)]
         rows = ((row_no, row) for row_no, row in enumerate(reader, start=1)
                 if row and any(c.strip() for c in row))
         row_of_id, blocks = {}, []
         while block := list(islice(rows, _BLOCK_ROWS)):
             values = _convert_block(block, header, cols, id_idx, row_of_id)
             if values is None:     # let the cell-by-cell parser name the first bad row
-                values = np.array([_parse_row(row_no, row, header, cols, id_idx,
-                                              schema, row_of_id) for row_no, row in block])
+                values = np.array([_parse_row(row_no, row, header, cols, id_idx, row_of_id)
+                                   for row_no, row in block])
             blocks.append(values)
 
     if not row_of_id:
@@ -226,19 +217,18 @@ def _convert_block(block, header, cols, id_idx, row_of_id) -> np.ndarray | None:
     return values
 
 
-def _parse_row(row_no: int, row, header, cols, id_idx, schema: ColumnSchema,
-               row_of_id) -> list[float]:
-    """(time, event, *features) of one row, or the RowParseError of its
-    first bad cell; records its id in `row_of_id`, which holds the ids of
-    the rows before it."""
+def _parse_row(row_no: int, row, header, cols, id_idx, row_of_id) -> list[float]:
+    """(time, event, *features) of one row, whose cells `cols` hold them,
+    or the RowParseError of its first bad cell; records its id in
+    `row_of_id`, which holds the ids of the rows before it."""
     if len(row) != len(header):
         raise RowParseError(row_no, "<row>", f"expected {len(header)} cells, got {len(row)}")
     time, event = _parse_outcome(row[cols[0]], row[cols[1]], row_no,
-                                 schema.time_column, schema.event_column)
+                                 header[cols[0]], header[cols[1]])
     values = [time, event] + [_parse_number(row[i], row_no, header[i]) for i in cols[2:]]
     rid = row[id_idx].strip()
     if rid in row_of_id:
-        raise RowParseError(row_no, schema.id_column,
+        raise RowParseError(row_no, header[id_idx],
                             f"duplicate id {rid!r} (first on row {row_of_id[rid]})")
     row_of_id[rid] = row_no
     return values

@@ -22,11 +22,19 @@ from .errors import (
     InvalidParameterError,
     NonconvergenceError,
     NumericInputError,
-    ShapeError,
     TrainingError,
+    check_rows,
 )
 from .nonparametric import CoxLoss, RiskSets
 from .stepfun import StepFunction
+
+
+def breslow_predict(model, X, horizons):
+    """(risk scores, S(h | x) = exp(-H0(h) * exp(score)) per row and horizon)
+    of a model with `predict_risk` and a Breslow `baseline_chf`."""
+    scores = model.predict_risk(X)
+    h0 = np.array([model.baseline_chf(h) for h in horizons])
+    return scores, np.exp(-h0[None, :] * np.exp(scores)[:, None])
 
 
 @dataclass(frozen=True)
@@ -40,15 +48,9 @@ class CoxModel:
 
     def predict_risk(self, X) -> np.ndarray:
         """Linear predictor beta' x per row."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.coefficients.size:
-            raise ShapeError(f"expected {self.coefficients.size} features, got {X.shape[1]}")
-        return X @ self.coefficients
+        return check_rows(X, self.coefficients.size) @ self.coefficients
 
-    def predict(self, X, horizons):
-        """(risk scores, S(h | x) per row and horizon) from the Breslow baseline."""
-        scores = self.predict_risk(X)
-        return scores, breslow_survival(self.baseline_chf, scores, horizons)
+    predict = breslow_predict
 
     def to_json(self) -> str:
         doc = {
@@ -102,13 +104,6 @@ def breslow_baseline(risk: RiskSets, scores) -> StepFunction:
     loss = CoxLoss(risk, scores)
     increments = risk.deaths / (loss.s0[risk.blocks] * np.exp(loss.shift))
     return StepFunction(risk.times[risk.blocks], np.cumsum(increments), 0.0)
-
-
-def breslow_survival(baseline: StepFunction, scores, horizons) -> np.ndarray:
-    """S(h | x) = exp(-H0(h) * exp(score)) for every score and horizon:
-    shape (len(scores), len(horizons))."""
-    h0 = np.array([baseline(h) for h in horizons])
-    return np.exp(-h0[None, :] * np.exp(scores)[:, None])
 
 
 def check_cox_params(ties: str, max_iter: int, tol: float, ridge: float) -> None:

@@ -10,6 +10,8 @@ import types
 import typing
 from contextlib import contextmanager
 
+import numpy as np
+
 
 class RecurriskError(Exception):
     """Base class for all toolkit errors."""
@@ -42,6 +44,15 @@ class CalibrationError(RecurriskError):
 
 class ShapeError(RecurriskError):
     """Array dimensions do not match what the operation requires."""
+
+
+def check_rows(X, width: int) -> np.ndarray:
+    """X as a float array of at least two dimensions; ShapeError unless it
+    is a matrix of rows `width` features wide."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ShapeError(f"expected rows of {width} features, got shape {X.shape}")
+    return X
 
 
 class EmptyRegionError(RecurriskError):

@@ -150,6 +150,12 @@ def auc_by_horizon(times, events, scores, horizons) -> dict:
     return by_horizon(lambda _, h: auc_summary(times, events, scores, h), horizons)
 
 
+def discrimination(times, events, scores, horizons) -> dict:
+    """{"c_index": Harrell's C, "auc": auc_by_horizon} of one score vector."""
+    return {"c_index": c_index(times, events, scores).c_index,
+            "auc": auc_by_horizon(times, events, scores, horizons)}
+
+
 def brier(t, survival_probs, times, events) -> float:
     """IPCW (Graf) Brier score at horizon t.
 

@@ -25,7 +25,6 @@ from . import __version__
 from .boosting import BoostParams, fit_boosted
 from .cohort import (
     Cohort,
-    ColumnSchema,
     ConstantFeatureWarning,
     apply_normalization,
     load_cohort,
@@ -50,13 +49,12 @@ from .errors import (
 )
 from .explain import feature_importance
 from .metrics import (
-    auc_by_horizon,
     brier,
     by_horizon,
-    c_index,
     calibration_table,
     check_horizons,
     dca_inputs,
+    discrimination,
     net_benefit,
 )
 from .nonparametric import kaplan_meier, log_rank, median_survival_time
@@ -281,9 +279,8 @@ def run_pipeline(config: PipelineConfig):
 
     Returns the report as a plain dict (exactly what lands in report.json).
     """
-    cohort = load_cohort(config.cohort_csv, ColumnSchema(
-        time_column=config.time_column, event_column=config.event_column,
-        id_column=config.id_column))
+    cohort = load_cohort(config.cohort_csv, id_column=config.id_column,
+                         time_column=config.time_column, event_column=config.event_column)
 
     if config.voxel_grid_dir is not None:
         cohort = _attach_radiomics(cohort, config)
@@ -371,9 +368,7 @@ def _attach_radiomics(cohort: Cohort, config: PipelineConfig) -> Cohort:
 
 
 def _evaluate_model(times, events, scores, surv, horizons):
-    out = {"status": "ok"}
-    out["c_index"] = c_index(times, events, scores).c_index
-    out["auc"] = auc_by_horizon(times, events, scores, horizons)
+    out = {"status": "ok", **discrimination(times, events, scores, horizons)}
     out["brier"] = by_horizon(lambda k, h: brier(h, surv[:, k], times, events), horizons)
 
     t_star = horizons[-1]
@@ -506,8 +501,7 @@ def _temporal_lane(cohort: Cohort, folds, by_id: dict, config: PipelineConfig):
     except RecurriskError as exc:
         return {"status": "failed", "error": str(exc)}
 
-    return {"status": "ok", "c_index": c_index(times, events, oof).c_index,
-            "auc": auc_by_horizon(times, events, oof, config.horizons)}
+    return {"status": "ok", **discrimination(times, events, oof, config.horizons)}
 
 
 # --- artifact emission -------------------------------------------------------
@@ -542,11 +536,10 @@ def _write_artifacts(report: dict, cohort: Cohort, oof_scores, config: PipelineC
     emit_plots(report, out)
 
 
-def emit_plots(report: dict, outdir) -> list[str]:
-    """Write the KM, AUC-by-horizon, calibration and DCA SVGs; returns paths."""
+def emit_plots(report: dict, outdir) -> None:
+    """Write the KM, AUC-by-horizon, calibration and DCA SVGs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
     chosen = report["chosen_model"]
     strat = report["stratification"]
 
@@ -561,7 +554,7 @@ def emit_plots(report: dict, outdir) -> list[str]:
         "survival probability",
         annotations=[f"log-rank p = {strat['log_rank_p']:.4g}"],
         y_range=(0.0, 1.05))
-    written.append(_write_text(outdir / "km_groups.svg", km_svg))
+    _write_text(outdir / "km_groups.svg", km_svg)
 
     ok_models = [(n, r) for n, r in report["models"].items() if r.get("status") == "ok"]
     if ok_models:
@@ -576,7 +569,7 @@ def emit_plots(report: dict, outdir) -> list[str]:
         if series:
             svg = render_plot(series, "Time-dependent AUC", "horizon (months)",
                               "AUC", y_range=(0.4, 1.0))
-            written.append(_write_text(outdir / "auc_horizons.svg", svg))
+            _write_text(outdir / "auc_horizons.svg", svg)
 
     rep = report["models"].get(chosen)
     if rep and rep.get("status") == "ok":
@@ -589,7 +582,7 @@ def emit_plots(report: dict, outdir) -> list[str]:
         svg = render_plot(cal_series, f"Calibration at {rep['dca_horizon']:g} months",
                           "predicted risk", "observed risk",
                           x_range=(0.0, 1.0), y_range=(0.0, 1.05))
-        written.append(_write_text(outdir / "calibration.svg", svg))
+        _write_text(outdir / "calibration.svg", svg)
 
         dca = rep["dca"]
         xs = [p["threshold"] for p in dca]
@@ -600,11 +593,9 @@ def emit_plots(report: dict, outdir) -> list[str]:
         ]
         svg = render_plot(dca_series, f"Decision curve at {rep['dca_horizon']:g} months",
                           "threshold probability", "net benefit")
-        written.append(_write_text(outdir / "dca.svg", svg))
-    return written
+        _write_text(outdir / "dca.svg", svg)
 
 
-def _write_text(path: Path, text: str) -> str:
+def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    return str(path)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
-from .errors import InvalidParameterError, ShapeError, TrainingError
+from .errors import InvalidParameterError, TrainingError, check_rows
 from .nonparametric import _event_table, nelson_aalen
 from .stepfun import StepFunction, average_step_functions
 from .tree import TreeSplit, grow, route, to_dict
@@ -169,9 +169,7 @@ def fit_rsf(cohort: Cohort, params: ForestParams) -> Forest:
 
 def predict_chf(forest: Forest, x) -> StepFunction:
     """Ensemble cumulative hazard: mean of terminal CHFs over all trees."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if x.shape[1] != len(forest.feature_names):
-        raise ShapeError(f"expected {len(forest.feature_names)} features, got {x.shape[1]}")
+    x = check_rows(np.ravel(x), len(forest.feature_names))
     return average_step_functions([leaf.chf for tree in forest.trees
                                    for leaf, _ in route(tree.root, x)])
 
@@ -187,10 +185,7 @@ def predict_chf_at(forest: Forest, X, times) -> np.ndarray:
     Equals predict_chf(forest, X[i])(times) exactly, without building the
     union-knot average for each row.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.ndim != 2 or X.shape[1] != len(forest.feature_names):
-        raise ShapeError(f"expected rows of {len(forest.feature_names)} features, "
-                         f"got shape {X.shape}")
+    X = check_rows(X, len(forest.feature_names))
     times = np.asarray(times, dtype=float).ravel()
     total = np.zeros((X.shape[0], times.size))
     tree_chf = np.empty_like(total)

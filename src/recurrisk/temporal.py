@@ -32,6 +32,7 @@ from .errors import (
     InvalidParameterError,
     NumericInputError,
     RowParseError,
+    SchemaError,
     ShapeError,
     TrainingError,
     reading,
@@ -255,26 +256,33 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
 def load_longitudinal(path) -> list[SnapshotSequence]:
     """Sequences from a CSV with columns id, snapshot_index, time, event and
     one column per snapshot feature; snapshots ordered by snapshot_index.
-    A bad cell, a time <= 0, an event other than 0/1, a time or event that
-    differs from the subject's earlier rows, or a snapshot_index repeated
-    within a subject raises RowParseError."""
+    As in `cohort.load_cohort`, header names and ids are stripped, blank
+    lines are skipped but counted in row numbers, and a missing column
+    raises SchemaError. A bad cell, a time <= 0, an event other than 0/1, a
+    time or event that differs from the subject's earlier rows, or a
+    snapshot_index repeated within a subject raises RowParseError."""
     outcomes: dict[str, tuple[float, int]] = {}
     snapshots: dict[str, dict[int, list[float]]] = {}
     with reading(f"longitudinal file {path}"), \
             open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "snapshot_index", "time", "event"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ShapeError(f"{path}: longitudinal CSV needs columns {sorted(required)}")
-        feature_cols = [c for c in reader.fieldnames if c not in required]
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        required = ("id", "snapshot_index", "time", "event")
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing column {missing[0]!r}")
+        sid_at, index_at, time_at, event_at = (header.index(c) for c in required)
+        feature_cols = [i for i, c in enumerate(header) if c not in required]
         for row_no, row in enumerate(reader, start=1):
-            if None in row or None in row.values():
+            if not any(c.strip() for c in row):
+                continue
+            if len(row) != len(header):
                 raise RowParseError(row_no, "<row>",
-                                    f"expected {len(reader.fieldnames)} cells")
-            sid = row["id"]
-            index = _parse_int(row["snapshot_index"], row_no, "snapshot_index")
-            outcome = _parse_outcome(row["time"], row["event"], row_no, "time", "event")
-            features = [_parse_number(row[c], row_no, c) for c in feature_cols]
+                                    f"expected {len(header)} cells, got {len(row)}")
+            sid = row[sid_at].strip()
+            index = _parse_int(row[index_at], row_no, "snapshot_index")
+            outcome = _parse_outcome(row[time_at], row[event_at], row_no, "time", "event")
+            features = [_parse_number(row[i], row_no, header[i]) for i in feature_cols]
             earlier = outcomes.setdefault(sid, outcome)
             for column, here, before in zip(("time", "event"), outcome, earlier):
                 if here != before:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from recurrisk import cohort as cohort_module
 from recurrisk.cohort import (
     Cohort,
-    ColumnSchema,
     ConstantFeatureWarning,
     SyntheticSpec,
     apply_normalization,
@@ -40,7 +39,7 @@ class TestLoadCohort:
     def test_single_row_file(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("id,t,e,x\np1,12.0,1,0.5\n")
-        cohort = load_cohort(path, ColumnSchema(time_column="t", event_column="e"))
+        cohort = load_cohort(path, time_column="t", event_column="e")
         assert len(cohort) == 1
         assert (list(cohort.ids), cohort.times.tolist(), cohort.events.tolist(),
                 cohort.X.tolist()) == (["p1"], [12.0], [1], [[0.5]])
@@ -49,7 +48,7 @@ class TestLoadCohort:
         path = tmp_path / "bad.csv"
         path.write_text("id,t,e,x\np1,12.0,2,0.5\n")
         with pytest.raises(RowParseError) as err:
-            load_cohort(path, ColumnSchema(time_column="t", event_column="e"))
+            load_cohort(path, time_column="t", event_column="e")
         assert err.value.row == 1
         assert err.value.column == "e"
 
@@ -95,7 +94,7 @@ class TestLoadCohort:
         path = tmp_path / "dup.csv"
         path.write_text("pid,time,event,x\np1,3.0,1,0.5\np2,4.0,0,0.1\np1,5.0,1,0.2\n")
         with pytest.raises(RowParseError) as err:
-            load_cohort(path, ColumnSchema(id_column="pid"))
+            load_cohort(path, id_column="pid")
         assert err.value.row == 3
         assert err.value.column == "pid"
 

@@ -76,7 +76,7 @@ def nonlinear(X):
 def test_exact_matches_permutation_oracle(d):
     rng = np.random.default_rng(d)
     x, background = rng.standard_normal(d), rng.standard_normal(d)
-    phi = exact_shapley(nonlinear, x, background).values
+    phi = exact_shapley(nonlinear, x, background)
     np.testing.assert_allclose(phi, shapley_permutation_oracle(nonlinear, x, background),
                                rtol=1e-12, atol=1e-12)
 
@@ -86,7 +86,7 @@ def test_one_weighted_sum_equals_the_per_feature_loop(d):
     rng = np.random.default_rng(20 + d)
     for _ in range(3):
         x, background = rng.standard_normal(d), rng.standard_normal(d)
-        phi = exact_shapley(nonlinear, x, background).values
+        phi = exact_shapley(nonlinear, x, background)
         assert np.array_equal(phi, shapley_per_feature_loop(nonlinear, x, background))
 
 
@@ -94,11 +94,9 @@ def test_one_weighted_sum_equals_the_per_feature_loop(d):
 def test_attributions_sum_to_the_explained_difference(d):
     rng = np.random.default_rng(10 + d)
     x, background = rng.standard_normal(d), rng.standard_normal(d)
-    result = exact_shapley(nonlinear, x, background)
-    assert result.explained == nonlinear(x[None, :])[0]
-    assert result.baseline == nonlinear(background[None, :])[0]
-    assert np.sum(result.values) == pytest.approx(result.explained - result.baseline,
-                                                  rel=1e-12, abs=1e-12)
+    phi = exact_shapley(nonlinear, x, background)
+    explained, baseline = nonlinear(x[None, :])[0], nonlinear(background[None, :])[0]
+    assert np.sum(phi) == pytest.approx(explained - baseline, rel=1e-12, abs=1e-12)
 
 
 def test_linear_model_attributions_are_weighted_differences():
@@ -110,7 +108,7 @@ def test_linear_model_attributions_are_weighted_differences():
         def predict_risk(self, X):
             return np.atleast_2d(X) @ beta
 
-    phi = exact_shapley(Linear(), x, background).values
+    phi = exact_shapley(Linear(), x, background)
     np.testing.assert_allclose(phi, beta * (x - background), rtol=1e-12, atol=1e-13)
 
 

@@ -5,6 +5,7 @@ a fold and nothing else."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,8 +47,11 @@ def test_every_learner_answers_the_model_protocol(cohort, name):
 @pytest.mark.parametrize("name", MODEL_ORDER)
 def test_a_matrix_of_the_wrong_width_raises_shape_error(cohort, name):
     model = LEARNERS[name].fit(cohort, SMALL[name], 0, 0)
-    with pytest.raises(ShapeError):
-        model.predict_risk(np.hstack([cohort.X, cohort.X[:, :1]]))
+    d = cohort.n_features
+    for X in (np.hstack([cohort.X, cohort.X[:, :1]]), np.zeros((2, d, d))):
+        message = f"expected rows of {d} features, got shape {X.shape}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            model.predict_risk(X)
 
 
 @pytest.mark.parametrize("name", MODEL_ORDER)

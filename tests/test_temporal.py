@@ -6,12 +6,13 @@ import pytest
 
 from recurrisk import pipeline
 from recurrisk.boosting import cox_gradients, cox_negloglik
-from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
+from recurrisk.cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort
 from recurrisk.errors import (
     NumericInputError,
     PipelineError,
     RecurriskError,
     RowParseError,
+    SchemaError,
     ShapeError,
 )
 from recurrisk.nonparametric import RiskSets
@@ -106,6 +107,34 @@ class TestLongitudinalCsv:
         with pytest.raises(RowParseError, match=message) as info:
             load_longitudinal(path)
         assert (info.value.row, info.value.column) == (row, column)
+
+
+    @pytest.mark.parametrize("text, expected", [
+        ("id, snapshot_index, time, event, x0\n a, 1, 3.5, 1, 0.1\n b, 1, 4.5, 0, 0.2\n",
+         [("a", 3.5, 1, [[0.1]]), ("b", 4.5, 0, [[0.2]])]),
+        ("id,snapshot_index,time,event,x0\na,1,3.5,1,0.1\n\nb,1,4.5,0,abc\n",
+         (RowParseError, 3, "x0")),
+        ("id,snapshot_index,event,x0\na,1,1,0.1\n", (SchemaError, None, None)),
+    ], ids=["spaced-separators", "blank-line-then-bad-cell", "missing-column"])
+    def test_reader_follows_the_cohort_readers_conventions(self, tmp_path, text, expected):
+        """One snapshot per subject, so load_cohort reads the same file, with
+        snapshot_index as a feature, and must agree on ids and errors."""
+        path = tmp_path / "longitudinal.csv"
+        path.write_text(text, encoding="utf-8")
+
+        def read(load):
+            try:
+                return load(path)
+            except RecurriskError as exc:
+                return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+        cohort = read(load_cohort)
+        if isinstance(expected, tuple):
+            assert read(load_longitudinal) == cohort == expected
+        else:
+            assert [(s.subject_id, s.time, s.event, s.snapshots.tolist())
+                    for s in load_longitudinal(path)] == expected
+            assert list(cohort.ids) == [sid for sid, *_ in expected]
 
 
 class TestTemporalLane:
