@@ -95,9 +95,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with reading(f"spec {args.spec}"):
-        with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    with reading("spec", args.spec) as fh:
+        doc = json.load(fh)
     spec = SyntheticSpec.from_json(doc, where=f"spec {args.spec}")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -142,7 +141,7 @@ def _cmd_evaluate(args) -> int:
               **discrimination(cohort.times, cohort.events, cohort.X[:, 0], horizons)}
     text = json.dumps(result, sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        Path(args.out).write_text(text + "\n", encoding="utf-8", newline="\n")
     else:
         print(text)
     return 0

@@ -10,7 +10,6 @@ predictor eta is returned alongside the cohort.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -147,7 +146,8 @@ def _read_only(values, dtype) -> np.ndarray:
 
 def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
                 event_column: str = "event") -> Cohort:
-    """Read a comma-separated cohort file (header row, '.' decimals, UTF-8).
+    """Read a comma-separated cohort file (header row, '.' decimals, UTF-8,
+    with or without a byte-order mark).
 
     Row order is preserved; features are the columns other than the id,
     time and event columns, in file order. Header names and ids are
@@ -157,17 +157,9 @@ def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
     time <= 0, event not in {0,1}, missing value, a repeated subject id) and
     EmptyCohortError for a file without data rows.
     """
-    with reading(f"cohort {path}"), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyCohortError(f"{path}: file is empty")
-        header = [h.strip() for h in header]
-        reserved = (time_column, event_column, id_column)
-        for required in reserved:
-            if required not in header:
-                raise SchemaError(f"{path}: missing column {required!r}")
+    reserved = (time_column, event_column, id_column)
+    with reading("cohort", path) as fh:
+        header, rows = read_table(fh, path, reserved)
         feature_names = tuple(h for h in header if h not in reserved)
         if not feature_names:
             raise SchemaError(f"{path}: needs at least one feature column")
@@ -175,8 +167,6 @@ def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
         col_index = {h: i for i, h in enumerate(header)}
         id_idx = col_index[id_column]
         cols = [col_index[n] for n in (time_column, event_column, *feature_names)]
-        rows = ((row_no, row) for row_no, row in enumerate(reader, start=1)
-                if row and any(c.strip() for c in row))
         row_of_id, blocks = {}, []
         while block := list(islice(rows, _BLOCK_ROWS)):
             values = _convert_block(block, header, cols, id_idx, row_of_id)
@@ -189,6 +179,23 @@ def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
         raise EmptyCohortError(f"{path}: no data rows")
     values = np.concatenate(blocks)
     return Cohort(feature_names, list(row_of_id), values[:, 0], values[:, 1], values[:, 2:])
+
+
+def read_table(fh, path, required):
+    """The stripped header names of the CSV table in `fh`, and its lines
+    that hold a non-blank cell as (row_no, cells), blank lines counted.
+    EmptyCohortError without a header line; SchemaError naming the first
+    name in `required` that the header lacks."""
+    reader = csv.reader(fh)
+    first = next(reader, None)
+    if first is None:
+        raise EmptyCohortError(f"{path}: file is empty")
+    header = [h.strip() for h in first]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing column {missing[0]!r}")
+    return header, ((row_no, row) for row_no, row in enumerate(reader, start=1)
+                    if any(c.strip() for c in row))
 
 
 _BLOCK_ROWS = 2048  # rows load_cohort converts with one np.array call
@@ -343,12 +350,11 @@ class SyntheticSpec:
         object.__setattr__(self, "true_coefficients", tuple(float(b) for b in self.true_coefficients))
 
     @staticmethod
-    def from_json(doc: str | dict, where: str = "spec") -> "SyntheticSpec":
-        """A spec from a JSON object or its text. An unknown key, a missing
+    def from_json(doc: dict, where: str = "spec") -> "SyntheticSpec":
+        """A spec from a decoded JSON object. An unknown key, a missing
         `n` or `true_coefficients`, or a value not of its field's type
         raises InvalidParameterError naming `where`."""
-        data = json.loads(doc) if isinstance(doc, str) else doc
-        return SyntheticSpec(**checked(where, data, declared(SyntheticSpec)))
+        return SyntheticSpec(**checked(where, doc, declared(SyntheticSpec)))
 
 
 def _linear_predictor(X: np.ndarray, spec: SyntheticSpec) -> np.ndarray:

@@ -111,14 +111,15 @@ class PipelineError(RecurriskError):
 
 
 @contextmanager
-def reading(what: str):
-    """Re-raise the OS, missing-field, type and value errors of reading an
-    input file as InvalidParameterError naming `what`."""
+def reading(what: str, path):
+    """Open the input file `path` as UTF-8 text, with or without a byte-order
+    mark, and yield it; its OS, type and value errors (a decoding error is
+    one) are re-raised as InvalidParameterError naming `what` and `path`."""
     try:
-        yield
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise InvalidParameterError(f"{what}: {reason}") from None
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except (OSError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{what} {path}: {exc}") from None
 
 
 def declared(target, *skip) -> dict:

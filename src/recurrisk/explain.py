@@ -87,21 +87,23 @@ def median_background(cohort: Cohort) -> np.ndarray:
 
 
 def mean_abs_shapley(model, sample: np.ndarray, background,
-                     feature_names=None) -> list[tuple[str, float]]:
-    """Mean |phi_j| over the sample rows, sorted descending. A row width
-    other than the background's raises InvalidParameterError."""
+                     feature_names) -> list[tuple[str, float]]:
+    """(name, mean |phi_j| over the sample rows), sorted descending. A row
+    width other than the background's or the number of names raises
+    InvalidParameterError."""
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if sample.shape[0] < 1:
         raise InvalidParameterError("sample must contain at least one row")
+    if len(feature_names) != sample.shape[1]:
+        raise InvalidParameterError(f"expected {sample.shape[1]} feature names, one per "
+                                    f"sample column, got {len(feature_names)}")
     predict = _as_predictor(model)
     totals = np.zeros(sample.shape[1])
     for row in sample:
         totals += np.abs(exact_shapley(predict, row, background))
     means = totals / sample.shape[0]
-    names = feature_names if feature_names is not None \
-        else [f"x{j}" for j in range(sample.shape[1])]
     order = np.argsort(-means, kind="stable")
-    return [(names[j], float(means[j])) for j in order]
+    return [(feature_names[j], float(means[j])) for j in order]
 
 
 def permutation_importance(model, cohort: Cohort, repeats: int = 10,

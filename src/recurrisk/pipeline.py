@@ -174,9 +174,8 @@ class PipelineConfig:
         folder. An unreadable or malformed file, a missing `cohort_csv`, an
         unknown key or a value of the wrong type raises InvalidParameterError."""
         path = Path(path)
-        with reading(f"config {path}"):
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+        with reading("config", path) as fh:
+            doc = json.load(fh)
         config = PipelineConfig(**checked(f"config {path}", doc, declared(PipelineConfig)))
         return replace(config, **{name: str(path.parent / getattr(config, name))
                                   for name in PATH_FIELDS if getattr(config, name) is not None})
@@ -507,15 +506,11 @@ def _temporal_lane(cohort: Cohort, folds, by_id: dict, config: PipelineConfig):
 # --- artifact emission -------------------------------------------------------
 
 
-def report_json_bytes(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
-
-
 def _write_artifacts(report: dict, cohort: Cohort, oof_scores, config: PipelineConfig):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "wb") as fh:
-        fh.write(report_json_bytes(report))
+    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
+                                     encoding="utf-8", newline="\n")
 
     write_csv(out / "oof_scores.csv", ["id", "time", "event", *oof_scores.keys()],
               zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
@@ -536,10 +531,8 @@ def _write_artifacts(report: dict, cohort: Cohort, oof_scores, config: PipelineC
     emit_plots(report, out)
 
 
-def emit_plots(report: dict, outdir) -> None:
-    """Write the KM, AUC-by-horizon, calibration and DCA SVGs."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def emit_plots(report: dict, outdir: Path) -> None:
+    """Write the KM, AUC-by-horizon, calibration and DCA SVGs into `outdir`."""
     chosen = report["chosen_model"]
     strat = report["stratification"]
 
@@ -554,7 +547,7 @@ def emit_plots(report: dict, outdir) -> None:
         "survival probability",
         annotations=[f"log-rank p = {strat['log_rank_p']:.4g}"],
         y_range=(0.0, 1.05))
-    _write_text(outdir / "km_groups.svg", km_svg)
+    (outdir / "km_groups.svg").write_text(km_svg, encoding="utf-8", newline="\n")
 
     ok_models = [(n, r) for n, r in report["models"].items() if r.get("status") == "ok"]
     if ok_models:
@@ -569,7 +562,7 @@ def emit_plots(report: dict, outdir) -> None:
         if series:
             svg = render_plot(series, "Time-dependent AUC", "horizon (months)",
                               "AUC", y_range=(0.4, 1.0))
-            _write_text(outdir / "auc_horizons.svg", svg)
+            (outdir / "auc_horizons.svg").write_text(svg, encoding="utf-8", newline="\n")
 
     rep = report["models"].get(chosen)
     if rep and rep.get("status") == "ok":
@@ -582,7 +575,7 @@ def emit_plots(report: dict, outdir) -> None:
         svg = render_plot(cal_series, f"Calibration at {rep['dca_horizon']:g} months",
                           "predicted risk", "observed risk",
                           x_range=(0.0, 1.0), y_range=(0.0, 1.05))
-        _write_text(outdir / "calibration.svg", svg)
+        (outdir / "calibration.svg").write_text(svg, encoding="utf-8", newline="\n")
 
         dca = rep["dca"]
         xs = [p["threshold"] for p in dca]
@@ -593,9 +586,4 @@ def emit_plots(report: dict, outdir) -> None:
         ]
         svg = render_plot(dca_series, f"Decision curve at {rep['dca_horizon']:g} months",
                           "threshold probability", "net benefit")
-        _write_text(outdir / "dca.svg", svg)
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        (outdir / "dca.svg").write_text(svg, encoding="utf-8", newline="\n")

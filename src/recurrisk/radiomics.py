@@ -291,11 +291,15 @@ def extract_all(grid: VoxelGrid, mask: RegionMask, levels: int = 32) -> dict[str
 
 
 # --- text file format --------------------------------------------------------
-# line 1: "dims nx ny nz" / line 2: "spacing sx sy sz" / then intensities,
-# whitespace-separated, x-fastest. Masks use the same layout with 0/1 values.
+# UTF-8, with or without a byte-order mark. Line 1: "dims nx ny nz" / line 2:
+# "spacing sx sy sz" / then intensities, whitespace-separated, x-fastest.
+# Masks use the same layout with 0/1 values.
 
 
-def _read_header(lines, path):
+def _read_lattice(path, what):
+    """(dims, spacing, values) of the grid or mask file at `path`."""
+    with reading(what, path) as fh:
+        lines = fh.read().strip().splitlines()
     if len(lines) < 3:
         raise RowParseError(1, "header", f"{path}: expected header plus data")
     d = lines[0].split()
@@ -324,16 +328,11 @@ def _numbers(tokens, dtype, row, column, path) -> np.ndarray:
 
 
 def load_voxel_grid(path) -> VoxelGrid:
-    with reading(f"voxel grid {path}"), open(path, encoding="utf-8") as fh:
-        lines = fh.read().strip().splitlines()
-    dims, spacing, flat = _read_header(lines, path)
-    return VoxelGrid(dims, spacing, flat)
+    return VoxelGrid(*_read_lattice(path, "voxel grid"))
 
 
 def load_region_mask(path) -> RegionMask:
-    with reading(f"region mask {path}"), open(path, encoding="utf-8") as fh:
-        lines = fh.read().strip().splitlines()
-    dims, _, flat = _read_header(lines, path)
+    dims, _, flat = _read_lattice(path, "region mask")
     return RegionMask(dims, flat)
 
 

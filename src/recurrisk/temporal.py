@@ -21,18 +21,16 @@ over the batch. Scoring one subject is a batch of one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .boosting import cox_gradients, cox_negloglik
-from .cohort import _parse_number, _parse_outcome
+from .cohort import _parse_number, _parse_outcome, read_table
 from .errors import (
     InvalidParameterError,
     NumericInputError,
     RowParseError,
-    SchemaError,
     ShapeError,
     TrainingError,
     reading,
@@ -256,26 +254,20 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
 def load_longitudinal(path) -> list[SnapshotSequence]:
     """Sequences from a CSV with columns id, snapshot_index, time, event and
     one column per snapshot feature; snapshots ordered by snapshot_index.
-    As in `cohort.load_cohort`, header names and ids are stripped, blank
-    lines are skipped but counted in row numbers, and a missing column
-    raises SchemaError. A bad cell, a time <= 0, an event other than 0/1, a
-    time or event that differs from the subject's earlier rows, or a
-    snapshot_index repeated within a subject raises RowParseError."""
+    As in `cohort.load_cohort`, the file is UTF-8 with or without a
+    byte-order mark, header names and ids are stripped, blank lines are
+    skipped but counted in row numbers, an empty file raises EmptyCohortError
+    and a missing column SchemaError. A bad cell, a time <= 0, an event other
+    than 0/1, a time or event that differs from the subject's earlier rows,
+    or a snapshot_index repeated within a subject raises RowParseError."""
     outcomes: dict[str, tuple[float, int]] = {}
     snapshots: dict[str, dict[int, list[float]]] = {}
-    with reading(f"longitudinal file {path}"), \
-            open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        required = ("id", "snapshot_index", "time", "event")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing column {missing[0]!r}")
+    required = ("id", "snapshot_index", "time", "event")
+    with reading("longitudinal file", path) as fh:
+        header, rows = read_table(fh, path, required)
         sid_at, index_at, time_at, event_at = (header.index(c) for c in required)
         feature_cols = [i for i, c in enumerate(header) if c not in required]
-        for row_no, row in enumerate(reader, start=1):
-            if not any(c.strip() for c in row):
-                continue
+        for row_no, row in rows:
             if len(row) != len(header):
                 raise RowParseError(row_no, "<row>",
                                     f"expected {len(header)} cells, got {len(row)}")

@@ -81,7 +81,9 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert run_probe(f"import sys, recurrisk.cli; {SCIPY_PROBE}").strip() == "[]"
 
 
-def test_run_with_grids_and_snapshots_loads_no_scipy(tmp_path):
+def _full_run_config(tmp_path):
+    """The path of a cox-only run config, written next to a 40-subject cohort
+    CSV, a longitudinal CSV and a folder of voxel grids and region masks."""
     spec = SyntheticSpec(n=40, true_coefficients=(1.0, -1.0), seed=4)
     cohort, _ = generate_synthetic(spec)
     write_cohort(cohort, tmp_path / "cohort.csv")
@@ -99,6 +101,11 @@ def test_run_with_grids_and_snapshots_loads_no_scipy(tmp_path):
                                   "voxel_grid_dir": "grids",
                                   "longitudinal_csv": "longitudinal.csv",
                                   "temporal_params": {"epochs": 2}}), encoding="utf-8")
+    return config
+
+
+def test_run_with_grids_and_snapshots_loads_no_scipy(tmp_path):
+    config = _full_run_config(tmp_path)
     out = run_probe("import sys; from recurrisk.cli import main; "
                     f"assert main(['run', '--config', {str(config)!r}, '--quiet']) == 0; "
                     + SCIPY_PROBE)
@@ -347,6 +354,43 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, make_args, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+BOM_COMMANDS = {
+    "run": lambda tmp, out: ["run", "--config", str(tmp / "config.json"), "--out", str(out)],
+    "simulate": lambda tmp, out: ["simulate", "--spec", str(tmp / "spec.json"),
+                                  "--out", str(out / "cohort.csv"),
+                                  "--scores-out", str(out / "true_scores.csv")],
+    "evaluate": lambda tmp, out: ["evaluate", "--scores", str(tmp / "scores.csv"),
+                                  "--out", str(out / "metrics.json")],
+}
+
+
+@pytest.mark.parametrize("command, pattern", [
+    ("run", "config.json"), ("run", "cohort.csv"), ("run", "longitudinal.csv"),
+    ("run", "grids/*_grid.txt"), ("run", "grids/*_mask.txt"),
+    ("simulate", "spec.json"), ("evaluate", "scores.csv"),
+], ids=["run-config", "run-cohort", "run-longitudinal", "run-grid", "run-mask",
+        "simulate-spec", "evaluate-scores"])
+def test_every_input_kind_reads_the_same_with_a_byte_order_mark(scores_csv, tmp_path,
+                                                                command, pattern):
+    # spreadsheets save "CSV UTF-8" with a leading byte-order mark
+    _full_run_config(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({"n": 50, "true_coefficients": [1.0, -0.5]}),
+                                        encoding="utf-8")
+
+    def outputs(name):
+        out = tmp_path / name
+        out.mkdir()
+        assert main([*BOM_COMMANDS[command](tmp_path, out), "--quiet"]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    plain = outputs("plain")
+    marked = list(tmp_path.glob(pattern))
+    assert marked
+    for path in marked:
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert outputs("bom") == plain
 
 
 def test_unknown_command_exits_2_with_the_choices(capsys):

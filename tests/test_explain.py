@@ -129,9 +129,14 @@ def test_mismatched_shapes_are_rejected(x, background):
         exact_shapley(nonlinear, x, background)
 
 
-def test_sample_width_must_match_the_background():
-    with pytest.raises(InvalidParameterError, match="x must be one row"):
-        mean_abs_shapley(nonlinear, np.zeros((5, 3)), np.zeros(4))
+@pytest.mark.parametrize("background, names, message", [
+    (np.zeros(4), ("a", "b", "c"), "x must be one row"),
+    (np.zeros(3), ("a",), "expected 3 feature names, one per sample column, got 1"),
+    (np.zeros(3), ("a", "b", "c", "d"), "expected 3 feature names, one per sample column, got 4"),
+], ids=["wide-background", "short-names", "long-names"])
+def test_sample_width_must_match_the_background(background, names, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        mean_abs_shapley(nonlinear, np.zeros((5, 3)), background, names)
 
 
 def test_wide_cohorts_fall_back_to_permutation_importance():

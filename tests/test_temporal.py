@@ -8,6 +8,7 @@ from recurrisk import pipeline
 from recurrisk.boosting import cox_gradients, cox_negloglik
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort
 from recurrisk.errors import (
+    EmptyCohortError,
     NumericInputError,
     PipelineError,
     RecurriskError,
@@ -115,7 +116,8 @@ class TestLongitudinalCsv:
         ("id,snapshot_index,time,event,x0\na,1,3.5,1,0.1\n\nb,1,4.5,0,abc\n",
          (RowParseError, 3, "x0")),
         ("id,snapshot_index,event,x0\na,1,1,0.1\n", (SchemaError, None, None)),
-    ], ids=["spaced-separators", "blank-line-then-bad-cell", "missing-column"])
+        ("", (EmptyCohortError, None, None)),
+    ], ids=["spaced-separators", "blank-line-then-bad-cell", "missing-column", "empty-file"])
     def test_reader_follows_the_cohort_readers_conventions(self, tmp_path, text, expected):
         """One snapshot per subject, so load_cohort reads the same file, with
         snapshot_index as a feature, and must agree on ids and errors."""
