@@ -197,7 +197,7 @@ def _fit_tree(X, g, h, depth, min_leaf, lam) -> Tree:
         return _best_split_gain(X, idx, order, g, h, min_leaf, lam)
 
     def make_leaf(idx):
-        return float(-np.sum(g[idx]) / (np.sum(h[idx]) + lam))
+        return float(-g[idx].sum() / (h[idx].sum() + lam))
 
     return Tree(tree.grow(X, find_split, make_leaf))
 
@@ -207,17 +207,17 @@ def _best_split_gain(X, node_idx, order, g, h, min_leaf, lam):
     order (d, m) holds them sorted by feature j. All features are scored in
     one pass; the highest gain wins, ties to the lowest feature."""
     d, m = order.shape
-    gt = float(np.sum(g[node_idx]))
-    ht = float(np.sum(h[node_idx]))
+    gt = float(g[node_idx].sum())
+    ht = float(h[node_idx].sum())
     cs = X[order, np.arange(d)[:, None]]
     # position k splits off the first k + 1 rows; both sides keep min_leaf
     lo, hi = min_leaf - 1, m - min_leaf
-    gl = np.cumsum(g[order], axis=1)[:, lo:hi]
-    hl = np.cumsum(h[order], axis=1)[:, lo:hi]
+    gl = g[order].cumsum(axis=1)[:, lo:hi]
+    hl = h[order].cumsum(axis=1)[:, lo:hi]
     gain = 0.5 * (gl ** 2 / (hl + lam) + (gt - gl) ** 2 / (ht - hl + lam)
                   - gt ** 2 / (ht + lam))
-    gain = np.where(cs[:, lo:hi] < cs[:, lo + 1:hi + 1], gain, -np.inf)
-    ks = np.argmax(gain, axis=1)
+    gain[cs[:, lo:hi] >= cs[:, lo + 1:hi + 1]] = -np.inf   # no threshold between equal values
+    ks = gain.argmax(axis=1)
     best = None
     for j, k in enumerate(ks):
         if gain[j, k] > 1e-12 and (best is None or gain[j, k] > best[0] + 1e-15):

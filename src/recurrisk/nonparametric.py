@@ -55,8 +55,12 @@ class RiskSets:
         self.blocks = np.flatnonzero(self.deaths_at)   # heads of blocks holding events
         self.deaths = self.deaths_at[self.blocks]
         self.at_risk = self.times.size - self.blocks
-        # number of events at or before each subject's time
-        self.events_through = np.cumsum(self.deaths_at)[self.heads]
+
+    @cached_property
+    def events_through(self):
+        """Number of events at or before each sorted subject's time; built on
+        first use, as only the Cox loss reads it."""
+        return np.cumsum(self.deaths_at)[self.heads]
 
     @cached_property
     def efron_ties(self):
@@ -125,7 +129,7 @@ def _event_table(times, events):
     events = np.asarray(events, dtype=int)
     if times.size == 0:
         raise EmptyCohortError("no subjects")
-    if np.any(times <= 0):
+    if (times <= 0).any():
         raise InvalidParameterError("all times must be positive")
     if times.shape != events.shape:
         raise InvalidParameterError("times and events must have equal length")

@@ -8,12 +8,13 @@ parallel schedule. A tree is grown on its bootstrap rows as drawn, so tied
 values keep their bootstrap order. Split search is exhaustive over
 midpoints of consecutive distinct feature values; ties in the log-rank
 statistic break toward the lowest feature index, then the lowest
-threshold. Each node takes its event times, death counts and risk-set
-sizes from the risk-set kernel that also builds the Nelson-Aalen leaves
-(``nonparametric.RiskSets``, read through ``_event_table``). It reads its
-rows in every candidate feature's order from ``tree.grow``, which sorts
-them once per tree, and scores all candidates in one pass over a
-(candidate, row, event time) cube of cumulative at-risk counts.
+threshold. Each tree ranks its bootstrap times once; a node counts its
+deaths and risk-set sizes per time rank with two ``bincount`` calls over
+its rows' ranks, so no node sorts its times. It reads its rows in every
+candidate feature's order from ``tree.grow``, which sorts them once per
+tree, and scores all candidates in one pass over a (candidate, row, event
+time) cube of cumulative at-risk counts. The counts are exact integers, so
+the statistic equals the one computed from the node's own event table.
 
 Growth order and batch routing come from ``tree.py``: every leaf reached
 by a batch of rows evaluates its cumulative hazard once at the requested
@@ -32,7 +33,7 @@ import numpy as np
 
 from .cohort import Cohort
 from .errors import InvalidParameterError, TrainingError, check_rows
-from .nonparametric import _event_table, nelson_aalen
+from .nonparametric import nelson_aalen
 from .stepfun import StepFunction, average_step_functions
 from .tree import TreeSplit, grow, route, to_dict
 
@@ -90,22 +91,24 @@ class Forest:
         return forest_to_json(self)
 
 
-def _best_split(X, times, events, idx, order, feats, min_node_events):
+def _best_split(X, rank, events, idx, order, feats, min_node_events, total_events):
     """Exhaustive log-rank split search of the rows idx over the features
-    feats (ascending); row j of order holds idx sorted by X[:, j].
+    feats (ascending); row j of order holds idx sorted by X[:, j], rank
+    holds each row's time rank in its tree and total_events the node's
+    event count.
 
     Returns (feature, threshold) or None. The statistic is (O-E)^2 / V with
     the hypergeometric variance, evaluated for every midpoint threshold of
     every candidate at once from one cumulative (candidate, row, event time)
     at-risk count.
     """
-    ets, d_tot, n_tot = _event_table(times[idx], events[idx])
-    if ets.size == 0:
-        return None
-    d_tot, n_tot = d_tot.astype(float), n_tot.astype(float)
-    total_events = float(np.sum(events[idx]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var_coef = np.where(n_tot > 1, d_tot * (n_tot - d_tot) / (n_tot - 1), 0.0)
+    node_rank = rank[idx]
+    deaths = np.bincount(node_rank, weights=events[idx])
+    ev = deaths.nonzero()[0]               # ranks of the node's event times
+    d_tot = deaths[ev]
+    n_tot = np.bincount(node_rank)[::-1].cumsum()[::-1][ev].astype(float)
+    # n == 1 only at the last time, with d == 1, where the variance is 0
+    var_coef = d_tot * (n_tot - d_tot) / np.maximum(n_tot - 1, 1)
     e_coef = d_tot / n_tot                 # E contribution per unit of n_A
     v1 = var_coef / n_tot                  # V = v1 . n_A - v2 . n_A^2
     v2 = var_coef / n_tot ** 2
@@ -113,18 +116,18 @@ def _best_split(X, times, events, idx, order, feats, min_node_events):
     rows = order[feats]                    # (candidate, row) in feature order
     cs = X[rows, feats[:, None]]
     # position k splits off the first k + 1 rows of a candidate
-    ev_left = np.cumsum(events[rows], axis=1)[:, :-1]
+    ev_left = events[rows].cumsum(axis=1)[:, :-1]
     ev_right = total_events - ev_left
-    n_a = (times[rows][:, :, None] >= ets).astype(float)
-    np.cumsum(n_a, axis=1, out=n_a)        # at risk among the first k + 1 rows
+    n_a = (rank[rows][:, :, None] >= ev).astype(float)
+    n_a.cumsum(axis=1, out=n_a)            # at risk among the first k + 1 rows
     expected = (n_a @ e_coef)[:, :-1]
     variance = (n_a @ v1 - (n_a ** 2) @ v2)[:, :-1]
     valid = ((cs[:, :-1] < cs[:, 1:]) & (ev_left >= min_node_events)
              & (ev_right >= min_node_events) & (variance > 1e-12))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stats = np.where(valid, (ev_left - expected) ** 2 / variance, 0.0)
+    stats = np.divide((ev_left - expected) ** 2, variance,
+                      out=np.zeros(variance.shape), where=valid)
     # first max of the flattened stats -> lowest feature, then lowest threshold
-    c, k = np.unravel_index(np.argmax(stats), stats.shape)
+    c, k = divmod(int(stats.argmax()), stats.shape[1])
     if not stats[c, k] > 0.0:
         return None
     return int(feats[c]), float((cs[c, k] + cs[c, k + 1]) / 2.0)
@@ -145,13 +148,18 @@ def fit_rsf(cohort: Cohort, params: ForestParams) -> Forest:
         rng = np.random.default_rng(params.seed + b)
         boot = rng.integers(0, n, size=n)
         Xb, tb, eb = X[boot], times[boot], events[boot]
+        rank = np.unique(tb, return_inverse=True)[1]
 
         def find_split(idx, order, depth):
-            if (params.max_depth is not None and depth >= params.max_depth) or \
-                    int(np.sum(eb[idx])) < 2 * params.min_node_events:
+            if params.max_depth is not None and depth >= params.max_depth:
                 return None
-            feats = np.sort(rng.choice(d, size=mtry, replace=False))
-            return _best_split(Xb, tb, eb, idx, order, feats, params.min_node_events)
+            total_events = eb[idx].sum()
+            if total_events < 2 * params.min_node_events:
+                return None
+            feats = rng.choice(d, size=mtry, replace=False)
+            feats.sort()
+            return _best_split(Xb, rank, eb, idx, order, feats, params.min_node_events,
+                               total_events)
 
         def make_leaf(idx):
             return TreeLeaf(chf=nelson_aalen(tb[idx], eb[idx]), count=idx.size)

@@ -9,7 +9,7 @@ knot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class StepFunction:
         values = np.asarray(self.values, dtype=float)
         if knots.ndim != 1 or values.ndim != 1 or knots.shape != values.shape:
             raise InvalidParameterError("knots and values must be 1-d arrays of equal length")
-        if knots.size and np.any(np.diff(knots) <= 0):
+        if (knots[1:] <= knots[:-1]).any():
             raise InvalidParameterError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)

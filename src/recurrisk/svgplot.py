@@ -7,7 +7,7 @@ byte-identical files that diff cleanly in CI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html import escape
 
 WIDTH, HEIGHT = 640.0, 480.0

@@ -42,9 +42,10 @@ def grow(X, find_split, make_leaf):
         if split is None:
             return make_leaf(idx)
         j, thr = split
-        go_left = X[idx, j] <= thr
-        n_left = int(np.sum(go_left))
-        order_left = X[order, j] <= thr        # the same rows in every row of order
+        left = X[:, j] <= thr                  # one side mask over all rows of X
+        go_left = left[idx]
+        n_left = int(np.count_nonzero(go_left))
+        order_left = left[order]               # the node's rows in every row of order
         return TreeSplit(j, thr,
                          build(idx[go_left], order[order_left].reshape(d, n_left), depth + 1),
                          build(idx[~go_left], order[~order_left].reshape(d, idx.size - n_left),

@@ -12,6 +12,7 @@ from recurrisk.rsf import (
     SurvivalTree,
     TreeLeaf,
     TreeSplit,
+    _best_split,
     fit_rsf,
     forest_to_json,
     predict_chf,
@@ -276,3 +277,71 @@ def test_one_pass_forest_equals_the_per_feature_forest(seed):
     expected = forest_per_feature(cohort, params)
     assert roots == expected
     assert sum(str(r).count("'split'") for r in expected) > 6
+
+
+# --- the ranked node kernel against the per-feature search ---
+
+
+def ranked_split(X, times, events, idx, feats, min_node_events):
+    """rsf._best_split on the rows idx (ascending) of a tree's sample, with
+    the sample's time ranks and the feature orders tree.grow would give."""
+    rank = np.unique(times, return_inverse=True)[1]
+    order = idx[np.argsort(X[idx], axis=0, kind="stable")].T
+    return _best_split(X, rank, events, idx, order, np.asarray(feats), min_node_events,
+                       events[idx].sum())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ranked_split_equals_the_per_feature_split_on_bootstrap_nodes(seed):
+    rng = np.random.default_rng(300 + seed)
+    n, d = int(rng.integers(20, 120)), 1 + seed % 5
+    base = random_censored_cohort(rng, n, d, tie_fraction=seed % 2)
+    boot = rng.integers(0, n, size=n)
+    X = np.round(base.matrix(), seed % 3)[boot]
+    times, events = base.times[boot], base.events[boot]
+    splits = 0
+    for _ in range(25):
+        idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        m = int(rng.integers(1, 5))
+        got = ranked_split(X, times, events, idx, feats, m)
+        assert got == best_split_per_feature(X[idx], times[idx], events[idx], feats, m)
+        splits += got is not None
+    assert splits > 5
+
+
+def edge_node(case):
+    """(X, times, events) of one hand-built node of ten rows."""
+    X = np.column_stack([[3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0, 6.0, 8.0, 7.0],
+                         np.arange(10.0)])
+    times = np.arange(1.0, 11.0)
+    events = np.array([1, 0, 1, 1, 0, 1, 0, 1, 1, 0])
+    if case == "lone last event":          # n == 1 at the last event time
+        events[-1] = 1
+    elif case == "event and censoring tied":
+        times[4] = times[3]
+    elif case == "no events":
+        events[:] = 0
+    return X, times, events
+
+
+@pytest.mark.parametrize("case", ["lone last event", "event and censoring tied", "no events"])
+def test_ranked_split_on_edge_nodes(case):
+    X, times, events = edge_node(case)
+    got = ranked_split(X, times, events, np.arange(times.size), [0, 1], 2)
+    assert got == best_split_per_feature(X, times, events, [0, 1], 2)
+    assert (got is None) == (case == "no events")
+
+
+def test_ranked_split_keeps_min_node_events_on_each_side():
+    """Four events in time order: only a split with exactly two on each side
+    is allowed at min_node_events 2, and none at 3."""
+    X = np.arange(8.0)[:, None]
+    times = np.arange(1.0, 9.0)
+    events = np.array([1, 0, 1, 0, 1, 0, 1, 0])
+    idx = np.arange(8)
+    feature, threshold = ranked_split(X, times, events, idx, [0], 2)
+    assert (feature, threshold) == best_split_per_feature(X, times, events, [0], 2)
+    assert events[X[:, 0] <= threshold].sum() == 2
+    assert ranked_split(X, times, events, idx, [0], 3) is None
+    assert best_split_per_feature(X, times, events, [0], 3) is None
