@@ -28,6 +28,10 @@ class RowParseError(RecurriskError):
         super().__init__(f"row {row}, column {column!r}: {message}")
         self.row = row
         self.column = column
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.row, self.column, self.message)
 
 
 class EmptyCohortError(RecurriskError):
@@ -108,6 +112,10 @@ class PipelineError(RecurriskError):
     def __init__(self, step: str, message: str):
         super().__init__(f"{step}: {message}")
         self.step = step
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.step, self.message)
 
 
 @contextmanager

@@ -8,6 +8,12 @@ Normalization, univariate screening and VIF filtering are refit inside
 every fold, so the held-out fold never influences feature selection; all
 reported metrics and the risk stratification use pooled out-of-fold
 predictions. Everything is deterministic given the config seed.
+
+The folds are fitted by workers.split_map: on Linux with two or more CPUs,
+this process fits every other fold and one forked worker fits the rest.
+The worker sends back each fold's model hash, VIF removals, learner errors
+and held-out predictions, never a fitted model, and the folds are merged
+in fold order, so no output depends on whether the worker ran.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .radiomics import extract_subjects
 from .rsf import ForestParams, fit_rsf
 from .svgplot import PALETTE, Series, render_plot
 from .temporal import check_temporal_params, load_longitudinal, temporal_risk, train_temporal
+from .workers import split_map
 
 SCHEMA_VERSION = "1"
 DCA_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -273,6 +280,21 @@ def fold_models_hash(fold_models: FoldModels) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _fold_outputs(cohort: Cohort, folds, config: PipelineConfig, f: int):
+    """Fit fold f and predict its held-out rows: (the fold's model hash, the
+    features its VIF filter removed, the messages of its failed learners, the
+    held-out row indices, {learner: (scores, survival)} for each fitted
+    learner). Plain values only, so a worker process can send them back."""
+    test_idx = np.nonzero(folds == f)[0]
+    fold_models = fit_fold_models(cohort.subset_rows(np.nonzero(folds != f)[0]), config, f)
+    fold_hash = fold_models_hash(fold_models)
+    test = apply_normalization(cohort.subset_rows(test_idx), fold_models.normalization) \
+        .subset_features(fold_models.selected)
+    predictions = {name: model.predict(test.X, config.horizons)
+                   for name, model in fold_models.models.items() if model is not None}
+    return fold_hash, list(fold_models.vif_removed), fold_models.errors, test_idx, predictions
+
+
 def run_pipeline(config: PipelineConfig):
     """Execute the full protocol and write report.json, curve CSVs and SVGs.
 
@@ -298,22 +320,14 @@ def run_pipeline(config: PipelineConfig):
     fold_hashes = []
     vif_removed_by_fold = []
 
-    for f in range(config.cv_folds):
-        test_idx = np.nonzero(folds == f)[0]
-        train_idx = np.nonzero(folds != f)[0]
-        if test_idx.size == 0:
-            continue
-        fold_models = fit_fold_models(cohort.subset_rows(train_idx), config, f)
-        fold_hashes.append(fold_models_hash(fold_models))
-        vif_removed_by_fold.append(list(fold_models.vif_removed))
-        failed.update(fold_models.errors)
-        test = apply_normalization(cohort.subset_rows(test_idx), fold_models.normalization) \
-            .subset_features(fold_models.selected)
-        for name in config.enabled_models:
-            model = fold_models.models[name]
-            if model is not None:
-                oof_scores[name][test_idx], oof_surv[name][test_idx] = model.predict(
-                    test.X, config.horizons)
+    for fold_hash, vif_removed, errors, test_idx, predictions in split_map(
+            lambda f: _fold_outputs(cohort, folds, config, f),
+            [f for f in range(config.cv_folds) if np.any(folds == f)]):
+        fold_hashes.append(fold_hash)
+        vif_removed_by_fold.append(vif_removed)
+        failed.update(errors)
+        for name, (scores, surv) in predictions.items():
+            oof_scores[name][test_idx], oof_surv[name][test_idx] = scores, surv
 
     model_reports = {}
     for name in config.enabled_models:

@@ -20,6 +20,11 @@ is a zone whose neighbourhood is a single direction (IBSI), so one numpy
 labeller finds both: a direction's runs are the zones of its equal-level
 pairs alone, and the GLSZM's zones are those of all 13 directions' pairs
 together. First-order and shape features read the full grid.
+
+`extract_subjects` shares the subjects between this process and one forked
+worker (workers.split_map, on Linux with two or more CPUs); the worker sends
+back each subject's feature values, which do not depend on where they were
+computed.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .errors import (
     ShapeError,
     reading,
 )
+from .workers import split_map
 
 # 13 unique 3D directions at distance 1 (one per axis pair up to sign)
 GLCM_OFFSETS: tuple[tuple[int, int, int], ...] = (
@@ -339,10 +345,10 @@ def load_region_mask(path) -> RegionMask:
 def extract_subjects(grid_dir, ids, levels):
     """(sorted feature names, one row of their values per id) from each id's
     <id>_grid.txt and <id>_mask.txt in grid_dir."""
-    names, rows = None, []
-    for sid in ids:
-        feats = extract_all(load_voxel_grid(Path(grid_dir) / f"{sid}_grid.txt"),
-                            load_region_mask(Path(grid_dir) / f"{sid}_mask.txt"), levels)
-        names = names or sorted(feats)
-        rows.append([feats[k] for k in names])
-    return names, rows
+    def features(sid):
+        return extract_all(load_voxel_grid(Path(grid_dir) / f"{sid}_grid.txt"),
+                           load_region_mask(Path(grid_dir) / f"{sid}_mask.txt"), levels)
+
+    by_subject = split_map(features, ids)
+    names = sorted(by_subject[0]) if by_subject else None
+    return names, [[feats[k] for k in names] for feats in by_subject]

@@ -14,6 +14,18 @@ def make_cohort(times, events, X, names=None, ids=None):
     return Cohort(names, ids, times, events, X)
 
 
+def write_grids(folder, ids, rng):
+    """A random 4x4x4 voxel grid and region mask per id, as <id>_grid.txt
+    and <id>_mask.txt in `folder`; returns the folder."""
+    folder.mkdir()
+    for sid in ids:
+        for kind, values in (("grid", rng.normal(size=64)), ("mask", rng.random(64) < 0.5)):
+            text = " ".join(str(float(v)) for v in values)
+            (folder / f"{sid}_{kind}.txt").write_text(
+                f"dims 4 4 4\nspacing 1 1 1\n{text}\n", encoding="utf-8")
+    return folder
+
+
 def random_censored_cohort(rng, n, d, tie_fraction=0.0):
     """Random cohort with events, censoring and optional tied times."""
     X = rng.standard_normal((n, d))

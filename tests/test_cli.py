@@ -13,6 +13,7 @@ from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.metrics import c_index
 from recurrisk.pipeline import PipelineConfig
 
+from conftest import write_grids
 from test_temporal import generate_longitudinal, write_longitudinal
 
 
@@ -88,14 +89,7 @@ def _full_run_config(tmp_path):
     cohort, _ = generate_synthetic(spec)
     write_cohort(cohort, tmp_path / "cohort.csv")
     write_longitudinal(generate_longitudinal(spec), tmp_path / "longitudinal.csv")
-    grids = tmp_path / "grids"
-    grids.mkdir()
-    rng = np.random.default_rng(5)
-    for sid in cohort.ids:
-        for kind, values in (("grid", rng.normal(size=64)), ("mask", rng.random(64) < 0.5)):
-            text = " ".join(str(float(v)) for v in values)
-            (grids / f"{sid}_{kind}.txt").write_text(
-                f"dims 4 4 4\nspacing 1 1 1\n{text}\n", encoding="utf-8")
+    write_grids(tmp_path / "grids", cohort.ids, np.random.default_rng(5))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**BASE_CONFIG, "enabled_models": ["cox"],
                                   "voxel_grid_dir": "grids",
@@ -279,7 +273,7 @@ def test_run_and_evaluate_reject_the_same_horizons(scores_csv, tmp_path, capsys,
 def _grids(tmp_path, sid="s0", dims="2 2 2", values="1 2 3 4 5 6 7 8",
            mask_values="1 1 1 1 0 0 0 0"):
     grids = tmp_path / "grids"
-    grids.mkdir()
+    grids.mkdir(exist_ok=True)
     (grids / f"{sid}_grid.txt").write_text(f"dims {dims}\nspacing 1 1 1\n{values}\n",
                                            encoding="utf-8")
     (grids / f"{sid}_mask.txt").write_text(f"dims 2 2 2\nspacing 1 1 1\n{mask_values}\n",
@@ -294,11 +288,15 @@ def _extract_args(tmp_path, mask=True, **grid):
     return ["extract-features", "--grids", str(grids), "--out", str(tmp_path / "features.csv")]
 
 
-def _run_args(tmp_path, grid=None, **config):
+def _run_args(tmp_path, grid=None, bad_subject=0, **config):
+    """A run of a 60-subject cohort; with `grid`, its subjects before
+    `bad_subject` get a good grid, that subject the `grid` and the rest none."""
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")
     if grid is not None:
-        config["voxel_grid_dir"] = str(_grids(tmp_path, sid=cohort.ids[0], **grid))
+        for sid in cohort.ids[:bad_subject]:
+            _grids(tmp_path, sid=sid)
+        config["voxel_grid_dir"] = str(_grids(tmp_path, sid=cohort.ids[bad_subject], **grid))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**BASE_CONFIG, **config}), encoding="utf-8")
     return ["run", "--config", str(path)]
@@ -321,6 +319,8 @@ def _evaluate_args(tmp_path, time):
     (lambda tmp: _extract_args(tmp, dims="2 2 x"), "row 1, column 'dims'"),
     (lambda tmp: _extract_args(tmp, values="1 2 3 oops 5 6 7 8"), "row 3, column 'values'"),
     (lambda tmp: _run_args(tmp, grid={"values": "1 2 3 oops 5 6 7 8"}),
+     "row 3, column 'values'"),
+    (lambda tmp: _run_args(tmp, grid={"values": "1 2 3 oops 5 6 7 8"}, bad_subject=1),
      "row 3, column 'values'"),
     (lambda tmp: _extract_args(tmp, values="1 2 nan 4 5 6 7 8"),
      "s0_grid.txt: non-finite value: 'nan'"),
@@ -345,15 +345,27 @@ def _evaluate_args(tmp_path, time):
     (lambda tmp: _extract_args(tmp, mask=False), "s0_mask.txt: [Errno 2] No such file"),
     (lambda tmp: _extract_args(tmp, mask_values="0 0 0 0 0 0 0 0"),
      "mask has no occupied voxels"),
-], ids=["grid-dims", "grid-value", "run-grid-value", "grid-nan", "run-grid-inf",
+], ids=["grid-dims", "grid-value", "run-grid-value", "run-second-grid-value", "grid-nan", "run-grid-inf",
         "missing-spec", "spec-no-coefficients",
         "spec-unknown-key", "spec-string-bool", "spec-float-n", "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
         "evaluate-missing-scores", "extract-missing-mask", "extract-empty-mask"])
-def test_malformed_input_file_exits_1(tmp_path, capsys, make_args, message):
-    assert main([*make_args(tmp_path), "--quiet"]) == 1
+def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, message):
+    args = [*make_args(tmp_path), "--quiet"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+    # with one CPU no worker runs, and the message is the same
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(args) == 1
+    assert capsys.readouterr().err == err
+
+
+def test_a_screen_that_keeps_no_feature_exits_1(tmp_path, capsys):
+    assert main([*_run_args(tmp_path, alpha=1e-300), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: screening: zero features survived the p-value screen\n")
 
 
 BOM_COMMANDS = {

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import numpy as np
 from recurrisk import pipeline
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.pipeline import PipelineConfig, run_pipeline
+
+from conftest import write_grids
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -108,3 +111,29 @@ def test_infinite_out_of_fold_score_fails_only_that_learner(tmp_path, monkeypatc
         "status": "failed", "error": "incomplete or non-finite predictions"}
     assert report["models"]["cox"]["status"] == "ok"
     assert report["chosen_model"] == "cox"
+
+
+def test_outputs_are_the_same_bytes_with_and_without_the_worker(tmp_path, monkeypatch):
+    cohort, _ = generate_synthetic(
+        SyntheticSpec(n=90, true_coefficients=(1.0, -0.7, 0.4), seed=3))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    write_grids(tmp_path / "grids", cohort.ids, np.random.default_rng(8))
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+
+    def outputs(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"out_{len(cpus)}"
+        run_pipeline(PipelineConfig(
+            cohort_csv=str(tmp_path / "cohort.csv"), out_dir=str(out),
+            voxel_grid_dir=str(tmp_path / "grids"), cv_folds=3, radiomics_levels=8, seed=7,
+            model_params={"rsf": {"n_trees": 3}, "xgboost": {"rounds": 10},
+                          "gbm": {"rounds": 10}, "coxboost": {"rounds": 10}}))
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    two = outputs({0, 1})
+    assert len(forks) == 2     # radiomics, then the folds
+    assert outputs({0}) == two
+    assert len(forks) == 2
+    assert len(two) == 18      # report, scores, two KM curves, 2 tables x 5 learners, 4 SVGs
