@@ -10,10 +10,11 @@ reported metrics and the risk stratification use pooled out-of-fold
 predictions. Everything is deterministic given the config seed.
 
 The folds are fitted by workers.split_map: on Linux with two or more CPUs,
-this process fits every other fold and one forked worker fits the rest.
-The worker sends back each fold's model hash, VIF removals, learner errors
-and held-out predictions, never a fitted model, and the folds are merged
-in fold order, so no output depends on whether the worker ran.
+this process fits every other fold, the temporal lane included, and one
+forked worker fits the rest. The worker sends back each fold's model hash,
+VIF removals, errors and held-out predictions, never a fitted model, and the
+folds are merged in fold order, so no output depends on whether the worker
+ran. A learner or the lane that fails reports its first failing fold's error.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def _fit_rsf(cohort: Cohort, params: dict, seed: int, fold: int):
 
 class Learner(NamedTuple):
     """fit(cohort, params, seed, fold) -> fitted model, where params is the
-    learner's `model_params` entry and fold is -1 for the whole-cohort refit;
+    learner's `model_params` entry and fold is -1 for the whole-cohort refit
+    (so a learner seeds from fold + 1: numpy rejects a negative seed);
     `params` declares the keys the entry may hold (see errors.declared), and
     check(**settings) raises InvalidParameterError on a value out of range,
     where settings are the entry over the defaults of `params`.
@@ -99,7 +101,7 @@ class Learner(NamedTuple):
 
 def _booster(mode: str, *unread: str) -> Learner:
     def fit(cohort: Cohort, params: dict, seed: int, fold: int):
-        return fit_boosted(cohort, BoostParams(**params, mode=mode, seed=seed + fold))
+        return fit_boosted(cohort, BoostParams(**params, mode=mode, seed=seed + fold + 1))
     return Learner(fit, declared(BoostParams, "mode", "seed", *unread), BoostParams)
 
 
@@ -152,6 +154,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.cv_folds < 2:
             raise InvalidParameterError("cv_folds must be >= 2")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidParameterError(f"alpha must be in (0, 1], got {self.alpha}")
         if not self.vif_threshold >= 1.0:     # every VIF is >= 1
@@ -280,19 +284,29 @@ def fold_models_hash(fold_models: FoldModels) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _fold_outputs(cohort: Cohort, folds, config: PipelineConfig, f: int):
+def _fold_outputs(cohort: Cohort, folds, config: PipelineConfig, by_id, f: int):
     """Fit fold f and predict its held-out rows: (the fold's model hash, the
-    features its VIF filter removed, the messages of its failed learners, the
-    held-out row indices, {learner: (scores, survival)} for each fitted
-    learner). Plain values only, so a worker process can send them back."""
+    features its VIF filter removed, the messages of its failed learners and
+    lane ("temporal"), the held-out row indices, {learner: (scores, survival)}
+    for each fitted learner, the lane's scores or None if `by_id` is None).
+    Plain values only, so a worker process can send them back."""
     test_idx = np.nonzero(folds == f)[0]
-    fold_models = fit_fold_models(cohort.subset_rows(np.nonzero(folds != f)[0]), config, f)
+    train_idx = np.nonzero(folds != f)[0]
+    fold_models = fit_fold_models(cohort.subset_rows(train_idx), config, f)
     fold_hash = fold_models_hash(fold_models)
     test = apply_normalization(cohort.subset_rows(test_idx), fold_models.normalization) \
         .subset_features(fold_models.selected)
     predictions = {name: model.predict(test.X, config.horizons)
                    for name, model in fold_models.models.items() if model is not None}
-    return fold_hash, list(fold_models.vif_removed), fold_models.errors, test_idx, predictions
+    errors, lane = dict(fold_models.errors), None
+    if by_id is not None:
+        try:
+            model = train_temporal([by_id[cohort.ids[i]] for i in train_idx],
+                                   **config.temporal_params, seed=config.seed + f)
+            lane = [temporal_risk(by_id[cohort.ids[i]], model) for i in test_idx]
+        except RecurriskError as exc:
+            errors["temporal"] = str(exc)
+    return fold_hash, list(fold_models.vif_removed), errors, test_idx, predictions, lane
 
 
 def run_pipeline(config: PipelineConfig):
@@ -316,18 +330,22 @@ def run_pipeline(config: PipelineConfig):
     oof_scores = {name: np.full(n, np.nan) for name in config.enabled_models}
     oof_surv = {name: np.full((n, len(config.horizons)), np.nan)
                 for name in config.enabled_models}
+    lane_oof = np.full(n, np.nan)
     failed: dict[str, str] = {}
     fold_hashes = []
     vif_removed_by_fold = []
 
-    for fold_hash, vif_removed, errors, test_idx, predictions in split_map(
-            lambda f: _fold_outputs(cohort, folds, config, f),
+    for fold_hash, vif_removed, errors, test_idx, predictions, lane in split_map(
+            lambda f: _fold_outputs(cohort, folds, config, by_id, f),
             [f for f in range(config.cv_folds) if np.any(folds == f)]):
         fold_hashes.append(fold_hash)
         vif_removed_by_fold.append(vif_removed)
-        failed.update(errors)
+        for name, message in errors.items():
+            failed.setdefault(name, message)
         for name, (scores, surv) in predictions.items():
             oof_scores[name][test_idx], oof_surv[name][test_idx] = scores, surv
+        if lane is not None:
+            lane_oof[test_idx] = lane
 
     model_reports = {}
     for name in config.enabled_models:
@@ -348,8 +366,11 @@ def run_pipeline(config: PipelineConfig):
     features_section = _feature_tables(cohort, config, chosen, vif_removed_by_fold)
 
     temporal_section = None
-    if by_id is not None:
-        temporal_section = _temporal_lane(cohort, folds, by_id, config)
+    if "temporal" in failed:
+        temporal_section = {"status": "failed", "error": failed["temporal"]}
+    elif by_id is not None:
+        temporal_section = {"status": "ok",
+                            **discrimination(times, events, lane_oof, config.horizons)}
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -494,27 +515,6 @@ def _longitudinal_by_id(cohort: Cohort, path) -> dict:
                             f"longitudinal time or event differs from the cohort's for "
                             f"{len(differ)} subjects (first: {differ[0]!r})")
     return by_id
-
-
-def _temporal_lane(cohort: Cohort, folds, by_id: dict, config: PipelineConfig):
-    """Out-of-fold evaluation of the temporal attention learner on the
-    sequences of `_longitudinal_by_id`."""
-    times, events, ids = cohort.times, cohort.events, cohort.ids
-    n = len(cohort)
-    oof = np.full(n, np.nan)
-    try:
-        for f in range(config.cv_folds):
-            test_idx = np.nonzero(folds == f)[0]
-            train_idx = np.nonzero(folds != f)[0]
-            train_seqs = [by_id[ids[i]] for i in train_idx]
-            model = train_temporal(train_seqs, **config.temporal_params,
-                                   seed=config.seed + f)
-            for i in test_idx:
-                oof[i] = temporal_risk(by_id[ids[i]], model)
-    except RecurriskError as exc:
-        return {"status": "failed", "error": str(exc)}
-
-    return {"status": "ok", **discrimination(times, events, oof, config.horizons)}
 
 
 # --- artifact emission -------------------------------------------------------

@@ -180,11 +180,6 @@ def _prepared(sequences, d: int):
     return _pack([sequences[i] for i in order], d), RiskSets(times[order], events[order])
 
 
-def temporal_loss_and_gradients(sequences, model: TemporalModel):
-    """(loss, gradient dict) of the Cox loss; the finite-difference hook."""
-    return _loss_and_gradients(*_prepared(list(sequences), model.pe_dim), model)
-
-
 def initial_model(pe_dim: int, hidden: int, seed: int) -> TemporalModel:
     """Seeded uniform(-0.1, 0.1) initialization of every parameter."""
     if pe_dim % 2 != 0:

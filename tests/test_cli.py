@@ -150,6 +150,7 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
     (json.dumps({**BASE_CONFIG, "cv_folds": 5.9}),
      "cv_folds=5.9 does not match the type of its default 5"),
     (json.dumps({**BASE_CONFIG, "seed": True}), "seed=True does not match the type of its default 0"),
+    (json.dumps({**BASE_CONFIG, "seed": -1}), "seed must be >= 0, got -1"),
     (json.dumps({**BASE_CONFIG, "alpha": "0.05"}),
      "alpha='0.05' does not match the type of its default 0.05"),
     (json.dumps({**BASE_CONFIG, "horizons": ["12", 24]}),
@@ -189,9 +190,9 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
         "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
         "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
         "unknown-temporal-key", "string-hidden", "zero-min-leaf", "unknown-top-level-key",
-        "zero-cox-max-iter", "cox-ties", "float-cv-folds", "bool-seed", "string-alpha",
-        "string-horizon", "int-id-column", "int-grid-dir", "cox-entry-not-object",
-        "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
+        "zero-cox-max-iter", "cox-ties", "float-cv-folds", "bool-seed", "negative-seed",
+        "string-alpha", "string-horizon", "int-id-column", "int-grid-dir",
+        "cox-entry-not-object", "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
         "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
         "alpha-above-one", "vif-threshold-below-one", "repeated-model", "repeated-horizon",
         "no-models", "coxboost-zero-rounds"])
@@ -360,6 +361,13 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(args) == 1
     assert capsys.readouterr().err == err
+
+
+def test_a_negative_seed_override_exits_1(tmp_path, capsys):
+    assert main([*_run_args(tmp_path), "--seed", "-1", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_screen_that_keeps_no_feature_exits_1(tmp_path, capsys):

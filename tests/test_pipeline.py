@@ -11,9 +11,11 @@ import numpy as np
 
 from recurrisk import pipeline
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
+from recurrisk.errors import TrainingError
 from recurrisk.pipeline import PipelineConfig, run_pipeline
 
 from conftest import write_grids
+from test_temporal import generate_longitudinal, write_longitudinal
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -114,10 +116,11 @@ def test_infinite_out_of_fold_score_fails_only_that_learner(tmp_path, monkeypatc
 
 
 def test_outputs_are_the_same_bytes_with_and_without_the_worker(tmp_path, monkeypatch):
-    cohort, _ = generate_synthetic(
-        SyntheticSpec(n=90, true_coefficients=(1.0, -0.7, 0.4), seed=3))
+    spec = SyntheticSpec(n=90, true_coefficients=(1.0, -0.7, 0.4), seed=3)
+    cohort, _ = generate_synthetic(spec)
     write_cohort(cohort, tmp_path / "cohort.csv")
     write_grids(tmp_path / "grids", cohort.ids, np.random.default_rng(8))
+    write_longitudinal(generate_longitudinal(spec), tmp_path / "longitudinal.csv")
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
@@ -128,6 +131,7 @@ def test_outputs_are_the_same_bytes_with_and_without_the_worker(tmp_path, monkey
         run_pipeline(PipelineConfig(
             cohort_csv=str(tmp_path / "cohort.csv"), out_dir=str(out),
             voxel_grid_dir=str(tmp_path / "grids"), cv_folds=3, radiomics_levels=8, seed=7,
+            longitudinal_csv=str(tmp_path / "longitudinal.csv"),
             model_params={"rsf": {"n_trees": 3}, "xgboost": {"rounds": 10},
                           "gbm": {"rounds": 10}, "coxboost": {"rounds": 10}}))
         return {p.name: p.read_bytes() for p in out.iterdir()}
@@ -137,3 +141,40 @@ def test_outputs_are_the_same_bytes_with_and_without_the_worker(tmp_path, monkey
     assert outputs({0}) == two
     assert len(forks) == 2
     assert len(two) == 18      # report, scores, two KM curves, 2 tables x 5 learners, 4 SVGs
+    assert json.loads(two["report.json"])["temporal"]["status"] == "ok"
+
+
+def test_a_learner_failing_in_two_folds_reports_the_first(tmp_path, monkeypatch):
+    cohort, _ = generate_synthetic(
+        SyntheticSpec(n=120, true_coefficients=(1.0, -0.7), seed=2))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    coxboost = pipeline.LEARNERS["coxboost"]
+
+    def fit(cohort, params, seed, fold):
+        if fold > 0:     # fold 1 is the worker's
+            raise TrainingError(f"fold {fold} failed")
+        return coxboost.fit(cohort, params, seed, fold)
+
+    monkeypatch.setitem(pipeline.LEARNERS, "coxboost", coxboost._replace(fit=fit))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    report = run_pipeline(PipelineConfig(
+        cohort_csv=str(tmp_path / "cohort.csv"), out_dir=str(tmp_path / "out"),
+        cv_folds=3, enabled_models=("cox", "coxboost"),
+        model_params={"coxboost": {"rounds": 20}}))
+    assert report["models"]["coxboost"] == {"status": "failed", "error": "fold 1 failed"}
+    assert report["models"]["cox"]["status"] == "ok"
+
+
+def test_a_booster_runs_with_the_default_seed(tmp_path):
+    # the whole-cohort refit is fold -1, and a booster's generator needs a seed >= 0
+    cohort, _ = generate_synthetic(
+        SyntheticSpec(n=90, true_coefficients=(1.0, -0.7, 0.4), seed=3))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    config = PipelineConfig(cohort_csv=str(tmp_path / "cohort.csv"),
+                            out_dir=str(tmp_path / "out"), cv_folds=3,
+                            enabled_models=("gbm",), model_params={"gbm": {"rounds": 10}})
+    assert config.seed == 0
+    run_pipeline(config)
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["chosen_model"] == "gbm"
+    assert report["features"]["importance"]["method"] == "mean_abs_shapley"

@@ -1,4 +1,5 @@
 import csv
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,15 +16,17 @@ from recurrisk.errors import (
     RowParseError,
     SchemaError,
     ShapeError,
+    TrainingError,
 )
 from recurrisk.nonparametric import RiskSets
-from recurrisk.pipeline import PipelineConfig, _longitudinal_by_id, _temporal_lane, assign_folds
+from recurrisk.pipeline import PipelineConfig
 from recurrisk.temporal import (
     SnapshotSequence,
+    _loss_and_gradients,
+    _prepared,
     initial_model,
     load_longitudinal,
     sinusoidal_pe,
-    temporal_loss_and_gradients,
     temporal_risk,
     train_temporal,
 )
@@ -142,17 +145,38 @@ class TestLongitudinalCsv:
 class TestTemporalLane:
     SPEC = SyntheticSpec(n=30, true_coefficients=(1.0, -1.0), seed=4)
 
-    def lane(self, tmp_path, sequences):
-        cohort = generate_synthetic(self.SPEC)[0]
+    def lane(self, tmp_path, sequences, cv_folds=2):
+        """The run's report with the lane on `sequences`; cox is the one learner."""
+        write_cohort(generate_synthetic(self.SPEC)[0], tmp_path / "cohort.csv")
         path = tmp_path / "longitudinal.csv"
         write_longitudinal(sequences, path)
-        config = PipelineConfig(cohort_csv="cohort.csv", longitudinal_csv=str(path),
-                                cv_folds=2, temporal_params={"epochs": 2})
-        by_id = _longitudinal_by_id(cohort, path)
-        return _temporal_lane(cohort, assign_folds(cohort.events, 2, 0), by_id, config)
+        return pipeline.run_pipeline(PipelineConfig(
+            cohort_csv=str(tmp_path / "cohort.csv"), out_dir=str(tmp_path / "out"),
+            longitudinal_csv=str(path), cv_folds=cv_folds,
+            enabled_models=("cox",), temporal_params={"epochs": 2}))
 
     def test_matching_outcomes_are_evaluated(self, tmp_path):
-        assert self.lane(tmp_path, generate_longitudinal(self.SPEC))["status"] == "ok"
+        report = self.lane(tmp_path, generate_longitudinal(self.SPEC))
+        assert report["temporal"]["status"] == "ok"
+        assert set(report["temporal"]) == {"status", "c_index", "auc"}
+
+    def test_failing_folds_fail_only_the_lane_with_the_first_message(self, tmp_path,
+                                                                     monkeypatch):
+        # fold f trains with seed f; folds 1 (the worker's) and 2 fail
+        train = pipeline.train_temporal
+
+        def failing(sequences, seed, **params):
+            if seed > 0:
+                raise TrainingError(f"fold {seed} diverged")
+            return train(sequences, seed=seed, **params)
+
+        monkeypatch.setattr(pipeline, "train_temporal", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        report = self.lane(tmp_path, generate_longitudinal(self.SPEC), cv_folds=3)
+        assert report["temporal"] == {"status": "failed", "error": "fold 1 diverged"}
+        assert report["models"]["cox"]["status"] == "ok"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.lane(tmp_path, generate_longitudinal(self.SPEC), cv_folds=3) == report
 
     def test_outcome_differing_from_the_cohort_names_the_first_id(self, tmp_path):
         sequences = generate_longitudinal(self.SPEC)
@@ -264,6 +288,12 @@ def loss_and_gradients_loop(sequences, model):
 
 
 # --- batched pass ------------------------------------------------------------
+
+
+def temporal_loss_and_gradients(sequences, model):
+    """(loss, gradient dict) of the Cox loss over the sequences in canonical
+    order, through the batched pass; the finite-difference hook."""
+    return _loss_and_gradients(*_prepared(list(sequences), model.pe_dim), model)
 
 
 def test_initial_model_draws_every_block_in_order():
