@@ -36,44 +36,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grids", required=True, help="directory of <id>_grid.txt/<id>_mask.txt")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--levels", type=int, default=32, help="gray-level bin count")
+    p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort")
     p.add_argument("--spec", required=True, help="generator spec JSON file")
     p.add_argument("--out", required=True, help="output cohort CSV")
     p.add_argument("--scores-out", default=None, help="optional true-score CSV")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("run", help="run the full pipeline")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="override the output directory")
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("evaluate", help="metrics for an external score file")
     p.add_argument("--scores", required=True, help="CSV with id,time,event,score")
     p.add_argument("--horizons", default="12,24", help="comma-separated AUC horizons")
     p.add_argument("--out", default=None, help="write metrics JSON here (default stdout)")
+    p.set_defaults(handler=_cmd_evaluate)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except RecurriskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    if args.command == "extract-features":
-        return _cmd_extract(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def _say(args, message: str):
@@ -81,12 +73,16 @@ def _say(args, message: str):
         print(message)
 
 
+def _override(params, **flags):
+    """`params` with each given flag (not None) in place, checked as a file's values are."""
+    return dataclasses.replace(params, **{k: v for k, v in flags.items() if v is not None})
+
+
 def _cmd_extract(args) -> int:
     grid_dir = Path(args.grids)
     pairs = sorted(p.name[:-len("_grid.txt")] for p in grid_dir.glob("*_grid.txt"))
     if not pairs:
-        print(f"error: no *_grid.txt files in {grid_dir}", file=sys.stderr)
-        return 1
+        raise InvalidParameterError(f"no *_grid.txt files in {grid_dir}")
     names, rows = extract_subjects(grid_dir, pairs, args.levels)
     write_csv(args.out, ["id", *names],
               ([sid, *map(float, row)] for sid, row in zip(pairs, rows)))
@@ -97,9 +93,7 @@ def _cmd_extract(args) -> int:
 def _cmd_simulate(args) -> int:
     with reading("spec", args.spec) as fh:
         doc = json.load(fh)
-    spec = SyntheticSpec.from_json(doc, where=f"spec {args.spec}")
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = _override(SyntheticSpec.from_json(doc, where=f"spec {args.spec}"), seed=args.seed)
     cohort, true_scores = generate_synthetic(spec)
     write_cohort(cohort, args.out)
     if args.scores_out:
@@ -111,14 +105,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = PipelineConfig.from_json_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = _override(PipelineConfig.from_json_file(args.config),
+                       seed=args.seed, out_dir=args.out)
     report = run_pipeline(config)
     chosen = report["chosen_model"]
     c = report["models"][chosen]["c_index"]

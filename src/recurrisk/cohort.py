@@ -171,7 +171,7 @@ def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
         while block := list(islice(rows, _BLOCK_ROWS)):
             values = _convert_block(block, header, cols, id_idx, row_of_id)
             if values is None:     # let the cell-by-cell parser name the first bad row
-                values = np.array([_parse_row(row_no, row, header, cols, id_idx, row_of_id)
+                values = np.array([_unique_row(row_no, row, header, cols, id_idx, row_of_id)
                                    for row_no, row in block])
             blocks.append(values)
 
@@ -224,15 +224,10 @@ def _convert_block(block, header, cols, id_idx, row_of_id) -> np.ndarray | None:
     return values
 
 
-def _parse_row(row_no: int, row, header, cols, id_idx, row_of_id) -> list[float]:
-    """(time, event, *features) of one row, whose cells `cols` hold them,
-    or the RowParseError of its first bad cell; records its id in
-    `row_of_id`, which holds the ids of the rows before it."""
-    if len(row) != len(header):
-        raise RowParseError(row_no, "<row>", f"expected {len(header)} cells, got {len(row)}")
-    time, event = _parse_outcome(row[cols[0]], row[cols[1]], row_no,
-                                 header[cols[0]], header[cols[1]])
-    values = [time, event] + [_parse_number(row[i], row_no, header[i]) for i in cols[2:]]
+def _unique_row(row_no: int, row, header, cols, id_idx, row_of_id) -> list[float]:
+    """`parse_row`, then the row's id recorded in `row_of_id`, which holds
+    the ids of the rows before it; a repeated id raises RowParseError."""
+    values = parse_row(row_no, row, header, cols)
     rid = row[id_idx].strip()
     if rid in row_of_id:
         raise RowParseError(row_no, header[id_idx],
@@ -241,17 +236,21 @@ def _parse_row(row_no: int, row, header, cols, id_idx, row_of_id) -> list[float]
     return values
 
 
-def _parse_outcome(time_cell: str, event_cell: str, row_no: int,
-                   time_column: str, event_column: str) -> tuple[float, int]:
-    """(time, event) of one row; the time must be positive, the event 0 or 1."""
-    time = _parse_number(time_cell, row_no, time_column)
+def parse_row(row_no: int, row, header, cols) -> list[float]:
+    """[time, event (an int), *features] of one CSV row whose cells `cols`
+    hold them, or the RowParseError of its first bad cell: the wrong cell
+    count, a cell that is not a finite number, a time <= 0 or an event not 0/1."""
+    if len(row) != len(header):
+        raise RowParseError(row_no, "<row>", f"expected {len(header)} cells, got {len(row)}")
+    time_at, event_at, *feature_cols = cols
+    time = _parse_number(row[time_at], row_no, header[time_at])
     if not time > 0:
-        raise RowParseError(row_no, time_column, f"time must be positive, got {time}")
-    event = _parse_number(event_cell, row_no, event_column)
+        raise RowParseError(row_no, header[time_at], f"time must be positive, got {time}")
+    event = _parse_number(row[event_at], row_no, header[event_at])
     if event not in (0.0, 1.0):
-        raise RowParseError(row_no, event_column,
-                            f"event must be 0 or 1, got {event_cell.strip()}")
-    return time, int(event)
+        raise RowParseError(row_no, header[event_at],
+                            f"event must be 0 or 1, got {row[event_at].strip()}")
+    return [time, int(event)] + [_parse_number(row[i], row_no, header[i]) for i in feature_cols]
 
 
 def _parse_number(cell: str, row_no: int, column: str) -> float:
@@ -347,6 +346,10 @@ class SyntheticSpec:
             raise InvalidParameterError("Weibull shape and scale must be positive")
         if not 0 <= self.censoring_rate_target < 1:
             raise InvalidParameterError("censoring_rate_target must be in [0, 1)")
+        if not self.true_coefficients:
+            raise InvalidParameterError("need at least one coefficient")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "true_coefficients", tuple(float(b) for b in self.true_coefficients))
 
     @staticmethod
@@ -379,8 +382,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Cohort, np.ndarray]:
     """
     rng = np.random.default_rng(spec.seed)
     d = len(spec.true_coefficients)
-    if d < 1:
-        raise InvalidParameterError("need at least one coefficient")
     X = rng.standard_normal((spec.n, d))
     eta = _linear_predictor(X, spec)
 

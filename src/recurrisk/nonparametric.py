@@ -66,7 +66,7 @@ class RiskSets:
     def efron_ties(self):
         """(c, start): each event term's Efron fraction c = ell / m and each
         tied block's first event term; built on first use, as most risk
-        sets (the forest's, one per node) never need them."""
+        sets (the forest's, one per leaf through nelson_aalen) never need them."""
         start = np.cumsum(self.deaths) - self.deaths
         ell = np.arange(self.event_pos.size) - np.repeat(start, self.deaths)
         return ell / np.repeat(self.deaths, self.deaths), start

@@ -161,6 +161,9 @@ class PipelineConfig:
         if not self.vif_threshold >= 1.0:     # every VIF is >= 1
             raise InvalidParameterError(
                 f"vif_threshold must be >= 1, got {self.vif_threshold}")
+        if self.radiomics_levels < 2:
+            raise InvalidParameterError(
+                f"radiomics_levels must be >= 2, got {self.radiomics_levels}")
         object.__setattr__(self, "horizons", check_horizons(self.horizons))
         if not self.enabled_models:
             raise InvalidParameterError("enabled_models names no model")
@@ -416,14 +419,9 @@ def _evaluate_model(times, events, scores, surv, horizons):
 
 
 def _choose_model(model_reports) -> str | None:
-    best_name, best_c = None, -np.inf
-    for name in MODEL_ORDER:
-        rep = model_reports.get(name)
-        if rep is None or rep.get("status") != "ok":
-            continue
-        if rep["c_index"] > best_c:
-            best_name, best_c = name, rep["c_index"]
-    return best_name
+    """The ok model with the highest C-index, the first in MODEL_ORDER on a tie."""
+    ok = [name for name in MODEL_ORDER if model_reports.get(name, {}).get("status") == "ok"]
+    return max(ok, key=lambda name: model_reports[name]["c_index"], default=None)
 
 
 def _stratify_and_compare(cohort: Cohort, scores):
@@ -431,8 +429,6 @@ def _stratify_and_compare(cohort: Cohort, scores):
     Kaplan-Meier curves and the log-rank test between them; identical
     scores raise DegenerateStratificationError."""
     times, events = cohort.times, cohort.events
-    if scores.size < 2:
-        raise InvalidParameterError("need at least two subjects to stratify")
     if np.all(scores == scores[0]):
         raise DegenerateStratificationError("all risk scores identical")
     cutoff = float(np.median(scores))
@@ -464,11 +460,10 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
     """
     full_norm, screen_rows, selected, _ = _select_features(cohort, config)
     retained = set(retained_features(screen_rows, config.alpha))
+    # a NaN statistic (a fit that did not converge) is written as null
     screen_section = [
-        {"feature": r.feature, "hazard_ratio": _nan_to_none(r.hazard_ratio),
-         "ci_low": _nan_to_none(r.ci_low), "ci_high": _nan_to_none(r.ci_high),
-         "p_value": _nan_to_none(r.p_value), "converged": r.converged,
-         "retained": r.feature in retained}
+        {**{k: None if isinstance(v, float) and np.isnan(v) else v
+            for k, v in asdict(r).items()}, "retained": r.feature in retained}
         for r in screen_rows]
 
     importance_section = {"method": None, "rows": []}
@@ -491,10 +486,6 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
         "vif_removed_by_fold": vif_removed_by_fold,
         "importance": importance_section,
     }
-
-
-def _nan_to_none(v: float):
-    return None if v is None or (isinstance(v, float) and np.isnan(v)) else float(v)
 
 
 def _longitudinal_by_id(cohort: Cohort, path) -> dict:
@@ -563,41 +554,41 @@ def emit_plots(report: dict, outdir: Path) -> None:
         y_range=(0.0, 1.05))
     (outdir / "km_groups.svg").write_text(km_svg, encoding="utf-8", newline="\n")
 
+    # run_pipeline raises "every model failed" before it writes anything,
+    # so the chosen model is ok and ok_models is not empty
     ok_models = [(n, r) for n, r in report["models"].items() if r.get("status") == "ok"]
-    if ok_models:
-        horizons = sorted(ok_models[0][1]["auc"], key=float)
-        series = []
-        for k, (name, rep) in enumerate(sorted(ok_models)):
-            ys = [rep["auc"][h] for h in horizons]
-            if any(y is None for y in ys):
-                continue
-            series.append(Series(name, [float(h) for h in horizons], ys,
-                                 PALETTE[k % len(PALETTE)]))
-        if series:
-            svg = render_plot(series, "Time-dependent AUC", "horizon (months)",
-                              "AUC", y_range=(0.4, 1.0))
-            (outdir / "auc_horizons.svg").write_text(svg, encoding="utf-8", newline="\n")
+    horizons = sorted(ok_models[0][1]["auc"], key=float)
+    series = []
+    for k, (name, rep) in enumerate(sorted(ok_models)):
+        ys = [rep["auc"][h] for h in horizons]
+        if any(y is None for y in ys):
+            continue
+        series.append(Series(name, [float(h) for h in horizons], ys,
+                             PALETTE[k % len(PALETTE)]))
+    if series:
+        svg = render_plot(series, "Time-dependent AUC", "horizon (months)",
+                          "AUC", y_range=(0.4, 1.0))
+        (outdir / "auc_horizons.svg").write_text(svg, encoding="utf-8", newline="\n")
 
-    rep = report["models"].get(chosen)
-    if rep and rep.get("status") == "ok":
-        cal = rep["calibration"]
-        cal_series = [
-            Series("ideal", [0.0, 1.0], [0.0, 1.0], "#999999", dashed=True),
-            Series(chosen, [b["mean_predicted"] for b in cal],
-                   [b["observed_risk"] for b in cal], PALETTE[0]),
-        ]
-        svg = render_plot(cal_series, f"Calibration at {rep['dca_horizon']:g} months",
-                          "predicted risk", "observed risk",
-                          x_range=(0.0, 1.0), y_range=(0.0, 1.05))
-        (outdir / "calibration.svg").write_text(svg, encoding="utf-8", newline="\n")
+    rep = report["models"][chosen]
+    cal = rep["calibration"]
+    cal_series = [
+        Series("ideal", [0.0, 1.0], [0.0, 1.0], "#999999", dashed=True),
+        Series(chosen, [b["mean_predicted"] for b in cal],
+               [b["observed_risk"] for b in cal], PALETTE[0]),
+    ]
+    svg = render_plot(cal_series, f"Calibration at {rep['dca_horizon']:g} months",
+                      "predicted risk", "observed risk",
+                      x_range=(0.0, 1.0), y_range=(0.0, 1.05))
+    (outdir / "calibration.svg").write_text(svg, encoding="utf-8", newline="\n")
 
-        dca = rep["dca"]
-        xs = [p["threshold"] for p in dca]
-        dca_series = [
-            Series(chosen, xs, [p["net_benefit"] for p in dca], PALETTE[0]),
-            Series("treat all", xs, [p["treat_all"] for p in dca], "#999999", dashed=True),
-            Series("treat none", xs, [0.0 for _ in dca], "#333333", dashed=True),
-        ]
-        svg = render_plot(dca_series, f"Decision curve at {rep['dca_horizon']:g} months",
-                          "threshold probability", "net benefit")
-        (outdir / "dca.svg").write_text(svg, encoding="utf-8", newline="\n")
+    dca = rep["dca"]
+    xs = [p["threshold"] for p in dca]
+    dca_series = [
+        Series(chosen, xs, [p["net_benefit"] for p in dca], PALETTE[0]),
+        Series("treat all", xs, [p["treat_all"] for p in dca], "#999999", dashed=True),
+        Series("treat none", xs, [0.0 for _ in dca], "#333333", dashed=True),
+    ]
+    svg = render_plot(dca_series, f"Decision curve at {rep['dca_horizon']:g} months",
+                      "threshold probability", "net benefit")
+    (outdir / "dca.svg").write_text(svg, encoding="utf-8", newline="\n")

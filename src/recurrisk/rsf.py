@@ -27,7 +27,7 @@ agree exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -223,13 +223,7 @@ def forest_to_json(forest: Forest) -> str:
         "model": "random_survival_forest",
         "feature_names": list(forest.feature_names),
         "max_event_time": forest.max_event_time,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "mtry": forest.params.mtry,
-            "min_node_events": forest.params.min_node_events,
-            "max_depth": forest.params.max_depth,
-            "seed": forest.params.seed,
-        },
+        "params": asdict(forest.params),
         "trees": [{"root": to_dict(t.root, _leaf_to_dict)} for t in forest.trees],
     }
     return json.dumps(doc, sort_keys=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boosting import cox_gradients, cox_negloglik
-from .cohort import _parse_number, _parse_outcome, read_table
+from .cohort import parse_row, read_table
 from .errors import (
     InvalidParameterError,
     NumericInputError,
@@ -261,15 +261,11 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
     with reading("longitudinal file", path) as fh:
         header, rows = read_table(fh, path, required)
         sid_at, index_at, time_at, event_at = (header.index(c) for c in required)
-        feature_cols = [i for i, c in enumerate(header) if c not in required]
+        cols = [time_at, event_at, *(i for i, c in enumerate(header) if c not in required)]
         for row_no, row in rows:
-            if len(row) != len(header):
-                raise RowParseError(row_no, "<row>",
-                                    f"expected {len(header)} cells, got {len(row)}")
-            sid = row[sid_at].strip()
+            time, event, *features = parse_row(row_no, row, header, cols)
+            sid, outcome = row[sid_at].strip(), (time, event)
             index = _parse_int(row[index_at], row_no, "snapshot_index")
-            outcome = _parse_outcome(row[time_at], row[event_at], row_no, "time", "event")
-            features = [_parse_number(row[i], row_no, header[i]) for i in feature_cols]
             earlier = outcomes.setdefault(sid, outcome)
             for column, here, before in zip(("time", "event"), outcome, earlier):
                 if here != before:

@@ -179,6 +179,7 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "model_params for gbm: unknown key(s) ['l2_lambda']"),
     (json.dumps({**BASE_CONFIG, "alpha": 2.0}), "alpha must be in (0, 1], got 2.0"),
     (json.dumps({**BASE_CONFIG, "vif_threshold": -1}), "vif_threshold must be >= 1, got -1.0"),
+    (json.dumps({**BASE_CONFIG, "radiomics_levels": 1}), "radiomics_levels must be >= 2, got 1"),
     (json.dumps({**BASE_CONFIG, "enabled_models": ["cox", "cox"]}),
      "enabled_models repeats a model: ['cox', 'cox']"),
     (json.dumps({**BASE_CONFIG, "horizons": [12, 12]}),
@@ -194,7 +195,7 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
         "string-alpha", "string-horizon", "int-id-column", "int-grid-dir",
         "cox-entry-not-object", "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
         "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
-        "alpha-above-one", "vif-threshold-below-one", "repeated-model", "repeated-horizon",
+        "alpha-above-one", "vif-threshold-below-one", "one-radiomics-level", "repeated-model", "repeated-horizon",
         "no-models", "coxboost-zero-rounds"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
@@ -337,6 +338,10 @@ def _evaluate_args(tmp_path, time):
      "nonlinear='false' does not match the type of its default False"),
     (lambda tmp: _simulate_args(tmp, {"n": 40.7, "true_coefficients": [1.0]}),
      "n=40.7 does not match its type int"),
+    (lambda tmp: _simulate_args(tmp, {"n": 40, "true_coefficients": [1.0], "seed": -3}),
+     "seed must be >= 0, got -3"),
+    (lambda tmp: _simulate_args(tmp, {"n": 40, "true_coefficients": []}),
+     "need at least one coefficient"),
     (lambda tmp: _evaluate_args(tmp, 0), "row 2, column 'time': time must be positive"),
     (lambda tmp: _run_args(tmp, cohort_csv="absent.csv"), "absent.csv: [Errno 2] No such file"),
     (lambda tmp: _run_args(tmp, longitudinal_csv="absent_longitudinal.csv"),
@@ -346,10 +351,13 @@ def _evaluate_args(tmp_path, time):
     (lambda tmp: _extract_args(tmp, mask=False), "s0_mask.txt: [Errno 2] No such file"),
     (lambda tmp: _extract_args(tmp, mask_values="0 0 0 0 0 0 0 0"),
      "mask has no occupied voxels"),
+    (lambda tmp: ["extract-features", "--grids", str(tmp), "--out", str(tmp / "features.csv")],
+     "error: no *_grid.txt files in"),
 ], ids=["grid-dims", "grid-value", "run-grid-value", "run-second-grid-value", "grid-nan", "run-grid-inf",
         "missing-spec", "spec-no-coefficients",
-        "spec-unknown-key", "spec-string-bool", "spec-float-n", "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
-        "evaluate-missing-scores", "extract-missing-mask", "extract-empty-mask"])
+        "spec-unknown-key", "spec-string-bool", "spec-float-n", "spec-negative-seed",
+        "spec-empty-coefficients", "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
+        "evaluate-missing-scores", "extract-missing-mask", "extract-empty-mask", "extract-no-grids"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, message):
     args = [*make_args(tmp_path), "--quiet"]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -368,6 +376,13 @@ def test_a_negative_seed_override_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_simulate_seed_override_exits_1(tmp_path, capsys):
+    args = _simulate_args(tmp_path, {"n": 40, "true_coefficients": [1.0]})
+    assert main([*args, "--seed", "-1", "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "cohort.csv").exists()
 
 
 def test_a_screen_that_keeps_no_feature_exits_1(tmp_path, capsys):

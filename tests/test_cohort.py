@@ -391,6 +391,10 @@ class TestSyntheticGenerator:
             SyntheticSpec(n=10, true_coefficients=(1.0,), weibull_shape=0.0)
         with pytest.raises(InvalidParameterError):
             SyntheticSpec(n=10, true_coefficients=(1.0,), censoring_rate_target=1.0)
+        with pytest.raises(InvalidParameterError, match="need at least one coefficient"):
+            SyntheticSpec(n=10, true_coefficients=())
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            SyntheticSpec(n=10, true_coefficients=(1.0,), seed=-1)
 
     def test_from_json_roundtrip(self):
         doc = {"n": 50, "true_coefficients": [1.0, -1.0], "weibull_shape": 2.0,

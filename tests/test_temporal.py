@@ -95,6 +95,14 @@ class TestLongitudinalCsv:
             load_longitudinal(path)
         assert (info.value.row, info.value.column) == (2, column)
 
+    def test_a_bad_cell_is_named_before_a_bad_snapshot_index(self, tmp_path):
+        path = tmp_path / "longitudinal.csv"
+        path.write_text("id,snapshot_index,time,event,x0\na,first,3.5,1,abc\n",
+                        encoding="utf-8")
+        with pytest.raises(RowParseError) as info:
+            load_longitudinal(path)
+        assert (info.value.row, info.value.column) == (1, "x0")
+
     @pytest.mark.parametrize("rows, row, column, message", [
         (["a,0,5,1", "a,1,9,0", "a,1,9,0"], 2, "time",
          "subject 'a' has time 5.0 on an earlier row, 9.0 here"),
