@@ -10,10 +10,11 @@ predictor eta is returned alongside the cohort.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -153,75 +154,51 @@ def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
     time and event columns, in file order. Header names and ids are
     stripped; blank lines are skipped but counted in row numbers.
     Raises InvalidParameterError for a file that cannot be read, SchemaError
-    for missing columns, RowParseError for bad cells (non-numeric feature,
-    time <= 0, event not in {0,1}, missing value, a repeated subject id) and
-    EmptyCohortError for a file without data rows.
+    for id, time and event roles that name one column twice and for a
+    missing or repeated column, RowParseError for bad cells (non-numeric
+    feature, time <= 0, event not in {0,1}, missing value, a repeated
+    subject id) and EmptyCohortError for a file without data rows.
     """
     reserved = (time_column, event_column, id_column)
+    if len(set(reserved)) != len(reserved):
+        raise SchemaError(f"the id, time and event columns must differ, got "
+                          f"{id_column!r}, {time_column!r} and {event_column!r}")
     with reading("cohort", path) as fh:
         header, rows = read_table(fh, path, reserved)
         feature_names = tuple(h for h in header if h not in reserved)
         if not feature_names:
             raise SchemaError(f"{path}: needs at least one feature column")
 
-        col_index = {h: i for i, h in enumerate(header)}
-        id_idx = col_index[id_column]
-        cols = [col_index[n] for n in (time_column, event_column, *feature_names)]
-        row_of_id, blocks = {}, []
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            values = _convert_block(block, header, cols, id_idx, row_of_id)
-            if values is None:     # let the cell-by-cell parser name the first bad row
-                values = np.array([_unique_row(row_no, row, header, cols, id_idx, row_of_id)
-                                   for row_no, row in block])
-            blocks.append(values)
+        id_idx = header.index(id_column)
+        cols = [header.index(n) for n in (time_column, event_column, *feature_names)]
+        row_of_id = {}
+        values = np.fromiter(chain.from_iterable(
+            _unique_row(row_no, row, header, cols, id_idx, row_of_id) for row_no, row in rows),
+            dtype=float).reshape(-1, len(cols))
 
     if not row_of_id:
         raise EmptyCohortError(f"{path}: no data rows")
-    values = np.concatenate(blocks)
     return Cohort(feature_names, list(row_of_id), values[:, 0], values[:, 1], values[:, 2:])
 
 
 def read_table(fh, path, required):
     """The stripped header names of the CSV table in `fh`, and its lines
     that hold a non-blank cell as (row_no, cells), blank lines counted.
-    EmptyCohortError without a header line; SchemaError naming the first
-    name in `required` that the header lacks."""
+    EmptyCohortError without a header line; SchemaError for a header that
+    repeats a name or lacks one in `required`, naming the first such name."""
     reader = csv.reader(fh)
     first = next(reader, None)
     if first is None:
         raise EmptyCohortError(f"{path}: file is empty")
     header = [h.strip() for h in first]
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise SchemaError(f"{path}: header repeats column {repeated[0]!r}")
     missing = [c for c in required if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing column {missing[0]!r}")
     return header, ((row_no, row) for row_no, row in enumerate(reader, start=1)
-                    if any(c.strip() for c in row))
-
-
-_BLOCK_ROWS = 2048  # rows load_cohort converts with one np.array call
-
-
-def _convert_block(block, header, cols, id_idx, row_of_id) -> np.ndarray | None:
-    """The (time, event, *features) values of a block of (row_no, cells)
-    rows from one np.array call, with the block's ids added to `row_of_id`.
-
-    None, with `row_of_id` untouched, if a row has the wrong length, a cell
-    is not a finite number, a time is not positive, an event is not 0 or 1,
-    or an id repeats.
-    """
-    if any(len(row) != len(header) for _, row in block):
-        return None
-    try:
-        values = np.array([[row[i] for i in cols] for _, row in block], dtype=float)
-    except ValueError:
-        return None
-    ids = [row[id_idx].strip() for _, row in block]
-    if not (np.all(np.isfinite(values)) and np.all(values[:, 0] > 0)
-            and np.all((values[:, 1] == 0) | (values[:, 1] == 1))
-            and len(set(ids)) == len(ids) and row_of_id.keys().isdisjoint(ids)):
-        return None
-    row_of_id.update(zip(ids, (row_no for row_no, _ in block)))
-    return values
+                    if any(map(str.strip, row)))
 
 
 def _unique_row(row_no: int, row, header, cols, id_idx, row_of_id) -> list[float]:
@@ -254,16 +231,18 @@ def parse_row(row_no: int, row, header, cols) -> list[float]:
 
 
 def _parse_number(cell: str, row_no: int, column: str) -> float:
+    try:
+        value = float(cell)   # float() ignores surrounding whitespace itself
+    except ValueError:
+        value = None
+    if value is not None and math.isfinite(value):
+        return value
     text = cell.strip()
     if text.lower() in MISSING_TOKENS:
         raise RowParseError(row_no, column, "missing value (imputation not supported)")
-    try:
-        value = float(text)
-    except ValueError:
-        raise RowParseError(row_no, column, f"not a number: {text!r}") from None
-    if not np.isfinite(value):
-        raise RowParseError(row_no, column, f"non-finite value: {text!r}")
-    return value
+    if value is None:
+        raise RowParseError(row_no, column, f"not a number: {text!r}")
+    raise RowParseError(row_no, column, f"non-finite value: {text!r}")
 
 
 def write_csv(path, header, rows) -> None:

@@ -185,6 +185,8 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
     (json.dumps({**BASE_CONFIG, "horizons": [12, 12]}),
      "horizons must be positive and strictly ascending"),
     (json.dumps({**BASE_CONFIG, "enabled_models": []}), "enabled_models names no model"),
+    (json.dumps({**BASE_CONFIG, "time_column": "event"}),
+     "the id, time and event columns must differ, got 'id', 'event' and 'event'"),
     (json.dumps({**BASE_CONFIG, "enabled_models": ["coxboost"],
                  "model_params": {"coxboost": {"rounds": 0}}}), "all risk scores identical"),
 ], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
@@ -196,7 +198,7 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
         "cox-entry-not-object", "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
         "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
         "alpha-above-one", "vif-threshold-below-one", "one-radiomics-level", "repeated-model", "repeated-horizon",
-        "no-models", "coxboost-zero-rounds"])
+        "no-models", "time-column-is-event-column", "coxboost-zero-rounds"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")
@@ -311,9 +313,9 @@ def _simulate_args(tmp_path, spec):
     return ["simulate", "--spec", str(path), "--out", str(tmp_path / "cohort.csv")]
 
 
-def _evaluate_args(tmp_path, time):
+def _evaluate_args(tmp_path, text):
     path = tmp_path / "scores.csv"
-    path.write_text(f"id,time,event,score\na,5.0,1,0.2\nb,{time},0,0.1\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return ["evaluate", "--scores", str(path)]
 
 
@@ -342,7 +344,11 @@ def _evaluate_args(tmp_path, time):
      "seed must be >= 0, got -3"),
     (lambda tmp: _simulate_args(tmp, {"n": 40, "true_coefficients": []}),
      "need at least one coefficient"),
-    (lambda tmp: _evaluate_args(tmp, 0), "row 2, column 'time': time must be positive"),
+    (lambda tmp: _evaluate_args(tmp, "id,time,event,score\na,5.0,1,0.2\nb,0,0,0.1\n"),
+     "row 2, column 'time': time must be positive"),
+    (lambda tmp: _evaluate_args(tmp, "id,time,event,score,time\na,5.0,1,0.2,7.0\n"
+                                     "b,4.0,0,0.1,2.0\n"),
+     "scores.csv: header repeats column 'time'"),
     (lambda tmp: _run_args(tmp, cohort_csv="absent.csv"), "absent.csv: [Errno 2] No such file"),
     (lambda tmp: _run_args(tmp, longitudinal_csv="absent_longitudinal.csv"),
      "absent_longitudinal.csv: [Errno 2] No such file"),
@@ -356,7 +362,8 @@ def _evaluate_args(tmp_path, time):
 ], ids=["grid-dims", "grid-value", "run-grid-value", "run-second-grid-value", "grid-nan", "run-grid-inf",
         "missing-spec", "spec-no-coefficients",
         "spec-unknown-key", "spec-string-bool", "spec-float-n", "spec-negative-seed",
-        "spec-empty-coefficients", "evaluate-zero-time", "run-missing-cohort", "run-missing-longitudinal",
+        "spec-empty-coefficients", "evaluate-zero-time", "evaluate-repeated-time",
+        "run-missing-cohort", "run-missing-longitudinal",
         "evaluate-missing-scores", "extract-missing-mask", "extract-empty-mask", "extract-no-grids"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, message):
     args = [*make_args(tmp_path), "--quiet"]

@@ -1,14 +1,14 @@
+import csv
 import importlib.util
+import io
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurrisk import cohort as cohort_module
 from recurrisk.cohort import (
     Cohort,
     ConstantFeatureWarning,
@@ -77,6 +77,21 @@ class TestLoadCohort:
         path.write_text("id,when,event,x\np1,3.0,1,0.5\n")
         with pytest.raises(SchemaError):
             load_cohort(path)
+
+    def test_repeated_header_name_is_schema_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,time,event,time,x\np1,3.0,1,5.0,0.5\n")
+        with pytest.raises(SchemaError, match="header repeats column 'time'"):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("events", ["1,1", "1,0"], ids=["all-events", "censored"])
+    def test_roles_naming_one_column_twice_are_schema_error(self, tmp_path, events):
+        path = tmp_path / "c.csv"
+        first, second = events.split(",")
+        path.write_text(f"id,time,event,x\np1,3.0,{first},0.5\np2,4.0,{second},0.1\n")
+        with pytest.raises(SchemaError, match="the id, time and event columns must differ, "
+                                              "got 'id', 'event' and 'event'"):
+            load_cohort(path, time_column="event")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -148,29 +163,27 @@ def csv_text(d):
         for k, line in enumerate(ls)]) + "\n")
 
 
+def csv_oracle(text):
+    """The ids and the (time, event, *features) values of a valid cohort
+    file as csv.reader and float() read it: lines that hold a non-blank
+    cell, the first one the header, ids stripped."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)][1:]
+    return [row[0].strip() for row in rows], np.array([[float(c) for c in row[1:]] for row in rows])
+
+
 class TestBlockLoader:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3).flatmap(csv_text))
-    def test_block_path_equals_cell_path(self, text):
+    def test_loader_equals_csv_reader_oracle(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "c.csv")
             path.write_text(text, encoding="utf-8")
-            real_convert, converted = cohort_module._convert_block, []
-
-            def convert(*args):
-                converted.append(real_convert(*args))
-                return converted[-1]
-
-            with mock.patch.object(cohort_module, "_BLOCK_ROWS", 3), \
-                    mock.patch.object(cohort_module, "_convert_block", convert):
-                block = load_cohort(path)
-            with mock.patch.object(cohort_module, "_convert_block", return_value=None):
-                cell = load_cohort(path)
-        assert converted and all(v is not None for v in converted)   # no fallback
-        assert list(block.ids) == list(cell.ids)
-        assert np.array_equal(block.times.view(np.int64), cell.times.view(np.int64))
-        assert np.array_equal(block.events, cell.events)
-        assert np.array_equal(block.X.view(np.int64), cell.X.view(np.int64))
+            cohort = load_cohort(path)
+        ids, values = csv_oracle(text)
+        assert list(cohort.ids) == ids
+        assert np.array_equal(cohort.times.view(np.int64), values[:, 0].view(np.int64))
+        assert np.array_equal(cohort.events, values[:, 1])
+        assert np.array_equal(cohort.X.view(np.int64), values[:, 2:].view(np.int64))
 
     @staticmethod
     def _big_file(path, n, bad_row=None, cell="0.5"):

@@ -128,7 +128,9 @@ class TestLongitudinalCsv:
          (RowParseError, 3, "x0")),
         ("id,snapshot_index,event,x0\na,1,1,0.1\n", (SchemaError, None, None)),
         ("", (EmptyCohortError, None, None)),
-    ], ids=["spaced-separators", "blank-line-then-bad-cell", "missing-column", "empty-file"])
+        ("id,snapshot_index,time,event,x0,x0\na,1,3.5,1,0.1,0.2\n", (SchemaError, None, None)),
+    ], ids=["spaced-separators", "blank-line-then-bad-cell", "missing-column", "empty-file",
+            "repeated-feature"])
     def test_reader_follows_the_cohort_readers_conventions(self, tmp_path, text, expected):
         """One snapshot per subject, so load_cohort reads the same file, with
         snapshot_index as a feature, and must agree on ids and errors."""
