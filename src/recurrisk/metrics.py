@@ -145,15 +145,11 @@ def auc_summary(times, events, scores, horizon) -> float:
     return float(np.sum(weights * values) / np.sum(weights))
 
 
-def auc_by_horizon(times, events, scores, horizons) -> dict:
-    """auc_summary per horizon, keyed f"{h:g}"; None where it is undefined."""
-    return by_horizon(lambda _, h: auc_summary(times, events, scores, h), horizons)
-
-
 def discrimination(times, events, scores, horizons) -> dict:
-    """{"c_index": Harrell's C, "auc": auc_by_horizon} of one score vector."""
+    """{"c_index": Harrell's C, "auc": auc_summary per horizon, keyed
+    f"{h:g}" and None where it is undefined} of one score vector."""
     return {"c_index": c_index(times, events, scores).c_index,
-            "auc": auc_by_horizon(times, events, scores, horizons)}
+            "auc": by_horizon(lambda _, h: auc_summary(times, events, scores, h), horizons)}
 
 
 def brier(t, survival_probs, times, events) -> float:

@@ -71,7 +71,7 @@ from .svgplot import PALETTE, Series, render_plot
 from .temporal import check_temporal_params, load_longitudinal, temporal_risk, train_temporal
 from .workers import split_map
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 DCA_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
@@ -364,7 +364,7 @@ def run_pipeline(config: PipelineConfig):
     if chosen is None:
         raise PipelineError("evaluation", "every model failed")
 
-    stratification = _stratify_and_compare(cohort, oof_scores[chosen])
+    stratification, curves = _stratify_and_compare(cohort, oof_scores[chosen])
 
     features_section = _feature_tables(cohort, config, chosen, vif_removed_by_fold)
 
@@ -391,7 +391,7 @@ def run_pipeline(config: PipelineConfig):
         "temporal": temporal_section,
     }
 
-    _write_artifacts(report, cohort, oof_scores, config)
+    _write_artifacts(report, curves, cohort, oof_scores, config)
     return report
 
 
@@ -425,14 +425,18 @@ def _choose_model(model_reports) -> str | None:
 
 
 def _stratify_and_compare(cohort: Cohort, scores):
-    """Median-cutoff risk groups (score > median is high risk), their
-    Kaplan-Meier curves and the log-rank test between them; identical
-    scores raise DegenerateStratificationError."""
+    """Median-cutoff risk groups (score > median is high risk): the report's
+    summary of them and their Kaplan-Meier curves, {"high": ..., "low": ...}.
+    Identical scores, or an empty high group, raise
+    DegenerateStratificationError."""
     times, events = cohort.times, cohort.events
     if np.all(scores == scores[0]):
         raise DegenerateStratificationError("all risk scores identical")
     cutoff = float(np.median(scores))
     is_high = scores > cutoff
+    if not np.any(is_high):
+        raise DegenerateStratificationError(
+            "high-risk group is empty: more than half of the risk scores tie at the largest")
 
     km_high = kaplan_meier(times[is_high], events[is_high])
     km_low = kaplan_meier(times[~is_high], events[~is_high])
@@ -446,9 +450,7 @@ def _stratify_and_compare(cohort: Cohort, scores):
         "median_rfs_low": median_survival_time(km_low),
         "log_rank_chi_square": lr.chi_square,
         "log_rank_p": lr.p_value,
-        "km_high": km_high.to_rows(),
-        "km_low": km_low.to_rows(),
-    }
+    }, {"high": km_high, "low": km_low}
 
 
 def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
@@ -511,7 +513,7 @@ def _longitudinal_by_id(cohort: Cohort, path) -> dict:
 # --- artifact emission -------------------------------------------------------
 
 
-def _write_artifacts(report: dict, cohort: Cohort, oof_scores, config: PipelineConfig):
+def _write_artifacts(report: dict, curves, cohort: Cohort, oof_scores, config: PipelineConfig):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
@@ -521,9 +523,8 @@ def _write_artifacts(report: dict, cohort: Cohort, oof_scores, config: PipelineC
               zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
                   *(s.tolist() for s in oof_scores.values())))
 
-    strat = report["stratification"]
-    write_csv(out / "km_high.csv", ["time", "survival"], strat["km_high"])
-    write_csv(out / "km_low.csv", ["time", "survival"], strat["km_low"])
+    for group, km in curves.items():
+        write_csv(out / f"km_{group}.csv", ["time", "survival"], km.to_rows())
 
     for name, rep in report["models"].items():
         if rep.get("status") != "ok":
@@ -533,24 +534,21 @@ def _write_artifacts(report: dict, cohort: Cohort, oof_scores, config: PipelineC
             write_csv(out / f"{table}_{name}.csv", rows[0].keys(),
                       (row.values() for row in rows))
 
-    emit_plots(report, out)
+    emit_plots(report, curves, out)
 
 
-def emit_plots(report: dict, outdir: Path) -> None:
-    """Write the KM, AUC-by-horizon, calibration and DCA SVGs into `outdir`."""
+def emit_plots(report: dict, curves, outdir: Path) -> None:
+    """Write the KM, AUC-by-horizon, calibration and DCA SVGs into `outdir`;
+    `curves` are the risk groups' Kaplan-Meier curves, high then low."""
     chosen = report["chosen_model"]
-    strat = report["stratification"]
 
-    km_series = [
-        Series("high risk", [0.0] + [t for t, _ in strat["km_high"]],
-               [1.0] + [v for _, v in strat["km_high"]], PALETTE[1], step=True),
-        Series("low risk", [0.0] + [t for t, _ in strat["km_low"]],
-               [1.0] + [v for _, v in strat["km_low"]], PALETTE[0], step=True),
-    ]
+    km_series = [Series(f"{group} risk", [0.0, *km.knots.tolist()], [1.0, *km.values.tolist()],
+                        color, step=True)
+                 for (group, km), color in zip(curves.items(), (PALETTE[1], PALETTE[0]))]
     km_svg = render_plot(
         km_series, "Recurrence-free survival by risk group", "months",
         "survival probability",
-        annotations=[f"log-rank p = {strat['log_rank_p']:.4g}"],
+        annotations=[f"log-rank p = {report['stratification']['log_rank_p']:.4g}"],
         y_range=(0.0, 1.05))
     (outdir / "km_groups.svg").write_text(km_svg, encoding="utf-8", newline="\n")
 

@@ -8,11 +8,14 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from recurrisk import pipeline
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
-from recurrisk.errors import TrainingError
+from recurrisk.errors import DegenerateStratificationError, TrainingError
+from recurrisk.nonparametric import kaplan_meier, median_survival_time
 from recurrisk.pipeline import PipelineConfig, run_pipeline
+from recurrisk.stepfun import StepFunction
 
 from conftest import write_grids
 from test_temporal import generate_longitudinal, write_longitudinal
@@ -113,6 +116,57 @@ def test_infinite_out_of_fold_score_fails_only_that_learner(tmp_path, monkeypatc
         "status": "failed", "error": "incomplete or non-finite predictions"}
     assert report["models"]["cox"]["status"] == "ok"
     assert report["chosen_model"] == "cox"
+
+
+def test_a_high_risk_group_left_empty_by_tied_scores_is_named(tmp_path, monkeypatch):
+    cohort, _ = generate_synthetic(
+        SyntheticSpec(n=120, true_coefficients=(1.0, -0.7), seed=2))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    cox = pipeline.LEARNERS["cox"]
+
+    class TwoRowsInThreeAtTheTop:
+        def __init__(self, model):
+            self.model = model
+
+        def predict(self, X, horizons):
+            scores, surv = self.model.predict(X, horizons)
+            return np.where(np.arange(scores.size) % 3, 1.0, np.minimum(scores, 0.0)), surv
+
+        def to_json(self):
+            return self.model.to_json()
+
+    monkeypatch.setitem(pipeline.LEARNERS, "cox", cox._replace(
+        fit=lambda *args: TwoRowsInThreeAtTheTop(cox.fit(*args))))
+    with pytest.raises(DegenerateStratificationError, match="high-risk group is empty"):
+        run_pipeline(PipelineConfig(
+            cohort_csv=str(tmp_path / "cohort.csv"), out_dir=str(tmp_path / "out"),
+            cv_folds=3, enabled_models=("cox",)))
+
+
+def test_the_km_csvs_are_the_one_record_of_the_risk_group_curves(tmp_path):
+    cohort, _ = generate_synthetic(
+        SyntheticSpec(n=120, true_coefficients=(1.0, -0.7), seed=2))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    out = tmp_path / "out"
+    report = run_pipeline(PipelineConfig(
+        cohort_csv=str(tmp_path / "cohort.csv"), out_dir=str(out), cv_folds=3,
+        enabled_models=("cox", "coxboost"), model_params={"coxboost": {"rounds": 20}}))
+    strat = report["stratification"]
+    assert sorted(strat) == ["cutoff", "log_rank_chi_square", "log_rank_p",
+                             "median_rfs_high", "median_rfs_low", "n_high", "n_low"]
+
+    header, *rows = _csv_cells(out / "oof_scores.csv")
+    columns = dict(zip(header[1:], np.array([row[1:] for row in rows], dtype=float).T))
+    times, events = columns["time"], columns["event"]
+    is_high = columns[report["chosen_model"]] > strat["cutoff"]
+    assert (strat["n_high"], strat["n_low"]) == (is_high.sum(), (~is_high).sum())
+    for group, members in (("high", is_high), ("low", ~is_high)):
+        header, *rows = _csv_cells(out / f"km_{group}.csv")
+        assert header == ["time", "survival"]
+        curve = StepFunction(*np.array(rows, dtype=float).T, initial_value=1.0)
+        assert curve.to_rows() == kaplan_meier(times[members], events[members]).to_rows()
+        assert strat[f"median_rfs_{group}"] is not None
+        assert median_survival_time(curve) == strat[f"median_rfs_{group}"]
 
 
 def test_outputs_are_the_same_bytes_with_and_without_the_worker(tmp_path, monkeypatch):
