@@ -22,6 +22,10 @@ order at the start of training, which makes the fitted model exactly
 invariant to input permutations, and their risk sets are built once per
 fit. Tree growth, routing and serialization come from ``tree.py``.
 
+A round scores its learner once. A step that would raise the training loss
+is halved, and the learner kept is scaled once by the accepted power of two,
+which is exact in floating point, so it gives the accepted scores.
+
 The trees use XGBoost's presorted exact greedy search (Chen & Guestrin,
 KDD 2016): ``tree.grow`` argsorts every column once per tree and hands each
 node its rows in every column's order, and one 2-D cumulative sum scores
@@ -74,8 +78,8 @@ class BoostParams:
             raise InvalidParameterError(f"mode must be one of {_MODES}")
         if not 0.0 < self.row_subsample <= 1.0:
             raise InvalidParameterError("row_subsample must be in (0, 1]")
-        if self.l2_lambda < 0:
-            raise InvalidParameterError("l2_lambda must be >= 0")
+        if not self.l2_lambda > 0:   # a leaf of zero-gradient rows would be 0/0
+            raise InvalidParameterError("l2_lambda must be > 0")
 
 
 def cox_negloglik(risk: RiskSets, scores) -> float:
@@ -130,21 +134,22 @@ class Stump:
 
 @dataclass(frozen=True)
 class Tree:
-    """Regression tree with a float on every leaf."""
+    """Regression tree with a float on every leaf, times ``scale``."""
 
     root: object
+    scale: float = 1.0
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0])
         for value, idx in tree.route(self.root, X):
-            out[idx] = value
+            out[idx] = value * self.scale
         return out
 
     def scaled(self, factor: float) -> "Tree":
-        return Tree(tree.map_leaves(self.root, lambda value: value * factor))
+        return Tree(self.root, self.scale * factor)
 
     def to_dict(self):
-        return tree.to_dict(self.root, lambda value: {"value": value})
+        return tree.to_dict(self.root, lambda value: {"value": value * self.scale})
 
 
 class _StumpFitter:
@@ -268,10 +273,10 @@ class BoostedModel:
 def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     """Gradient/Newton boosting on the Cox partial likelihood.
 
-    Each round fits a base learner to the negative gradient of the loss and
-    adds it scaled by the learning rate; if the training loss would rise,
-    the new learner is halved (folded into its values) until the trace is
-    nonincreasing, and the round is abandoned once halving stops helping.
+    Each round fits a base learner to the negative gradient of the loss; its
+    step is the learner's scores times the learning rate. While the training
+    loss would rise the step is halved, at most 30 times; an accepted halved
+    learner is scaled once, and a round that no halving rescues ends the fit.
     """
     if int(np.sum(cohort.events)) < 1:
         raise TrainingError("cannot boost with zero events")
@@ -309,20 +314,16 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
             early_stop = rnd
             break
 
-        accepted = False
-        scale = 1.0
-        for _ in range(31):
-            cand = learner.scaled(scale) if scale != 1.0 else learner
-            f_new = f + params.learning_rate * cand.predict(X)
+        step = params.learning_rate * learner.predict(X)
+        for k in range(31):
+            f_new = f + step * 0.5 ** k
             loss = cox_negloglik(risk, f_new)
             if loss <= trace[-1] + 1e-9:
-                learners.append(cand)
+                learners.append(learner.scaled(0.5 ** k) if k else learner)
                 f = f_new
                 trace.append(loss)
-                accepted = True
                 break
-            scale *= 0.5
-        if not accepted:
+        else:
             early_stop = rnd
             break
 

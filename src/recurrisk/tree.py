@@ -69,14 +69,6 @@ def route(root, X):
         stack.append((node.right, idx[~go_left]))
 
 
-def map_leaves(node, fn):
-    """The same tree with every leaf replaced by fn(leaf)."""
-    if not isinstance(node, TreeSplit):
-        return fn(node)
-    return TreeSplit(node.feature, node.threshold,
-                     map_leaves(node.left, fn), map_leaves(node.right, fn))
-
-
 def to_dict(node, leaf_to_dict):
     """Nested JSON-ready dicts; leaf_to_dict gives a leaf's own fields."""
     if not isinstance(node, TreeSplit):

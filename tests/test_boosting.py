@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from recurrisk import boosting
 from recurrisk.boosting import (
     BoostParams,
     Stump,
@@ -245,29 +248,39 @@ def test_all_constant_columns_give_no_stump():
     assert _StumpFitter(X[:1]).fit(residual[:1]) is None     # one row
 
 
-def fit_componentwise_reference(cohort, params):
-    """(learners, loss trace) of the former componentwise loop: sorted-key
-    canonical order, per-round row draws, the per-feature stump search."""
+def fit_boosted_reference(cohort, params):
+    """(learners, loss trace) of the former training loop: sorted-key
+    canonical order, per-round row draws, the per-feature stump search or
+    the Newton tree, and for each halving a candidate learner scaled by
+    0.5 ** k and routed again. The loss is read through the module, so a
+    test can patch it."""
     order = sorted(range(len(cohort)),
                    key=lambda i: (cohort.times[i], cohort.events[i], cohort.ids[i]))
     X, t, e = cohort.X[order], cohort.times[order], cohort.events[order]
     n = len(t)
     rng = np.random.default_rng(params.seed)
     risk = RiskSets(t, e)
-    f, learners, trace = np.zeros(n), [], [cox_negloglik(risk, np.zeros(n))]
+    lam = params.l2_lambda if params.mode == "xgboost" else 0.0
+    f, learners, trace = np.zeros(n), [], [boosting.cox_negloglik(risk, np.zeros(n))]
     for _ in range(params.rounds):
-        g, _ = cox_gradients(risk, f)
+        g, h = cox_gradients(risk, f)
+        if params.mode == "gbm":
+            h = np.ones(n)
         rows = np.arange(n)
         if params.row_subsample < 1.0:
             m = max(1, int(round(params.row_subsample * n)))
             rows = np.sort(rng.choice(n, size=m, replace=False))
-        learner = fit_stump_per_feature(X[rows], -g[rows])
+        if params.mode == "componentwise":
+            learner = fit_stump_per_feature(X[rows], -g[rows])
+        else:
+            learner = _fit_tree(X[rows], g[rows], h[rows], params.tree_depth,
+                                params.min_leaf, lam)
         if learner is None:
             break
         for halvings in range(31):
             cand = learner.scaled(0.5 ** halvings) if halvings else learner
             f_new = f + params.learning_rate * cand.predict(X)
-            loss = cox_negloglik(risk, f_new)
+            loss = boosting.cox_negloglik(risk, f_new)
             if loss <= trace[-1] + 1e-9:
                 learners.append(cand)
                 f = f_new
@@ -288,7 +301,7 @@ def test_componentwise_fit_equals_the_per_feature_fit(subsample):
                          list(cohort.ids))
     params = _params("componentwise", rounds=40, row_subsample=subsample)
     model = fit_boosted(cohort, params)
-    learners, trace = fit_componentwise_reference(cohort, params)
+    learners, trace = fit_boosted_reference(cohort, params)
     assert len(learners) == 40
     assert model.base_learners == learners and model.training_loss_trace == trace
 
@@ -444,3 +457,53 @@ def test_training_loss_never_rises(cohort, mode):
     trace = np.array(fit_boosted(cohort, _params(mode)).training_loss_trace)
     assert trace.size > 1
     assert np.all(np.diff(trace) <= 1e-9)
+
+
+def rejecting(every=(2, 3, 5)):
+    """The Cox loss, except inf on every call whose count a number in
+    `every` divides: each round then halves its step 0 to 4 times."""
+    calls = itertools.count(1)
+
+    def loss(risk, scores):
+        if any(next(calls) % k == 0 for k in every):
+            return np.inf
+        return cox_negloglik(risk, scores)
+
+    return loss
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_halved_steps_equal_the_scaled_learners(monkeypatch, mode):
+    cohort = random_censored_cohort(np.random.default_rng(4), 80, 3, tie_fraction=0.5)
+    params = _params(mode, learning_rate=0.3)
+    unhalved = fit_boosted(cohort, params)
+    monkeypatch.setattr(boosting, "cox_negloglik", rejecting())
+    model = fit_boosted(cohort, params)
+    assert model.training_loss_trace != unhalved.training_loss_trace
+    monkeypatch.setattr(boosting, "cox_negloglik", rejecting())
+    learners, trace = fit_boosted_reference(cohort, params)
+    assert len(learners) == 25 and model.early_stop_round is None
+    assert model.training_loss_trace == trace
+    assert [l.to_dict() for l in model.base_learners] == [l.to_dict() for l in learners]
+    X = cohort.X
+    assert np.array_equal(model.predict_risk(X),
+                          sum(params.learning_rate * l.predict(X) for l in learners))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("give_up", [0, 6])
+def test_a_round_no_halving_rescues_ends_the_fit(cohort, monkeypatch, mode, give_up):
+    # the first loss and the first `give_up` rounds' steps pass; from then on
+    # every candidate fails, and round `give_up` tries all 31 before stopping
+    calls = []
+
+    def loss(risk, scores):
+        calls.append(None)
+        return cox_negloglik(risk, scores) if len(calls) <= give_up + 1 else np.inf
+
+    monkeypatch.setattr(boosting, "cox_negloglik", loss)
+    model = fit_boosted(cohort, _params(mode))
+    assert model.early_stop_round == give_up
+    assert len(model.base_learners) == give_up
+    assert len(model.training_loss_trace) == give_up + 1
+    assert len(calls) == give_up + 1 + 31

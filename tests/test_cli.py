@@ -177,6 +177,8 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "model_params for coxboost: unknown key(s) ['l2_lambda']"),
     (json.dumps({**BASE_CONFIG, "model_params": {"gbm": {"l2_lambda": 100}}}),
      "model_params for gbm: unknown key(s) ['l2_lambda']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"l2_lambda": 0}}}),
+     "model_params for xgboost: l2_lambda must be > 0"),
     (json.dumps({**BASE_CONFIG, "alpha": 2.0}), "alpha must be in (0, 1], got 2.0"),
     (json.dumps({**BASE_CONFIG, "vif_threshold": -1}), "vif_threshold must be >= 1, got -1.0"),
     (json.dumps({**BASE_CONFIG, "radiomics_levels": 1}), "radiomics_levels must be >= 2, got 1"),
@@ -197,6 +199,7 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
         "string-alpha", "string-horizon", "int-id-column", "int-grid-dir",
         "cox-entry-not-object", "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
         "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
+        "zero-xgboost-l2-lambda",
         "alpha-above-one", "vif-threshold-below-one", "one-radiomics-level", "repeated-model", "repeated-horizon",
         "no-models", "time-column-is-event-column", "coxboost-zero-rounds"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
@@ -215,7 +218,7 @@ def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
 def test_config_types_follow_the_defaults():
     # an int may stand for a float and fill a None default; null keeps None
     config = PipelineConfig(cohort_csv="cohort.csv", model_params={
-        "xgboost": {"learning_rate": 1, "l2_lambda": 0},
+        "xgboost": {"learning_rate": 1, "l2_lambda": 2},
         "rsf": {"mtry": 2, "max_depth": None}, "cox": {"ridge": 0, "ties": "breslow"}},
         temporal_params={"learning_rate": 1, "epochs": 3})
     assert config.model_params["rsf"]["mtry"] == 2

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from recurrisk import pipeline
+from recurrisk import pipeline, temporal
 from recurrisk.boosting import cox_gradients, cox_negloglik
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort
 from recurrisk.errors import (
@@ -21,6 +21,7 @@ from recurrisk.errors import (
 from recurrisk.nonparametric import RiskSets
 from recurrisk.pipeline import PipelineConfig
 from recurrisk.temporal import (
+    ADAM_EPS,
     SnapshotSequence,
     _loss_and_gradients,
     _prepared,
@@ -379,6 +380,37 @@ class TestBatchedPass:
         assert len(a.training_loss_trace) == 16
         for name in BLOCKS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_first_step_moves_each_block_by_its_gradient_over_its_size(self):
+        # Adam's bias-corrected moments after one step are g and g**2
+        seqs, lr = sequences(n=30), 0.01
+        start = initial_model(6, 5, 2)
+        _, grads = temporal_loss_and_gradients(seqs, start)
+        model = train_temporal(seqs, pe_dim=6, hidden=5, learning_rate=lr, epochs=1, seed=2)
+        for name in BLOCKS:
+            g = np.asarray(grads[name])
+            np.testing.assert_allclose(getattr(model, name),
+                                       getattr(start, name) - lr * g / (np.abs(g) + ADAM_EPS),
+                                       rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("final, diverged", [(6.5, True), (6.05, False)])
+    def test_a_final_loss_above_its_best_by_over_one_percent_raises(self, monkeypatch,
+                                                                      final, diverged):
+        losses = [10.0, 8.0, 6.0, 9.0, 7.0, final]       # five epochs, then the final loss
+        scripted = iter(losses)
+
+        def loss_and_gradients(batch, risk, model):
+            return next(scripted), {name: np.zeros(np.shape(getattr(model, name)))
+                                    for name in BLOCKS}
+
+        monkeypatch.setattr(temporal, "_loss_and_gradients", loss_and_gradients)
+        if diverged:
+            with pytest.raises(TrainingError, match="diverged") as info:
+                train_temporal(sequences(n=20), epochs=5)
+            assert info.value.trace == losses
+        else:
+            assert train_temporal(sequences(n=20), epochs=5).training_loss_trace == \
+                tuple(losses)
 
     def test_snapshot_wider_than_encoder_raises(self):
         seq = SnapshotSequence("a", np.ones((2, 9)), 3.0, 1)
