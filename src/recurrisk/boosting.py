@@ -5,9 +5,8 @@ Three modes share one training loop:
 * ``componentwise`` - per round, a one-feature least-squares stump fit to
   the negative gradient; the feature with the smallest squared residual
   wins (CoxBoost-style componentwise linear boosting). Each column's mean
-  and sum of squares are computed once per fit (once per round under row
-  subsampling), and every feature is scored in one pass over a cached
-  (d, n) copy of the columns.
+  and sum of squares are computed once per fit, and every feature is
+  scored in one pass over a cached (d, n) copy of the columns.
 * ``xgboost`` - Newton boosting: trees grown by the second-order gain
   formula with leaf weights -sum(g) / (sum(h) + lambda).
 * ``gbm`` - first-order gradient boosting: the same Newton tree with
@@ -62,8 +61,6 @@ class BoostParams:
     min_leaf: int = 5
     l2_lambda: float = 1.0
     mode: str = "componentwise"
-    row_subsample: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 0:
@@ -76,8 +73,6 @@ class BoostParams:
             raise InvalidParameterError("min_leaf must be >= 1")
         if self.mode not in _MODES:
             raise InvalidParameterError(f"mode must be one of {_MODES}")
-        if not 0.0 < self.row_subsample <= 1.0:
-            raise InvalidParameterError("row_subsample must be in (0, 1]")
         if not self.l2_lambda > 0:   # a leaf of zero-gradient rows would be 0/0
             raise InvalidParameterError("l2_lambda must be > 0")
 
@@ -284,9 +279,8 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     order = canonical_order(cohort.times, cohort.events, cohort.ids)
     X, t, e = cohort.matrix()[order], cohort.times[order], cohort.events[order]
     n = X.shape[0]
-    rng = np.random.default_rng(params.seed)
     lam = params.l2_lambda if params.mode == "xgboost" else 0.0
-    stumps = None
+    stumps = _StumpFitter(X) if params.mode == "componentwise" else None
 
     f = np.zeros(n)
     learners: list = []
@@ -298,18 +292,10 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
         g, h = cox_gradients(risk, f, hessian=params.mode == "xgboost")
         if params.mode == "gbm":
             h = np.ones(n)
-        rows = slice(None)
-        if params.row_subsample < 1.0:
-            m = max(1, int(round(params.row_subsample * n)))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
-
         if params.mode == "componentwise":
-            if stumps is None or params.row_subsample < 1.0:
-                stumps = _StumpFitter(X[rows])
-            learner = stumps.fit(-g[rows])
+            learner = stumps.fit(-g)
         else:
-            learner = _fit_tree(X[rows], g[rows], h[rows], params.tree_depth,
-                                params.min_leaf, lam)
+            learner = _fit_tree(X, g, h, params.tree_depth, params.min_leaf, lam)
         if learner is None:
             early_stop = rnd
             break

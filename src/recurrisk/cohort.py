@@ -156,8 +156,8 @@ def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
     Raises InvalidParameterError for a file that cannot be read, SchemaError
     for id, time and event roles that name one column twice and for a
     missing or repeated column, RowParseError for bad cells (non-numeric
-    feature, time <= 0, event not in {0,1}, missing value, a repeated
-    subject id) and EmptyCohortError for a file without data rows.
+    feature, time <= 0, event not in {0,1}, missing value, a blank or
+    repeated subject id) and EmptyCohortError for a file without data rows.
     """
     reserved = (time_column, event_column, id_column)
     if len(set(reserved)) != len(reserved):
@@ -205,7 +205,7 @@ def _unique_row(row_no: int, row, header, cols, id_idx, row_of_id) -> list[float
     """`parse_row`, then the row's id recorded in `row_of_id`, which holds
     the ids of the rows before it; a repeated id raises RowParseError."""
     values = parse_row(row_no, row, header, cols)
-    rid = row[id_idx].strip()
+    rid = subject_id(row_no, row, header, id_idx)
     if rid in row_of_id:
         raise RowParseError(row_no, header[id_idx],
                             f"duplicate id {rid!r} (first on row {row_of_id[rid]})")
@@ -228,6 +228,14 @@ def parse_row(row_no: int, row, header, cols) -> list[float]:
         raise RowParseError(row_no, header[event_at],
                             f"event must be 0 or 1, got {row[event_at].strip()}")
     return [time, int(event)] + [_parse_number(row[i], row_no, header[i]) for i in feature_cols]
+
+
+def subject_id(row_no: int, row, header, id_at) -> str:
+    """The stripped id in cell `id_at` of a parsed row; RowParseError if blank."""
+    sid = row[id_at].strip()
+    if not sid:
+        raise RowParseError(row_no, header[id_at], "missing subject id")
+    return sid
 
 
 def _parse_number(cell: str, row_no: int, column: str) -> float:

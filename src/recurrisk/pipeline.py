@@ -86,7 +86,7 @@ def _fit_rsf(cohort: Cohort, params: dict, seed: int, fold: int):
 class Learner(NamedTuple):
     """fit(cohort, params, seed, fold) -> fitted model, where params is the
     learner's `model_params` entry and fold is -1 for the whole-cohort refit
-    (so a learner seeds from fold + 1: numpy rejects a negative seed);
+    (so rsf seeds from fold + 1: numpy rejects a negative seed);
     `params` declares the keys the entry may hold (see errors.declared), and
     check(**settings) raises InvalidParameterError on a value out of range,
     where settings are the entry over the defaults of `params`.
@@ -101,13 +101,13 @@ class Learner(NamedTuple):
 
 def _booster(mode: str, *unread: str) -> Learner:
     def fit(cohort: Cohort, params: dict, seed: int, fold: int):
-        return fit_boosted(cohort, BoostParams(**params, mode=mode, seed=seed + fold + 1))
-    return Learner(fit, declared(BoostParams, "mode", "seed", *unread), BoostParams)
+        return fit_boosted(cohort, BoostParams(**params, mode=mode))
+    return Learner(fit, declared(BoostParams, "mode", *unread), BoostParams)
 
 
 # The fit functions look fit_cox, fit_rsf and fit_boosted up at call time,
 # so rebinding those module names takes effect. A config may set neither a
-# booster's mode and seed nor the settings its mode never reads (`unread`).
+# booster's mode nor the settings its mode never reads (`unread`).
 LEARNERS = {
     "xgboost": _booster("xgboost"),
     "rsf": Learner(_fit_rsf, declared(ForestParams, "seed"), ForestParams),

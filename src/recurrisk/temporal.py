@@ -6,9 +6,9 @@ Training minimizes the negative Cox partial likelihood over the per-subject
 scores by full-batch Adam (Kingma & Ba, ICLR 2015) on analytically
 backpropagated gradients (no autograd), so every parameter gradient is
 finite-difference checkable. A run whose final loss ends more than 1% above
-the lowest of its trace has diverged. Subjects are re-sorted into a
-canonical order at the start of training, making the result exactly
-invariant to input permutations.
+the lowest of its trace has diverged; one that gives every subject the same
+score has collapsed. Subjects are re-sorted into a canonical order at the
+start of training, making the result exactly invariant to input permutations.
 
 The whole cohort runs as one batch. Sequences are packed once into an
 (n, T_max, d) tensor: snapshot features zero-padded to width d and to
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boosting import cox_gradients, cox_negloglik
-from .cohort import parse_row, read_table
+from .cohort import parse_row, read_table, subject_id
 from .errors import (
     InvalidParameterError,
     NumericInputError,
@@ -217,8 +217,8 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
     """Full-batch Adam on the Cox loss over sequence scores.
 
     A setting out of its domain raises InvalidParameterError. Raises
-    TrainingError (with the loss trace attached) if the final loss exceeds
-    the trace's lowest by more than DIVERGENCE_TOLERANCE of it.
+    TrainingError (with the loss trace attached) if the final loss exceeds the
+    trace's lowest by more than DIVERGENCE_TOLERANCE of it or the final scores all tie.
     """
     check_temporal_params(pe_dim, hidden, learning_rate, epochs)
     seqs = list(sequences)
@@ -239,11 +239,15 @@ def train_temporal(sequences, pe_dim: int = 8, hidden: int = 8,
         c1, c2 = 1.0 - ADAM_B1 ** epoch, 1.0 - ADAM_B2 ** epoch     # bias corrections
         model = replace(model, **{k: getattr(model, k) - learning_rate * (m[k] / c1)
                                   / (np.sqrt(v[k] / c2) + ADAM_EPS) for k in m})
-    final_loss, _ = _loss_and_gradients(batch, risk, model)
+    scores, _ = _forward(batch, model)
+    final_loss = cox_negloglik(risk, scores)
     trace.append(final_loss)
     if final_loss > (1.0 + DIVERGENCE_TOLERANCE) * min(trace):
         raise TrainingError(f"training diverged (final loss {final_loss:.6g} ends more than "
                             f"{DIVERGENCE_TOLERANCE:.0%} above its lowest, {min(trace):.6g})",
+                            trace=trace)
+    if np.all(scores == scores[0]):
+        raise TrainingError("training collapsed: every subject gets the same score",
                             trace=trace)
     return replace(model, training_loss_trace=tuple(trace))
 
@@ -257,8 +261,8 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
     As in `cohort.load_cohort`, the file is UTF-8 with or without a
     byte-order mark, header names and ids are stripped, blank lines are
     skipped but counted in row numbers, an empty file raises EmptyCohortError
-    and a missing column SchemaError. A bad cell, a time <= 0, an event other
-    than 0/1, a time or event that differs from the subject's earlier rows,
+    and a missing column SchemaError. A bad cell, a blank id, a time <= 0, an event
+    other than 0/1, a time or event that differs from the subject's earlier rows,
     or a snapshot_index repeated within a subject raises RowParseError."""
     outcomes: dict[str, tuple[float, int]] = {}
     snapshots: dict[str, dict[int, list[float]]] = {}
@@ -269,7 +273,7 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
         cols = [time_at, event_at, *(i for i, c in enumerate(header) if c not in required)]
         for row_no, row in rows:
             time, event, *features = parse_row(row_no, row, header, cols)
-            sid, outcome = row[sid_at].strip(), (time, event)
+            sid, outcome = subject_id(row_no, row, header, sid_at), (time, event)
             index = _parse_int(row[index_at], row_no, "snapshot_index")
             earlier = outcomes.setdefault(sid, outcome)
             for column, here, before in zip(("time", "event"), outcome, earlier):

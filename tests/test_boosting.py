@@ -23,7 +23,7 @@ MODES = ("componentwise", "gbm", "xgboost")
 
 def _params(mode, **overrides):
     return BoostParams(**{"rounds": 25, "learning_rate": 0.2, "tree_depth": 3,
-                          "min_leaf": 4, "mode": mode, "seed": 3, **overrides})
+                          "min_leaf": 4, "mode": mode, **overrides})
 
 
 # --- the former least-squares tree of the gbm mode, kept as its oracle -------
@@ -250,15 +250,13 @@ def test_all_constant_columns_give_no_stump():
 
 def fit_boosted_reference(cohort, params):
     """(learners, loss trace) of the former training loop: sorted-key
-    canonical order, per-round row draws, the per-feature stump search or
-    the Newton tree, and for each halving a candidate learner scaled by
-    0.5 ** k and routed again. The loss is read through the module, so a
-    test can patch it."""
+    canonical order, the per-feature stump search or the Newton tree, and
+    for each halving a candidate learner scaled by 0.5 ** k and routed
+    again. The loss is read through the module, so a test can patch it."""
     order = sorted(range(len(cohort)),
                    key=lambda i: (cohort.times[i], cohort.events[i], cohort.ids[i]))
     X, t, e = cohort.X[order], cohort.times[order], cohort.events[order]
     n = len(t)
-    rng = np.random.default_rng(params.seed)
     risk = RiskSets(t, e)
     lam = params.l2_lambda if params.mode == "xgboost" else 0.0
     f, learners, trace = np.zeros(n), [], [boosting.cox_negloglik(risk, np.zeros(n))]
@@ -266,15 +264,10 @@ def fit_boosted_reference(cohort, params):
         g, h = cox_gradients(risk, f)
         if params.mode == "gbm":
             h = np.ones(n)
-        rows = np.arange(n)
-        if params.row_subsample < 1.0:
-            m = max(1, int(round(params.row_subsample * n)))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
         if params.mode == "componentwise":
-            learner = fit_stump_per_feature(X[rows], -g[rows])
+            learner = fit_stump_per_feature(X, -g)
         else:
-            learner = _fit_tree(X[rows], g[rows], h[rows], params.tree_depth,
-                                params.min_leaf, lam)
+            learner = _fit_tree(X, g, h, params.tree_depth, params.min_leaf, lam)
         if learner is None:
             break
         for halvings in range(31):
@@ -291,15 +284,14 @@ def fit_boosted_reference(cohort, params):
     return tuple(learners), tuple(trace)
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.6])
-def test_componentwise_fit_equals_the_per_feature_fit(subsample):
+def test_componentwise_fit_equals_the_per_feature_fit():
     rng = np.random.default_rng(6)
     cohort = random_censored_cohort(rng, 90, 4, tie_fraction=0.5)
     X = cohort.X.copy()
-    X[3:, 3] = 0.0                    # nonzero on three rows: constant on some subsamples
+    X[3:, 3] = 0.0                    # nonzero on three rows only
     cohort = make_cohort(cohort.times, cohort.events, X, cohort.feature_names,
                          list(cohort.ids))
-    params = _params("componentwise", rounds=40, row_subsample=subsample)
+    params = _params("componentwise", rounds=40)
     model = fit_boosted(cohort, params)
     learners, trace = fit_boosted_reference(cohort, params)
     assert len(learners) == 40
@@ -436,12 +428,11 @@ def test_gbm_mode_fits_the_least_squares_tree_to_the_gradient(cohort):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("subsample", [1.0, 0.7])
-def test_fit_is_invariant_to_row_order(cohort, mode, subsample):
+def test_fit_is_invariant_to_row_order(cohort, mode):
     perm = np.random.default_rng(1).permutation(len(cohort))
     shuffled = make_cohort(cohort.times[perm], cohort.events[perm], cohort.X[perm],
                            cohort.feature_names, list(cohort.ids[perm]))
-    params = _params(mode, row_subsample=subsample)
+    params = _params(mode)
     assert fit_boosted(shuffled, params).to_json() == fit_boosted(cohort, params).to_json()
 
 

@@ -177,6 +177,8 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "model_params for coxboost: unknown key(s) ['l2_lambda']"),
     (json.dumps({**BASE_CONFIG, "model_params": {"gbm": {"l2_lambda": 100}}}),
      "model_params for gbm: unknown key(s) ['l2_lambda']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"gbm": {"row_subsample": 0.5}}}),
+     "model_params for gbm: unknown key(s) ['row_subsample']"),
     (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"l2_lambda": 0}}}),
      "model_params for xgboost: l2_lambda must be > 0"),
     (json.dumps({**BASE_CONFIG, "alpha": 2.0}), "alpha must be in (0, 1], got 2.0"),
@@ -199,7 +201,7 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
         "string-alpha", "string-horizon", "int-id-column", "int-grid-dir",
         "cox-entry-not-object", "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
         "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
-        "zero-xgboost-l2-lambda",
+        "gbm-row-subsample", "zero-xgboost-l2-lambda",
         "alpha-above-one", "vif-threshold-below-one", "one-radiomics-level", "repeated-model", "repeated-horizon",
         "no-models", "time-column-is-event-column", "coxboost-zero-rounds"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
@@ -352,6 +354,8 @@ def _evaluate_args(tmp_path, text):
     (lambda tmp: _evaluate_args(tmp, "id,time,event,score,time\na,5.0,1,0.2,7.0\n"
                                      "b,4.0,0,0.1,2.0\n"),
      "scores.csv: header repeats column 'time'"),
+    (lambda tmp: _evaluate_args(tmp, "id,time,event,score\n,5.0,1,0.2\nb,4.0,0,0.1\n"),
+     "row 1, column 'id': missing subject id"),
     (lambda tmp: _run_args(tmp, cohort_csv="absent.csv"), "absent.csv: [Errno 2] No such file"),
     (lambda tmp: _run_args(tmp, longitudinal_csv="absent_longitudinal.csv"),
      "absent_longitudinal.csv: [Errno 2] No such file"),
@@ -366,6 +370,7 @@ def _evaluate_args(tmp_path, text):
         "missing-spec", "spec-no-coefficients",
         "spec-unknown-key", "spec-string-bool", "spec-float-n", "spec-negative-seed",
         "spec-empty-coefficients", "evaluate-zero-time", "evaluate-repeated-time",
+        "evaluate-blank-id",
         "run-missing-cohort", "run-missing-longitudinal",
         "evaluate-missing-scores", "extract-missing-mask", "extract-empty-mask", "extract-no-grids"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, message):

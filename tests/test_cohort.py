@@ -72,6 +72,13 @@ class TestLoadCohort:
         with pytest.raises(RowParseError):
             load_cohort(path)
 
+    def test_blank_subject_id_names_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,time,event,x\np1,3.0,1,0.5\n  ,5.0,0,0.1\n")
+        with pytest.raises(RowParseError, match="missing subject id") as err:
+            load_cohort(path)
+        assert (err.value.row, err.value.column) == (2, "id")
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,when,event,x\np1,3.0,1,0.5\n")

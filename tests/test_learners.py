@@ -66,7 +66,7 @@ def test_an_empty_entry_fits_the_declared_defaults(cohort, name):
 
 def test_each_booster_accepts_only_the_settings_its_mode_reads():
     # only xgboost's Newton leaf reads l2_lambda; componentwise boosting grows no trees
-    common = {"rounds", "learning_rate", "row_subsample"}
+    common = {"rounds", "learning_rate"}
     assert set(LEARNERS["xgboost"].params) == common | {"tree_depth", "min_leaf", "l2_lambda"}
     assert set(LEARNERS["gbm"].params) == common | {"tree_depth", "min_leaf"}
     assert set(LEARNERS["coxboost"].params) == common

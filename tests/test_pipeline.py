@@ -220,7 +220,7 @@ def test_a_learner_failing_in_two_folds_reports_the_first(tmp_path, monkeypatch)
 
 
 def test_a_booster_runs_with_the_default_seed(tmp_path):
-    # the whole-cohort refit is fold -1, and a booster's generator needs a seed >= 0
+    # the whole-cohort refit is fold -1, and it must run with the default seed 0
     cohort, _ = generate_synthetic(
         SyntheticSpec(n=90, true_coefficients=(1.0, -0.7, 0.4), seed=3))
     write_cohort(cohort, tmp_path / "cohort.csv")

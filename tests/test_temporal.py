@@ -81,7 +81,7 @@ class TestLongitudinalCsv:
     @pytest.mark.parametrize("column, cell", [("x1", "abc"), ("time", ""),
                                               ("snapshot_index", "first"),
                                               ("time", "0"), ("event", "2"),
-                                              ("<row>", None)])
+                                              ("id", " "), ("<row>", None)])
     def test_bad_cell_names_row_and_column(self, tmp_path, column, cell):
         header = ["id", "snapshot_index", "time", "event", "x0", "x1"]
         rows = [["a", "1", "3.5", "1", "0.1", "0.2"], ["a", "2", "3.5", "1", "0.3", "0.4"]]
@@ -398,12 +398,7 @@ class TestBatchedPass:
                                                                       final, diverged):
         losses = [10.0, 8.0, 6.0, 9.0, 7.0, final]       # five epochs, then the final loss
         scripted = iter(losses)
-
-        def loss_and_gradients(batch, risk, model):
-            return next(scripted), {name: np.zeros(np.shape(getattr(model, name)))
-                                    for name in BLOCKS}
-
-        monkeypatch.setattr(temporal, "_loss_and_gradients", loss_and_gradients)
+        monkeypatch.setattr(temporal, "cox_negloglik", lambda risk, scores: next(scripted))
         if diverged:
             with pytest.raises(TrainingError, match="diverged") as info:
                 train_temporal(sequences(n=20), epochs=5)
@@ -411,6 +406,12 @@ class TestBatchedPass:
         else:
             assert train_temporal(sequences(n=20), epochs=5).training_loss_trace == \
                 tuple(losses)
+
+    def test_a_run_that_gives_every_subject_one_score_raises(self):
+        # a step this large saturates every tanh unit, so the scores all tie
+        with pytest.raises(TrainingError, match="collapsed") as info:
+            train_temporal(sequences(n=40, seed=0), learning_rate=5.0)
+        assert len(info.value.trace) == 61
 
     def test_snapshot_wider_than_encoder_raises(self):
         seq = SnapshotSequence("a", np.ones((2, 9)), 3.0, 1)
