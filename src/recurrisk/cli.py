@@ -5,6 +5,8 @@ Subcommands:
   simulate           synthetic cohort from a JSON generator spec
   run                the full pipeline from a JSON config
   evaluate           metrics for an external id,time,event,score CSV
+
+A rejected input or a failed file read or write prints one "error:" line and exits 1.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except RecurriskError as exc:
+    except (RecurriskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

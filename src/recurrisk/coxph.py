@@ -107,15 +107,16 @@ def breslow_baseline(risk: RiskSets, scores) -> StepFunction:
 
 
 def check_cox_params(ties: str, max_iter: int, tol: float, ridge: float) -> None:
-    """Raise InvalidParameterError for a fit_cox setting out of its domain."""
+    """Raise InvalidParameterError for a fit_cox setting out of its domain,
+    including a NaN or infinite `tol` or `ridge` (JSON reads both)."""
     if ties not in ("breslow", "efron"):
         raise InvalidParameterError(f"ties must be 'breslow' or 'efron', got {ties!r}")
     if max_iter < 1:
         raise InvalidParameterError("max_iter must be >= 1")
-    if not tol > 0:
-        raise InvalidParameterError("tol must be > 0")
-    if ridge < 0:
-        raise InvalidParameterError("ridge must be >= 0")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be > 0 and finite, got {tol}")
+    if not 0 <= ridge < math.inf:
+        raise InvalidParameterError(f"ridge must be >= 0 and finite, got {ridge}")
 
 
 _INFO_COLLAPSE = 1e-8  # information-collapse ratio; see fit_cox
@@ -236,7 +237,7 @@ class ScreenRow:
 _Z975 = 1.959963984540054  # Phi^-1(0.975) within 1 ulp; the tests pin this exact double
 
 
-def univariate_screen(cohort: Cohort, ties: str = "efron") -> list[ScreenRow]:
+def univariate_screen(cohort: Cohort) -> list[ScreenRow]:
     """One single-feature Cox fit per feature; Wald p-values, sorted ascending.
 
     The two-sided Wald p is 2·Phi(-|z|) = erfc(|z| / sqrt 2), z = beta / se,
@@ -253,7 +254,7 @@ def univariate_screen(cohort: Cohort, ties: str = "efron") -> list[ScreenRow]:
     for name in cohort.feature_names:
         sub = cohort.subset_features([name])
         try:
-            model = fit_cox(sub, ties=ties)
+            model = fit_cox(sub)
         except (NonconvergenceError, ConditioningError):
             model = None
         if model is None or not model.converged:
@@ -294,11 +295,10 @@ def vif_filter(cohort: Cohort, retained, threshold: float = 5.0) -> VifResult:
 
     VIF_j = 1 / (1 - R^2_j) from regressing feature j on the other retained
     features (with intercept). Exact collinearity counts as infinite VIF and
-    is removed first; ties break toward the earliest cohort column.
+    is removed first; ties break toward the earliest cohort column. Fewer
+    than two features are kept as they are, in cohort column order.
     """
     retained = [n for n in cohort.feature_names if n in set(retained)]
-    if len(retained) < 2:
-        raise InvalidParameterError("VIF filtering needs at least two features")
     X = cohort.subset_features(retained).matrix()
     current = list(range(len(retained)))
     removed = []

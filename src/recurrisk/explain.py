@@ -2,9 +2,8 @@
 subset enumeration, and permutation importance by Harrell's C as the
 fallback above MAX_EXACT_FEATURES features (`feature_importance` picks).
 
-A "model" here is anything exposing batched risk prediction: either a
-callable mapping an (m, d) matrix to m scores, or an object with a
-``predict_risk`` method (CoxModel, BoostedModel, Forest).
+A predictor here is a callable mapping an (m, d) matrix to m risk scores,
+such as a fitted model's ``predict_risk`` (CoxModel, BoostedModel, Forest).
 Exact attribution enumerates all 2^d feature coalitions, replacing absent
 features with the background vector, so it is capped at d <= 14. The
 coalition matrix and the per-feature mask and weight tables depend only on
@@ -23,14 +22,7 @@ from .errors import InvalidParameterError, UndefinedMetricError
 from .metrics import c_index
 
 MAX_EXACT_FEATURES = 14
-
-
-def _as_predictor(model):
-    if callable(model):
-        return model
-    if hasattr(model, "predict_risk"):
-        return lambda X: np.asarray(model.predict_risk(X), dtype=float).ravel()
-    raise InvalidParameterError("model must be callable or expose predict_risk")
+PERMUTATION_REPEATS = 10
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +44,7 @@ def _coalitions(d: int):
     return takes_x, m_wo, m_wo | bits[:, None], weight_by_size[sizes[m_wo]]
 
 
-def exact_shapley(model, x, background) -> np.ndarray:
+def exact_shapley(predict, x, background) -> np.ndarray:
     """Exact Shapley attribution phi of f(x) - f(background) over all subsets.
 
     phi_j = sum over S not containing j of |S|!(d-|S|-1)!/d! *
@@ -71,7 +63,6 @@ def exact_shapley(model, x, background) -> np.ndarray:
         raise InvalidParameterError(
             f"{d} features exceeds the exact-enumeration cap of "
             f"{MAX_EXACT_FEATURES}; use permutation_importance instead")
-    predict = _as_predictor(model)
     takes_x, m_wo, m_with, weights = _coalitions(d)
     values = np.asarray(predict(np.where(takes_x, x[None, :], background[None, :])),
                         dtype=float).ravel()
@@ -86,7 +77,7 @@ def median_background(cohort: Cohort) -> np.ndarray:
     return np.median(cohort.matrix(), axis=0)
 
 
-def mean_abs_shapley(model, sample: np.ndarray, background,
+def mean_abs_shapley(predict, sample: np.ndarray, background,
                      feature_names) -> list[tuple[str, float]]:
     """(name, mean |phi_j| over the sample rows), sorted descending. A row
     width other than the background's or the number of names raises
@@ -97,7 +88,6 @@ def mean_abs_shapley(model, sample: np.ndarray, background,
     if len(feature_names) != sample.shape[1]:
         raise InvalidParameterError(f"expected {sample.shape[1]} feature names, one per "
                                     f"sample column, got {len(feature_names)}")
-    predict = _as_predictor(model)
     totals = np.zeros(sample.shape[1])
     for row in sample:
         totals += np.abs(exact_shapley(predict, row, background))
@@ -106,17 +96,15 @@ def mean_abs_shapley(model, sample: np.ndarray, background,
     return [(feature_names[j], float(means[j])) for j in order]
 
 
-def permutation_importance(model, cohort: Cohort, repeats: int = 10,
+def permutation_importance(predict, cohort: Cohort,
                            seed: int = 0) -> list[tuple[str, float, float]]:
-    """Per-feature drop in the concordance index when that column is shuffled.
+    """Per-feature drop in the concordance index of `predict` over
+    PERMUTATION_REPEATS shuffles of that column.
 
     Returns (feature, mean_drop, std_drop) rows sorted stably by descending
     mean drop. A repeat whose C is undefined on the shuffled scores is
     left out; a feature with no repeat left reads 0.0 for both.
     """
-    if repeats < 1:
-        raise InvalidParameterError("repeats must be >= 1")
-    predict = _as_predictor(model)
     times, events = cohort.times, cohort.events
     X = cohort.matrix()
     baseline = c_index(times, events, predict(X)).c_index
@@ -124,7 +112,7 @@ def permutation_importance(model, cohort: Cohort, repeats: int = 10,
     rows = []
     for j, name in enumerate(cohort.feature_names):
         drops = []
-        for _ in range(repeats):
+        for _ in range(PERMUTATION_REPEATS):
             shuffled = X.copy()
             shuffled[:, j] = rng.permutation(shuffled[:, j])
             try:
@@ -137,9 +125,9 @@ def permutation_importance(model, cohort: Cohort, repeats: int = 10,
     return rows
 
 
-def feature_importance(model, cohort: Cohort, seed: int) -> tuple[str, list[tuple]]:
-    """Exact mean |Shapley| against the median background for up to
-    MAX_EXACT_FEATURES features, else permutation importance (10 repeats).
+def feature_importance(predict, cohort: Cohort, seed: int) -> tuple[str, list[tuple]]:
+    """Exact mean |Shapley| of `predict` against the median background for up
+    to MAX_EXACT_FEATURES features, else permutation importance.
 
     Returns the method name and its rows, descending: (feature, value) for
     "mean_abs_shapley", (feature, mean_drop, std_drop) for
@@ -147,6 +135,5 @@ def feature_importance(model, cohort: Cohort, seed: int) -> tuple[str, list[tupl
     """
     if cohort.n_features <= MAX_EXACT_FEATURES:
         return "mean_abs_shapley", mean_abs_shapley(
-            model, cohort.X, median_background(cohort), cohort.feature_names)
-    return "permutation_importance", permutation_importance(model, cohort, repeats=10,
-                                                            seed=seed)
+            predict, cohort.X, median_background(cohort), cohort.feature_names)
+    return "permutation_importance", permutation_importance(predict, cohort, seed=seed)

@@ -170,12 +170,9 @@ def brier(t, survival_probs, times, events) -> float:
 
     event_by_t = (times <= t) & (events == 1)
     alive_past_t = times > t
-    total = 0.0
-    if np.any(event_by_t):
-        g_left = np.asarray(censor_survival.evaluate_left(times[event_by_t]))
-        total += float(np.sum(survival_probs[event_by_t] ** 2 / g_left))
-    if np.any(alive_past_t):
-        total += float(np.sum((1.0 - survival_probs[alive_past_t]) ** 2 / g_at_t))
+    g_left = censor_survival.evaluate_left(times[event_by_t])
+    total = float(np.sum(survival_probs[event_by_t] ** 2 / g_left))
+    total += float(np.sum((1.0 - survival_probs[alive_past_t]) ** 2 / g_at_t))
     return total / times.size
 
 
@@ -186,20 +183,19 @@ class CalibrationBin:
     count: int
 
 
-def calibration_table(predicted_risk, times, events, t, n_bins: int = 10) -> list[CalibrationBin]:
+def calibration_table(predicted_risk, times, events, t) -> list[CalibrationBin]:
     """Risk-decile calibration: predicted event probability by t vs the
-    Kaplan-Meier observed risk within each quantile bin.
+    Kaplan-Meier observed risk within each decile of predicted risk.
 
-    Quantile ties collapse bins, so fewer than n_bins rows may come back
-    (a constant predictor yields a single merged bin).
+    Quantile ties collapse deciles, so fewer than ten rows may come back
+    (a constant predictor yields a single merged bin). A bin with no event
+    has the constant Kaplan-Meier curve 1, so its observed risk is 0.
     """
-    if n_bins < 2:
-        raise InvalidParameterError("n_bins must be >= 2")
     predicted_risk = np.asarray(predicted_risk, dtype=float)
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
 
-    edges = np.unique(np.quantile(predicted_risk, np.linspace(0, 1, n_bins + 1)))
+    edges = np.unique(np.quantile(predicted_risk, np.linspace(0, 1, 11)))
     inner = edges[1:-1]
     assignment = np.searchsorted(inner, predicted_risk, side="right")
     members = [np.nonzero(assignment == b)[0] for b in range(inner.size + 1)]
@@ -207,13 +203,9 @@ def calibration_table(predicted_risk, times, events, t, n_bins: int = 10) -> lis
 
     table = []
     for m in members:
-        if np.any(events[m] == 1):
-            observed = 1.0 - kaplan_meier(times[m], events[m])(t)
-        else:
-            observed = 0.0
         table.append(CalibrationBin(
             mean_predicted=float(np.mean(predicted_risk[m])),
-            observed_risk=float(observed),
+            observed_risk=float(1.0 - kaplan_meier(times[m], events[m])(t)),
             count=int(m.size)))
     return table
 

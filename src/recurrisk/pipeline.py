@@ -234,18 +234,15 @@ class FoldModels:
 
 
 def _select_features(cohort: Cohort, config: PipelineConfig):
-    """Normalize, screen and VIF-filter (the filter runs on two or more
-    retained features). Returns the normalized cohort, the screen rows, the
-    selected names in cohort column order and the names the filter removed."""
+    """Normalize, screen and VIF-filter the screen's retained features.
+    Returns the normalized cohort, the screen rows, the selected names in
+    cohort column order and the names the filter removed."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantFeatureWarning)
         norm = zscore_normalize(cohort)
     screen_rows = univariate_screen(norm)
-    retained = set(retained_features(screen_rows, config.alpha))
-    retained = [n for n in norm.feature_names if n in retained]
-    if len(retained) < 2:
-        return norm, screen_rows, tuple(retained), ()
-    vif = vif_filter(norm, retained, threshold=config.vif_threshold)
+    vif = vif_filter(norm, retained_features(screen_rows, config.alpha),
+                     threshold=config.vif_threshold)
     return norm, screen_rows, vif.kept, tuple(name for name, _ in vif.removed)
 
 
@@ -477,7 +474,7 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
         except RecurriskError:
             model = None
         if model is not None:
-            method, rows = feature_importance(model, selected_cohort, config.seed)
+            method, rows = feature_importance(model.predict_risk, selected_cohort, config.seed)
             importance_section = {
                 "method": method,
                 "rows": [dict(zip(("feature", "value", "std"), row)) for row in rows],

@@ -267,18 +267,14 @@ def texture_features(grid: VoxelGrid, mask: RegionMask, levels: int = 32) -> dic
     entropy = float(-np.sum(p * np.log2(p))) if p.size else 0.0
 
     run_lengths = np.arange(1, mats.glrlm.shape[1] + 1, dtype=float)
-    total_runs = mats.glrlm.sum()
-    sre = float(np.sum(mats.glrlm / run_lengths[None, :] ** 2) / total_runs) \
-        if total_runs > 0 else 0.0
+    # a nonempty mask (discretize checks) has at least one run and one zone
+    sre = float(np.sum(mats.glrlm / run_lengths[None, :] ** 2) / mats.glrlm.sum())
 
     zone_sizes = np.arange(1, mats.glszm.shape[1] + 1, dtype=float)
     zone_counts = mats.glszm.sum(axis=0)
     n_zones = zone_counts.sum()
-    if n_zones > 0:
-        mean_size = float(np.sum(zone_counts * zone_sizes) / n_zones)
-        zone_var = float(np.sum(zone_counts * (zone_sizes - mean_size) ** 2) / n_zones)
-    else:
-        zone_var = 0.0
+    mean_size = float(np.sum(zone_counts * zone_sizes) / n_zones)
+    zone_var = float(np.sum(zone_counts * (zone_sizes - mean_size) ** 2) / n_zones)
 
     return {
         "glcm_entropy": entropy,

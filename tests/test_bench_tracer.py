@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recurrisk import boosting, pipeline, rsf
+from recurrisk import boosting, explain, pipeline, rsf
 from recurrisk.boosting import BoostedModel, BoostParams
 from recurrisk.cohort import SyntheticSpec, generate_synthetic
 from recurrisk.rsf import Forest, ForestParams, SurvivalTree, TreeLeaf, TreeSplit
@@ -99,3 +99,19 @@ def test_tracer_follows_the_calls_inside_fitted_models(tracer_module):
     for name in ("rsf.to_json_s", "coxph.breslow_s", "pipeline.fold_hash_s",
                  "boosting.fit_s.xgboost", "rsf.fit_s"):
         assert metrics[name] > 0, name
+
+
+def test_permutation_rows_follow_feature_importance(tracer_module):
+    # above the exact-Shapley cap feature_importance hands the seed over by
+    # keyword, so the tracer counts the default PERMUTATION_REPEATS (10)
+    n, d = 30, 15
+    cohort = random_censored_cohort(np.random.default_rng(4), n, d)
+    weights = np.linspace(-1.0, 1.0, d)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        method, rows = explain.feature_importance(lambda X: X @ weights, cohort, seed=1)
+    finally:
+        tracer.uninstall()
+    assert method == "permutation_importance" and len(rows) == d
+    assert tracer.layer_metrics()["explain.predict_rows"] == n * (1 + d * 10)

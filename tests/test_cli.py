@@ -145,6 +145,12 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
                  "cv_fold": 3}), "unknown key(s) ['cv_fold', 'enabled_model']"),
     (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"max_iter": 0}}}),
      "model_params for cox: max_iter must be >= 1"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"ridge": float("nan")}}}),
+     "model_params for cox: ridge must be >= 0 and finite, got nan"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"ridge": float("inf")}}}),
+     "model_params for cox: ridge must be >= 0 and finite, got inf"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"tol": float("inf")}}}),
+     "model_params for cox: tol must be > 0 and finite, got inf"),
     (json.dumps({**BASE_CONFIG, "model_params": {"cox": {"ties": "exact"}}}),
      "model_params for cox: ties must be 'breslow' or 'efron'"),
     (json.dumps({**BASE_CONFIG, "cv_folds": 5.9}),
@@ -197,7 +203,8 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
         "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
         "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
         "unknown-temporal-key", "string-hidden", "zero-min-leaf", "unknown-top-level-key",
-        "zero-cox-max-iter", "cox-ties", "float-cv-folds", "bool-seed", "negative-seed",
+        "zero-cox-max-iter", "nan-cox-ridge", "infinite-cox-ridge", "infinite-cox-tol",
+        "cox-ties", "float-cv-folds", "bool-seed", "negative-seed",
         "string-alpha", "string-horizon", "int-id-column", "int-grid-dir",
         "cox-entry-not-object", "odd-pe-dim", "zero-hidden", "zero-temporal-rate", "zero-epochs",
         "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
@@ -384,6 +391,27 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(args) == 1
     assert capsys.readouterr().err == err
+
+
+def _regular_file(tmp):
+    path = tmp / "afile"
+    path.write_text("not a directory\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("make_args", [
+    lambda tmp, scores: [*_extract_args(tmp), "--out", str(_regular_file(tmp) / "x.csv")],
+    lambda tmp, scores: [*_simulate_args(tmp, {"n": 40, "true_coefficients": [1.0]}),
+                         "--out", str(_regular_file(tmp) / "sim.csv")],
+    lambda tmp, scores: [*_run_args(tmp), "--out", str(_regular_file(tmp))],
+    lambda tmp, scores: ["evaluate", "--scores", str(scores), "--out",
+                         str(tmp / "nodir" / "x.json")],
+], ids=["extract-features", "simulate", "run", "evaluate"])
+def test_a_failed_output_write_exits_1(scores_csv, tmp_path, capsys, make_args):
+    assert main([*make_args(tmp_path, scores_csv[0]), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_a_negative_seed_override_exits_1(tmp_path, capsys):

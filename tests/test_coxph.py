@@ -419,7 +419,9 @@ class TestFitCox:
 
     @pytest.mark.parametrize("setting, message", [
         ({"ties": "exact"}, "ties must be"), ({"max_iter": 0}, "max_iter must be >= 1"),
-        ({"tol": 0.0}, "tol must be > 0"), ({"ridge": -1.0}, "ridge must be >= 0")])
+        ({"tol": 0.0}, "tol must be > 0"), ({"ridge": -1.0}, "ridge must be >= 0"),
+        ({"tol": np.nan}, "tol must be > 0"), ({"tol": np.inf}, "tol must be > 0"),
+        ({"ridge": np.nan}, "ridge must be >= 0"), ({"ridge": np.inf}, "ridge must be >= 0")])
     def test_setting_out_of_domain_rejected(self, small_linear_cohort, setting, message):
         with pytest.raises(InvalidParameterError, match=message):
             fit_cox(small_linear_cohort[0], **setting)
@@ -642,7 +644,9 @@ class TestVifFilter:
         assert len(result.removed) == 1
         assert abs(result.removed[0][1] - 1.0 / (1.0 - 0.9025)) < 0.5
 
-    def test_needs_two_features(self, rng):
+    def test_fewer_than_two_features_are_kept(self, rng):
         cohort = random_censored_cohort(rng, 20, 2)
-        with pytest.raises(InvalidParameterError):
-            vif_filter(cohort, ["x0"])
+        for names in ([], ["x1"]):
+            result = vif_filter(cohort, names)
+            assert result.kept == tuple(names)
+            assert result.removed == ()

@@ -108,7 +108,7 @@ def test_linear_model_attributions_are_weighted_differences():
         def predict_risk(self, X):
             return np.atleast_2d(X) @ beta
 
-    phi = exact_shapley(Linear(), x, background)
+    phi = exact_shapley(Linear().predict_risk, x, background)
     np.testing.assert_allclose(phi, beta * (x - background), rtol=1e-12, atol=1e-13)
 
 

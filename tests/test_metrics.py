@@ -326,6 +326,20 @@ class TestBrier:
         expected = np.mean((1.0 * (times > t) - surv) ** 2)
         assert abs(brier(t, surv, times, events) - expected) < 1e-12
 
+    @pytest.mark.parametrize("t", [0.5, 8.0, 9.0], ids=["before-every-time", "at-last-time",
+                                                        "after-last-time"])
+    def test_equals_direct_sum_when_one_group_is_empty(self, t):
+        # before every time no subject has an event by t; from the last
+        # time (an event) on, no subject survives past t
+        times = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
+        events = np.array([1, 0, 1, 0, 1])
+        surv = np.array([0.9, 0.7, 0.6, 0.4, 0.2])
+        g = kaplan_meier(times, 1 - events)
+        terms = [s ** 2 / g.evaluate_left(ti) if ti <= t and e else
+                 (1.0 - s) ** 2 / g(t) if ti > t else 0.0
+                 for ti, e, s in zip(times, events, surv)]
+        assert abs(brier(t, surv, times, events) - sum(terms) / times.size) < 1e-15
+
     def test_zero_censoring_survival_undefined(self):
         times = np.array([1.0, 2.0, 3.0])
         events = np.array([0, 0, 0])
@@ -339,7 +353,7 @@ class TestCalibration:
         pred = rng.uniform(size=n)
         times = rng.exponential(5, n) + 0.1
         events = rng.integers(0, 2, n)
-        table = calibration_table(pred, times, events, t=5.0, n_bins=10)
+        table = calibration_table(pred, times, events, t=5.0)
         assert sum(b.count for b in table) == n
 
     def test_constant_predictions_single_bin(self, rng):
@@ -360,9 +374,13 @@ class TestCalibration:
         worst = max(abs(b.mean_predicted - b.observed_risk) for b in table)
         assert worst < 0.1
 
-    def test_rejects_single_bin_request(self):
-        with pytest.raises(InvalidParameterError):
-            calibration_table([0.1, 0.2], [1, 2], [1, 1], 1.0, n_bins=1)
+    def test_decile_without_events_reads_zero(self):
+        # the lowest decile (two subjects) is all censored
+        times = np.arange(1.0, 21.0)
+        events = np.r_[0, 0, np.ones(18, dtype=int)]
+        table = calibration_table(np.arange(20.0), times, events, t=25.0)
+        assert [b.count for b in table] == [2] * 10
+        assert [b.observed_risk for b in table] == [0.0] + [1.0] * 9
 
 
 class TestNetBenefit:
