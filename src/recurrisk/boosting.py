@@ -26,14 +26,15 @@ is halved, and the learner kept is scaled once by the accepted power of two,
 which is exact in floating point, so it gives the accepted scores.
 
 The trees use XGBoost's presorted exact greedy search (Chen & Guestrin,
-KDD 2016): ``tree.grow`` argsorts every column once per tree and hands each
-node its rows in every column's order, and one 2-D cumulative sum scores
-every threshold of every feature at once.
+KDD 2016): the rows never change during a fit, so every column is argsorted
+once per fit (``tree.presort``), ``tree.grow`` hands each node its rows in
+every column's order, and one 2-D cumulative sum scores every threshold of
+every feature at once. ``BoostedModel.to_json`` writes one learner at a time
+(``tree.dumps_listing``).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,8 +189,9 @@ class _StumpFitter:
         return Stump(int(self.features[best]), float(slope[best]), float(intercept[best]))
 
 
-def _fit_tree(X, g, h, depth, min_leaf, lam) -> Tree:
-    """Second-order tree: gain-based splits and leaf weight -G/(H + lambda)."""
+def _fit_tree(X, order, g, h, depth, min_leaf, lam) -> Tree:
+    """Second-order tree on X, whose ``tree.presort`` is order: gain-based
+    splits and leaf weight -G/(H + lambda)."""
 
     def find_split(idx, order, level):
         if level == depth or idx.size < 2 * min_leaf:
@@ -199,7 +201,7 @@ def _fit_tree(X, g, h, depth, min_leaf, lam) -> Tree:
     def make_leaf(idx):
         return float(-g[idx].sum() / (h[idx].sum() + lam))
 
-    return Tree(tree.grow(X, find_split, make_leaf))
+    return Tree(tree.grow(X, order, find_split, make_leaf))
 
 
 def _best_split_gain(X, node_idx, order, g, h, min_leaf, lam):
@@ -256,13 +258,12 @@ class BoostedModel:
             "mode": self.mode,
             "learning_rate": self.learning_rate,
             "feature_names": list(self.feature_names),
-            "learners": [l.to_dict() for l in self.base_learners],
             "training_loss_trace": list(self.training_loss_trace),
             "baseline_knots": self.baseline_chf.knots.tolist(),
             "baseline_values": self.baseline_chf.values.tolist(),
             "early_stop_round": self.early_stop_round,
         }
-        return json.dumps(doc, sort_keys=True)
+        return tree.dumps_listing(doc, "learners", (l.to_dict() for l in self.base_learners))
 
 
 def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
@@ -281,6 +282,7 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
     n = X.shape[0]
     lam = params.l2_lambda if params.mode == "xgboost" else 0.0
     stumps = _StumpFitter(X) if params.mode == "componentwise" else None
+    presorted = tree.presort(X) if stumps is None else None
 
     f = np.zeros(n)
     learners: list = []
@@ -295,7 +297,7 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
         if params.mode == "componentwise":
             learner = stumps.fit(-g)
         else:
-            learner = _fit_tree(X, g, h, params.tree_depth, params.min_leaf, lam)
+            learner = _fit_tree(X, presorted, g, h, params.tree_depth, params.min_leaf, lam)
         if learner is None:
             early_stop = rnd
             break

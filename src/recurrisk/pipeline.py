@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -274,14 +276,22 @@ def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldMod
 
 
 def fold_models_hash(fold_models: FoldModels) -> str:
-    """Canonical digest of everything fitted on one fold (leakage probe)."""
-    parts = {
+    """Canonical digest of everything fitted on one fold (leakage probe).
+
+    It is the SHA-256 of json.dumps({"models": {name: text}, "normalization":
+    ..., "selected": ...}, sort_keys=True), where text is the model's
+    to_json(), or None for a failed model. The digest reads one model's text
+    at a time, so the text of two models never exists at once."""
+    rest = json.dumps({
         "normalization": {k: list(v) for k, v in sorted(fold_models.normalization.items())},
         "selected": list(fold_models.selected),
-        "models": {name: None if model is None else model.to_json()
-                   for name, model in sorted(fold_models.models.items())},
-    }
-    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
+    }, sort_keys=True)
+    digest = hashlib.sha256(b'{"models": {')        # "models" sorts first
+    for k, (name, model) in enumerate(sorted(fold_models.models.items())):
+        digest.update(f"{', ' if k else ''}{json.dumps(name)}: ".encode("utf-8"))
+        digest.update(json.dumps(None if model is None else model.to_json()).encode("utf-8"))
+    digest.update(("}, " + rest[1:]).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _fold_outputs(cohort: Cohort, folds, config: PipelineConfig, by_id, f: int):
@@ -312,6 +322,10 @@ def _fold_outputs(cohort: Cohort, folds, config: PipelineConfig, by_id, f: int):
 def run_pipeline(config: PipelineConfig):
     """Execute the full protocol and write report.json, curve CSVs and SVGs.
 
+    Every input is read and checked before the output folder is made, and
+    the folder is made before any fold is fit: a bad input leaves no folder,
+    and a folder that cannot be made fails the run before it fits a model.
+
     Returns the report as a plain dict (exactly what lands in report.json).
     """
     cohort = load_cohort(config.cohort_csv, id_column=config.id_column,
@@ -323,6 +337,29 @@ def run_pipeline(config: PipelineConfig):
     if config.longitudinal_csv is not None:
         by_id = _longitudinal_by_id(cohort, config.longitudinal_csv)
 
+    with _new_folder(Path(config.out_dir)) as out:
+        report, curves, oof_scores = _cross_validate(cohort, by_id, config)
+        _write_artifacts(report, curves, cohort, oof_scores, out)
+    return report
+
+
+@contextmanager
+def _new_folder(path: Path):
+    """Make path and its missing parents; if the body raises, remove the
+    folders made here with whatever was written into them."""
+    made = [p for p in (path, *path.parents) if not p.exists()]
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield path
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
+
+
+def _cross_validate(cohort: Cohort, by_id, config: PipelineConfig):
+    """(the report, the chosen model's risk groups' Kaplan-Meier curves, the
+    out-of-fold scores by learner) of the protocol on the read inputs."""
     n = len(cohort)
     times, events = cohort.times, cohort.events
     folds = assign_folds(events, config.cv_folds, config.seed)
@@ -388,8 +425,7 @@ def run_pipeline(config: PipelineConfig):
         "temporal": temporal_section,
     }
 
-    _write_artifacts(report, curves, cohort, oof_scores, config)
-    return report
+    return report, curves, oof_scores
 
 
 def _attach_radiomics(cohort: Cohort, config: PipelineConfig) -> Cohort:
@@ -510,9 +546,7 @@ def _longitudinal_by_id(cohort: Cohort, path) -> dict:
 # --- artifact emission -------------------------------------------------------
 
 
-def _write_artifacts(report: dict, curves, cohort: Cohort, oof_scores, config: PipelineConfig):
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_artifacts(report: dict, curves, cohort: Cohort, oof_scores, out: Path):
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                      encoding="utf-8", newline="\n")
 

@@ -11,10 +11,11 @@ statistic break toward the lowest feature index, then the lowest
 threshold. Each tree ranks its bootstrap times once; a node counts its
 deaths and risk-set sizes per time rank with two ``bincount`` calls over
 its rows' ranks, so no node sorts its times. It reads its rows in every
-candidate feature's order from ``tree.grow``, which sorts them once per
-tree, and scores all candidates in one pass over a (candidate, row, event
-time) cube of cumulative at-risk counts. The counts are exact integers, so
-the statistic equals the one computed from the node's own event table.
+candidate feature's order from ``tree.grow``, given the tree's sample
+sorted once (``tree.presort``), and scores all candidates in one pass over
+a (candidate, row, event time) cube of cumulative at-risk counts. The
+counts are exact integers, so the statistic equals the one computed from
+the node's own event table.
 
 Growth order and batch routing come from ``tree.py``: every leaf reached
 by a batch of rows evaluates its cumulative hazard once at the requested
@@ -22,11 +23,13 @@ times for all of them. Trees are accumulated one after another and the
 sum is divided by the tree count, the same order of operations as
 averaging the per-tree step functions, so batch and per-row predictions
 agree exactly.
+
+``forest_to_json`` writes the forest one tree at a time
+(``tree.dumps_listing``), so no document of the whole forest is built.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,7 +38,7 @@ from .cohort import Cohort
 from .errors import InvalidParameterError, TrainingError, check_rows
 from .nonparametric import nelson_aalen
 from .stepfun import StepFunction, average_step_functions
-from .tree import TreeSplit, grow, route, to_dict
+from .tree import TreeSplit, dumps_listing, grow, presort, route, to_dict
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def fit_rsf(cohort: Cohort, params: ForestParams) -> Forest:
         def make_leaf(idx):
             return TreeLeaf(chf=nelson_aalen(tb[idx], eb[idx]), count=idx.size)
 
-        trees.append(SurvivalTree(root=grow(Xb, find_split, make_leaf)))
+        trees.append(SurvivalTree(root=grow(Xb, presort(Xb), find_split, make_leaf)))
 
     event_times = times[events == 1]
     return Forest(
@@ -224,6 +227,6 @@ def forest_to_json(forest: Forest) -> str:
         "feature_names": list(forest.feature_names),
         "max_event_time": forest.max_event_time,
         "params": asdict(forest.params),
-        "trees": [{"root": to_dict(t.root, _leaf_to_dict)} for t in forest.trees],
     }
-    return json.dumps(doc, sort_keys=True)
+    return dumps_listing(doc, "trees", ({"root": to_dict(t.root, _leaf_to_dict)}
+                                        for t in forest.trees))

@@ -6,14 +6,20 @@ when ``x[feature] <= threshold``. Growth is depth first, left before
 right, so a learner that draws random numbers in ``find_split`` draws
 them in this fixed order.
 
-``grow`` owns the row order of the split search, as in the presorted exact
-greedy algorithm of XGBoost (Chen & Guestrin, KDD 2016): it argsorts every
-column once at the root and partitions that order stably at each split, so
-a node reads its rows in each feature's order without sorting them again.
+``grow`` keeps the row order of the split search, as in the presorted exact
+greedy algorithm of XGBoost (Chen & Guestrin, KDD 2016): the caller sorts
+every column once (``presort``), and ``grow`` partitions that order stably
+at each split, so a node reads its rows in each feature's order without
+sorting them again. A caller that grows many trees on one matrix sorts it
+once for all of them.
+
+``dumps_listing`` writes a model whose JSON is mostly a list of trees
+without building one document for the whole list.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +33,15 @@ class TreeSplit:
     right: object
 
 
-def grow(X, find_split, make_leaf):
-    """Tree over the rows of X.
+def presort(X):
+    """The root order of ``grow``: row j holds every row of X sorted by
+    X[:, j], ties in row order."""
+    return np.argsort(X, axis=0, kind="stable").T
+
+
+def grow(X, order, find_split, make_leaf):
+    """Tree over the rows of X, where order is ``presort(X)``; it is not
+    modified, so one order serves every tree grown on X.
 
     find_split(idx, order, depth) gives (feature, threshold) or None, and on
     None make_leaf(idx) gives the leaf. idx holds the node's rows in
@@ -51,7 +64,7 @@ def grow(X, find_split, make_leaf):
                          build(idx[~go_left], order[~order_left].reshape(d, idx.size - n_left),
                                depth + 1))
 
-    return build(np.arange(X.shape[0]), np.argsort(X, axis=0, kind="stable").T, 0)
+    return build(np.arange(X.shape[0]), order, 0)
 
 
 def route(root, X):
@@ -76,3 +89,22 @@ def to_dict(node, leaf_to_dict):
     return {"kind": "split", "feature": node.feature, "threshold": node.threshold,
             "left": to_dict(node.left, leaf_to_dict),
             "right": to_dict(node.right, leaf_to_dict)}
+
+
+def dumps_listing(doc, key, items) -> str:
+    """json.dumps({**doc, key: list(items)}, sort_keys=True) for a doc with
+    string keys, encoding the items one at a time: only one item's objects
+    and the text written so far exist at once."""
+    fields = {**doc, key: None}
+    chunks = ["{"]
+    for k, name in enumerate(sorted(fields)):
+        chunks.append(f"{', ' if k else ''}{json.dumps(name)}: ")
+        if name != key:
+            chunks.append(json.dumps(fields[name], sort_keys=True))
+            continue
+        chunks.append("[")
+        for i, item in enumerate(items):
+            chunks.append(f"{', ' if i else ''}{json.dumps(item, sort_keys=True)}")
+        chunks.append("]")
+    chunks.append("}")
+    return "".join(chunks)

@@ -15,6 +15,7 @@ from recurrisk.boosting import (
 )
 from recurrisk.errors import InvalidParameterError
 from recurrisk.nonparametric import RiskSets, canonical_order
+from recurrisk.tree import presort
 
 from conftest import make_cohort, random_censored_cohort
 
@@ -95,7 +96,7 @@ def test_gbm_tree_is_the_least_squares_tree():
         g = rng.standard_normal(n)
         depth, min_leaf = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         oracle = fit_tree_sse(X, -g, depth, min_leaf)
-        tree = _fit_tree(X, g, np.ones(n), depth, min_leaf, 0.0)
+        tree = _fit_tree(X, presort(X), g, np.ones(n), depth, min_leaf, 0.0)
         expected = np.array([predict_sse_tree(oracle, x) for x in X])
         assert np.array_equal(tree.predict(X), expected), f"case {case}"
 
@@ -168,7 +169,8 @@ def test_presorted_tree_equals_the_per_feature_tree(setting):
             h, lam = np.ones(n), 0.0
         depth, min_leaf = int(rng.integers(1, 5)), 1 + case % 6
         expected = fit_tree_per_feature(X, g, h, depth, min_leaf, lam)
-        assert _fit_tree(X, g, h, depth, min_leaf, lam).to_dict() == expected, f"case {case}"
+        assert _fit_tree(X, presort(X), g, h, depth, min_leaf, lam).to_dict() == expected, \
+            f"case {case}"
         splits += str(expected).count("'split'")
     assert splits > 200
 
@@ -182,7 +184,7 @@ def test_presort_sums_tied_rows_in_the_per_feature_order():
         x = np.round(rng.standard_normal(80), 0)
         X = np.column_stack([x, x + 1e-6 * rng.random(80)])
         g, h = 1000.0 * rng.standard_normal(80), np.ones(80)
-        assert _fit_tree(X, g, h, 2, 1, 0.0).to_dict() == \
+        assert _fit_tree(X, presort(X), g, h, 2, 1, 0.0).to_dict() == \
             fit_tree_per_feature(X, g, h, 2, 1, 0.0), f"case {case}"
 
 
@@ -250,9 +252,10 @@ def test_all_constant_columns_give_no_stump():
 
 def fit_boosted_reference(cohort, params):
     """(learners, loss trace) of the former training loop: sorted-key
-    canonical order, the per-feature stump search or the Newton tree, and
-    for each halving a candidate learner scaled by 0.5 ** k and routed
-    again. The loss is read through the module, so a test can patch it."""
+    canonical order, the per-feature stump search or the Newton tree on a
+    presort made each round, and for each halving a candidate learner scaled
+    by 0.5 ** k and routed again. The loss is read through the module, so a
+    test can patch it."""
     order = sorted(range(len(cohort)),
                    key=lambda i: (cohort.times[i], cohort.events[i], cohort.ids[i]))
     X, t, e = cohort.X[order], cohort.times[order], cohort.events[order]
@@ -267,7 +270,7 @@ def fit_boosted_reference(cohort, params):
         if params.mode == "componentwise":
             learner = fit_stump_per_feature(X, -g)
         else:
-            learner = _fit_tree(X, g, h, params.tree_depth, params.min_leaf, lam)
+            learner = _fit_tree(X, presort(X), g, h, params.tree_depth, params.min_leaf, lam)
         if learner is None:
             break
         for halvings in range(31):

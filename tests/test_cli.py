@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import recurrisk
+from recurrisk import pipeline
 from recurrisk.cli import main
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.metrics import c_index
@@ -412,6 +413,32 @@ def test_a_failed_output_write_exits_1(scores_csv, tmp_path, capsys, make_args):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_an_out_that_names_a_regular_file_fails_before_any_fold_is_fit(
+        tmp_path, capsys, monkeypatch):
+    fits = []
+    fit_fold_models = pipeline.fit_fold_models
+    monkeypatch.setattr(pipeline, "fit_fold_models",
+                        lambda *args: fits.append(args[2]) or fit_fold_models(*args))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # every fit in this process
+    out = _regular_file(tmp_path)
+    assert main([*_run_args(tmp_path), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+    assert fits == []
+
+
+def test_a_failed_run_keeps_an_out_folder_that_was_there(tmp_path, capsys):
+    # a run that fails after making its folder removes it (see
+    # test_bad_run_config_exits_1), but never a folder it did not make
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine\n", encoding="utf-8")
+    args = _run_args(tmp_path, enabled_models=["coxboost"],
+                     model_params={"coxboost": {"rounds": 0}})
+    assert main([*args, "--out", str(out), "--quiet"]) == 1
+    assert "all risk scores identical" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
 def test_a_negative_seed_override_exits_1(tmp_path, capsys):

@@ -1,0 +1,131 @@
+"""The tree ensembles write their JSON one tree at a time, and the fold
+digest reads one model at a time. Each must give exactly the bytes of the
+one-document encoder it replaced; those encoders are kept here as oracles."""
+
+import hashlib
+import json
+import tracemalloc
+from dataclasses import asdict, replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from recurrisk import tree
+from recurrisk.boosting import BoostedModel
+from recurrisk.cohort import SyntheticSpec, generate_synthetic, load_cohort
+from recurrisk.pipeline import PipelineConfig, assign_folds, fit_fold_models, fold_models_hash
+from recurrisk.rsf import Forest, ForestParams, _leaf_to_dict, fit_rsf
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+# --- the former one-document encoders ---------------------------------------
+
+
+def forest_to_json_oracle(forest):
+    return json.dumps({
+        "model": "random_survival_forest",
+        "feature_names": list(forest.feature_names),
+        "max_event_time": forest.max_event_time,
+        "params": asdict(forest.params),
+        "trees": [{"root": tree.to_dict(t.root, _leaf_to_dict)} for t in forest.trees],
+    }, sort_keys=True)
+
+
+def boosted_to_json_oracle(model):
+    return json.dumps({
+        "model": "boosted_cox",
+        "mode": model.mode,
+        "learning_rate": model.learning_rate,
+        "feature_names": list(model.feature_names),
+        "learners": [l.to_dict() for l in model.base_learners],
+        "training_loss_trace": list(model.training_loss_trace),
+        "baseline_knots": model.baseline_chf.knots.tolist(),
+        "baseline_values": model.baseline_chf.values.tolist(),
+        "early_stop_round": model.early_stop_round,
+    }, sort_keys=True)
+
+
+def fold_models_hash_oracle(fold_models):
+    parts = {
+        "normalization": {k: list(v) for k, v in sorted(fold_models.normalization.items())},
+        "selected": list(fold_models.selected),
+        "models": {name: None if model is None else model.to_json()
+                   for name, model in sorted(fold_models.models.items())},
+    }
+    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+# --- dumps_listing against json.dumps ----------------------------------------
+
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6))
+values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(st.text(max_size=6), values, max_size=5),
+       key=st.text(max_size=6), items=st.lists(values, max_size=4))
+@example(doc={"b": 1, "c": [2.5]}, key="", items=[{"z": 1, "a": None}])      # sorts first
+@example(doc={"b": 1, "c": [2.5]}, key="zz", items=[[1, 2], "x"])            # sorts last
+@example(doc={"b": 1, "c": [2.5]}, key="bb", items=[])                       # empty listing
+@example(doc={"ключ": "é", "b": 1}, key="ñame", items=["日本", {"ü": 1}])     # non-ASCII
+@example(doc={"b": 1, "c": [2.5]}, key="c", items=[3.0])                     # replaces a field
+@example(doc={}, key="trees", items=[float("nan"), float("inf")])
+def test_dumps_listing_equals_json_dumps(doc, key, items):
+    want = json.dumps({**doc, key: list(items)}, sort_keys=True)
+    assert tree.dumps_listing(doc, key, iter(items)) == want
+
+
+# --- every learner of every demo fold ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def demo_folds():
+    config = PipelineConfig.from_json_file(DATA / "demo.json")
+    cohort = load_cohort(config.cohort_csv)
+    folds = assign_folds(cohort.events, config.cv_folds, config.seed)
+    return [fit_fold_models(cohort.subset_rows(np.nonzero(folds != f)[0]), config, f)
+            for f in range(config.cv_folds)]
+
+
+def test_every_demo_model_writes_the_bytes_of_its_former_encoder(demo_folds):
+    kinds = set()
+    for fold_models in demo_folds:
+        assert fold_models.errors == {}
+        for name, model in fold_models.models.items():
+            if isinstance(model, Forest):
+                assert model.to_json() == forest_to_json_oracle(model), name
+            elif isinstance(model, BoostedModel):
+                assert model.to_json() == boosted_to_json_oracle(model), name
+            kinds.add(type(model).__name__)
+    assert {"Forest", "BoostedModel"} <= kinds
+
+
+def test_fold_digest_equals_the_former_digest(demo_folds):
+    for fold_models in demo_folds:
+        assert fold_models_hash(fold_models) == fold_models_hash_oracle(fold_models)
+    # a failed learner is written as null, wherever it sorts
+    for name in ("coxboost", "xgboost", "cox"):
+        failed = replace(fold_models, models={**fold_models.models, name: None})
+        assert fold_models_hash(failed) == fold_models_hash_oracle(failed), name
+    nothing = replace(fold_models, models={})
+    assert fold_models_hash(nothing) == fold_models_hash_oracle(nothing)
+
+
+def test_a_forest_is_written_without_a_document_of_every_tree():
+    # the former encoder peaked at 9.5 times the text here: the nested dicts
+    # and lists of all the trees outweigh their JSON
+    cohort, _ = generate_synthetic(SyntheticSpec(n=186, true_coefficients=(0.9, -0.7, 0.5),
+                                                 seed=2))
+    forest = fit_rsf(cohort, ForestParams(n_trees=60, min_node_events=5, max_depth=6))
+    tracemalloc.start()
+    try:
+        text = forest.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from recurrisk.tree import TreeSplit, grow
+from recurrisk.tree import TreeSplit, grow, presort
 
 
 def test_every_node_sees_its_rows_in_each_feature_order():
@@ -29,7 +29,9 @@ def test_every_node_sees_its_rows_in_each_feature_order():
             splits += 1
             return j, float((values[k] + values[k + 1]) / 2.0)
 
-        root = grow(X, find_split, lambda idx: idx.tolist())
+        order = presort(X)
+        root = grow(X, order, find_split, lambda idx: idx.tolist())
+        assert np.array_equal(order, presort(X))    # one order serves many trees
         leaves, stack = [], [root]
         while stack:
             node = stack.pop()
