@@ -41,12 +41,7 @@ import numpy as np
 
 from .cohort import Cohort
 from .coxph import breslow_baseline, breslow_predict
-from .errors import (
-    InvalidParameterError,
-    NumericInputError,
-    TrainingError,
-    check_rows,
-)
+from .errors import InvalidParameterError, TrainingError, check_rows
 from .nonparametric import CoxLoss, RiskSets, canonical_order
 from .stepfun import StepFunction
 from . import tree
@@ -95,7 +90,7 @@ def cox_gradients(risk: RiskSets, scores, hessian: bool = True):
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
-        raise NumericInputError("scores must be finite")
+        raise InvalidParameterError("scores must be finite")
 
     loss = CoxLoss(risk, scores)
     hazard = loss.cumulative_hazard()                # exp(f_i) * A_i

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort, write_csv
-from .errors import InvalidParameterError, RecurriskError, SchemaError, reading
+from .errors import InvalidParameterError, RecurriskError, reading
 from .metrics import check_horizons, discrimination
 from .pipeline import PipelineConfig, run_pipeline
 from .radiomics import extract_subjects
@@ -126,7 +126,8 @@ def _cmd_evaluate(args) -> int:
     # a score file is a cohort file whose only other column is the score
     cohort = load_cohort(args.scores)
     if cohort.feature_names != ("score",):
-        raise SchemaError(f"{args.scores} needs exactly the columns id,time,event,score")
+        raise InvalidParameterError(
+            f"{args.scores} needs exactly the columns id,time,event,score")
     result = {"n": len(cohort),
               **discrimination(cohort.times, cohort.events, cohort.X[:, 0], horizons)}
     text = json.dumps(result, sort_keys=True, indent=2)

@@ -18,17 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    EmptyCohortError,
-    InvalidParameterError,
-    NoInformativeFeaturesError,
-    RowParseError,
-    SchemaError,
-    checked,
-    declared,
-    reading,
-)
+from .errors import InvalidParameterError, RowParseError, checked, declared, reading
 from .nonparametric import RiskSets
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -63,7 +53,7 @@ class Cohort:
 
     def __post_init__(self):
         if len(set(self.feature_names)) != len(self.feature_names):
-            raise SchemaError("feature names must be unique")
+            raise InvalidParameterError("feature names must be unique")
         ids = _read_only(self.ids, object)
         times = _read_only(self.times, float)
         events = _read_only(self.events, float)
@@ -72,19 +62,19 @@ class Cohort:
         X = _read_only(self.X, float)
         n = ids.size
         if n == 0:
-            raise EmptyCohortError("a cohort needs at least one record")
+            raise InvalidParameterError("a cohort needs at least one record")
         if (ids.shape, times.shape, events.shape, X.shape) != \
                 ((n,), (n,), (n,), (n, len(self.feature_names))):
-            raise SchemaError(f"shapes disagree: ids {ids.shape}, times {times.shape}, "
-                              f"events {events.shape}, X {X.shape} for "
-                              f"{len(self.feature_names)} features")
+            raise InvalidParameterError(
+                f"shapes disagree: ids {ids.shape}, times {times.shape}, "
+                f"events {events.shape}, X {X.shape} for {len(self.feature_names)} features")
         if not np.all(times > 0):
             raise InvalidParameterError("times must be positive")
         if not np.all((events == 0) | (events == 1)):
             raise InvalidParameterError("events must be 0 or 1")
         if len(set(ids)) != n:
             dup = next(i for i, count in Counter(ids).items() if count > 1)
-            raise SchemaError(f"duplicate subject id {dup!r}")
+            raise InvalidParameterError(f"duplicate subject id {dup!r}")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "events", _read_only(events, int))
@@ -128,7 +118,7 @@ class Cohort:
         names = tuple(names)
         missing = [n for n in names if n not in self.feature_names]
         if missing:
-            raise SchemaError(f"unknown features: {missing}")
+            raise InvalidParameterError(f"unknown features: {missing}")
         cols = [self.feature_names.index(n) for n in names]
         norm = None
         if self.normalization is not None:
@@ -153,21 +143,21 @@ def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
     Row order is preserved; features are the columns other than the id,
     time and event columns, in file order. Header names and ids are
     stripped; blank lines are skipped but counted in row numbers.
-    Raises InvalidParameterError for a file that cannot be read, SchemaError
-    for id, time and event roles that name one column twice and for a
-    missing or repeated column, RowParseError for bad cells (non-numeric
-    feature, time <= 0, event not in {0,1}, missing value, a blank or
-    repeated subject id) and EmptyCohortError for a file without data rows.
+    Raises RowParseError for a bad cell (non-numeric feature, time <= 0,
+    event not in {0,1}, missing value, a blank or repeated subject id) and
+    InvalidParameterError for any other fault: a file that cannot be read,
+    id, time and event roles that name one column twice, a missing or
+    repeated column, or no data rows.
     """
     reserved = (time_column, event_column, id_column)
     if len(set(reserved)) != len(reserved):
-        raise SchemaError(f"the id, time and event columns must differ, got "
-                          f"{id_column!r}, {time_column!r} and {event_column!r}")
+        raise InvalidParameterError(f"the id, time and event columns must differ, got "
+                                    f"{id_column!r}, {time_column!r} and {event_column!r}")
     with reading("cohort", path) as fh:
         header, rows = read_table(fh, path, reserved)
         feature_names = tuple(h for h in header if h not in reserved)
         if not feature_names:
-            raise SchemaError(f"{path}: needs at least one feature column")
+            raise InvalidParameterError(f"{path}: needs at least one feature column")
 
         id_idx = header.index(id_column)
         cols = [header.index(n) for n in (time_column, event_column, *feature_names)]
@@ -177,26 +167,26 @@ def load_cohort(path, *, id_column: str = "id", time_column: str = "time",
             dtype=float).reshape(-1, len(cols))
 
     if not row_of_id:
-        raise EmptyCohortError(f"{path}: no data rows")
+        raise InvalidParameterError(f"{path}: no data rows")
     return Cohort(feature_names, list(row_of_id), values[:, 0], values[:, 1], values[:, 2:])
 
 
 def read_table(fh, path, required):
     """The stripped header names of the CSV table in `fh`, and its lines
     that hold a non-blank cell as (row_no, cells), blank lines counted.
-    EmptyCohortError without a header line; SchemaError for a header that
-    repeats a name or lacks one in `required`, naming the first such name."""
+    InvalidParameterError without a header line, or for a header that repeats
+    a name or lacks one in `required`, naming the first such name."""
     reader = csv.reader(fh)
     first = next(reader, None)
     if first is None:
-        raise EmptyCohortError(f"{path}: file is empty")
+        raise InvalidParameterError(f"{path}: file is empty")
     header = [h.strip() for h in first]
     repeated = [h for i, h in enumerate(header) if h in header[:i]]
     if repeated:
-        raise SchemaError(f"{path}: header repeats column {repeated[0]!r}")
+        raise InvalidParameterError(f"{path}: header repeats column {repeated[0]!r}")
     missing = [c for c in required if c not in header]
     if missing:
-        raise SchemaError(f"{path}: missing column {missing[0]!r}")
+        raise InvalidParameterError(f"{path}: missing column {missing[0]!r}")
     return header, ((row_no, row) for row_no, row in enumerate(reader, start=1)
                     if any(map(str.strip, row)))
 
@@ -276,7 +266,7 @@ def zscore_normalize(cohort: Cohort) -> Cohort:
 
     Constant columns are dropped with a ConstantFeatureWarning. The fitted
     (mean, stddev) pairs are stored on the returned cohort. Raises
-    NoInformativeFeaturesError when every column is constant.
+    InvalidParameterError when every column is constant.
     """
     stats = {}
     for j, name in enumerate(cohort.feature_names):
@@ -289,7 +279,7 @@ def zscore_normalize(cohort: Cohort) -> Cohort:
         std = float(np.std(col, ddof=1))
         stats[name] = (mean, std)
     if not stats:
-        raise NoInformativeFeaturesError("all feature columns are constant")
+        raise InvalidParameterError("all feature columns are constant")
     return apply_normalization(cohort, stats)
 
 
@@ -301,7 +291,7 @@ def apply_normalization(cohort: Cohort, stats: dict[str, tuple[float, float]]) -
     """
     names = tuple(n for n in cohort.feature_names if n in stats)
     if not names:
-        raise NoInformativeFeaturesError("no overlap between cohort and normalization stats")
+        raise InvalidParameterError("no overlap between cohort and normalization stats")
     cols = [cohort.feature_names.index(n) for n in names]
     mean = np.array([stats[n][0] for n in names])
     std = np.array([stats[n][1] for n in names])
@@ -395,7 +385,7 @@ def _calibrate_censoring(event_time: np.ndarray, censor_unit: np.ndarray,
                          target: float, tol: float = 0.05,
                          max_steps: int = 100) -> float:
     """Bisect the exponential censoring rate until the realized censoring
-    fraction is within `tol` of `target`; CalibrationError otherwise."""
+    fraction is within `tol` of `target`; InvalidParameterError otherwise."""
 
     def realized(rate: float) -> float:
         return float(np.mean(censor_unit / rate < event_time))
@@ -421,6 +411,6 @@ def _calibrate_censoring(event_time: np.ndarray, censor_unit: np.ndarray,
             hi = mid
     if best_gap <= tol:
         return best_rate
-    raise CalibrationError(
+    raise InvalidParameterError(
         f"censoring target {target} unreachable after {max_steps} bisection steps "
         f"(closest realized fraction: {realized(best_rate):.3f})")

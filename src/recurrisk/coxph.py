@@ -21,7 +21,6 @@ from .errors import (
     ConditioningError,
     InvalidParameterError,
     NonconvergenceError,
-    NumericInputError,
     TrainingError,
     check_rows,
 )
@@ -80,7 +79,7 @@ def partial_loglik(beta, cohort: Cohort, ties: str = "efron"):
         raise InvalidParameterError(
             f"beta has length {beta.size}, cohort has {X.shape[1]} features")
     if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(X)):
-        raise NumericInputError("beta and features must be finite")
+        raise InvalidParameterError("beta and features must be finite")
     risk = cohort.risk_sets
     loss = CoxLoss(risk, X @ beta, efron=ties == "efron")
     hazard = loss.cumulative_hazard()            # g + delta, sorted

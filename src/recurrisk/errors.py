@@ -1,8 +1,17 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit: one class for each way a
+caller handles a failure. The CLI prints any RecurriskError, the base
+class, as one "error:" line.
 
-Every failure mode that callers are expected to distinguish gets its own
-class so that tests and the pipeline can catch precisely what they mean to.
-`reading` and `checked` turn a bad input file into one of them.
+- InvalidParameterError: a bad file, config value, argument or data.
+- RowParseError: a bad cell; carries its row and column.
+- NonconvergenceError, ConditioningError: the screen flags the feature
+  as not converged. NonconvergenceError carries the last iterate.
+- TrainingError: carries the loss trace; the screen does not catch it.
+- UndefinedMetricError: the report writes the metric as null.
+- DegenerateStratificationError: the risk groups cannot be formed.
+- PipelineError: carries the step that failed.
+
+`reading` and `checked` turn a bad input file into InvalidParameterError.
 """
 
 import inspect
@@ -17,8 +26,9 @@ class RecurriskError(Exception):
     """Base class for all toolkit errors."""
 
 
-class SchemaError(RecurriskError):
-    """A required column is missing or the column-role mapping is invalid."""
+class InvalidParameterError(RecurriskError):
+    """A file, config value, argument or data array is outside its
+    documented domain."""
 
 
 class RowParseError(RecurriskError):
@@ -34,41 +44,13 @@ class RowParseError(RecurriskError):
         return type(self), (self.row, self.column, self.message)
 
 
-class EmptyCohortError(RecurriskError):
-    """The input contains no data rows."""
-
-
-class NoInformativeFeaturesError(RecurriskError):
-    """Every feature column is constant; nothing to normalize or fit."""
-
-
-class CalibrationError(RecurriskError):
-    """Censoring-rate calibration did not reach the target."""
-
-
-class ShapeError(RecurriskError):
-    """Array dimensions do not match what the operation requires."""
-
-
 def check_rows(X, width: int) -> np.ndarray:
-    """X as a float array of at least two dimensions; ShapeError unless it
-    is a matrix of rows `width` features wide."""
+    """X as a float array of at least two dimensions; InvalidParameterError
+    unless it is a matrix of rows `width` features wide."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != width:
-        raise ShapeError(f"expected rows of {width} features, got shape {X.shape}")
+        raise InvalidParameterError(f"expected rows of {width} features, got shape {X.shape}")
     return X
-
-
-class EmptyRegionError(RecurriskError):
-    """A region mask contains no occupied voxels."""
-
-
-class InvalidParameterError(RecurriskError):
-    """A parameter is outside its documented domain."""
-
-
-class NumericInputError(RecurriskError):
-    """A non-finite value was passed where finite input is required."""
 
 
 class NonconvergenceError(RecurriskError):

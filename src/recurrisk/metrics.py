@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericInputError, UndefinedMetricError
+from .errors import InvalidParameterError, UndefinedMetricError
 from .nonparametric import kaplan_meier
 
 
@@ -40,7 +40,7 @@ def _check_inputs(times, events, scores):
     if not (times.shape == events.shape == scores.shape) or times.ndim != 1:
         raise InvalidParameterError("times, events and scores must be equal-length 1-d arrays")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(scores))):
-        raise NumericInputError("times and scores must be finite")
+        raise InvalidParameterError("times and scores must be finite")
     return times, events, scores
 
 

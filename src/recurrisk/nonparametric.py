@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyCohortError, InvalidParameterError, UndefinedMetricError
+from .errors import InvalidParameterError, UndefinedMetricError
 from .stepfun import StepFunction
 
 
@@ -128,7 +128,7 @@ def _event_table(times, events):
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
     if times.size == 0:
-        raise EmptyCohortError("no subjects")
+        raise InvalidParameterError("no subjects")
     if (times <= 0).any():
         raise InvalidParameterError("all times must be positive")
     if times.shape != events.shape:
@@ -169,7 +169,7 @@ def log_rank(group_a, group_b) -> LogRankResult:
     times_a, events_a = (np.asarray(v) for v in group_a)
     times_b, events_b = (np.asarray(v) for v in group_b)
     if times_a.size == 0 or times_b.size == 0:
-        raise EmptyCohortError("both groups must be nonempty")
+        raise InvalidParameterError("both groups must be nonempty")
     if int(np.sum(events_a)) + int(np.sum(events_b)) == 0:
         raise UndefinedMetricError("log-rank is undefined with zero events")
 

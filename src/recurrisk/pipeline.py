@@ -374,7 +374,7 @@ def _cross_validate(cohort: Cohort, by_id, config: PipelineConfig):
 
     for fold_hash, vif_removed, errors, test_idx, predictions, lane in split_map(
             lambda f: _fold_outputs(cohort, folds, config, by_id, f),
-            [f for f in range(config.cv_folds) if np.any(folds == f)]):
+            sorted(set(folds.tolist()))):
         fold_hashes.append(fold_hash)
         vif_removed_by_fold.append(vif_removed)
         for name, message in errors.items():

@@ -34,13 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyRegionError,
-    InvalidParameterError,
-    RowParseError,
-    ShapeError,
-    reading,
-)
+from .errors import InvalidParameterError, RowParseError, reading
 from .workers import split_map
 
 # 13 unique 3D directions at distance 1 (one per axis pair up to sign)
@@ -68,7 +62,7 @@ class VoxelGrid:
             raise InvalidParameterError("spacings must be positive")
         arr = np.asarray(self.intensities, dtype=float)
         if arr.size != nx * ny * nz:
-            raise ShapeError(f"expected {nx * ny * nz} intensities, got {arr.size}")
+            raise InvalidParameterError(f"expected {nx * ny * nz} intensities, got {arr.size}")
         object.__setattr__(self, "intensities", arr.reshape((nx, ny, nz), order="F"))
 
 
@@ -81,7 +75,7 @@ class RegionMask:
         nx, ny, nz = self.dims
         arr = np.asarray(self.occupancy)
         if arr.size != nx * ny * nz:
-            raise ShapeError(f"expected {nx * ny * nz} mask values, got {arr.size}")
+            raise InvalidParameterError(f"expected {nx * ny * nz} mask values, got {arr.size}")
         if arr.dtype != bool:
             vals = np.unique(arr)
             if not np.all(np.isin(vals, (0, 1))):
@@ -96,9 +90,9 @@ class RegionMask:
 
 def _check_pair(grid: VoxelGrid, mask: RegionMask):
     if grid.dims != mask.dims:
-        raise ShapeError(f"grid dims {grid.dims} != mask dims {mask.dims}")
+        raise InvalidParameterError(f"grid dims {grid.dims} != mask dims {mask.dims}")
     if mask.voxel_count == 0:
-        raise EmptyRegionError("mask has no occupied voxels")
+        raise InvalidParameterError("mask has no occupied voxels")
 
 
 def first_order(grid: VoxelGrid, mask: RegionMask) -> dict[str, float]:
@@ -129,7 +123,7 @@ def shape_features(mask: RegionMask, spacing) -> dict[str, float]:
     covariance of masked voxel centers (1.0 for a degenerate single voxel).
     """
     if mask.voxel_count == 0:
-        raise EmptyRegionError("mask has no occupied voxels")
+        raise InvalidParameterError("mask has no occupied voxels")
     sx, sy, sz = (float(s) for s in spacing)
     occ = mask.occupancy
     volume = mask.voxel_count * sx * sy * sz

@@ -29,14 +29,7 @@ import numpy as np
 
 from .boosting import cox_gradients, cox_negloglik
 from .cohort import parse_row, read_table, subject_id
-from .errors import (
-    InvalidParameterError,
-    NumericInputError,
-    RowParseError,
-    ShapeError,
-    TrainingError,
-    reading,
-)
+from .errors import InvalidParameterError, RowParseError, TrainingError, reading
 from .nonparametric import RiskSets, canonical_order
 
 
@@ -114,11 +107,11 @@ def _pack(sequences, d: int):
     for i, seq in enumerate(sequences):
         T, p = seq.snapshots.shape
         if p > d:
-            raise ShapeError(f"snapshot width {p} exceeds encoder dimension {d}")
+            raise InvalidParameterError(f"snapshot width {p} exceeds encoder dimension {d}")
         emb[i, :T, :p] = seq.snapshots
     emb += sinusoidal_pe(t_max, d)
     if not np.all(np.isfinite(emb)):
-        raise NumericInputError("attention inputs must be finite")
+        raise InvalidParameterError("attention inputs must be finite")
     return emb, valid, lengths - 1
 
 
@@ -260,8 +253,8 @@ def load_longitudinal(path) -> list[SnapshotSequence]:
     one column per snapshot feature; snapshots ordered by snapshot_index.
     As in `cohort.load_cohort`, the file is UTF-8 with or without a
     byte-order mark, header names and ids are stripped, blank lines are
-    skipped but counted in row numbers, an empty file raises EmptyCohortError
-    and a missing column SchemaError. A bad cell, a blank id, a time <= 0, an event
+    skipped but counted in row numbers, and an empty file or a missing column
+    raises InvalidParameterError. A bad cell, a blank id, a time <= 0, an event
     other than 0/1, a time or event that differs from the subject's earlier rows,
     or a snapshot_index repeated within a subject raises RowParseError."""
     outcomes: dict[str, tuple[float, int]] = {}

@@ -394,6 +394,32 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, 
     assert capsys.readouterr().err == err
 
 
+def _extract_with_grid(tmp, text):
+    """extract-features over one subject whose grid file holds `text`."""
+    args = _extract_args(tmp)
+    (tmp / "grids" / "s0_grid.txt").write_text(text, encoding="utf-8")
+    return args
+
+
+@pytest.mark.parametrize("make_args, line", [
+    (lambda tmp: _extract_args(tmp, mask_values="0 0 0 0 0 0 0 0"),
+     "mask has no occupied voxels"),
+    (lambda tmp: _extract_with_grid(tmp, "size 2 2 2\nspacing 1 1 1\n1 2 3 4 5 6 7 8\n"),
+     "row 1, column 'dims': {tmp}/grids/s0_grid.txt: first line must be 'dims nx ny nz'"),
+    (lambda tmp: _extract_with_grid(tmp, "dims 2 2 2\nspace 1 1 1\n1 2 3 4 5 6 7 8\n"),
+     "row 2, column 'spacing': {tmp}/grids/s0_grid.txt: "
+     "second line must be 'spacing sx sy sz'"),
+    (lambda tmp: _extract_with_grid(tmp, "dims 2 2 2\nspacing 1 1 1\n"),
+     "row 1, column 'header': {tmp}/grids/s0_grid.txt: expected header plus data"),
+    (lambda tmp: _evaluate_args(tmp, "id,time,event,score,age\na,5.0,1,0.2,3\nb,4.0,0,0.1,4\n"),
+     "{tmp}/scores.csv needs exactly the columns id,time,event,score"),
+], ids=["extract-empty-mask", "grid-first-line", "grid-second-line", "grid-no-data",
+        "evaluate-extra-column"])
+def test_a_rejected_input_prints_one_exact_error_line(tmp_path, capsys, make_args, line):
+    assert main([*make_args(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {line.format(tmp=tmp_path)}\n"
+
+
 def _regular_file(tmp):
     path = tmp / "afile"
     path.write_text("not a directory\n", encoding="utf-8")

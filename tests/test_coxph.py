@@ -22,7 +22,6 @@ from recurrisk.errors import (
     ConditioningError,
     InvalidParameterError,
     NonconvergenceError,
-    NumericInputError,
     TrainingError,
 )
 from recurrisk.nonparametric import RiskSets
@@ -237,7 +236,7 @@ class TestPartialLoglik:
 
     def test_nonfinite_beta_rejected(self, rng):
         cohort = random_censored_cohort(rng, 10, 2)
-        with pytest.raises(NumericInputError):
+        with pytest.raises(InvalidParameterError, match="^beta and features must be finite$"):
             partial_loglik(np.array([np.nan, 0.0]), cohort, "efron")
 
     def test_wrong_beta_length(self, rng):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from recurrisk.cohort import Cohort, SyntheticSpec, generate_synthetic
-from recurrisk.errors import ShapeError
+from recurrisk.errors import InvalidParameterError
 from recurrisk.pipeline import (
     LEARNERS,
     MODEL_ORDER,
@@ -50,7 +50,7 @@ def test_a_matrix_of_the_wrong_width_raises_shape_error(cohort, name):
     d = cohort.n_features
     for X in (np.hstack([cohort.X, cohort.X[:, :1]]), np.zeros((2, d, d))):
         message = f"expected rows of {d} features, got shape {X.shape}"
-        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             model.predict_risk(X)
 
 

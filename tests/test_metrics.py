@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from recurrisk.errors import InvalidParameterError, NumericInputError, UndefinedMetricError
+from recurrisk.errors import InvalidParameterError, UndefinedMetricError
 from recurrisk.metrics import (
     ConcordanceResult,
     _check_inputs,
@@ -153,9 +153,9 @@ class TestNonFiniteInputs:
         ([1.0, 2.0, np.inf, 4.0], [0.3, 1.0, 0.5, 0.2]),
     ])
     def test_c_index_and_auc_raise(self, times, scores):
-        with pytest.raises(NumericInputError):
+        with pytest.raises(InvalidParameterError, match="^times and scores must be finite$"):
             c_index(times, [1, 1, 0, 1], scores)
-        with pytest.raises(NumericInputError):
+        with pytest.raises(InvalidParameterError, match="^times and scores must be finite$"):
             auc_summary(times, [1, 1, 0, 1], scores, 3.0)
 
 

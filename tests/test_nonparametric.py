@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from recurrisk.errors import EmptyCohortError, UndefinedMetricError
+from recurrisk.errors import InvalidParameterError, UndefinedMetricError
 from recurrisk.nonparametric import (
     LogRankResult,
     RiskSets,
@@ -53,7 +53,7 @@ class TestKaplanMeier:
             assert abs(km(t) - np.mean(times > t)) < 1e-12
 
     def test_empty_input(self):
-        with pytest.raises(EmptyCohortError):
+        with pytest.raises(InvalidParameterError, match="^no subjects$"):
             kaplan_meier([], [])
 
 
@@ -129,7 +129,7 @@ class TestLogRank:
         assert abs(res.chi_square - res_t.chi_square) < 1e-9
 
     def test_empty_group_rejected(self):
-        with pytest.raises(EmptyCohortError):
+        with pytest.raises(InvalidParameterError, match="^both groups must be nonempty$"):
             log_rank(([], []), ([1], [1]))
 
 

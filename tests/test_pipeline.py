@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from recurrisk import pipeline
+from recurrisk.cli import main
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
 from recurrisk.errors import DegenerateStratificationError, TrainingError
 from recurrisk.nonparametric import kaplan_meier, median_survival_time
@@ -232,3 +233,84 @@ def test_a_booster_runs_with_the_default_seed(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert report["chosen_model"] == "gbm"
     assert report["features"]["importance"]["method"] == "mean_abs_shapley"
+
+
+def _cohort_csv(tmp_path, n=120):
+    cohort, _ = generate_synthetic(SyntheticSpec(n=n, true_coefficients=(1.0, -0.7), seed=2))
+    write_cohort(cohort, tmp_path / "cohort.csv")
+    return cohort, str(tmp_path / "cohort.csv")
+
+
+def test_a_run_in_which_every_model_fails_exits_1_and_leaves_no_folder(
+        tmp_path, capsys, monkeypatch):
+    _, path = _cohort_csv(tmp_path)
+    for name in ("cox", "coxboost"):
+        def fit(cohort, params, seed, fold, name=name):
+            raise TrainingError(f"{name} failed in fold {fold}")
+        monkeypatch.setitem(pipeline.LEARNERS, name, pipeline.LEARNERS[name]._replace(fit=fit))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cohort_csv": path, "out_dir": str(tmp_path / "out"),
+                                  "cv_folds": 3, "enabled_models": ["cox", "coxboost"]}),
+                      encoding="utf-8")
+    assert main(["run", "--config", str(config), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: evaluation: every model failed\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_whole_cohort_refit_leaves_only_the_importance_empty(tmp_path, monkeypatch):
+    _, path = _cohort_csv(tmp_path)
+
+    def outputs(name):
+        out = tmp_path / name
+        run_pipeline(PipelineConfig(cohort_csv=path, out_dir=str(out), cv_folds=3,
+                                    enabled_models=("cox",)))
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    plain = outputs("plain")
+    cox = pipeline.LEARNERS["cox"]
+
+    def fit(cohort, params, seed, fold):
+        if fold == -1:
+            raise TrainingError("the whole-cohort refit failed")
+        return cox.fit(cohort, params, seed, fold)
+
+    monkeypatch.setitem(pipeline.LEARNERS, "cox", cox._replace(fit=fit))
+    refit_failed = outputs("refit_failed")
+    assert sorted(refit_failed) == sorted(plain)
+    report, plain_report = (json.loads(files.pop("report.json"))
+                            for files in (refit_failed, plain))
+    assert refit_failed == plain
+    assert report["features"]["importance"] == {"method": None, "rows": []}
+    assert plain_report["features"]["importance"]["method"] == "mean_abs_shapley"
+    plain_report["features"]["importance"] = report["features"]["importance"]
+    assert report == plain_report
+
+
+def test_a_horizon_before_the_first_event_has_a_null_auc(tmp_path, capsys):
+    demo = json.loads((DATA / "demo.json").read_text(encoding="utf-8"))
+    demo.update(cohort_csv=str(DATA / "demo_cohort.csv"), out_dir=str(tmp_path / "out"),
+                horizons=[0.1, 24])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(demo), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert sorted(report["models"]) == sorted(demo["enabled_models"])
+    for name, model in report["models"].items():
+        assert model["status"] == "ok", name
+        assert model["auc"]["0.1"] is None, name
+        assert model["auc"]["24"] is not None, name
+    # no learner has an AUC at every horizon, so there is no AUC plot
+    assert not (tmp_path / "out" / "auc_horizons.svg").exists()
+
+
+def test_a_huge_fold_count_fits_only_the_folds_that_exist(tmp_path):
+    # 10**9 fold indices, of which at most n are dealt a subject
+    cohort, path = _cohort_csv(tmp_path, n=40)
+    config = PipelineConfig(cohort_csv=path, out_dir=str(tmp_path / "out"), cv_folds=10**9,
+                            enabled_models=("cox",))
+    report = run_pipeline(config)
+    folds = pipeline.assign_folds(cohort.events, config.cv_folds, config.seed)
+    events = int(cohort.events.sum())
+    assert len(np.unique(folds)) == max(events, len(cohort) - events)
+    assert len(report["provenance"]["fold_model_hashes"]) == len(np.unique(folds))

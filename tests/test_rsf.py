@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from recurrisk.errors import ShapeError
+from recurrisk.errors import InvalidParameterError
 from recurrisk.nonparametric import _event_table, log_rank, nelson_aalen
 from recurrisk.stepfun import StepFunction, average_step_functions
 from recurrisk.rsf import (
@@ -130,8 +131,10 @@ class TestBatchPrediction:
     def test_single_row_and_width_check(self, forest, cohort):
         x = cohort.matrix()[0]
         assert predict_risk_matrix(forest, x).shape == (1,)
-        with pytest.raises(ShapeError):
-            predict_chf_at(forest, np.zeros((2, cohort.n_features + 1)), [1.0])
+        d = cohort.n_features
+        message = f"expected rows of {d} features, got shape (2, {d + 1})"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            predict_chf_at(forest, np.zeros((2, d + 1)), [1.0])
 
 
 class TestDeterminism:

@@ -9,13 +9,10 @@ from recurrisk import pipeline, temporal
 from recurrisk.boosting import cox_gradients, cox_negloglik
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, load_cohort, write_cohort
 from recurrisk.errors import (
-    EmptyCohortError,
-    NumericInputError,
+    InvalidParameterError,
     PipelineError,
     RecurriskError,
     RowParseError,
-    SchemaError,
-    ShapeError,
     TrainingError,
 )
 from recurrisk.nonparametric import RiskSets
@@ -126,10 +123,12 @@ class TestLongitudinalCsv:
         ("id, snapshot_index, time, event, x0\n a, 1, 3.5, 1, 0.1\n b, 1, 4.5, 0, 0.2\n",
          [("a", 3.5, 1, [[0.1]]), ("b", 4.5, 0, [[0.2]])]),
         ("id,snapshot_index,time,event,x0\na,1,3.5,1,0.1\n\nb,1,4.5,0,abc\n",
-         (RowParseError, 3, "x0")),
-        ("id,snapshot_index,event,x0\na,1,1,0.1\n", (SchemaError, None, None)),
-        ("", (EmptyCohortError, None, None)),
-        ("id,snapshot_index,time,event,x0,x0\na,1,3.5,1,0.1,0.2\n", (SchemaError, None, None)),
+         (RowParseError, 3, "x0", "row 3, column 'x0': not a number: 'abc'")),
+        ("id,snapshot_index,event,x0\na,1,1,0.1\n",
+         (InvalidParameterError, None, None, "{path}: missing column 'time'")),
+        ("", (InvalidParameterError, None, None, "{path}: file is empty")),
+        ("id,snapshot_index,time,event,x0,x0\na,1,3.5,1,0.1,0.2\n",
+         (InvalidParameterError, None, None, "{path}: header repeats column 'x0'")),
     ], ids=["spaced-separators", "blank-line-then-bad-cell", "missing-column", "empty-file",
             "repeated-feature"])
     def test_reader_follows_the_cohort_readers_conventions(self, tmp_path, text, expected):
@@ -142,11 +141,13 @@ class TestLongitudinalCsv:
             try:
                 return load(path)
             except RecurriskError as exc:
-                return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+                return (type(exc), getattr(exc, "row", None), getattr(exc, "column", None),
+                        str(exc))
 
         cohort = read(load_cohort)
         if isinstance(expected, tuple):
-            assert read(load_longitudinal) == cohort == expected
+            *kind, message = expected
+            assert read(load_longitudinal) == cohort == (*kind, message.format(path=path))
         else:
             assert [(s.subject_id, s.time, s.event, s.snapshots.tolist())
                     for s in load_longitudinal(path)] == expected
@@ -415,10 +416,11 @@ class TestBatchedPass:
 
     def test_snapshot_wider_than_encoder_raises(self):
         seq = SnapshotSequence("a", np.ones((2, 9)), 3.0, 1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidParameterError,
+                           match="^snapshot width 9 exceeds encoder dimension 8$"):
             temporal_risk(seq, initial_model(8, 4, 0))
 
     def test_nonfinite_snapshot_raises(self):
         seq = SnapshotSequence("a", np.array([[0.1, np.nan]]), 3.0, 1)
-        with pytest.raises(NumericInputError):
+        with pytest.raises(InvalidParameterError, match="^attention inputs must be finite$"):
             temporal_risk(seq, initial_model(8, 4, 0))
