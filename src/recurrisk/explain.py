@@ -18,7 +18,7 @@ from math import factorial
 import numpy as np
 
 from .cohort import Cohort
-from .errors import InvalidParameterError, UndefinedMetricError
+from .errors import InvalidParameterError
 from .metrics import c_index
 
 MAX_EXACT_FEATURES = 14
@@ -102,8 +102,7 @@ def permutation_importance(predict, cohort: Cohort,
     PERMUTATION_REPEATS shuffles of that column.
 
     Returns (feature, mean_drop, std_drop) rows sorted stably by descending
-    mean drop. A repeat whose C is undefined on the shuffled scores is
-    left out; a feature with no repeat left reads 0.0 for both.
+    mean drop.
     """
     times, events = cohort.times, cohort.events
     X = cohort.matrix()
@@ -115,11 +114,7 @@ def permutation_importance(predict, cohort: Cohort,
         for _ in range(PERMUTATION_REPEATS):
             shuffled = X.copy()
             shuffled[:, j] = rng.permutation(shuffled[:, j])
-            try:
-                drops.append(baseline - c_index(times, events, predict(shuffled)).c_index)
-            except UndefinedMetricError:
-                pass
-        drops = drops or [0.0]
+            drops.append(baseline - c_index(times, events, predict(shuffled)).c_index)
         rows.append((name, float(np.mean(drops)), float(np.std(drops))))
     rows.sort(key=lambda row: -row[1])
     return rows

@@ -320,7 +320,7 @@ def _fold_outputs(cohort: Cohort, folds, config: PipelineConfig, by_id, f: int):
 
 
 def run_pipeline(config: PipelineConfig):
-    """Execute the full protocol and write report.json, curve CSVs and SVGs.
+    """Execute the full protocol and write report.json, the score and KM CSVs and SVGs.
 
     Every input is read and checked before the output folder is made, and
     the folder is made before any fold is fit: a bad input leaves no folder,
@@ -547,6 +547,9 @@ def _longitudinal_by_id(cohort: Cohort, path) -> dict:
 
 
 def _write_artifacts(report: dict, curves, cohort: Cohort, oof_scores, out: Path):
+    """Write `report.json`, the CSVs and the plots into `out`. A CSV is written
+    only for a record the report does not hold: the out-of-fold scores and
+    the two risk groups' Kaplan-Meier curves."""
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
                                      encoding="utf-8", newline="\n")
 
@@ -556,14 +559,6 @@ def _write_artifacts(report: dict, curves, cohort: Cohort, oof_scores, out: Path
 
     for group, km in curves.items():
         write_csv(out / f"km_{group}.csv", ["time", "survival"], km.to_rows())
-
-    for name, rep in report["models"].items():
-        if rep.get("status") != "ok":
-            continue
-        for table in ("calibration", "dca"):
-            rows = rep[table]
-            write_csv(out / f"{table}_{name}.csv", rows[0].keys(),
-                      (row.values() for row in rows))
 
     emit_plots(report, curves, out)
 
@@ -589,11 +584,10 @@ def emit_plots(report: dict, curves, outdir: Path) -> None:
     horizons = sorted(ok_models[0][1]["auc"], key=float)
     series = []
     for k, (name, rep) in enumerate(sorted(ok_models)):
-        ys = [rep["auc"][h] for h in horizons]
-        if any(y is None for y in ys):
-            continue
-        series.append(Series(name, [float(h) for h in horizons], ys,
-                             PALETTE[k % len(PALETTE)]))
+        defined = [h for h in horizons if rep["auc"][h] is not None]
+        if defined:
+            series.append(Series(name, [float(h) for h in defined],
+                                 [rep["auc"][h] for h in defined], PALETTE[k % len(PALETTE)]))
     if series:
         svg = render_plot(series, "Time-dependent AUC", "horizon (months)",
                           "AUC", y_range=(0.4, 1.0))

@@ -180,8 +180,6 @@ def _prepared(sequences, d: int):
 
 def initial_model(pe_dim: int, hidden: int, seed: int) -> TemporalModel:
     """Seeded uniform(-0.1, 0.1) initialization of every parameter."""
-    if pe_dim % 2 != 0:
-        raise InvalidParameterError("encoding dimension must be even")
     rng = np.random.default_rng(seed)
     widths = {"d": pe_dim, "h": hidden}
     blocks = {}

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from recurrisk.boosting import (
     cox_negloglik,
     fit_boosted,
 )
-from recurrisk.errors import InvalidParameterError
+from recurrisk.errors import InvalidParameterError, TrainingError
 from recurrisk.nonparametric import RiskSets, canonical_order
 from recurrisk.tree import presort
 
@@ -250,6 +251,26 @@ def test_all_constant_columns_give_no_stump():
     assert _StumpFitter(X[:1]).fit(residual[:1]) is None     # one row
 
 
+def test_all_constant_columns_stop_the_componentwise_fit_at_once():
+    rng = np.random.default_rng(2)
+    times = rng.exponential(10.0, 12) + 0.1
+    cohort = make_cohort(times, np.ones(12, dtype=int),
+                         np.column_stack([np.full(12, 2.0), np.zeros(12)]))
+    model = fit_boosted(cohort, _params("componentwise"))
+    assert model.early_stop_round == 0
+    assert model.base_learners == ()
+    assert len(model.training_loss_trace) == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_cohort_without_events_cannot_be_boosted(mode):
+    rng = np.random.default_rng(3)
+    cohort = make_cohort(rng.exponential(10.0, 12) + 0.1, np.zeros(12, dtype=int),
+                         rng.standard_normal((12, 2)))
+    with pytest.raises(TrainingError, match="^cannot boost with zero events$"):
+        fit_boosted(cohort, _params(mode))
+
+
 def fit_boosted_reference(cohort, params):
     """(learners, loss trace) of the former training loop: sorted-key
     canonical order, the per-feature stump search or the Newton tree on a
@@ -344,6 +365,19 @@ def test_gradients_without_events_are_zero():
     g, h = cox_gradients(risk, [0.0, 0.3, -1.0])
     assert cox_negloglik(risk, [0.0, 0.3, -1.0]) == 0.0
     assert np.array_equal(g, np.zeros(3)) and np.array_equal(h, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gradients_of_a_nonfinite_score_are_rejected(bad):
+    risk = RiskSets([1.0, 2.0, 3.0], [1, 0, 1])
+    with pytest.raises(InvalidParameterError, match="^scores must be finite$"):
+        cox_gradients(risk, [0.0, bad, 0.5])
+
+
+def test_an_unknown_mode_is_rejected():
+    message = "mode must be one of ('componentwise', 'gbm', 'xgboost')"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        BoostParams(mode="adaboost")
 
 
 @pytest.mark.parametrize("min_leaf", [0, -2])

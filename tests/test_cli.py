@@ -200,6 +200,26 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
      "the id, time and event columns must differ, got 'id', 'event' and 'event'"),
     (json.dumps({**BASE_CONFIG, "enabled_models": ["coxboost"],
                  "model_params": {"coxboost": {"rounds": 0}}}), "all risk scores identical"),
+    (json.dumps({**BASE_CONFIG, "cv_folds": 1}), "cv_folds must be >= 2"),
+    (json.dumps({**BASE_CONFIG, "enabled_models": ["cox", "lasso"]}), "unknown models: ['lasso']"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"lasso": {}}}),
+     "model_params names an unknown model 'lasso'"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"rsf": {"n_trees": 0}}}),
+     "model_params for rsf: n_trees must be >= 1"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"rsf": {"mtry": 0}}}),
+     "model_params for rsf: mtry must be >= 1"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"rsf": {"min_node_events": 0}}}),
+     "model_params for rsf: min_node_events must be >= 1"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"rsf": {"max_depth": -1}}}),
+     "model_params for rsf: max_depth must be >= 0"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"rounds": -1}}}),
+     "model_params for xgboost: rounds must be >= 0"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"learning_rate": 0}}}),
+     "model_params for xgboost: learning_rate must be in (0, 1]"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"xgboost": {"learning_rate": 1.5}}}),
+     "model_params for xgboost: learning_rate must be in (0, 1]"),
+    (json.dumps({**BASE_CONFIG, "model_params": {"gbm": {"tree_depth": 0}}}),
+     "model_params for gbm: tree_depth must be >= 1"),
 ], ids=["unknown-boost-key", "unknown-cox-key", "malformed-json", "no-cohort-csv",
         "non-numeric-alpha", "models-as-string", "missing-file", "boost-mode",
         "rsf-seed", "string-rounds", "float-n-trees", "bool-max-iter",
@@ -211,7 +231,10 @@ BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
         "coxboost-tree-depth", "coxboost-min-leaf", "coxboost-l2-lambda", "gbm-l2-lambda",
         "gbm-row-subsample", "zero-xgboost-l2-lambda",
         "alpha-above-one", "vif-threshold-below-one", "one-radiomics-level", "repeated-model", "repeated-horizon",
-        "no-models", "time-column-is-event-column", "coxboost-zero-rounds"])
+        "no-models", "time-column-is-event-column", "coxboost-zero-rounds", "one-cv-fold",
+        "unknown-model", "params-for-unknown-model", "zero-rsf-n-trees", "zero-rsf-mtry",
+        "zero-rsf-min-node-events", "negative-rsf-max-depth", "negative-xgboost-rounds",
+        "zero-xgboost-learning-rate", "xgboost-learning-rate-above-one", "zero-gbm-tree-depth"])
 def test_bad_run_config_exits_1(tmp_path, capsys, text, message):
     cohort, _ = generate_synthetic(SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
     write_cohort(cohort, tmp_path / "cohort.csv")
@@ -372,6 +395,9 @@ def _evaluate_args(tmp_path, text):
     (lambda tmp: _extract_args(tmp, mask=False), "s0_mask.txt: [Errno 2] No such file"),
     (lambda tmp: _extract_args(tmp, mask_values="0 0 0 0 0 0 0 0"),
      "mask has no occupied voxels"),
+    (lambda tmp: _extract_args(tmp, mask_values="1 1 1 1 0 0 0 2"), "mask values must be 0 or 1"),
+    (lambda tmp: _extract_args(tmp, mask_values="1 1 1 1 0 0 0.5 0"),
+     "mask values must be 0 or 1"),
     (lambda tmp: ["extract-features", "--grids", str(tmp), "--out", str(tmp / "features.csv")],
      "error: no *_grid.txt files in"),
 ], ids=["grid-dims", "grid-value", "run-grid-value", "run-second-grid-value", "grid-nan", "run-grid-inf",
@@ -380,7 +406,8 @@ def _evaluate_args(tmp_path, text):
         "spec-empty-coefficients", "evaluate-zero-time", "evaluate-repeated-time",
         "evaluate-blank-id",
         "run-missing-cohort", "run-missing-longitudinal",
-        "evaluate-missing-scores", "extract-missing-mask", "extract-empty-mask", "extract-no-grids"])
+        "evaluate-missing-scores", "extract-missing-mask", "extract-empty-mask", "extract-mask-value-2",
+        "extract-mask-value-half", "extract-no-grids"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, message):
     args = [*make_args(tmp_path), "--quiet"]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

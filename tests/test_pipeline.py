@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from recurrisk.errors import DegenerateStratificationError, TrainingError
 from recurrisk.nonparametric import kaplan_meier, median_survival_time
 from recurrisk.pipeline import PipelineConfig, run_pipeline
 from recurrisk.stepfun import StepFunction
+from recurrisk.svgplot import PALETTE, Series, render_plot
 
 from conftest import write_grids
 from test_temporal import generate_longitudinal, write_longitudinal
@@ -195,7 +197,7 @@ def test_outputs_are_the_same_bytes_with_and_without_the_worker(tmp_path, monkey
     assert len(forks) == 2     # radiomics, then the folds
     assert outputs({0}) == two
     assert len(forks) == 2
-    assert len(two) == 18      # report, scores, two KM curves, 2 tables x 5 learners, 4 SVGs
+    assert len(two) == 8       # report, scores, two KM curves, 4 SVGs
     assert json.loads(two["report.json"])["temporal"]["status"] == "ok"
 
 
@@ -286,10 +288,12 @@ def test_a_failed_whole_cohort_refit_leaves_only_the_importance_empty(tmp_path, 
     assert report == plain_report
 
 
-def test_a_horizon_before_the_first_event_has_a_null_auc(tmp_path, capsys):
+def _demo_with_horizons(tmp_path, capsys, horizons):
+    """Run the demo config with `horizons`; returns its report and the text of
+    its auc_horizons.svg, after checking that every learner is ok."""
     demo = json.loads((DATA / "demo.json").read_text(encoding="utf-8"))
     demo.update(cohort_csv=str(DATA / "demo_cohort.csv"), out_dir=str(tmp_path / "out"),
-                horizons=[0.1, 24])
+                horizons=horizons)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(demo), encoding="utf-8")
     assert main(["run", "--config", str(config), "--quiet"]) == 0
@@ -298,10 +302,46 @@ def test_a_horizon_before_the_first_event_has_a_null_auc(tmp_path, capsys):
     assert sorted(report["models"]) == sorted(demo["enabled_models"])
     for name, model in report["models"].items():
         assert model["status"] == "ok", name
+    return report, (tmp_path / "out" / "auc_horizons.svg").read_text(encoding="utf-8")
+
+
+def _auc_vertices(svg):
+    """Each series' path vertices in an AUC plot, as (x, y) pixels by learner."""
+    return {name: [tuple(float(c) for c in v[1:].split(",")) for v in d.split()]
+            for d, name in re.findall(r'<path d="([^"]*)"[^>]*data-series="([^"]*)"', svg)}
+
+
+def _auc_plot(report, horizons):
+    """The AUC plot of each learner's AUCs at `horizons`, in its palette colour."""
+    names = sorted(report["models"])
+    series = [Series(name, [float(h) for h in horizons],
+                     [report["models"][name]["auc"][h] for h in horizons],
+                     PALETTE[k % len(PALETTE)]) for k, name in enumerate(names)]
+    return render_plot(series, "Time-dependent AUC", "horizon (months)", "AUC",
+                       y_range=(0.4, 1.0))
+
+
+def test_a_horizon_before_the_first_event_has_a_null_auc(tmp_path, capsys):
+    report, svg = _demo_with_horizons(tmp_path, capsys, [0.1, 24])
+    for name, model in report["models"].items():
         assert model["auc"]["0.1"] is None, name
         assert model["auc"]["24"] is not None, name
-    # no learner has an AUC at every horizon, so there is no AUC plot
-    assert not (tmp_path / "out" / "auc_horizons.svg").exists()
+    # each learner is drawn at the one horizon where its AUC is defined
+    assert {name: len(v) for name, v in _auc_vertices(svg).items()} == \
+        {name: 1 for name in report["models"]}
+    assert svg == _auc_plot(report, ["24"])
+
+
+def test_a_null_auc_leaves_out_only_its_own_horizon(tmp_path, capsys):
+    report, svg = _demo_with_horizons(tmp_path, capsys, [0.1, 12, 24])
+    for name, model in report["models"].items():
+        assert model["auc"]["0.1"] is None, name
+        assert None not in (model["auc"]["12"], model["auc"]["24"]), name
+    vertices = _auc_vertices(svg)
+    assert sorted(vertices) == sorted(report["models"])
+    for name, points in vertices.items():
+        assert len(points) == 2 and points[0][0] < points[1][0], name
+    assert svg == _auc_plot(report, ["12", "24"])
 
 
 def test_a_huge_fold_count_fits_only_the_folds_that_exist(tmp_path):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from recurrisk.errors import InvalidParameterError
+from recurrisk.errors import InvalidParameterError, TrainingError
 from recurrisk.nonparametric import _event_table, log_rank, nelson_aalen
 from recurrisk.stepfun import StepFunction, average_step_functions
 from recurrisk.rsf import (
@@ -348,3 +348,12 @@ def test_ranked_split_keeps_min_node_events_on_each_side():
     assert events[X[:, 0] <= threshold].sum() == 2
     assert ranked_split(X, times, events, idx, [0], 3) is None
     assert best_split_per_feature(X, times, events, [0], 3) is None
+
+
+def test_an_all_censored_cohort_grows_no_forest():
+    rng = np.random.default_rng(5)
+    cohort = make_cohort(rng.exponential(10.0, 20) + 0.1, np.zeros(20, dtype=int),
+                         rng.standard_normal((20, 3)))
+    with pytest.raises(TrainingError,
+                       match="^cannot grow a survival forest on an all-censored cohort$"):
+        fit_rsf(cohort, ForestParams(n_trees=2))

@@ -414,6 +414,16 @@ class TestBatchedPass:
             train_temporal(sequences(n=40, seed=0), learning_rate=5.0)
         assert len(info.value.trace) == 61
 
+    @pytest.mark.parametrize("events, message", [
+        ((1,), "^need at least two subjects$"),
+        ((0, 0), "^need at least one event$"),
+    ], ids=["one-subject", "no-event"])
+    def test_too_few_subjects_or_events_raise(self, events, message):
+        seqs = [SnapshotSequence(f"s{i}", np.ones((2, 3)), 3.0 + i, event)
+                for i, event in enumerate(events)]
+        with pytest.raises(TrainingError, match=message):
+            train_temporal(seqs)
+
     def test_snapshot_wider_than_encoder_raises(self):
         seq = SnapshotSequence("a", np.ones((2, 9)), 3.0, 1)
         with pytest.raises(InvalidParameterError,
