@@ -9,6 +9,9 @@ The kernel is dominance counting over the time-sorted scores (Knight's
 merge-sort count for Kendall's tau, laid out level by level): O(n log^2 n)
 time and O(n) memory for n subjects. All counts are integers, so the
 results do not depend on the order of summation.
+
+A decision curve is `net_benefit` at each threshold; its treat-all reference
+is `net_benefit` with every subject called positive, and treat none is 0.
 """
 
 from __future__ import annotations
@@ -210,20 +213,13 @@ def calibration_table(predicted_risk, times, events, t) -> list[CalibrationBin]:
     return table
 
 
-@dataclass(frozen=True)
-class DCAPoint:
-    threshold: float
-    net_benefit: float
-    treat_all: float
-    treat_none: float = 0.0
-
-
-def net_benefit(event_by_t, predicted_prob, p: float) -> DCAPoint:
+def net_benefit(event_by_t, predicted_prob, p: float) -> float:
     """Decision-curve net benefit at threshold probability p.
 
     NB(p) = TP/N - (FP/N) * p/(1-p) with a positive call whenever the
-    predicted probability reaches p. Callers must already have excluded
-    subjects censored before the horizon.
+    predicted probability reaches p, so a probability of 1 for every
+    subject gives the treat-all reference. Callers must already have
+    excluded subjects censored before the horizon.
     """
     if not 0.0 < p < 1.0:
         raise InvalidParameterError("threshold must lie strictly inside (0, 1)")
@@ -235,13 +231,7 @@ def net_benefit(event_by_t, predicted_prob, p: float) -> DCAPoint:
     calls = predicted_prob >= p
     tp = int(np.sum(calls & event_by_t))
     fp = int(np.sum(calls & ~event_by_t))
-    odds = p / (1.0 - p)
-    prevalence = float(np.mean(event_by_t))
-    return DCAPoint(
-        threshold=float(p),
-        net_benefit=tp / n - (fp / n) * odds,
-        treat_all=prevalence - (1.0 - prevalence) * odds,
-    )
+    return tp / n - (fp / n) * (p / (1.0 - p))
 
 
 def dca_inputs(times, events, survival_probs, t):

@@ -73,7 +73,7 @@ from .svgplot import PALETTE, Series, render_plot
 from .temporal import check_temporal_params, load_longitudinal, temporal_risk, train_temporal
 from .workers import split_map
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 DCA_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 
@@ -397,6 +397,9 @@ def _cross_validate(cohort: Cohort, by_id, config: PipelineConfig):
     chosen = _choose_model(model_reports)
     if chosen is None:
         raise PipelineError("evaluation", "every model failed")
+    event_by_t, everyone = dca_inputs(times, events, np.zeros(n), config.horizons[-1])
+    decision_curve = {"horizon": config.horizons[-1], "thresholds": list(DCA_THRESHOLDS),
+                      "treat_all": [net_benefit(event_by_t, everyone, p) for p in DCA_THRESHOLDS]}
 
     stratification, curves = _stratify_and_compare(cohort, oof_scores[chosen])
 
@@ -420,6 +423,7 @@ def _cross_validate(cohort: Cohort, by_id, config: PipelineConfig):
         },
         "models": model_reports,
         "chosen_model": chosen,
+        "decision_curve": decision_curve,
         "stratification": stratification,
         "features": features_section,
         "temporal": temporal_section,
@@ -438,16 +442,15 @@ def _attach_radiomics(cohort: Cohort, config: PipelineConfig) -> Cohort:
 
 
 def _evaluate_model(times, events, scores, surv, horizons):
+    """An ok learner's report: C and AUC, the Brier score at each horizon,
+    and, at the last horizon (the report's decision_curve horizon), its
+    calibration bins and its net benefit at each DCA_THRESHOLDS value."""
     out = {"status": "ok", **discrimination(times, events, scores, horizons)}
     out["brier"] = by_horizon(lambda k, h: brier(h, surv[:, k], times, events), horizons)
-
-    t_star = horizons[-1]
-    risk_at_t = 1.0 - surv[:, -1]
-    out["calibration"] = [asdict(b)
-                          for b in calibration_table(risk_at_t, times, events, t_star)]
-    event_by_t, probs = dca_inputs(times, events, surv[:, -1], t_star)
-    out["dca"] = [asdict(net_benefit(event_by_t, probs, p)) for p in DCA_THRESHOLDS]
-    out["dca_horizon"] = t_star
+    out["calibration"] = [asdict(b) for b in calibration_table(
+        1.0 - surv[:, -1], times, events, horizons[-1])]
+    event_by_t, probs = dca_inputs(times, events, surv[:, -1], horizons[-1])
+    out["net_benefit"] = [net_benefit(event_by_t, probs, p) for p in DCA_THRESHOLDS]
     return out
 
 
@@ -592,26 +595,27 @@ def emit_plots(report: dict, curves, outdir: Path) -> None:
         svg = render_plot(series, "Time-dependent AUC", "horizon (months)",
                           "AUC", y_range=(0.4, 1.0))
         (outdir / "auc_horizons.svg").write_text(svg, encoding="utf-8", newline="\n")
+    else:       # a rerun into the same folder must not keep an earlier plot
+        (outdir / "auc_horizons.svg").unlink(missing_ok=True)
 
-    rep = report["models"][chosen]
+    curve, rep = report["decision_curve"], report["models"][chosen]
     cal = rep["calibration"]
     cal_series = [
         Series("ideal", [0.0, 1.0], [0.0, 1.0], "#999999", dashed=True),
         Series(chosen, [b["mean_predicted"] for b in cal],
                [b["observed_risk"] for b in cal], PALETTE[0]),
     ]
-    svg = render_plot(cal_series, f"Calibration at {rep['dca_horizon']:g} months",
+    svg = render_plot(cal_series, f"Calibration at {curve['horizon']:g} months",
                       "predicted risk", "observed risk",
                       x_range=(0.0, 1.0), y_range=(0.0, 1.05))
     (outdir / "calibration.svg").write_text(svg, encoding="utf-8", newline="\n")
 
-    dca = rep["dca"]
-    xs = [p["threshold"] for p in dca]
+    xs = curve["thresholds"]
     dca_series = [
-        Series(chosen, xs, [p["net_benefit"] for p in dca], PALETTE[0]),
-        Series("treat all", xs, [p["treat_all"] for p in dca], "#999999", dashed=True),
-        Series("treat none", xs, [0.0 for _ in dca], "#333333", dashed=True),
+        Series(chosen, xs, rep["net_benefit"], PALETTE[0]),
+        Series("treat all", xs, curve["treat_all"], "#999999", dashed=True),
+        Series("treat none", xs, [0.0] * len(xs), "#333333", dashed=True),
     ]
-    svg = render_plot(dca_series, f"Decision curve at {rep['dca_horizon']:g} months",
+    svg = render_plot(dca_series, f"Decision curve at {curve['horizon']:g} months",
                       "threshold probability", "net benefit")
     (outdir / "dca.svg").write_text(svg, encoding="utf-8", newline="\n")

@@ -42,6 +42,15 @@ def test_evaluate_writes_metrics(scores_csv, tmp_path):
     assert set(result["auc"]) == {"12", "24"}
 
 
+def test_evaluate_without_out_prints_what_out_writes(scores_csv, tmp_path, capsys):
+    path, _, _ = scores_csv
+    out = tmp_path / "metrics.json"
+    assert main(["evaluate", "--scores", str(path), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["evaluate", "--scores", str(path), "--quiet"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("column, cell", [("time", "soon"), ("event", "yes"),
                                           ("event", "2"), ("score", "high")])
 def test_evaluate_bad_cell_exits_1(scores_csv, capsys, column, cell):
@@ -428,6 +437,13 @@ def _extract_with_grid(tmp, text):
     return args
 
 
+def _run_with_cohort(tmp, text):
+    """A run whose cohort file holds `text`."""
+    args = _run_args(tmp)
+    (tmp / "cohort.csv").write_text(text, encoding="utf-8")
+    return args
+
+
 @pytest.mark.parametrize("make_args, line", [
     (lambda tmp: _extract_args(tmp, mask_values="0 0 0 0 0 0 0 0"),
      "mask has no occupied voxels"),
@@ -440,8 +456,12 @@ def _extract_with_grid(tmp, text):
      "row 1, column 'header': {tmp}/grids/s0_grid.txt: expected header plus data"),
     (lambda tmp: _evaluate_args(tmp, "id,time,event,score,age\na,5.0,1,0.2,3\nb,4.0,0,0.1,4\n"),
      "{tmp}/scores.csv needs exactly the columns id,time,event,score"),
+    (lambda tmp: _run_with_cohort(tmp, "id,time,event\na,5.0,1\nb,4.0,0\n"),
+     "{tmp}/cohort.csv: needs at least one feature column"),
+    (lambda tmp: _run_with_cohort(tmp, "id,time,event,x\na,5.0,1,inf\nb,4.0,0,0.5\n"),
+     "row 1, column 'x': non-finite value: 'inf'"),
 ], ids=["extract-empty-mask", "grid-first-line", "grid-second-line", "grid-no-data",
-        "evaluate-extra-column"])
+        "evaluate-extra-column", "run-no-feature-column", "run-infinite-cell"])
 def test_a_rejected_input_prints_one_exact_error_line(tmp_path, capsys, make_args, line):
     assert main([*make_args(tmp_path), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {line.format(tmp=tmp_path)}\n"

@@ -289,6 +289,11 @@ class TestRecordInvariants:
         nested = cohort.subset_features(["x1", "x2"]).subset_features(["x2"])
         assert nested.risk_sets is cohort.risk_sets
 
+    def test_unknown_feature_rejected(self, rng):
+        cohort = make_cohort(rng.exponential(5, 4) + 0.1, [1, 0, 1, 0], np.ones((4, 1)))
+        with pytest.raises(InvalidParameterError, match=r"^unknown features: \['nope'\]$"):
+            cohort.subset_features(["nope"])
+
     def test_derived_matrices_are_c_contiguous(self, rng):
         # X[:, cols] is F-ordered; X @ beta on F-ordered storage takes another
         # BLAS path and moves Cox scores in the last bits of oof_scores.csv
@@ -333,6 +338,12 @@ class TestZscore:
         X = out.matrix()
         assert np.max(np.abs(X.mean(axis=0))) < 1e-9
         assert np.max(np.abs(X.std(axis=0, ddof=1) - 1)) < 1e-9
+
+    def test_stats_naming_no_column_rejected(self):
+        cohort = make_cohort([1, 2], [1, 1], [[1.0], [2.0]])
+        with pytest.raises(InvalidParameterError,
+                           match="^no overlap between cohort and normalization stats$"):
+            apply_normalization(cohort, {"other": (0.0, 1.0)})
 
     def test_train_stats_applied_to_heldout_preserves_rank_order(self, rng):
         train = make_cohort(rng.exponential(3, 30) + 0.1, rng.integers(0, 2, 30),

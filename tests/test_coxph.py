@@ -244,6 +244,11 @@ class TestPartialLoglik:
         with pytest.raises(InvalidParameterError):
             partial_loglik(np.zeros(3), cohort, "efron")
 
+    def test_unknown_tie_method_rejected(self, rng):
+        cohort = random_censored_cohort(rng, 10, 2)
+        with pytest.raises(InvalidParameterError, match="^unknown tie method 'exact'$"):
+            partial_loglik(np.zeros(2), cohort, ties="exact")
+
 
 class TestFitCox:
     def test_balanced_signal_free_data(self):
@@ -629,6 +634,14 @@ class TestVifFilter:
         assert result.removed[0][1] == float("inf")
         # ties on infinite VIF break to the earliest column
         assert result.removed[0][0] == "x0"
+
+    def test_constant_column_removed_first(self, rng):
+        X = np.column_stack([rng.standard_normal(50), np.full(50, 2.0),
+                             rng.standard_normal(50)])
+        cohort = make_cohort(rng.exponential(5, 50) + 0.1, rng.integers(0, 2, 50), X)
+        result = vif_filter(cohort, ["x0", "x1", "x2"])
+        assert result.removed[0] == ("x1", float("inf"))
+        assert result.kept == ("x0", "x2")
 
     def test_two_variable_closed_form(self, rng):
         # correlation 0.95 -> VIF = 1/(1-0.9025) ~ 10.26 > 5, one removed

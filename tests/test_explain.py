@@ -139,6 +139,11 @@ def test_sample_width_must_match_the_background(background, names, message):
         mean_abs_shapley(nonlinear, np.zeros((5, 3)), background, names)
 
 
+def test_an_empty_sample_is_rejected():
+    with pytest.raises(InvalidParameterError, match="^sample must contain at least one row$"):
+        mean_abs_shapley(nonlinear, np.zeros((0, 3)), np.zeros(3), ("a", "b", "c"))
+
+
 def test_wide_cohorts_fall_back_to_permutation_importance():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((120, MAX_EXACT_FEATURES + 1))

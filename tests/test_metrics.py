@@ -158,6 +158,16 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidParameterError, match="^times and scores must be finite$"):
             auc_summary(times, [1, 1, 0, 1], scores, 3.0)
 
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(InvalidParameterError, match="^times, events and scores must be "
+                                                        "equal-length 1-d arrays$"):
+            c_index([1.0, 2.0, 3.0], [1, 0, 1], [0.5, 0.1])
+
+    def test_brier_needs_one_probability_per_subject(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^one survival probability per subject required$"):
+            brier(2.0, [0.5], [1.0, 3.0], [1, 0])
+
 
 class TestCIndex:
     def test_perfect_ranking(self):
@@ -385,34 +395,35 @@ class TestCalibration:
 
 class TestNetBenefit:
     def test_nobody_called_positive_is_zero(self):
-        point = net_benefit(np.array([1, 0, 1], bool), np.zeros(3), 0.25)
-        assert point.net_benefit == 0.0
-        assert point.treat_none == 0.0
+        assert net_benefit(np.array([1, 0, 1], bool), np.zeros(3), 0.25) == 0.0
 
     def test_everyone_called_equals_treat_all(self):
         events = np.array([1, 1, 0, 0, 0], bool)
-        point = net_benefit(events, np.ones(5), 0.3)
-        assert abs(point.net_benefit - point.treat_all) < 1e-12
+        prevalence, p = 0.4, 0.3
+        treat_all = prevalence - (1 - prevalence) * p / (1 - p)   # Vickers & Elkin 2006
+        assert abs(net_benefit(events, np.ones(5), p) - treat_all) < 1e-12
 
     def test_perfect_classifier_prevalence_04(self):
         events = np.array([1] * 4 + [0] * 6, bool)
         probs = np.where(events, 0.9, 0.1)
-        point = net_benefit(events, probs, 0.25)
-        assert abs(point.net_benefit - 0.4) < 1e-12
+        assert abs(net_benefit(events, probs, 0.25) - 0.4) < 1e-12
 
     def test_small_threshold_approaches_tp_fraction(self):
         events = np.array([1, 1, 0, 0], bool)
         probs = np.array([0.9, 0.8, 0.7, 0.6])
-        point = net_benefit(events, probs, 0.001)
-        assert abs(point.net_benefit - 0.5) < 0.01  # TP/N = 0.5, FP term vanishes
+        assert abs(net_benefit(events, probs, 0.001) - 0.5) < 0.01  # TP/N = 0.5, FP term vanishes
 
     def test_nonincreasing_in_false_positives(self):
         events = np.array([1, 1, 0, 0, 0, 0], bool)
         base = np.array([0.9, 0.9, 0.1, 0.1, 0.1, 0.1])
         more_fp = np.array([0.9, 0.9, 0.9, 0.1, 0.1, 0.1])
         p = 0.3
-        assert net_benefit(events, more_fp, p).net_benefit < \
-            net_benefit(events, base, p).net_benefit
+        assert net_benefit(events, more_fp, p) < net_benefit(events, base, p)
+
+    def test_no_subjects_is_undefined(self):
+        with pytest.raises(UndefinedMetricError,
+                           match="^no subjects left after censoring exclusion$"):
+            net_benefit(np.array([], bool), np.array([]), 0.5)
 
     def test_threshold_domain(self):
         with pytest.raises(InvalidParameterError):

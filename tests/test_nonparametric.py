@@ -56,6 +56,10 @@ class TestKaplanMeier:
         with pytest.raises(InvalidParameterError, match="^no subjects$"):
             kaplan_meier([], [])
 
+    def test_a_time_of_zero_rejected(self):
+        with pytest.raises(InvalidParameterError, match="^all times must be positive$"):
+            kaplan_meier([0.0, 2.0], [1, 0])
+
 
 class TestNelsonAalen:
     def test_no_events(self):

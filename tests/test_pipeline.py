@@ -354,3 +354,52 @@ def test_a_huge_fold_count_fits_only_the_folds_that_exist(tmp_path):
     events = int(cohort.events.sum())
     assert len(np.unique(folds)) == max(events, len(cohort) - events)
     assert len(report["provenance"]["fold_model_hashes"]) == len(np.unique(folds))
+
+
+def test_a_rerun_that_draws_no_auc_removes_the_earlier_auc_plot(tmp_path):
+    cohort, path = _cohort_csv(tmp_path)
+    out = tmp_path / "out"
+
+    def run(horizons):
+        run_pipeline(PipelineConfig(cohort_csv=path, out_dir=str(out), cv_folds=3,
+                                    enabled_models=("cox",), horizons=horizons))
+        return sorted(p.name for p in out.iterdir())
+
+    first = run((12.0, 24.0))
+    assert "auc_horizons.svg" in first
+    early = float(cohort.times.min()) / 2         # before the first event
+    again = run((early,))
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["models"]["cox"]["auc"] == {f"{early:g}": None}
+    assert again == [name for name in first if name != "auc_horizons.svg"]
+
+
+def test_the_decision_curve_states_its_shared_references_once(tmp_path):
+    cohort, path = _cohort_csv(tmp_path)
+    out = tmp_path / "out"
+    report = run_pipeline(PipelineConfig(cohort_csv=path, out_dir=str(out), cv_folds=3,
+                                         enabled_models=("cox", "coxboost"),
+                                         model_params={"coxboost": {"rounds": 20}}))
+    curve = report["decision_curve"]
+    assert curve["horizon"] == 24.0
+    assert curve["thresholds"] == list(pipeline.DCA_THRESHOLDS)
+    for name, model in report["models"].items():
+        assert set(model) == {"status", "c_index", "auc", "brier", "calibration",
+                              "net_benefit"}, name
+        assert len(model["net_benefit"]) == len(curve["thresholds"]), name
+
+    # treat all, textbook form (Vickers & Elkin 2006), over the subjects
+    # whose status at the horizon is known
+    h, times, events = curve["horizon"], cohort.times, cohort.events
+    kept = (times > h) | (events == 1)
+    prevalence = np.mean(events[kept] & (times[kept] <= h))
+    for p, treat_all in zip(curve["thresholds"], curve["treat_all"]):
+        assert abs(treat_all - (prevalence - (1 - prevalence) * p / (1 - p))) < 1e-12, p
+
+    xs, chosen = curve["thresholds"], report["chosen_model"]
+    assert (out / "dca.svg").read_text(encoding="utf-8") == render_plot([
+        Series(chosen, xs, report["models"][chosen]["net_benefit"], PALETTE[0]),
+        Series("treat all", xs, curve["treat_all"], "#999999", dashed=True),
+        Series("treat none", xs, [0.0] * len(xs), "#333333", dashed=True),
+    ], "Decision curve at 24 months", "threshold probability", "net benefit")
+    assert "Calibration at 24 months" in (out / "calibration.svg").read_text(encoding="utf-8")

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from recurrisk.errors import InvalidParameterError
 from recurrisk.radiomics import (
     GLCM_OFFSETS,
     RegionMask,
     VoxelGrid,
     _texture,
     discretize,
+    first_order,
     shape_features,
     texture_features,
     texture_matrices,
@@ -349,3 +351,21 @@ def test_texture_features_ignore_intensity_scale_and_shift(seed, levels):
     assert features(2.0 * values) == base
     assert features(values + 17.0) == base
     assert features(values - 1000.0) == base
+
+
+UNIT = (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VoxelGrid((0, 1, 1), UNIT, []), "dims must be positive"),
+    (lambda: VoxelGrid((2, 1, 1), UNIT, [1.0]), "expected 2 intensities, got 1"),
+    (lambda: RegionMask((2, 1, 1), [1]), "expected 2 mask values, got 1"),
+    (lambda: first_order(VoxelGrid((2, 1, 1), UNIT, [1.0, 2.0]), RegionMask((1, 2, 1), [1, 1])),
+     r"grid dims \(2, 1, 1\) != mask dims \(1, 2, 1\)"),
+    (lambda: shape_features(RegionMask((2, 1, 1), [0, 0]), UNIT), "mask has no occupied voxels"),
+    (lambda: discretize(VoxelGrid((2, 1, 1), UNIT, [1.0, 2.0]), RegionMask((2, 1, 1), [1, 1]), 1),
+     "need at least 2 gray levels"),
+], ids=["zero-dim", "intensity-count", "mask-count", "dims-mismatch", "empty-mask", "one-level"])
+def test_a_bad_grid_mask_or_setting_raises(build, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        build()

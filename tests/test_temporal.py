@@ -424,6 +424,15 @@ class TestBatchedPass:
         with pytest.raises(TrainingError, match=message):
             train_temporal(seqs)
 
+    def test_a_sequence_without_snapshots_raises(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^a sequence needs at least one snapshot$"):
+            SnapshotSequence("a", np.zeros((0, 3)), 3.0, 1)
+
+    def test_an_odd_encoding_dimension_raises(self):
+        with pytest.raises(InvalidParameterError, match="^encoding dimension must be even$"):
+            sinusoidal_pe(3, 5)
+
     def test_snapshot_wider_than_encoder_raises(self):
         seq = SnapshotSequence("a", np.ones((2, 9)), 3.0, 1)
         with pytest.raises(InvalidParameterError,
