@@ -29,8 +29,8 @@ The trees use XGBoost's presorted exact greedy search (Chen & Guestrin,
 KDD 2016): the rows never change during a fit, so every column is argsorted
 once per fit (``tree.presort``), ``tree.grow`` hands each node its rows in
 every column's order, and one 2-D cumulative sum scores every threshold of
-every feature at once. ``BoostedModel.to_json`` writes one learner at a time
-(``tree.dumps_listing``).
+every feature at once. ``BoostedModel.json_chunks`` yields the model's JSON
+one learner at a time (``tree.dumps_listing``).
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ class BoostedModel:
 
     predict = breslow_predict
 
-    def to_json(self) -> str:
+    def json_chunks(self):
         doc = {
             "model": "boosted_cox",
             "mode": self.mode,

@@ -51,7 +51,7 @@ class CoxModel:
 
     predict = breslow_predict
 
-    def to_json(self) -> str:
+    def json_chunks(self):
         doc = {
             "model": "cox_ph",
             "feature_names": list(self.feature_names),
@@ -59,7 +59,7 @@ class CoxModel:
             "baseline_knots": self.baseline_chf.knots.tolist(),
             "baseline_values": self.baseline_chf.values.tolist(),
         }
-        return json.dumps(doc, sort_keys=True)
+        yield json.dumps(doc, sort_keys=True)
 
 
 def partial_loglik(beta, cohort: Cohort, ties: str = "efron"):

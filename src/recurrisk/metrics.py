@@ -101,12 +101,18 @@ def c_index(times, events, scores) -> ConcordanceResult:
 
 def check_horizons(horizons) -> tuple[float, ...]:
     """The horizons as floats; raises InvalidParameterError unless they are
-    non-empty, finite, positive and strictly ascending."""
+    non-empty, finite, positive and strictly ascending, and no two share a
+    ``by_horizon`` key."""
     horizons = tuple(float(h) for h in horizons)
     ascending = all(a < b for a, b in zip(horizons, horizons[1:]))
     if not (horizons and horizons[0] > 0 and ascending and np.isfinite(horizons[-1])):
         raise InvalidParameterError(f"horizons must be positive and strictly ascending "
                                     f"finite numbers, got {list(horizons)}")
+    # rounding to six digits keeps the order, so only neighbours can collide
+    for a, b in zip(horizons, horizons[1:]):
+        if f"{a:g}" == f"{b:g}":
+            raise InvalidParameterError(f"horizons {a!r} and {b!r} share the report key "
+                                        f"'{a:g}'")
     return horizons
 
 

@@ -94,7 +94,8 @@ class Learner(NamedTuple):
     where settings are the entry over the defaults of `params`.
 
     Every fitted model answers predict_risk(X), predict(X, horizons) ->
-    (scores, survival of shape (n, len(horizons))) and to_json()."""
+    (scores, survival of shape (n, len(horizons))) and json_chunks(), the
+    pieces of its JSON text."""
 
     fit: Callable
     params: dict
@@ -279,9 +280,11 @@ def fold_models_hash(fold_models: FoldModels) -> str:
     """Canonical digest of everything fitted on one fold (leakage probe).
 
     It is the SHA-256 of json.dumps({"models": {name: text}, "normalization":
-    ..., "selected": ...}, sort_keys=True), where text is the model's
-    to_json(), or None for a failed model. The digest reads one model's text
-    at a time, so the text of two models never exists at once."""
+    ..., "selected": ...}, sort_keys=True), where text is the join of the
+    model's json_chunks(), or None for a failed model. The text is never
+    joined: the digest encodes it as a JSON string one piece at a time, which
+    gives the same bytes because json.dumps escapes each code point on its
+    own, so only one piece and its escaped copy exist at once."""
     rest = json.dumps({
         "normalization": {k: list(v) for k, v in sorted(fold_models.normalization.items())},
         "selected": list(fold_models.selected),
@@ -289,7 +292,13 @@ def fold_models_hash(fold_models: FoldModels) -> str:
     digest = hashlib.sha256(b'{"models": {')        # "models" sorts first
     for k, (name, model) in enumerate(sorted(fold_models.models.items())):
         digest.update(f"{', ' if k else ''}{json.dumps(name)}: ".encode("utf-8"))
-        digest.update(json.dumps(None if model is None else model.to_json()).encode("utf-8"))
+        if model is None:
+            digest.update(b"null")
+            continue
+        digest.update(b'"')
+        for chunk in model.json_chunks():
+            digest.update(json.dumps(chunk)[1:-1].encode("utf-8"))
+        digest.update(b'"')
     digest.update(("}, " + rest[1:]).encode("utf-8"))
     return digest.hexdigest()
 

@@ -24,8 +24,10 @@ sum is divided by the tree count, the same order of operations as
 averaging the per-tree step functions, so batch and per-row predictions
 agree exactly.
 
-``forest_to_json`` writes the forest one tree at a time
-(``tree.dumps_listing``), so no document of the whole forest is built.
+``forest_to_json`` gives the forest's JSON as an iterator of pieces, one
+tree at a time (``tree.dumps_listing``), so neither a document nor the
+text of the whole forest is built. The node and leaf classes use slots, as
+a fitted forest holds thousands of them.
 """
 
 from __future__ import annotations
@@ -60,13 +62,13 @@ class ForestParams:
             raise InvalidParameterError("max_depth must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeLeaf:
     chf: StepFunction
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurvivalTree:
     root: TreeSplit | TreeLeaf
 
@@ -90,7 +92,7 @@ class Forest:
         # contiguous, so exp takes the same ufunc loop as StepFunction.exp_neg
         return chf[:, -1], np.exp(-np.ascontiguousarray(chf[:, :-1]))
 
-    def to_json(self) -> str:
+    def json_chunks(self):
         return forest_to_json(self)
 
 
@@ -124,7 +126,8 @@ def _best_split(X, rank, events, idx, order, feats, min_node_events, total_event
     n_a = (rank[rows][:, :, None] >= ev).astype(float)
     n_a.cumsum(axis=1, out=n_a)            # at risk among the first k + 1 rows
     expected = (n_a @ e_coef)[:, :-1]
-    variance = (n_a @ v1 - (n_a ** 2) @ v2)[:, :-1]
+    # n_a @ v1 is evaluated first, so n_a can then be squared in place
+    variance = (n_a @ v1 - np.square(n_a, out=n_a) @ v2)[:, :-1]
     valid = ((cs[:, :-1] < cs[:, 1:]) & (ev_left >= min_node_events)
              & (ev_right >= min_node_events) & (variance > 1e-12))
     stats = np.divide((ev_left - expected) ** 2, variance,
@@ -221,7 +224,9 @@ def _leaf_to_dict(leaf: TreeLeaf) -> dict:
             "values": leaf.chf.values.tolist()}
 
 
-def forest_to_json(forest: Forest) -> str:
+def forest_to_json(forest: Forest):
+    """The forest's JSON as an iterator of text pieces; joined, they are one
+    json.dumps of the whole forest document with sorted keys."""
     doc = {
         "model": "random_survival_forest",
         "feature_names": list(forest.feature_names),

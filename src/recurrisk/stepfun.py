@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepFunction:
     knots: np.ndarray
     values: np.ndarray

@@ -13,8 +13,10 @@ at each split, so a node reads its rows in each feature's order without
 sorting them again. A caller that grows many trees on one matrix sorts it
 once for all of them.
 
-``dumps_listing`` writes a model whose JSON is mostly a list of trees
-without building one document for the whole list.
+``dumps_listing`` yields, piece by piece, the JSON of a model that is
+mostly a list of trees: no document of the whole list and no text of the
+whole model is built, so a consumer such as the fold digest holds one
+tree's text at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeSplit:
     feature: int
     threshold: float
@@ -91,20 +93,19 @@ def to_dict(node, leaf_to_dict):
             "right": to_dict(node.right, leaf_to_dict)}
 
 
-def dumps_listing(doc, key, items) -> str:
-    """json.dumps({**doc, key: list(items)}, sort_keys=True) for a doc with
-    string keys, encoding the items one at a time: only one item's objects
-    and the text written so far exist at once."""
+def dumps_listing(doc, key, items):
+    """Yield the pieces of json.dumps({**doc, key: list(items)}, sort_keys=True)
+    for a doc with string keys, encoding the items one at a time: only one
+    item's objects and its text exist at once."""
     fields = {**doc, key: None}
-    chunks = ["{"]
+    yield "{"
     for k, name in enumerate(sorted(fields)):
-        chunks.append(f"{', ' if k else ''}{json.dumps(name)}: ")
+        yield f"{', ' if k else ''}{json.dumps(name)}: "
         if name != key:
-            chunks.append(json.dumps(fields[name], sort_keys=True))
+            yield json.dumps(fields[name], sort_keys=True)
             continue
-        chunks.append("[")
+        yield "["
         for i, item in enumerate(items):
-            chunks.append(f"{', ' if i else ''}{json.dumps(item, sort_keys=True)}")
-        chunks.append("]")
-    chunks.append("}")
-    return "".join(chunks)
+            yield f"{', ' if i else ''}{json.dumps(item, sort_keys=True)}"
+        yield "]"
+    yield "}"

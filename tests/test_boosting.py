@@ -470,7 +470,8 @@ def test_fit_is_invariant_to_row_order(cohort, mode):
     shuffled = make_cohort(cohort.times[perm], cohort.events[perm], cohort.X[perm],
                            cohort.feature_names, list(cohort.ids[perm]))
     params = _params(mode)
-    assert fit_boosted(shuffled, params).to_json() == fit_boosted(cohort, params).to_json()
+    assert ("".join(fit_boosted(shuffled, params).json_chunks())
+            == "".join(fit_boosted(cohort, params).json_chunks()))
 
 
 @pytest.mark.parametrize("mode", ["gbm", "xgboost"])

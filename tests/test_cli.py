@@ -308,11 +308,18 @@ def test_evaluate_bad_horizon_exits_1(scores_csv, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("horizons", ["12,12", "-5", "inf", "24,12", "nan", "12,inf"])
-def test_run_and_evaluate_reject_the_same_horizons(scores_csv, tmp_path, capsys, horizons):
+@pytest.mark.parametrize("horizons, message", [pytest.param(h, message, id=h) for h, message in [
+    *((h, "horizons must be positive and strictly ascending finite numbers, got {values}")
+      for h in ["12,12", "-5", "inf", "24,12", "nan", "12,inf"]),
+    # "{h:g}" keys each horizon's report entry, so these two would share the key "12"
+    ("6,12.0000001,12.0000002", "horizons 12.0000001 and 12.0000002 share the report key '12'"),
+    ("1e6,1000001", "horizons 1000000.0 and 1000001.0 share the report key '1e+06'"),
+]])
+def test_run_and_evaluate_reject_the_same_horizons(scores_csv, tmp_path, capsys, horizons,
+                                                   message):
     path, _, _ = scores_csv
     values = [float(h) for h in horizons.split(",")]
-    message = f"horizons must be positive and strictly ascending finite numbers, got {values}"
+    message = message.format(values=values)
     assert main(["evaluate", "--scores", str(path), f"--horizons={horizons}", "--quiet"]) == 1
     assert message in capsys.readouterr().err
     assert main([*_run_args(tmp_path, horizons=values), "--quiet"]) == 1
@@ -460,8 +467,12 @@ def _run_with_cohort(tmp, text):
      "{tmp}/cohort.csv: needs at least one feature column"),
     (lambda tmp: _run_with_cohort(tmp, "id,time,event,x\na,5.0,1,inf\nb,4.0,0,0.5\n"),
      "row 1, column 'x': non-finite value: 'inf'"),
+    (lambda tmp: [*_evaluate_args(tmp, "id,time,event,score\na,5.0,1,0.2\nb,4.0,0,0.1\n"),
+                  "--horizons", "12.0000001,12.0000002"],
+     "horizons 12.0000001 and 12.0000002 share the report key '12'"),
 ], ids=["extract-empty-mask", "grid-first-line", "grid-second-line", "grid-no-data",
-        "evaluate-extra-column", "run-no-feature-column", "run-infinite-cell"])
+        "evaluate-extra-column", "run-no-feature-column", "run-infinite-cell",
+        "evaluate-horizon-keys-collide"])
 def test_a_rejected_input_prints_one_exact_error_line(tmp_path, capsys, make_args, line):
     assert main([*make_args(tmp_path), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {line.format(tmp=tmp_path)}\n"

@@ -1,6 +1,7 @@
-"""The tree ensembles write their JSON one tree at a time, and the fold
-digest reads one model at a time. Each must give exactly the bytes of the
-one-document encoder it replaced; those encoders are kept here as oracles."""
+"""The tree ensembles yield their JSON one tree at a time, and the fold
+digest escapes each model's pieces as they come, never joining them. Each
+must give exactly the bytes of the one-document encoder it replaced; those
+encoders are kept here as oracles."""
 
 import hashlib
 import json
@@ -14,10 +15,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recurrisk import tree
-from recurrisk.boosting import BoostedModel
+from recurrisk.boosting import BoostedModel, BoostParams, fit_boosted
 from recurrisk.cohort import SyntheticSpec, generate_synthetic, load_cohort
-from recurrisk.pipeline import PipelineConfig, assign_folds, fit_fold_models, fold_models_hash
+from recurrisk.coxph import fit_cox
+from recurrisk.pipeline import (
+    FoldModels,
+    PipelineConfig,
+    assign_folds,
+    fit_fold_models,
+    fold_models_hash,
+)
 from recurrisk.rsf import Forest, ForestParams, _leaf_to_dict, fit_rsf
+
+from conftest import make_cohort
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -49,11 +59,20 @@ def boosted_to_json_oracle(model):
     }, sort_keys=True)
 
 
+def model_json_oracle(model):
+    if isinstance(model, Forest):
+        return forest_to_json_oracle(model)
+    if isinstance(model, BoostedModel):
+        return boosted_to_json_oracle(model)
+    (text,) = model.json_chunks()          # a cox model is one json.dumps
+    return text
+
+
 def fold_models_hash_oracle(fold_models):
     parts = {
         "normalization": {k: list(v) for k, v in sorted(fold_models.normalization.items())},
         "selected": list(fold_models.selected),
-        "models": {name: None if model is None else model.to_json()
+        "models": {name: None if model is None else model_json_oracle(model)
                    for name, model in sorted(fold_models.models.items())},
     }
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
@@ -77,7 +96,7 @@ values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
 @example(doc={}, key="trees", items=[float("nan"), float("inf")])
 def test_dumps_listing_equals_json_dumps(doc, key, items):
     want = json.dumps({**doc, key: list(items)}, sort_keys=True)
-    assert tree.dumps_listing(doc, key, iter(items)) == want
+    assert "".join(tree.dumps_listing(doc, key, iter(items))) == want
 
 
 # --- every learner of every demo fold ----------------------------------------
@@ -97,10 +116,7 @@ def test_every_demo_model_writes_the_bytes_of_its_former_encoder(demo_folds):
     for fold_models in demo_folds:
         assert fold_models.errors == {}
         for name, model in fold_models.models.items():
-            if isinstance(model, Forest):
-                assert model.to_json() == forest_to_json_oracle(model), name
-            elif isinstance(model, BoostedModel):
-                assert model.to_json() == boosted_to_json_oracle(model), name
+            assert "".join(model.json_chunks()) == model_json_oracle(model), name
             kinds.add(type(model).__name__)
     assert {"Forest", "BoostedModel"} <= kinds
 
@@ -124,8 +140,50 @@ def test_a_forest_is_written_without_a_document_of_every_tree():
     forest = fit_rsf(cohort, ForestParams(n_trees=60, min_node_events=5, max_depth=6))
     tracemalloc.start()
     try:
-        text = forest.to_json()
+        length = sum(map(len, forest.json_chunks()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * len(text)
+    assert peak < 3 * length
+
+
+# --- the digest escapes each piece on its own ---------------------------------
+
+ODD_NAMES = ('quote"d', "back\\slash", "tab\there", "caf\u00e9", "clef \U0001d11e")
+
+
+def test_escaped_pieces_give_the_digest_of_the_whole_document():
+    # feature names that JSON escapes: a quote, a backslash, a tab, a
+    # non-ASCII and a non-BMP character
+    base, _ = generate_synthetic(SyntheticSpec(n=80, true_coefficients=(0.9, -0.7, 0.5, 0.3,
+                                                                        -0.4), seed=4))
+    cohort = make_cohort(base.times, base.events, base.X, ODD_NAMES)
+    models = {"rsf": fit_rsf(cohort, ForestParams(n_trees=5, min_node_events=3, max_depth=3)),
+              "xgboost": fit_boosted(cohort, BoostParams(rounds=5, mode="xgboost")),
+              "cox": fit_cox(cohort)}
+    fold = FoldModels(normalization={name: (0.0, 1.0) for name in ODD_NAMES},
+                      selected=ODD_NAMES, vif_removed=(), models=models, errors={})
+    for name, model in models.items():
+        assert json.loads("".join(model.json_chunks()))["feature_names"] == list(ODD_NAMES)
+        alone = replace(fold, models={name: model})
+        assert fold_models_hash(alone) == fold_models_hash_oracle(alone), name
+    assert fold_models_hash(fold) == fold_models_hash_oracle(fold)
+    failed = replace(fold, models={**models, "gbm": None})
+    assert fold_models_hash(failed) == fold_models_hash_oracle(failed)
+
+
+def test_the_digest_never_holds_the_text_of_a_forest():
+    # the former digest held the text, its escaped copy and their bytes at once
+    cohort, _ = generate_synthetic(SyntheticSpec(n=186, true_coefficients=(0.9, -0.7, 0.5),
+                                                 seed=2))
+    forest = fit_rsf(cohort, ForestParams(n_trees=150, min_node_events=5, max_depth=6))
+    fold_models = FoldModels(normalization={}, selected=cohort.feature_names, vif_removed=(),
+                             models={"rsf": forest}, errors={})
+    length = sum(map(len, forest.json_chunks()))
+    tracemalloc.start()
+    try:
+        fold_models_hash(fold_models)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 10

@@ -106,8 +106,8 @@ def test_infinite_out_of_fold_score_fails_only_that_learner(tmp_path, monkeypatc
             scores, surv = self.model.predict(X, horizons)
             return np.where(np.arange(scores.size) == 0, np.inf, scores), surv
 
-        def to_json(self):
-            return self.model.to_json()
+        def json_chunks(self):
+            return self.model.json_chunks()
 
     monkeypatch.setitem(pipeline.LEARNERS, "coxboost", coxboost._replace(
         fit=lambda *args: FirstRowInfinite(coxboost.fit(*args))))
@@ -135,8 +135,8 @@ def test_a_high_risk_group_left_empty_by_tied_scores_is_named(tmp_path, monkeypa
             scores, surv = self.model.predict(X, horizons)
             return np.where(np.arange(scores.size) % 3, 1.0, np.minimum(scores, 0.0)), surv
 
-        def to_json(self):
-            return self.model.to_json()
+        def json_chunks(self):
+            return self.model.json_chunks()
 
     monkeypatch.setitem(pipeline.LEARNERS, "cox", cox._replace(
         fit=lambda *args: TwoRowsInThreeAtTheTop(cox.fit(*args))))
