@@ -22,6 +22,7 @@ from .errors import InvalidParameterError, RowParseError, checked, declared, rea
 from .nonparametric import RiskSets
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+CSV_BLOCK_ROWS = 1024          # rows column_rows converts to Python values at once
 
 
 class ConstantFeatureWarning(UserWarning):
@@ -252,13 +253,20 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def column_rows(*columns):
+    """The rows of equal-length columns (arrays or lists), for write_csv. An
+    array column becomes Python values CSV_BLOCK_ROWS at a time, so no whole
+    column is ever held as a list of Python numbers."""
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = (column[start:start + CSV_BLOCK_ROWS] for column in columns)
+        yield from zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
+
+
 def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort back to CSV under the header id,time,event,<features>;
     inverse of load_cohort up to float formatting."""
     write_csv(path, ["id", "time", "event", *cohort.feature_names],
-              ([rid, time, event, *feats] for rid, time, event, feats in zip(
-                  cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
-                  cohort.X.tolist())))
+              column_rows(cohort.ids, cohort.times, cohort.events, *cohort.X.T))
 
 
 def zscore_normalize(cohort: Cohort) -> Cohort:

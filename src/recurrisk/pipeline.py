@@ -36,6 +36,7 @@ from .cohort import (
     Cohort,
     ConstantFeatureWarning,
     apply_normalization,
+    column_rows,
     load_cohort,
     write_csv,
     zscore_normalize,
@@ -67,7 +68,7 @@ from .metrics import (
     net_benefit,
 )
 from .nonparametric import kaplan_meier, log_rank, median_survival_time
-from .radiomics import extract_subjects
+from .radiomics import MAX_LEVELS, extract_subjects
 from .rsf import ForestParams, fit_rsf
 from .svgplot import PALETTE, Series, render_plot
 from .temporal import check_temporal_params, load_longitudinal, temporal_risk, train_temporal
@@ -167,6 +168,9 @@ class PipelineConfig:
         if self.radiomics_levels < 2:
             raise InvalidParameterError(
                 f"radiomics_levels must be >= 2, got {self.radiomics_levels}")
+        if self.radiomics_levels > MAX_LEVELS:
+            raise InvalidParameterError(
+                f"radiomics_levels must be <= {MAX_LEVELS}, got {self.radiomics_levels}")
         object.__setattr__(self, "horizons", check_horizons(self.horizons))
         if not self.enabled_models:
             raise InvalidParameterError("enabled_models names no model")
@@ -566,11 +570,10 @@ def _write_artifacts(report: dict, curves, cohort: Cohort, oof_scores, out: Path
                                      encoding="utf-8", newline="\n")
 
     write_csv(out / "oof_scores.csv", ["id", "time", "event", *oof_scores.keys()],
-              zip(cohort.ids, cohort.times.tolist(), cohort.events.tolist(),
-                  *(s.tolist() for s in oof_scores.values())))
+              column_rows(cohort.ids, cohort.times, cohort.events, *oof_scores.values()))
 
     for group, km in curves.items():
-        write_csv(out / f"km_{group}.csv", ["time", "survival"], km.to_rows())
+        write_csv(out / f"km_{group}.csv", ["time", "survival"], column_rows(km.knots, km.values))
 
     emit_plots(report, curves, out)
 

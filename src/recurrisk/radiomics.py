@@ -37,6 +37,10 @@ import numpy as np
 from .errors import InvalidParameterError, RowParseError, reading
 from .workers import split_map
 
+# The most gray levels a discretization may use: a GLCM holds levels^2 counts,
+# so 1,024 levels keep one at 8 MiB.
+MAX_LEVELS = 1024
+
 # 13 unique 3D directions at distance 1 (one per axis pair up to sign)
 GLCM_OFFSETS: tuple[tuple[int, int, int], ...] = (
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -161,6 +165,8 @@ def discretize(grid: VoxelGrid, mask: RegionMask, levels: int) -> np.ndarray:
     """
     if levels < 2:
         raise InvalidParameterError("need at least 2 gray levels")
+    if levels > MAX_LEVELS:
+        raise InvalidParameterError(f"need at most {MAX_LEVELS} gray levels, got {levels}")
     _check_pair(grid, mask)
     out = np.full(grid.dims, -1, dtype=int)
     values = grid.intensities[mask.occupancy]

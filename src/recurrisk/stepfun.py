@@ -54,10 +54,6 @@ class StepFunction:
         return StepFunction(self.knots, np.exp(-self.values),
                             float(np.exp(-self.initial_value)))
 
-    def to_rows(self):
-        """(time, value) pairs for CSV emission."""
-        return list(zip(self.knots.tolist(), self.values.tolist()))
-
 
 def average_step_functions(funcs: list[StepFunction]) -> StepFunction:
     """Pointwise mean of step functions over the union of their knots."""

@@ -72,6 +72,9 @@ _BLOCKS = (("w_query", "dd"), ("w_key", "dd"), ("w_value", "dd"),
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 DIVERGENCE_TOLERANCE = 0.01      # how far a final loss may end above the trace's lowest
+# The widest encoder (pe_dim) and MLP head (hidden): a (d, d) or (d, h) weight
+# block then holds at most 8 MiB.
+MAX_WIDTH = 1024
 
 
 def sinusoidal_pe(T: int, d: int) -> np.ndarray:
@@ -196,6 +199,9 @@ def check_temporal_params(pe_dim: int, hidden: int, learning_rate: float,
         raise InvalidParameterError(f"pe_dim must be even and >= 2, got {pe_dim}")
     if hidden < 1:
         raise InvalidParameterError("hidden must be >= 1")
+    for name, width in (("pe_dim", pe_dim), ("hidden", hidden)):
+        if width > MAX_WIDTH:
+            raise InvalidParameterError(f"{name} must be <= {MAX_WIDTH}, got {width}")
     if not learning_rate > 0:
         raise InvalidParameterError("learning_rate must be > 0")
     if epochs < 1:

@@ -437,6 +437,23 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, 
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("make_args, message", [
+    (lambda tmp: [*_extract_args(tmp), "--levels", "10000000"],
+     "need at most 1024 gray levels, got 10000000"),
+    (lambda tmp: _run_args(tmp, radiomics_levels=10_000_000),
+     "radiomics_levels must be <= 1024, got 10000000"),
+    (lambda tmp: _run_args(tmp, temporal_params={"hidden": 10 ** 12}),
+     "temporal_params: hidden must be <= 1024, got 1000000000000"),
+    (lambda tmp: _run_args(tmp, temporal_params={"pe_dim": 10 ** 12}),
+     "temporal_params: pe_dim must be <= 1024, got 1000000000000"),
+], ids=["extract-levels", "run-radiomics-levels", "temporal-hidden", "temporal-pe-dim"])
+def test_a_size_setting_above_its_maximum_exits_1(tmp_path, capsys, make_args, message):
+    # each would otherwise ask numpy for terabytes: levels^2 GLCM cells, or
+    # a weight block of width^2 or pe_dim x hidden cells
+    assert main([*make_args(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _extract_with_grid(tmp, text):
     """extract-features over one subject whose grid file holds `text`."""
     args = _extract_args(tmp)

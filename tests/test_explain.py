@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -7,10 +8,12 @@ import pytest
 from recurrisk.errors import InvalidParameterError
 from recurrisk.explain import (
     MAX_EXACT_FEATURES,
+    _coalitions,
     exact_shapley,
     feature_importance,
     mean_abs_shapley,
 )
+from recurrisk.pipeline import LEARNERS, MODEL_ORDER
 
 from conftest import make_cohort
 
@@ -61,6 +64,26 @@ def shapley_per_feature_loop(model, x, background) -> np.ndarray:
         w = weight_by_size[sizes[m_wo]]
         phi[j] = float(np.sum(w * (values[m_wo | (1 << j)] - values[m_wo])))
     return phi
+
+
+def shapley_one_batch(model, x, background) -> np.ndarray:
+    """All 2^d coalitions in one prediction, then one weighted sum over
+    (d, 2^(d-1)) tables of mask and weight rows: the single-batch form that
+    blocked evaluation must reproduce bit for bit."""
+    d = x.size
+    masks = np.arange(2 ** d, dtype=np.int32)
+    takes_x = (masks[:, None] >> np.arange(d)) & 1 == 1
+    sizes = takes_x.sum(axis=1)
+    weight_by_size = np.array(
+        [factorial(s) * factorial(d - s - 1) / factorial(d) for s in range(d)])
+    bits = np.int32(1) << np.arange(d, dtype=np.int32)
+    m_wo = np.stack([masks[masks & bit == 0] for bit in bits])
+    values = np.asarray(model(np.where(takes_x, x[None, :], background[None, :])),
+                        dtype=float).ravel()
+    diff = np.take(values, m_wo | bits[:, None])
+    diff -= np.take(values, m_wo)
+    diff *= weight_by_size[sizes[m_wo]]
+    return diff.sum(axis=1)
 
 
 def nonlinear(X):
@@ -160,3 +183,58 @@ def test_wide_cohorts_fall_back_to_permutation_importance():
     assert rows[0][1] > 0
     assert all(drop == 0.0 and std == 0.0 for _, drop, std in rows[1:])
     assert feature_importance(first_column, cohort, seed=5) == (method, rows)
+
+
+# A few rounds or trees each: enough splits on enough columns to make every
+# block's predictions differ, and quick to fit at d = 14.
+WIDE_PARAMS = {"xgboost": {"rounds": 15}, "gbm": {"rounds": 15}, "coxboost": {"rounds": 30},
+               "rsf": {"n_trees": 8}, "cox": {}}
+
+
+@pytest.fixture(scope="module")
+def wide_models():
+    """Each learner fitted on a 120-subject cohort of 12, 13 and 14 columns."""
+    rng = np.random.default_rng(12)
+    models = {}
+    for d in (12, 13, 14):
+        X = rng.standard_normal((120, d))
+        times = rng.exponential(10.0, 120) * np.exp(-X[:, 0] + 0.5 * X[:, 1] * X[:, 2])
+        cohort = make_cohort(times, rng.integers(0, 2, 120), X)
+        for name in MODEL_ORDER:
+            models[name, d] = cohort, LEARNERS[name].fit(cohort, WIDE_PARAMS[name], 3, 0)
+    return models
+
+
+@pytest.mark.parametrize("d", [12, 13, 14])
+@pytest.mark.parametrize("name", MODEL_ORDER)
+def test_coalition_blocks_equal_the_one_batch_form(wide_models, name, d):
+    cohort, model = wide_models[name, d]
+    takes_x, rows, _, tables = _coalitions(d)
+    assert tables is None and len(takes_x) // rows >= 8 and rows % 8 == 0   # several blocks
+    background = np.median(cohort.X, axis=0)
+    for x in cohort.X[:3]:
+        phi = exact_shapley(model.predict_risk, x, background)
+        assert np.array_equal(phi, shapley_one_batch(model.predict_risk, x, background))
+
+
+def test_a_wide_row_is_explained_in_bounded_memory():
+    d = MAX_EXACT_FEATURES
+    rng = np.random.default_rng(14)
+    beta, x, background = rng.standard_normal((3, d))
+
+    def linear(X):
+        return X @ beta
+
+    _coalitions.cache_clear()
+    tracemalloc.start()
+    try:
+        exact_shapley(linear, x, background)           # builds the width's tables
+        first = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        exact_shapley(linear, x, background)
+        later = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert first < 1.5 * 2 ** 20
+    assert later < 0.5 * 2 ** 20

@@ -167,7 +167,9 @@ def test_the_km_csvs_are_the_one_record_of_the_risk_group_curves(tmp_path):
         header, *rows = _csv_cells(out / f"km_{group}.csv")
         assert header == ["time", "survival"]
         curve = StepFunction(*np.array(rows, dtype=float).T, initial_value=1.0)
-        assert curve.to_rows() == kaplan_meier(times[members], events[members]).to_rows()
+        km = kaplan_meier(times[members], events[members])
+        assert curve.knots.tolist() == km.knots.tolist()
+        assert curve.values.tolist() == km.values.tolist()
         assert strat[f"median_rfs_{group}"] is not None
         assert median_survival_time(curve) == strat[f"median_rfs_{group}"]
 

@@ -4,6 +4,7 @@ import pytest
 from recurrisk.errors import InvalidParameterError
 from recurrisk.radiomics import (
     GLCM_OFFSETS,
+    MAX_LEVELS,
     RegionMask,
     VoxelGrid,
     _texture,
@@ -195,6 +196,16 @@ def region(intensity, occ):
     dims = occ.shape
     return (VoxelGrid(dims, (1.0, 1.0, 1.0), intensity.reshape(-1, order="F")),
             RegionMask(dims, occ.reshape(-1, order="F")))
+
+
+def test_gray_levels_stop_at_the_maximum():
+    rng = np.random.default_rng(9)
+    grid, mask = region(rng.normal(size=(4, 4, 4)), np.ones((4, 4, 4), dtype=bool))
+    glcm = texture_matrices(grid, mask, MAX_LEVELS).glcm
+    assert glcm.shape == (MAX_LEVELS, MAX_LEVELS) and glcm.sum() == pytest.approx(1.0)
+    with pytest.raises(InvalidParameterError,
+                       match=f"^need at most {MAX_LEVELS} gray levels, got {MAX_LEVELS + 1}$"):
+        discretize(grid, mask, MAX_LEVELS + 1)
 
 
 def assert_crop_changes_no_matrix(intensity, occ, levels):

@@ -31,7 +31,7 @@ def test_empty_knots_give_the_initial_value():
     sf = StepFunction([], [], initial_value=0.3)
     assert sf(5.0) == 0.3 and sf.evaluate_left(5.0) == 0.3
     assert sf(np.array([1.0, 2.0])).tolist() == [0.3, 0.3]
-    assert sf.to_rows() == []
+    assert sf.knots.size == 0 and sf.values.size == 0
 
 
 @pytest.mark.parametrize("knots", [[1.0, 1.0], [2.0, 1.0], [1.0, 3.0, 2.0]])

@@ -19,9 +19,11 @@ from recurrisk.nonparametric import RiskSets
 from recurrisk.pipeline import PipelineConfig
 from recurrisk.temporal import (
     ADAM_EPS,
+    MAX_WIDTH,
     SnapshotSequence,
     _loss_and_gradients,
     _prepared,
+    check_temporal_params,
     initial_model,
     load_longitudinal,
     sinusoidal_pe,
@@ -443,3 +445,12 @@ class TestBatchedPass:
         seq = SnapshotSequence("a", np.array([[0.1, np.nan]]), 3.0, 1)
         with pytest.raises(InvalidParameterError, match="^attention inputs must be finite$"):
             temporal_risk(seq, initial_model(8, 4, 0))
+
+
+def test_widths_stop_at_the_maximum():
+    check_temporal_params(MAX_WIDTH, MAX_WIDTH, 0.02, 1)
+    for pe_dim, hidden, name, width in ((MAX_WIDTH + 2, 8, "pe_dim", MAX_WIDTH + 2),
+                                        (8, MAX_WIDTH + 1, "hidden", MAX_WIDTH + 1)):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} must be <= {MAX_WIDTH}, got {width}$"):
+            check_temporal_params(pe_dim, hidden, 0.02, 1)
