@@ -254,8 +254,8 @@ class BoostedModel:
             "learning_rate": self.learning_rate,
             "feature_names": list(self.feature_names),
             "training_loss_trace": list(self.training_loss_trace),
-            "baseline_knots": self.baseline_chf.knots.tolist(),
-            "baseline_values": self.baseline_chf.values.tolist(),
+            "baseline_knots": self.baseline_chf.knots,
+            "baseline_values": self.baseline_chf.values,
             "early_stop_round": self.early_stop_round,
         }
         return tree.dumps_listing(doc, "learners", (l.to_dict() for l in self.base_learners))

@@ -19,10 +19,15 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidParameterError, RowParseError, checked, declared, reading
-from .nonparametric import RiskSets
+from .nonparametric import RiskSets, median
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 CSV_BLOCK_ROWS = 1024          # rows column_rows converts to Python values at once
+
+# The most subjects a synthetic cohort may have: five times the n = 200,000
+# of the scale measurements. A larger n asks numpy for draws that need not
+# fit in memory, and ends in an allocation traceback instead of an error line.
+MAX_SUBJECTS = 1_000_000
 
 
 class ConstantFeatureWarning(UserWarning):
@@ -36,10 +41,14 @@ class Cohort:
     `ids`, `times` (months) and `events` (0/1) hold one entry per subject;
     `X` is the C-ordered n x d feature matrix, columns in `feature_names`
     order. The constructor validates them once and stores read-only copies,
-    so a cohort is immutable and safe to share across threads.
+    so a cohort is immutable and safe to share across threads. A cohort
+    derived from a checked one (`subset_rows`, `subset_features`,
+    `apply_normalization`) skips those checks: it shares its source's
+    read-only columns and holds read-only copies only of what it gathers or
+    computes.
     `risk_sets` is built from `times` and `events` on first use and cached,
-    once per chain of `subset_features` calls; two threads racing on it only
-    build two equal objects.
+    once per chain of `subset_features` and `apply_normalization` calls; two
+    threads racing on it only build two equal objects.
     `normalization` maps feature name -> (mean, stddev) once z-scoring has
     been fit; it travels with the cohort so held-out data can be transformed
     with training statistics.
@@ -100,8 +109,8 @@ class Cohort:
 
     @property
     def risk_sets(self) -> RiskSets:
-        """The cohort's `nonparametric.RiskSets`, built once and shared
-        with every cohort `subset_features` derives from it."""
+        """The cohort's `nonparametric.RiskSets`, built once and shared with
+        every cohort `subset_features` or `apply_normalization` derives from it."""
         if not self._risk_cache:
             self._risk_cache.append(RiskSets(self.times, self.events))
         return self._risk_cache[0]
@@ -111,22 +120,48 @@ class Cohort:
         return self.X
 
     def subset_rows(self, indices) -> "Cohort":
+        """The subjects at the 1-d integer `indices`, in that order.
+        InvalidParameterError when there are none or one repeats."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Cohort(self.feature_names, self.ids[idx], self.times[idx],
-                      self.events[idx], self.X[idx], self.normalization)
+        if idx.ndim != 1:
+            raise InvalidParameterError(f"row indices must be 1-d, got shape {idx.shape}")
+        ids = self.ids[idx]
+        if idx.size == 0:
+            raise InvalidParameterError("a cohort needs at least one record")
+        rows = idx % len(self)                 # in range: the gather checked it
+        ordered = np.sort(rows)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            dup = ids[np.isin(rows, repeated)][0]    # the first repeat in `indices`
+            raise InvalidParameterError(f"duplicate subject id {dup!r}")
+        return _derived(self.feature_names, ids, self.times[idx], self.events[idx],
+                        self.X[idx], self.normalization, [])
 
     def subset_features(self, names) -> "Cohort":
         names = tuple(names)
         missing = [n for n in names if n not in self.feature_names]
         if missing:
             raise InvalidParameterError(f"unknown features: {missing}")
+        if len(set(names)) != len(names):
+            raise InvalidParameterError("feature names must be unique")
         cols = [self.feature_names.index(n) for n in names]
         norm = None
         if self.normalization is not None:
             norm = {n: self.normalization[n] for n in names if n in self.normalization}
-        sub = Cohort(names, self.ids, self.times, self.events, self.X[:, cols], norm)
-        object.__setattr__(sub, "_risk_cache", self._risk_cache)   # same outcomes
-        return sub
+        return _derived(names, self.ids, self.times, self.events,
+                        np.take(self.X, cols, axis=1), norm, self._risk_cache)
+
+
+def _derived(feature_names, ids, times, events, X, normalization, risk_cache) -> Cohort:
+    """A cohort of columns taken from a checked cohort, so built without its
+    checks or copies. Each array is made read-only; X is C-ordered, as
+    fancy indexing on rows and np.take on columns both give."""
+    for arr in (ids, times, events, X):
+        arr.setflags(write=False)
+    cohort = object.__new__(Cohort)
+    cohort.__dict__.update(feature_names=feature_names, ids=ids, times=times, events=events,
+                           X=X, normalization=normalization, _risk_cache=risk_cache)
+    return cohort
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -301,10 +336,11 @@ def apply_normalization(cohort: Cohort, stats: dict[str, tuple[float, float]]) -
     if not names:
         raise InvalidParameterError("no overlap between cohort and normalization stats")
     cols = [cohort.feature_names.index(n) for n in names]
-    mean = np.array([stats[n][0] for n in names])
-    std = np.array([stats[n][1] for n in names])
-    return Cohort(names, cohort.ids, cohort.times, cohort.events,
-                  (cohort.X[:, cols] - mean) / std, dict(stats))
+    X = np.take(cohort.X, cols, axis=1)
+    X -= np.array([stats[n][0] for n in names])
+    X /= np.array([stats[n][1] for n in names])
+    return _derived(names, cohort.ids, cohort.times, cohort.events, X, dict(stats),
+                    cohort._risk_cache)
 
 
 @dataclass(frozen=True)
@@ -327,6 +363,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidParameterError("n must be >= 2")
+        if self.n > MAX_SUBJECTS:
+            raise InvalidParameterError(f"n must be <= {MAX_SUBJECTS}, got {self.n}")
         if not self.weibull_shape > 0 or not self.weibull_scale > 0:
             raise InvalidParameterError("Weibull shape and scale must be positive")
         if not 0 <= self.censoring_rate_target < 1:
@@ -398,7 +436,7 @@ def _calibrate_censoring(event_time: np.ndarray, censor_unit: np.ndarray,
     def realized(rate: float) -> float:
         return float(np.mean(censor_unit / rate < event_time))
 
-    lo = 1e-12 / float(np.median(event_time))
+    lo = 1e-12 / float(median(event_time))
     hi = lo
     for _ in range(200):
         if realized(hi) >= target:

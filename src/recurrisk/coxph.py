@@ -10,7 +10,6 @@ Wald-based univariate screening, and iterative VIF collinearity filtering.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .nonparametric import CoxLoss, RiskSets
 from .stepfun import StepFunction
+from . import tree
 
 
 def breslow_predict(model, X, horizons):
@@ -56,10 +56,10 @@ class CoxModel:
             "model": "cox_ph",
             "feature_names": list(self.feature_names),
             "coefficients": self.coefficients.tolist(),
-            "baseline_knots": self.baseline_chf.knots.tolist(),
-            "baseline_values": self.baseline_chf.values.tolist(),
+            "baseline_knots": self.baseline_chf.knots,
+            "baseline_values": self.baseline_chf.values,
         }
-        yield json.dumps(doc, sort_keys=True)
+        return tree.dumps_listing(doc)
 
 
 def partial_loglik(beta, cohort: Cohort, ties: str = "efron"):

@@ -30,6 +30,7 @@ import numpy as np
 from .cohort import Cohort
 from .errors import InvalidParameterError
 from .metrics import c_index
+from .nonparametric import median
 
 MAX_EXACT_FEATURES = 14
 PERMUTATION_REPEATS = 10
@@ -120,7 +121,7 @@ def exact_shapley(predict, x, background) -> np.ndarray:
 
 def median_background(cohort: Cohort) -> np.ndarray:
     """Feature-wise cohort median, the default Shapley reference point."""
-    return np.median(cohort.matrix(), axis=0)
+    return median(cohort.matrix())
 
 
 def mean_abs_shapley(predict, sample: np.ndarray, background,

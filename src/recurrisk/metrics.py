@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, UndefinedMetricError
-from .nonparametric import kaplan_meier
+from .nonparametric import deciles, distinct, kaplan_meier
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def calibration_table(predicted_risk, times, events, t) -> list[CalibrationBin]:
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=int)
 
-    edges = np.unique(np.quantile(predicted_risk, np.linspace(0, 1, 11)))
+    edges = distinct(deciles(predicted_risk))
     inner = edges[1:-1]
     assignment = np.searchsorted(inner, predicted_risk, side="right")
     members = [np.nonzero(assignment == b)[0] for b in range(inner.size + 1)]

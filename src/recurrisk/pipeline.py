@@ -67,7 +67,7 @@ from .metrics import (
     discrimination,
     net_benefit,
 )
-from .nonparametric import kaplan_meier, log_rank, median_survival_time
+from .nonparametric import kaplan_meier, log_rank, median, median_survival_time
 from .radiomics import MAX_LEVELS, extract_subjects
 from .rsf import ForestParams, fit_rsf
 from .svgplot import PALETTE, Series, render_plot
@@ -481,7 +481,7 @@ def _stratify_and_compare(cohort: Cohort, scores):
     times, events = cohort.times, cohort.events
     if np.all(scores == scores[0]):
         raise DegenerateStratificationError("all risk scores identical")
-    cutoff = float(np.median(scores))
+    cutoff = float(median(scores))
     is_high = scores > cutoff
     if not np.any(is_high):
         raise DegenerateStratificationError(

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, RowParseError, reading
+from .nonparametric import distinct, median
 from .workers import split_map
 
 # The most gray levels a discretization may use: a GLCM holds levels^2 counts,
@@ -81,7 +82,7 @@ class RegionMask:
         if arr.size != nx * ny * nz:
             raise InvalidParameterError(f"expected {nx * ny * nz} mask values, got {arr.size}")
         if arr.dtype != bool:
-            vals = np.unique(arr)
+            vals = distinct(arr)
             if not np.all(np.isin(vals, (0, 1))):
                 raise InvalidParameterError("mask values must be 0 or 1")
         object.__setattr__(self, "occupancy",
@@ -113,7 +114,7 @@ def first_order(grid: VoxelGrid, mask: RegionMask) -> dict[str, float]:
     skewness = float(np.mean(centered ** 3) / m2 ** 1.5) if m2 > 0 else 0.0
     return {
         "mean": mean,
-        "median": float(np.median(values)),
+        "median": float(median(values)),
         "skewness": skewness,
     }
 

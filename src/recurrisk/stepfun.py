@@ -57,9 +57,11 @@ class StepFunction:
 
 def average_step_functions(funcs: list[StepFunction]) -> StepFunction:
     """Pointwise mean of step functions over the union of their knots."""
+    from .nonparametric import distinct    # nonparametric imports this module
+
     if not funcs:
         raise InvalidParameterError("need at least one step function")
-    all_knots = np.unique(np.concatenate([f.knots for f in funcs if f.knots.size]
+    all_knots = distinct(np.concatenate([f.knots for f in funcs if f.knots.size]
                                          or [np.empty(0)]))
     init = float(np.mean([f.initial_value for f in funcs]))
     if all_knots.size == 0:

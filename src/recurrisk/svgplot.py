@@ -15,6 +15,7 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 40.0, 55.0
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
 PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 
+PATH_BLOCK = 1024              # vertices of a path joined at once
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#7f7f7f")
 
 
@@ -48,6 +49,26 @@ def _data_range(series_list, lo_pad=0.02, hi_pad=0.05):
     x_span, y_span = x_max - x_min, y_max - y_min
     return (x_min - lo_pad * x_span, x_max + hi_pad * x_span,
             y_min - lo_pad * y_span, y_max + hi_pad * y_span)
+
+
+def _path_data(s: Series, sx, sy) -> str:
+    """The path data "Mx,y Lx,y ..." of a series in canvas coordinates, a
+    step series holding each y until the next x. The vertices are joined
+    PATH_BLOCK at a time, so a Kaplan-Meier series, two vertices per event
+    time, never holds one text per vertex."""
+    blocks, vertices, prev_y = [], [], None
+    for x, y in zip(s.xs, s.ys):
+        px = _fmt(sx(x))
+        if s.step and prev_y is not None:
+            vertices.append(f"{px},{prev_y}")
+        prev_y = _fmt(sy(y))
+        vertices.append(f"{px},{prev_y}")
+        if len(vertices) >= PATH_BLOCK:
+            blocks.append(" L".join(vertices))
+            vertices.clear()
+    if vertices:
+        blocks.append(" L".join(vertices))
+    return "M" + " L".join(blocks) if blocks else ""
 
 
 def render_plot(series_list: list[Series], title: str, xlabel: str, ylabel: str,
@@ -102,16 +123,7 @@ def render_plot(series_list: list[Series], title: str, xlabel: str, ylabel: str,
                  f'{escape(ylabel)}</text>')
 
     for s in series_list:
-        points = []
-        prev_y = None
-        for x, y in zip(s.xs, s.ys):
-            if s.step and prev_y is not None:
-                points.append((sx(x), prev_y))
-            py = sy(y)
-            points.append((sx(x), py))
-            prev_y = py
-        path = " ".join(f"{'M' if i == 0 else 'L'}{_fmt(px)},{_fmt(py)}"
-                        for i, (px, py) in enumerate(points))
+        path = _path_data(s, sx, sy)
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         parts.append(f'<path d="{path}" fill="none" stroke="{s.color}" '
                      f'stroke-width="1.8"{dash} data-series="{escape(s.label)}"/>')

@@ -14,9 +14,9 @@ sorting them again. A caller that grows many trees on one matrix sorts it
 once for all of them.
 
 ``dumps_listing`` yields, piece by piece, the JSON of a model that is
-mostly a list of trees: no document of the whole list and no text of the
-whole model is built, so a consumer such as the fold digest holds one
-tree's text at a time.
+mostly a list of trees or long arrays: no document of the whole list and no
+text of the whole model is built, so a consumer such as the fold digest
+holds one tree's text, or one block of an array's, at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+
+ARRAY_BLOCK = 128              # values of an ndarray field encoded at once
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,19 +95,30 @@ def to_dict(node, leaf_to_dict):
             "right": to_dict(node.right, leaf_to_dict)}
 
 
-def dumps_listing(doc, key, items):
-    """Yield the pieces of json.dumps({**doc, key: list(items)}, sort_keys=True)
-    for a doc with string keys, encoding the items one at a time: only one
-    item's objects and its text exist at once."""
-    fields = {**doc, key: None}
+def dumps_listing(doc, key=None, items=()):
+    """Yield the pieces of json.dumps({**doc, key: list(items)}, sort_keys=True),
+    or of json.dumps(doc, sort_keys=True) without a key, for a doc with string
+    keys in which a 1-d ndarray field stands for its tolist(). The items are
+    encoded one at a time and an ndarray ARRAY_BLOCK values at a time, so
+    only one item's, or one block's, objects and text exist at once."""
+    fields = doc if key is None else {**doc, key: None}
     yield "{"
     for k, name in enumerate(sorted(fields)):
         yield f"{', ' if k else ''}{json.dumps(name)}: "
-        if name != key:
-            yield json.dumps(fields[name], sort_keys=True)
-            continue
-        yield "["
-        for i, item in enumerate(items):
-            yield f"{', ' if i else ''}{json.dumps(item, sort_keys=True)}"
-        yield "]"
+        value = fields[name]
+        if name == key:
+            yield from _listing(json.dumps(item, sort_keys=True) for item in items)
+        elif isinstance(value, np.ndarray):
+            yield from _listing(json.dumps(value[start:start + ARRAY_BLOCK].tolist())[1:-1]
+                                for start in range(0, value.size, ARRAY_BLOCK))
+        else:
+            yield json.dumps(value, sort_keys=True)
     yield "}"
+
+
+def _listing(texts):
+    """The pieces of a JSON list whose elements, or runs of them, are `texts`."""
+    yield "["
+    for i, text in enumerate(texts):
+        yield f"{', ' if i else ''}{text}"
+    yield "]"

@@ -17,6 +17,8 @@ from recurrisk.pipeline import PipelineConfig
 from conftest import write_grids
 from test_temporal import generate_longitudinal, write_longitudinal
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
 
 @pytest.fixture
 def scores_csv(tmp_path):
@@ -92,16 +94,17 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert run_probe(f"import sys, recurrisk.cli; {SCIPY_PROBE}").strip() == "[]"
 
 
-def _full_run_config(tmp_path):
-    """The path of a cox-only run config, written next to a 40-subject cohort
-    CSV, a longitudinal CSV and a folder of voxel grids and region masks."""
-    spec = SyntheticSpec(n=40, true_coefficients=(1.0, -1.0), seed=4)
+def _full_run_config(tmp_path, n=40, models=("cox",)):
+    """The path of a run config of `models`, cox alone by default, written
+    next to an n-subject cohort CSV, a longitudinal CSV and a folder of voxel
+    grids and region masks."""
+    spec = SyntheticSpec(n=n, true_coefficients=(1.0, -1.0), seed=4)
     cohort, _ = generate_synthetic(spec)
     write_cohort(cohort, tmp_path / "cohort.csv")
     write_longitudinal(generate_longitudinal(spec), tmp_path / "longitudinal.csv")
     write_grids(tmp_path / "grids", cohort.ids, np.random.default_rng(5))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({**BASE_CONFIG, "enabled_models": ["cox"],
+    config.write_text(json.dumps({**BASE_CONFIG, "enabled_models": list(models),
                                   "voxel_grid_dir": "grids",
                                   "longitudinal_csv": "longitudinal.csv",
                                   "temporal_params": {"epochs": 2}}), encoding="utf-8")
@@ -118,6 +121,20 @@ def test_run_with_grids_and_snapshots_loads_no_scipy(tmp_path):
     screened = {row["feature"] for row in report["features"]["screen"]}
     assert "radiomics_glszm_zone_variance" in screened
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("make_args", [
+    lambda tmp: ["run", "--config", str(DATA / "demo.json"), "--out", str(tmp / "out")],
+    lambda tmp: ["run", "--config", str(_full_run_config(tmp, n=60, models=("xgboost", "cox")))],
+    lambda tmp: _simulate_args(tmp, {"n": 3000, "true_coefficients": [1.0, -0.5]}),
+], ids=["demo", "grids-and-snapshots", "simulate"])
+def test_no_command_imports_numpy_ma(tmp_path, make_args):
+    # np.median, np.quantile and a flagless np.unique import numpy.ma, about
+    # 1.3 MB that nothing reads; the package spells those three out instead
+    args = [*make_args(tmp_path), "--quiet"]
+    out = run_probe(f"import sys; from recurrisk.cli import main; assert main({args!r}) == 0; "
+                    "print('numpy.ma' in sys.modules)")
+    assert out.strip() == "False"
 
 
 BASE_CONFIG = {"cohort_csv": "cohort.csv", "out_dir": "out", "cv_folds": 2,
@@ -446,10 +463,13 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, monkeypatch, make_args, 
      "temporal_params: hidden must be <= 1024, got 1000000000000"),
     (lambda tmp: _run_args(tmp, temporal_params={"pe_dim": 10 ** 12}),
      "temporal_params: pe_dim must be <= 1024, got 1000000000000"),
-], ids=["extract-levels", "run-radiomics-levels", "temporal-hidden", "temporal-pe-dim"])
+    (lambda tmp: _simulate_args(tmp, {"n": 10 ** 12, "true_coefficients": [1.0]}),
+     "n must be <= 1000000, got 1000000000000"),
+], ids=["extract-levels", "run-radiomics-levels", "temporal-hidden", "temporal-pe-dim",
+        "simulate-n"])
 def test_a_size_setting_above_its_maximum_exits_1(tmp_path, capsys, make_args, message):
-    # each would otherwise ask numpy for terabytes: levels^2 GLCM cells, or
-    # a weight block of width^2 or pe_dim x hidden cells
+    # each would otherwise ask numpy for terabytes: levels^2 GLCM cells, a
+    # weight block of width^2 or pe_dim x hidden cells, or n x d draws
     assert main([*make_args(tmp_path), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -302,6 +302,50 @@ class TestRecordInvariants:
         assert cohort.subset_features(["x2", "x0"]).matrix().flags.c_contiguous
         assert zscore_normalize(cohort).matrix().flags.c_contiguous
 
+    def test_feature_subsets_and_normalization_share_the_subject_columns(self, rng):
+        cohort = make_cohort(rng.exponential(3, 30) + 0.1, rng.integers(0, 2, 30),
+                             rng.standard_normal((30, 3)))
+        stats = {"x0": (0.5, 2.0), "x2": (-1.0, 0.5)}
+        for derived in (cohort.subset_features(["x2", "x0"]), zscore_normalize(cohort),
+                        apply_normalization(cohort, stats)):
+            assert derived.ids is cohort.ids
+            assert derived.times is cohort.times
+            assert derived.events is cohort.events
+            assert derived.risk_sets is cohort.risk_sets
+
+    def test_derived_cohorts_equal_checked_ones_and_refuse_writes(self, rng):
+        cohort = make_cohort(rng.exponential(3, 30) + 0.1, rng.integers(0, 2, 30),
+                             rng.standard_normal((30, 3)))
+        rows = cohort.subset_rows([7, 0, 29, 3, -2])
+        for derived in (rows, rows.subset_features(["x1"]), zscore_normalize(rows),
+                        apply_normalization(rows, {"x2": (0.0, 3.0)}),
+                        cohort.subset_features(["x2", "x0"]).subset_rows([1, 2])):
+            for arr in (derived.ids, derived.times, derived.events, derived.X):
+                assert not arr.flags.writeable
+            checked = Cohort(derived.feature_names, derived.ids, derived.times,
+                             derived.events, derived.X, derived.normalization)
+            assert derived == checked
+            for name in ("ids", "times", "events", "X"):
+                assert getattr(derived, name).dtype == getattr(checked, name).dtype
+        assert list(rows.ids) == ["s7", "s0", "s29", "s3", "s28"]
+
+    @pytest.mark.parametrize("indices, message", [
+        ([], "a cohort needs at least one record"),
+        ([3, 1, 0, 1, 3], "duplicate subject id 's3'"),      # the first repeat in order
+        ([2, 4, 2], "duplicate subject id 's2'"),
+        ([5, -1], "duplicate subject id 's5'"),              # -1 is row 5
+    ])
+    def test_row_subsets_need_distinct_rows(self, indices, message):
+        cohort = make_cohort(np.arange(1.0, 7.0), [1, 0, 1, 0, 1, 1],
+                             np.arange(12.0).reshape(6, 2))
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            cohort.subset_rows(indices)
+
+    def test_a_repeated_feature_name_is_rejected_in_a_subset(self, rng):
+        cohort = make_cohort(rng.exponential(5, 4) + 0.1, [1, 0, 1, 0], np.ones((4, 2)))
+        with pytest.raises(InvalidParameterError, match="^feature names must be unique$"):
+            cohort.subset_features(["x1", "x1"])
+
 
 class TestZscore:
     def test_hand_case(self):

@@ -1,7 +1,8 @@
-"""The tree ensembles yield their JSON one tree at a time, and the fold
-digest escapes each model's pieces as they come, never joining them. Each
-must give exactly the bytes of the one-document encoder it replaced; those
-encoders are kept here as oracles."""
+"""The tree ensembles yield their JSON one tree at a time, the Breslow
+baselines one block of values at a time, and the fold digest escapes each
+model's pieces as they come, never joining them. Each must give exactly the
+bytes of the one-document encoder it replaced; those encoders are kept here
+as oracles."""
 
 import hashlib
 import json
@@ -59,13 +60,22 @@ def boosted_to_json_oracle(model):
     }, sort_keys=True)
 
 
+def cox_to_json_oracle(model):
+    return json.dumps({
+        "model": "cox_ph",
+        "feature_names": list(model.feature_names),
+        "coefficients": model.coefficients.tolist(),
+        "baseline_knots": model.baseline_chf.knots.tolist(),
+        "baseline_values": model.baseline_chf.values.tolist(),
+    }, sort_keys=True)
+
+
 def model_json_oracle(model):
     if isinstance(model, Forest):
         return forest_to_json_oracle(model)
     if isinstance(model, BoostedModel):
         return boosted_to_json_oracle(model)
-    (text,) = model.json_chunks()          # a cox model is one json.dumps
-    return text
+    return cox_to_json_oracle(model)
 
 
 def fold_models_hash_oracle(fold_models):
@@ -97,6 +107,19 @@ values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
 def test_dumps_listing_equals_json_dumps(doc, key, items):
     want = json.dumps({**doc, key: list(items)}, sort_keys=True)
     assert "".join(tree.dumps_listing(doc, key, iter(items))) == want
+
+
+@pytest.mark.parametrize("size", [0, 1, tree.ARRAY_BLOCK - 1, tree.ARRAY_BLOCK,
+                                  tree.ARRAY_BLOCK + 1, 3 * tree.ARRAY_BLOCK + 5])
+def test_an_array_field_is_written_as_its_list_a_block_at_a_time(size):
+    floats = np.random.default_rng(size).standard_normal(size) * 1e3
+    doc = {"values": floats, "count": size, "knots": np.arange(size)}
+    plain = {"values": floats.tolist(), "count": size, "knots": list(range(size))}
+    pieces = list(tree.dumps_listing(doc))
+    assert "".join(pieces) == json.dumps(plain, sort_keys=True)
+    assert max(map(len, pieces)) < 30 * tree.ARRAY_BLOCK
+    listed = "".join(tree.dumps_listing(doc, "items", iter([{"b": 1}, 2.5])))
+    assert listed == json.dumps({**plain, "items": [{"b": 1}, 2.5]}, sort_keys=True)
 
 
 # --- every learner of every demo fold ----------------------------------------
@@ -187,3 +210,24 @@ def test_the_digest_never_holds_the_text_of_a_forest():
     finally:
         tracemalloc.stop()
     assert peak < length / 10
+
+
+def test_the_digest_never_holds_the_baselines_of_a_large_fold():
+    # each Breslow baseline has about 7,000 knots here; the former encoders
+    # made 2 x 7,000 Python floats per model and held their text three times
+    # in the digest, 3.4 times the models' text in all
+    cohort, _ = generate_synthetic(SyntheticSpec(n=10_000, true_coefficients=(0.8, -0.5, 0.3),
+                                                 seed=3))
+    models = {"cox": fit_cox(cohort),
+              "coxboost": fit_boosted(cohort, BoostParams(rounds=20, mode="componentwise"))}
+    fold = FoldModels(normalization={}, selected=cohort.feature_names, vif_removed=(),
+                      models=models, errors={})
+    length = sum(len(piece) for model in models.values() for piece in model.json_chunks())
+    tracemalloc.start()
+    try:
+        digest = fold_models_hash(fold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 10
+    assert digest == fold_models_hash_oracle(fold)

@@ -9,8 +9,11 @@ from recurrisk.nonparametric import (
     LogRankResult,
     RiskSets,
     _event_table,
+    deciles,
+    distinct,
     kaplan_meier,
     log_rank,
+    median,
     median_survival_time,
     nelson_aalen,
 )
@@ -275,3 +278,25 @@ def test_efron_tie_structure_is_built_on_first_use():
     assert start.tolist() == [0, 1, 3]
     assert risk.efron_ties[0] is c
     assert risk.tied_sums(np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [1.0, 5.0, 5.0, 4.0]
+
+
+@pytest.mark.parametrize("kind", ["continuous", "heavy-ties", "two-decimals"])
+def test_order_statistics_give_the_bits_of_numpy(kind):
+    # np.median, np.quantile and a flagless np.unique import numpy.ma; the
+    # helpers must not move a single bit of what those calls gave
+    rng = np.random.default_rng(["continuous", "heavy-ties", "two-decimals"].index(kind))
+
+    def draw(shape, scale):
+        if kind == "continuous":
+            return rng.standard_normal(shape) * scale
+        if kind == "heavy-ties":
+            return rng.integers(0, 3, shape) * scale
+        return np.round(rng.exponential(scale, shape), 2)
+
+    for n in range(1, 41):                          # odd and even n, and n = 1
+        for scale in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            values, matrix = draw(n, scale), draw((n, 3), scale)
+            assert np.array_equal(median(values), np.median(values))
+            assert np.array_equal(median(matrix), np.median(matrix, axis=0))
+            assert np.array_equal(deciles(values), np.quantile(values, np.linspace(0, 1, 11)))
+            assert np.array_equal(distinct(values), np.unique(values))
