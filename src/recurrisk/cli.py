@@ -86,8 +86,7 @@ def _cmd_extract(args) -> int:
     if not pairs:
         raise InvalidParameterError(f"no *_grid.txt files in {grid_dir}")
     names, rows = extract_subjects(grid_dir, pairs, args.levels)
-    write_csv(args.out, ["id", *names],
-              ([sid, *map(float, row)] for sid, row in zip(pairs, rows)))
+    write_csv(args.out, ["id", *names], pairs, *zip(*rows))
     _say(args, f"wrote {len(rows)} subjects x {len(names)} features to {args.out}")
     return 0
 
@@ -99,8 +98,7 @@ def _cmd_simulate(args) -> int:
     cohort, true_scores = generate_synthetic(spec)
     write_cohort(cohort, args.out)
     if args.scores_out:
-        write_csv(args.scores_out, ["id", "true_score"],
-                  ([rid, float(s)] for rid, s in zip(cohort.ids, true_scores)))
+        write_csv(args.scores_out, ["id", "true_score"], cohort.ids, true_scores)
     events = int(cohort.events.sum())
     _say(args, f"wrote {len(cohort)} subjects ({events} events) to {args.out}")
     return 0

@@ -22,7 +22,7 @@ from .errors import InvalidParameterError, RowParseError, checked, declared, rea
 from .nonparametric import RiskSets, median
 
 MISSING_TOKENS = {"", "na", "nan", "null", "none"}
-CSV_BLOCK_ROWS = 1024          # rows column_rows converts to Python values at once
+CSV_BLOCK_ROWS = 1024          # rows write_csv converts to Python values at once
 
 # The most subjects a synthetic cohort may have: five times the n = 200,000
 # of the scale measurements. A larger n asks numpy for draws that need not
@@ -279,29 +279,25 @@ def _parse_number(cell: str, row_no: int, column: str) -> float:
     raise RowParseError(row_no, column, f"non-finite value: {text!r}")
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header row and then the rows. A Python float cell is written
-    as its repr, which reads back as the same double."""
+def write_csv(path, header, *columns) -> None:
+    """Write a header row, then a row per index of the equal-length columns
+    (arrays, lists or tuples). An array column becomes Python values
+    CSV_BLOCK_ROWS at a time, so no whole column is held as Python numbers;
+    a float cell is written as its repr, which reads back as the same double."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def column_rows(*columns):
-    """The rows of equal-length columns (arrays or lists), for write_csv. An
-    array column becomes Python values CSV_BLOCK_ROWS at a time, so no whole
-    column is ever held as a list of Python numbers."""
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = (column[start:start + CSV_BLOCK_ROWS] for column in columns)
-        yield from zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = (column[start:start + CSV_BLOCK_ROWS] for column in columns)
+            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                   for c in block)))
 
 
 def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort back to CSV under the header id,time,event,<features>;
     inverse of load_cohort up to float formatting."""
     write_csv(path, ["id", "time", "event", *cohort.feature_names],
-              column_rows(cohort.ids, cohort.times, cohort.events, *cohort.X.T))
+              cohort.ids, cohort.times, cohort.events, *cohort.X.T)
 
 
 def zscore_normalize(cohort: Cohort) -> Cohort:
@@ -365,12 +361,15 @@ class SyntheticSpec:
             raise InvalidParameterError("n must be >= 2")
         if self.n > MAX_SUBJECTS:
             raise InvalidParameterError(f"n must be <= {MAX_SUBJECTS}, got {self.n}")
-        if not self.weibull_shape > 0 or not self.weibull_scale > 0:
-            raise InvalidParameterError("Weibull shape and scale must be positive")
+        if not 0 < self.weibull_shape < math.inf or not 0 < self.weibull_scale < math.inf:
+            raise InvalidParameterError("Weibull shape and scale must be positive and finite")
         if not 0 <= self.censoring_rate_target < 1:
             raise InvalidParameterError("censoring_rate_target must be in [0, 1)")
         if not self.true_coefficients:
             raise InvalidParameterError("need at least one coefficient")
+        if not all(math.isfinite(b) for b in self.true_coefficients):
+            raise InvalidParameterError(
+                f"true_coefficients must be finite, got {list(self.true_coefficients)}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "true_coefficients", tuple(float(b) for b in self.true_coefficients))
@@ -406,21 +405,29 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Cohort, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     d = len(spec.true_coefficients)
     X = rng.standard_normal((spec.n, d))
-    eta = _linear_predictor(X, spec)
+    # a time that overflows or underflows ends in the error below, and a
+    # censoring time that overflows is simply never reached, so numpy's
+    # floating-point warnings are silenced here
+    with np.errstate(all="ignore"):
+        eta = _linear_predictor(X, spec)
+        u_event = rng.uniform(size=spec.n)
+        event_time = spec.weibull_scale * (-np.log(u_event)) ** (1.0 / spec.weibull_shape) \
+            * np.exp(-eta / spec.weibull_shape)
+        bad = int(np.sum(~(np.isfinite(event_time) & (event_time > 0))))
+        if bad:
+            raise InvalidParameterError(
+                f"event times must be finite and positive, but {bad} of {spec.n} drawn "
+                f"under this spec are not")
+        censor_unit = rng.exponential(size=spec.n)  # censor time = censor_unit / rate
 
-    u_event = rng.uniform(size=spec.n)
-    event_time = spec.weibull_scale * (-np.log(u_event)) ** (1.0 / spec.weibull_shape) \
-        * np.exp(-eta / spec.weibull_shape)
-    censor_unit = rng.exponential(size=spec.n)  # censor time = censor_unit / rate
-
-    if spec.censoring_rate_target == 0.0:
-        observed = event_time
-        events = np.ones(spec.n, dtype=int)
-    else:
-        rate = _calibrate_censoring(event_time, censor_unit, spec.censoring_rate_target)
-        censor_time = censor_unit / rate
-        events = (event_time <= censor_time).astype(int)
-        observed = np.minimum(event_time, censor_time)
+        if spec.censoring_rate_target == 0.0:
+            observed = event_time
+            events = np.ones(spec.n, dtype=int)
+        else:
+            rate = _calibrate_censoring(event_time, censor_unit, spec.censoring_rate_target)
+            censor_time = censor_unit / rate
+            events = (event_time <= censor_time).astype(int)
+            observed = np.minimum(event_time, censor_time)
 
     ids = [f"s{i + 1:05d}" for i in range(spec.n)]
     names = tuple(f"x{j}" for j in range(d))

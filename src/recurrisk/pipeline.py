@@ -25,6 +25,7 @@ import shutil
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -36,7 +37,6 @@ from .cohort import (
     Cohort,
     ConstantFeatureWarning,
     apply_normalization,
-    column_rows,
     load_cohort,
     write_csv,
     zscore_normalize,
@@ -562,18 +562,25 @@ def _longitudinal_by_id(cohort: Cohort, path) -> dict:
 # --- artifact emission -------------------------------------------------------
 
 
+def _write_text(path, pieces) -> None:
+    """Write text pieces to `path` as UTF-8, each as it comes, lines ending in "\n"."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(pieces)
+
+
 def _write_artifacts(report: dict, curves, cohort: Cohort, oof_scores, out: Path):
     """Write `report.json`, the CSVs and the plots into `out`. A CSV is written
     only for a record the report does not hold: the out-of-fold scores and
     the two risk groups' Kaplan-Meier curves."""
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                                     encoding="utf-8", newline="\n")
+    # the pieces of json.dumps(report, sort_keys=True, indent=2), which encodes the same way
+    _write_text(out / "report.json",
+                chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(report), ("\n",)))
 
     write_csv(out / "oof_scores.csv", ["id", "time", "event", *oof_scores.keys()],
-              column_rows(cohort.ids, cohort.times, cohort.events, *oof_scores.values()))
+              cohort.ids, cohort.times, cohort.events, *oof_scores.values())
 
     for group, km in curves.items():
-        write_csv(out / f"km_{group}.csv", ["time", "survival"], column_rows(km.knots, km.values))
+        write_csv(out / f"km_{group}.csv", ["time", "survival"], km.knots, km.values)
 
     emit_plots(report, curves, out)
 
@@ -583,15 +590,14 @@ def emit_plots(report: dict, curves, outdir: Path) -> None:
     `curves` are the risk groups' Kaplan-Meier curves, high then low."""
     chosen = report["chosen_model"]
 
-    km_series = [Series(f"{group} risk", [0.0, *km.knots.tolist()], [1.0, *km.values.tolist()],
+    km_series = [Series(f"{group} risk", np.r_[0.0, km.knots], np.r_[1.0, km.values],
                         color, step=True)
                  for (group, km), color in zip(curves.items(), (PALETTE[1], PALETTE[0]))]
-    km_svg = render_plot(
+    _write_text(outdir / "km_groups.svg", render_plot(
         km_series, "Recurrence-free survival by risk group", "months",
         "survival probability",
         annotations=[f"log-rank p = {report['stratification']['log_rank_p']:.4g}"],
-        y_range=(0.0, 1.05))
-    (outdir / "km_groups.svg").write_text(km_svg, encoding="utf-8", newline="\n")
+        y_range=(0.0, 1.05)))
 
     # run_pipeline raises "every model failed" before it writes anything,
     # so the chosen model is ok and ok_models is not empty
@@ -604,9 +610,9 @@ def emit_plots(report: dict, curves, outdir: Path) -> None:
             series.append(Series(name, [float(h) for h in defined],
                                  [rep["auc"][h] for h in defined], PALETTE[k % len(PALETTE)]))
     if series:
-        svg = render_plot(series, "Time-dependent AUC", "horizon (months)",
-                          "AUC", y_range=(0.4, 1.0))
-        (outdir / "auc_horizons.svg").write_text(svg, encoding="utf-8", newline="\n")
+        _write_text(outdir / "auc_horizons.svg",
+                    render_plot(series, "Time-dependent AUC", "horizon (months)",
+                                "AUC", y_range=(0.4, 1.0)))
     else:       # a rerun into the same folder must not keep an earlier plot
         (outdir / "auc_horizons.svg").unlink(missing_ok=True)
 
@@ -617,10 +623,10 @@ def emit_plots(report: dict, curves, outdir: Path) -> None:
         Series(chosen, [b["mean_predicted"] for b in cal],
                [b["observed_risk"] for b in cal], PALETTE[0]),
     ]
-    svg = render_plot(cal_series, f"Calibration at {curve['horizon']:g} months",
-                      "predicted risk", "observed risk",
-                      x_range=(0.0, 1.0), y_range=(0.0, 1.05))
-    (outdir / "calibration.svg").write_text(svg, encoding="utf-8", newline="\n")
+    _write_text(outdir / "calibration.svg",
+                render_plot(cal_series, f"Calibration at {curve['horizon']:g} months",
+                            "predicted risk", "observed risk",
+                            x_range=(0.0, 1.0), y_range=(0.0, 1.05)))
 
     xs = curve["thresholds"]
     dca_series = [
@@ -628,6 +634,6 @@ def emit_plots(report: dict, curves, outdir: Path) -> None:
         Series("treat all", xs, curve["treat_all"], "#999999", dashed=True),
         Series("treat none", xs, [0.0] * len(xs), "#333333", dashed=True),
     ]
-    svg = render_plot(dca_series, f"Decision curve at {curve['horizon']:g} months",
-                      "threshold probability", "net benefit")
-    (outdir / "dca.svg").write_text(svg, encoding="utf-8", newline="\n")
+    _write_text(outdir / "dca.svg",
+                render_plot(dca_series, f"Decision curve at {curve['horizon']:g} months",
+                            "threshold probability", "net benefit"))

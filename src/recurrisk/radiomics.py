@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, RowParseError, reading
-from .nonparametric import distinct, median
+from .nonparametric import median
 from .workers import split_map
 
 # The most gray levels a discretization may use: a GLCM holds levels^2 counts,
@@ -81,10 +81,8 @@ class RegionMask:
         arr = np.asarray(self.occupancy)
         if arr.size != nx * ny * nz:
             raise InvalidParameterError(f"expected {nx * ny * nz} mask values, got {arr.size}")
-        if arr.dtype != bool:
-            vals = distinct(arr)
-            if not np.all(np.isin(vals, (0, 1))):
-                raise InvalidParameterError("mask values must be 0 or 1")
+        if arr.dtype != bool and not np.all((arr == 0) | (arr == 1)):
+            raise InvalidParameterError("mask values must be 0 or 1")
         object.__setattr__(self, "occupancy",
                            arr.reshape((nx, ny, nz), order="F").astype(bool))
 

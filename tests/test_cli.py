@@ -10,7 +10,7 @@ import pytest
 import recurrisk
 from recurrisk import pipeline
 from recurrisk.cli import main
-from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort
+from recurrisk.cohort import SyntheticSpec, generate_synthetic, write_cohort, write_csv
 from recurrisk.metrics import c_index
 from recurrisk.pipeline import PipelineConfig
 
@@ -123,11 +123,22 @@ def test_run_with_grids_and_snapshots_loads_no_scipy(tmp_path):
     assert out.strip() == "[]"
 
 
+def _true_score_evaluation(tmp):
+    """An evaluate of a 60-subject cohort's true scores, writing its metrics to a file."""
+    cohort, true_scores = generate_synthetic(
+        SyntheticSpec(n=60, true_coefficients=(1.0, -1.0), seed=4))
+    write_csv(tmp / "scores.csv", ["id", "time", "event", "score"],
+              cohort.ids, cohort.times, cohort.events, true_scores)
+    return ["evaluate", "--scores", str(tmp / "scores.csv"), "--out", str(tmp / "metrics.json")]
+
+
 @pytest.mark.parametrize("make_args", [
     lambda tmp: ["run", "--config", str(DATA / "demo.json"), "--out", str(tmp / "out")],
     lambda tmp: ["run", "--config", str(_full_run_config(tmp, n=60, models=("xgboost", "cox")))],
     lambda tmp: _simulate_args(tmp, {"n": 3000, "true_coefficients": [1.0, -0.5]}),
-], ids=["demo", "grids-and-snapshots", "simulate"])
+    lambda tmp: _extract_args(tmp),
+    lambda tmp: _true_score_evaluation(tmp),
+], ids=["demo", "grids-and-snapshots", "simulate", "extract-features", "evaluate"])
 def test_no_command_imports_numpy_ma(tmp_path, make_args):
     # np.median, np.quantile and a flagless np.unique import numpy.ma, about
     # 1.3 MB that nothing reads; the package spells those three out instead
@@ -507,9 +518,21 @@ def _run_with_cohort(tmp, text):
     (lambda tmp: [*_evaluate_args(tmp, "id,time,event,score\na,5.0,1,0.2\nb,4.0,0,0.1\n"),
                   "--horizons", "12.0000001,12.0000002"],
      "horizons 12.0000001 and 12.0000002 share the report key '12'"),
+    (lambda tmp: _simulate_args(tmp, {"n": 50, "true_coefficients": [1e308]}),
+     "event times must be finite and positive, but 50 of 50 drawn under this spec are not"),
+    (lambda tmp: _simulate_args(tmp, {"n": 50, "true_coefficients": [1.0],
+                                      "weibull_scale": 1e308}),
+     "event times must be finite and positive, but 7 of 50 drawn under this spec are not"),
+    (lambda tmp: _simulate_args(tmp, {"n": 50, "true_coefficients": [1.0],
+                                      "weibull_shape": float("inf")}),
+     "Weibull shape and scale must be positive and finite"),
+    (lambda tmp: _simulate_args(tmp, {"n": 50, "true_coefficients": [float("nan"), 1.0]}),
+     "true_coefficients must be finite, got [nan, 1.0]"),
 ], ids=["extract-empty-mask", "grid-first-line", "grid-second-line", "grid-no-data",
         "evaluate-extra-column", "run-no-feature-column", "run-infinite-cell",
-        "evaluate-horizon-keys-collide"])
+        "evaluate-horizon-keys-collide", "simulate-coefficient-overflows-times",
+        "simulate-scale-overflows-times", "simulate-infinite-shape",
+        "simulate-nan-coefficient"])
 def test_a_rejected_input_prints_one_exact_error_line(tmp_path, capsys, make_args, line):
     assert main([*make_args(tmp_path), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {line.format(tmp=tmp_path)}\n"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurrisk.cohort import (
+    CSV_BLOCK_ROWS,
     Cohort,
     ConstantFeatureWarning,
     SyntheticSpec,
@@ -18,6 +19,7 @@ from recurrisk.cohort import (
     generate_synthetic,
     load_cohort,
     write_cohort,
+    write_csv,
     zscore_normalize,
 )
 from recurrisk.errors import InvalidParameterError, RowParseError
@@ -130,6 +132,20 @@ class TestLoadCohort:
         path = tmp_path / "demo_cohort.csv"
         write_cohort(tool.demo_cohort(), path)
         assert path.read_bytes() == (REPO / "data" / "demo_cohort.csv").read_bytes()
+
+    def test_write_csv_writes_array_list_and_tuple_columns_across_blocks(self, tmp_path, rng):
+        n = 2500                  # ends two CSV_BLOCK_ROWS blocks and part of a third
+        assert 2 * CSV_BLOCK_ROWS < n < 3 * CSV_BLOCK_ROWS
+        scores = rng.standard_normal(n)
+        ids = [f"p{i}" for i in range(n)]
+        events = tuple(rng.integers(0, 2, n).tolist())
+        path = tmp_path / "cols.csv"
+        write_csv(path, ["score", "id", "event"], scores, ids, events)
+        want = io.StringIO(newline="")
+        oracle = csv.writer(want)
+        oracle.writerow(["score", "id", "event"])
+        oracle.writerows(zip(scores.tolist(), ids, events))
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_round_trip(self, tmp_path, rng):
         cohort = make_cohort(rng.exponential(5, 20) + 0.1, rng.integers(0, 2, 20),

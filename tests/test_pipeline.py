@@ -70,6 +70,8 @@ def test_demo_report_matches_committed_golden(tmp_path):
         if name.endswith(".csv"):
             assert list(report_diff.differences(
                 _csv_cells(tmp_path / name), _csv_cells(golden / name), FLOAT_ABS_TOL)) == [], name
+        elif name.endswith(".svg"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_report_diff_walks_every_kind_of_difference(tmp_path, capsys):
@@ -319,8 +321,8 @@ def _auc_plot(report, horizons):
     series = [Series(name, [float(h) for h in horizons],
                      [report["models"][name]["auc"][h] for h in horizons],
                      PALETTE[k % len(PALETTE)]) for k, name in enumerate(names)]
-    return render_plot(series, "Time-dependent AUC", "horizon (months)", "AUC",
-                       y_range=(0.4, 1.0))
+    return "".join(render_plot(series, "Time-dependent AUC", "horizon (months)", "AUC",
+                               y_range=(0.4, 1.0)))
 
 
 def test_a_horizon_before_the_first_event_has_a_null_auc(tmp_path, capsys):
@@ -399,9 +401,9 @@ def test_the_decision_curve_states_its_shared_references_once(tmp_path):
         assert abs(treat_all - (prevalence - (1 - prevalence) * p / (1 - p))) < 1e-12, p
 
     xs, chosen = curve["thresholds"], report["chosen_model"]
-    assert (out / "dca.svg").read_text(encoding="utf-8") == render_plot([
+    assert (out / "dca.svg").read_text(encoding="utf-8") == "".join(render_plot([
         Series(chosen, xs, report["models"][chosen]["net_benefit"], PALETTE[0]),
         Series("treat all", xs, curve["treat_all"], "#999999", dashed=True),
         Series("treat none", xs, [0.0] * len(xs), "#333333", dashed=True),
-    ], "Decision curve at 24 months", "threshold probability", "net benefit")
+    ], "Decision curve at 24 months", "threshold probability", "net benefit"))
     assert "Calibration at 24 months" in (out / "calibration.svg").read_text(encoding="utf-8")
