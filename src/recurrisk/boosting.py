@@ -150,7 +150,8 @@ class _StumpFitter:
     scores every non-constant column in one pass through one scratch
     buffer. Columns are held as C-contiguous (d, n) rows, so every
     per-column sum runs along a contiguous axis, with the same pairwise
-    summation as a sum over one column.
+    summation as a sum over one column. An F-ordered X whose columns are
+    all non-constant is held as its transpose, not copied.
     """
 
     def __init__(self, X):
@@ -160,7 +161,8 @@ class _StumpFitter:
         ss = np.sum(centred ** 2, axis=1)
         live = np.flatnonzero(ss != 0.0)          # constant columns never win
         self.features = live
-        self.cols, self.means, self.ss = cols[live], means[live], ss[live]
+        self.cols = cols if live.size == cols.shape[0] else cols[live]
+        self.means, self.ss = means[live], ss[live]
         self.buf = np.empty_like(self.cols)
 
     def fit(self, residual) -> Stump | None:
@@ -273,15 +275,19 @@ def fit_boosted(cohort: Cohort, params: BoostParams) -> BoostedModel:
         raise TrainingError("cannot boost with zero events")
 
     order = canonical_order(cohort.times, cohort.events, cohort.ids)
-    X, t, e = cohort.matrix()[order], cohort.times[order], cohort.events[order]
+    if params.mode == "componentwise":
+        # F-ordered rows, so the stumps' (d, n) columns are X.T, not a copy
+        X = np.take(cohort.matrix().T, order, axis=1).T
+        stumps, presorted = _StumpFitter(X), None
+    else:
+        X, stumps = cohort.matrix()[order], None
+        presorted = tree.presort(X)
     n = X.shape[0]
     lam = params.l2_lambda if params.mode == "xgboost" else 0.0
-    stumps = _StumpFitter(X) if params.mode == "componentwise" else None
-    presorted = tree.presort(X) if stumps is None else None
 
     f = np.zeros(n)
     learners: list = []
-    risk = RiskSets(t, e)
+    risk = RiskSets(cohort.times[order], cohort.events[order])
     trace = [cox_negloglik(risk, f)]
     early_stop = None
 

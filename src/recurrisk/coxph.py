@@ -303,7 +303,8 @@ def vif_filter(cohort: Cohort, retained, threshold: float = 5.0) -> VifResult:
     removed = []
 
     while len(current) >= 2:
-        vifs = np.array([_vif(X[:, current], pos) for pos in range(len(current))])
+        Xc = X[:, current]
+        vifs = np.array([_vif(Xc, pos) for pos in range(len(current))])
         worst = int(np.argmax(vifs))  # argmax takes the first (earliest column) on ties
         if vifs[worst] <= threshold:
             break
@@ -318,8 +319,10 @@ def vif_filter(cohort: Cohort, retained, threshold: float = 5.0) -> VifResult:
 
 def _vif(X: np.ndarray, pos: int) -> float:
     y = X[:, pos]
-    others = np.delete(X, pos, axis=1)
-    design = np.column_stack([np.ones(X.shape[0]), others])
+    design = np.empty(X.shape)               # the intercept, then the other columns
+    design[:, 0] = 1.0
+    design[:, 1:pos + 1] = X[:, :pos]
+    design[:, pos + 1:] = X[:, pos + 1:]
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0.0:
         return float("inf")

@@ -42,8 +42,10 @@ def _coalitions(d: int):
     """The tables every explained row of width d shares, built once per d.
 
     Returns (takes_x, rows, weights, tables):
-    - takes_x, the (2^d, d) boolean matrix of which features each mask takes
-      from x (masks indexed by bit pattern);
+    - takes_x, the boolean table of which features each mask takes from x
+      (masks indexed by bit pattern): (2^d, d) while it fits CELL_BUDGET
+      (d <= 9), the one batch's rows; above, its (d, 2^d) transpose, so
+      that the selection of a block of masks runs along each feature's row;
     - rows, the coalitions per prediction block: the largest power of two
       whose block fits CELL_BUDGET cells, 512 for every d from 10 to 14
       and so a multiple of 8;
@@ -59,12 +61,12 @@ def _coalitions(d: int):
     temporary.
     """
     n = 2 ** d
-    takes_x = np.zeros((n, d), dtype=bool)
+    takes_x = np.zeros((d, n), dtype=bool)
     for j in range(d):
-        takes_x.reshape(-1, 2, 2 ** j, d)[:, 1, :, j] = True   # the masks with bit j set
+        takes_x[j].reshape(-1, 2, 2 ** j)[:, 1] = True   # the masks with bit j set
     weight_by_size = np.array(
         [factorial(s) * factorial(d - s - 1) / factorial(d) for s in range(d)])
-    weights = weight_by_size[takes_x[:n // 2].sum(axis=1)]
+    weights = weight_by_size[takes_x[:, :n // 2].sum(axis=0)]
     rows = 1 << (CELL_BUDGET // d).bit_length() - 1
     if n * d > CELL_BUDGET:
         return takes_x, rows, weights, None
@@ -72,7 +74,7 @@ def _coalitions(d: int):
     pairs = [masks.reshape(-1, 2, 2 ** j) for j in range(d)]   # [:, 0] without j, [:, 1] with
     m_wo = np.stack([p[:, 0].ravel() for p in pairs])
     m_with = np.stack([p[:, 1].ravel() for p in pairs])
-    return takes_x, rows, weights, (m_wo, m_with)
+    return np.ascontiguousarray(takes_x.T), rows, weights, (m_wo, m_with)
 
 
 def exact_shapley(predict, x, background) -> np.ndarray:
@@ -104,10 +106,12 @@ def exact_shapley(predict, x, background) -> np.ndarray:
         diff -= values[m_wo]
         diff *= weights
         return diff.sum(axis=1)
-    values = np.empty(len(takes_x))
+    values = np.empty(takes_x.shape[1])
     for start in range(0, len(values), rows):
-        block = np.where(takes_x[start:start + rows], x[None, :], background[None, :])
-        values[start:start + rows] = np.ravel(predict(block))
+        # select along the features' rows, then copy once into C order, which
+        # keeps the bits of `X @ beta` and of every other predictor
+        block = np.where(takes_x[:, start:start + rows], x[:, None], background[:, None])
+        values[start:start + rows] = np.ravel(predict(np.ascontiguousarray(block.T)))
     phi, diff = np.empty(d), np.empty_like(weights)
     for j in range(d):
         pairs = values.reshape(-1, 2, 2 ** j)   # [:, 0] the masks without j, [:, 1] with it

@@ -99,7 +99,9 @@ class RiskSets:
 class CoxLoss:
     """The loss sum_k (log D_k + shift - f_k) of scores f over `risk`, from
     the sorted weights ``w``, their suffix sums ``s0`` and the event terms'
-    denominators ``den``; the Efron fractions ``c`` are None under Breslow."""
+    denominators ``den``. The Efron fractions ``c`` are None under Breslow,
+    and when no two events tie: every c = ell / m is then 0 / 1, and each
+    correction x - 0 * y would return x."""
 
     def __init__(self, risk: RiskSets, scores, efron: bool = False):
         self.risk, self.scores = risk, np.asarray(scores, dtype=float)
@@ -107,7 +109,7 @@ class CoxLoss:
         self.w = np.exp(np.maximum(self.scores - self.shift, -700.0))[risk.order]
         self.s0 = risk.suffix_sum(self.w)
         self.den, self.c = self.s0[risk.event_heads], None
-        if efron:
+        if efron and (risk.deaths > 1).any():
             self.c = risk.efron_ties[0]
             self.den = self.den - self.c * risk.tied_sums(self.w[risk.event_pos])
 

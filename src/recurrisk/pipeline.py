@@ -240,40 +240,51 @@ class FoldModels:
     errors: dict                       # name -> message for failed models
 
 
-def _select_features(cohort: Cohort, config: PipelineConfig):
-    """Normalize, screen and VIF-filter the screen's retained features.
-    Returns the normalized cohort, the screen rows, the selected names in
-    cohort column order and the names the filter removed."""
+def _normalized(cohort: Cohort) -> Cohort:
+    """The cohort z-scored on its own rows; constant columns drop silently."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantFeatureWarning)
-        norm = zscore_normalize(cohort)
+        return zscore_normalize(cohort)
+
+
+def _select_features(norm: Cohort, config: PipelineConfig):
+    """Screen the normalized cohort and VIF-filter the screen's retained
+    features. Returns the learners' cohort (norm's selected columns, in
+    cohort column order), norm's normalization of every feature, the screen
+    rows and the names the filter removed; the all-feature matrix is not
+    among them, so a caller that rebinds its name to the result frees it."""
     screen_rows = univariate_screen(norm)
     vif = vif_filter(norm, retained_features(screen_rows, config.alpha),
                      threshold=config.vif_threshold)
-    return norm, screen_rows, vif.kept, tuple(name for name, _ in vif.removed)
+    return (norm.subset_features(vif.kept), norm.normalization, screen_rows,
+            tuple(name for name, _ in vif.removed))
 
 
 def fit_fold_models(train: Cohort, config: PipelineConfig, fold: int) -> FoldModels:
     """Normalize, screen, VIF-filter and train every enabled learner on one
-    training fold. Depends only on the training rows."""
-    train_norm, _, selected, vif_removed = _select_features(train, config)
-    if not selected:
+    training fold. Depends only on the training rows. `train` is rebound at
+    each step, so the all-feature matrix is freed before the first learner
+    fits, which then holds only the selected columns. The raw rows are
+    freed before the screen on CPython 3.11 and later, which hand a call's
+    arguments to the callee's frame; before 3.11 the caller's frame holds
+    them until the call returns."""
+    train = _normalized(train)
+    train, normalization, _, vif_removed = _select_features(train, config)
+    if not train.feature_names:
         raise PipelineError("screening", "zero features survived the p-value screen")
-
-    train_sel = train_norm.subset_features(selected)
 
     models, errors = {}, {}
     for name in config.enabled_models:
         try:
-            models[name] = LEARNERS[name].fit(train_sel, config.model_params.get(name, {}),
+            models[name] = LEARNERS[name].fit(train, config.model_params.get(name, {}),
                                               config.seed, fold)
         except RecurriskError as exc:
             models[name] = None
             errors[name] = str(exc)
 
     return FoldModels(
-        normalization=train_norm.normalization,
-        selected=selected,
+        normalization=normalization,
+        selected=train.feature_names,
         vif_removed=vif_removed,
         models=models,
         errors=errors,
@@ -509,7 +520,7 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
     These tables are descriptive (fit on all rows); model metrics above come
     exclusively from out-of-fold predictions.
     """
-    full_norm, screen_rows, selected, _ = _select_features(cohort, config)
+    selected, _, screen_rows, _ = _select_features(_normalized(cohort), config)
     retained = set(retained_features(screen_rows, config.alpha))
     # a NaN statistic (a fit that did not converge) is written as null
     screen_section = [
@@ -518,15 +529,14 @@ def _feature_tables(cohort: Cohort, config: PipelineConfig, chosen: str,
         for r in screen_rows]
 
     importance_section = {"method": None, "rows": []}
-    if selected:
-        selected_cohort = full_norm.subset_features(selected)
+    if selected.feature_names:
         try:
-            model = LEARNERS[chosen].fit(selected_cohort,
-                                         config.model_params.get(chosen, {}), config.seed, -1)
+            model = LEARNERS[chosen].fit(selected, config.model_params.get(chosen, {}),
+                                         config.seed, -1)
         except RecurriskError:
             model = None
         if model is not None:
-            method, rows = feature_importance(model.predict_risk, selected_cohort, config.seed)
+            method, rows = feature_importance(model.predict_risk, selected, config.seed)
             importance_section = {
                 "method": method,
                 "rows": [dict(zip(("feature", "value", "std"), row)) for row in rows],

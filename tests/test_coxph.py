@@ -24,7 +24,7 @@ from recurrisk.errors import (
     NonconvergenceError,
     TrainingError,
 )
-from recurrisk.nonparametric import RiskSets
+from recurrisk.nonparametric import CoxLoss, RiskSets
 from recurrisk.stepfun import StepFunction
 
 from conftest import make_cohort, random_censored_cohort
@@ -141,6 +141,51 @@ def relative_error(got, want):
     return np.max(np.abs(np.asarray(got) - want)) / max(np.max(np.abs(want)), 1e-300)
 
 
+def efron_full_length(cohort, beta):
+    """Oracle: Efron's correction taken at every event term, a lone event's
+    c = 0 / 1 included, also when no two events tie. Returns the
+    denominators, the cumulative hazard and partial_loglik's (value,
+    gradient, Hessian)."""
+    X, risk = cohort.matrix(), cohort.risk_sets
+    start = np.cumsum(risk.deaths) - risk.deaths
+    ell = np.arange(risk.event_pos.size) - np.repeat(start, risk.deaths)
+    c = ell / np.repeat(risk.deaths, risk.deaths)
+
+    def tied_sums(per_event):
+        return np.repeat(np.add.reduceat(per_event, start, axis=0), risk.deaths, axis=0)
+
+    loss = CoxLoss(risk, X @ beta)                     # Breslow: no correction
+    den = loss.den - c * tied_sums(loss.w[risk.event_pos])
+    a = risk.through_events(1.0 / den)
+    a[risk.event_pos] -= tied_sums(c / den)
+    hazard = loss.w * a
+    f = loss.scores[risk.order][risk.event_pos]
+    value = -float(np.sum(np.log(den) + loss.shift - f))
+    x_s = X[risk.order]
+    wx = loss.w[:, None] * x_s
+    s1 = risk.suffix_sum(wx)[risk.event_heads]
+    s1 -= c[:, None] * tied_sums(wx[risk.event_pos])
+    xbar = s1 / den[:, None]
+    grad = x_s.T @ (risk.events - hazard)
+    hess = xbar.T @ xbar - (x_s * hazard[:, None]).T @ x_s
+    return den, hazard, (value, grad, hess)
+
+
+def tie_draws(seed, decimals):
+    """Random cohorts and coefficients whose times are rounded to `decimals`
+    (None: continuous times, no ties)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        n, d = int(rng.integers(30, 600)), int(rng.integers(1, 6))
+        times = rng.exponential(4.0, n) + 0.01
+        if decimals is not None:
+            times = np.maximum(np.round(times, decimals), 10.0 ** -decimals)
+        events = (rng.random(n) < 0.7).astype(int)
+        events[rng.integers(0, n)] = 1
+        yield make_cohort(times, events, rng.standard_normal((n, d))), \
+            rng.standard_normal(d) * 0.5
+
+
 class TestPartialLoglik:
     @pytest.mark.parametrize("ties", ["breslow", "efron"])
     def test_matches_the_einsum_oracle(self, rng, ties):
@@ -205,6 +250,27 @@ class TestPartialLoglik:
         assert abs(vb - ve) < 1e-12
         assert np.allclose(gb, ge, atol=1e-12)
         assert np.allclose(hb, he, atol=1e-12)
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2, None])
+    def test_efron_has_the_bits_of_the_full_length_form(self, decimals):
+        for cohort, beta in tie_draws(decimals or 3, decimals):
+            den, hazard, want = efron_full_length(cohort, beta)
+            loss = CoxLoss(cohort.risk_sets, cohort.matrix() @ beta, efron=True)
+            assert (loss.c is None) == (decimals is None)   # untied: no correction formed
+            assert loss.den.tobytes() == den.tobytes()
+            assert loss.cumulative_hazard().tobytes() == hazard.tobytes()
+            for got, w in zip(partial_loglik(beta, cohort, "efron"), want):
+                assert np.asarray(got).tobytes() == np.asarray(w).tobytes()
+
+    def test_efron_is_breslow_bit_for_bit_without_ties(self):
+        for cohort, beta in tie_draws(5, None):
+            assert cohort.risk_sets.deaths.max() == 1
+            for got, want in zip(partial_loglik(beta, cohort, "efron"),
+                                 partial_loglik(beta, cohort, "breslow")):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            efron, breslow = (fit_cox(cohort, ties=ties) for ties in ("efron", "breslow"))
+            assert efron.coefficients.tobytes() == breslow.coefficients.tobytes()
+            assert efron.covariance.tobytes() == breslow.covariance.tobytes()
 
     def test_constant_feature_shift_leaves_value_unchanged(self, rng):
         cohort = random_censored_cohort(rng, 25, 2)

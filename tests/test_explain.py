@@ -210,7 +210,7 @@ def wide_models():
 def test_coalition_blocks_equal_the_one_batch_form(wide_models, name, d):
     cohort, model = wide_models[name, d]
     takes_x, rows, _, tables = _coalitions(d)
-    assert tables is None and len(takes_x) // rows >= 8 and rows % 8 == 0   # several blocks
+    assert tables is None and takes_x.shape[1] // rows >= 8 and rows % 8 == 0   # several blocks
     background = np.median(cohort.X, axis=0)
     for x in cohort.X[:3]:
         phi = exact_shapley(model.predict_risk, x, background)

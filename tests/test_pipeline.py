@@ -6,6 +6,9 @@ import importlib.util
 import json
 import os
 import re
+import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -407,3 +410,57 @@ def test_the_decision_curve_states_its_shared_references_once(tmp_path):
         Series("treat none", xs, [0.0] * len(xs), "#333333", dashed=True),
     ], "Decision curve at 24 months", "threshold probability", "net benefit"))
     assert "Calibration at 24 months" in (out / "calibration.svg").read_text(encoding="utf-8")
+
+
+FOLD_CONFIG = PipelineConfig(cohort_csv="unused.csv", enabled_models=("cox", "coxboost"),
+                             model_params={"coxboost": {"rounds": 50}})
+
+
+def _training_rows(n):
+    cohort, _ = generate_synthetic(SyntheticSpec(
+        n=n, true_coefficients=(0.9, -0.8, 0.7, -0.5, 0.4, -0.3), seed=5))
+    return cohort
+
+
+def test_no_all_feature_matrix_is_alive_while_a_learner_fits(monkeypatch):
+    # every z-scored all-feature cohort, and on CPython 3.11 and later the
+    # raw rows handed to fit_fold_models, are dead by the time a learner
+    # fits; only the learners' cohort of selected columns is held
+    normalized, alive = [], []
+    zscore, cox = pipeline.zscore_normalize, pipeline.LEARNERS["cox"]
+
+    def zscore_normalize(cohort):
+        norm = zscore(cohort)
+        normalized.append(weakref.ref(norm))
+        return norm
+
+    def fit(cohort, params, seed, fold):
+        alive.append([ref() is not None for ref in (rows, *normalized)])
+        return cox.fit(cohort, params, seed, fold)
+
+    monkeypatch.setattr(pipeline, "zscore_normalize", zscore_normalize)
+    monkeypatch.setitem(pipeline.LEARNERS, "cox", cox._replace(fit=fit))
+    args = [_training_rows(400)]
+    rows = weakref.ref(args[0])
+    fold = pipeline.fit_fold_models(args.pop(), FOLD_CONFIG, 0)
+    assert fold.errors == {}
+    whole = _training_rows(400)
+    tables = pipeline._feature_tables(whole, FOLD_CONFIG, "cox", [])
+    assert tables["importance"]["method"] == "mean_abs_shapley"
+    # before CPython 3.11 a caller's frame holds the arguments of a call
+    # until it returns, so there the raw rows live on through the fold's fits
+    raw_rows_held = sys.version_info < (3, 11)
+    assert alive == [[raw_rows_held, False], [False, False, False]]
+
+
+def test_a_fold_fit_peaks_below_ten_training_matrices():
+    args = [_training_rows(8_000)]
+    matrix_bytes = args[0].X.nbytes
+    tracemalloc.start()
+    try:
+        fold = pipeline.fit_fold_models(args.pop(), FOLD_CONFIG, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fold.errors == {} and len(fold.selected) == 6
+    assert peak < 10 * matrix_bytes, peak / matrix_bytes
